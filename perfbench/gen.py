@@ -178,26 +178,24 @@ def _zeroest_instance(rng: random.Random):
     return order, sorted(pts), rng.randint(2, 3), L
 
 
-_SCALES = (Fraction(-1), Fraction(2), Fraction(-1, 2), Fraction(3), Fraction(-2, 3))
-
-
 def _family(base: random.Random, rng: random.Random) -> dict:
     """A w_I family: one nonzero rational vector per (n - nu)-subset,
     supported on that subset.  The shape and vectors come from the fixed
-    ``base`` draw; the seed scales each vector by a nonzero rational, which
-    keeps the span, the rank and the witnesses."""
+    ``base`` draw; the seed permutes the coordinates, which maps the subsets
+    onto themselves and keeps the rank."""
     n = base.randint(2, 6)
     nu = base.randint(1, n - 1)
+    perm = list(range(n))
+    rng.shuffle(perm)
     choices = []
     for subset in combinations(range(n), n - nu):
         while True:
-            vec = [Fraction(0)] * n
+            vec = ["0"] * n
             for i in subset:
-                vec[i] = Fraction(base.randint(-5, 5), base.randint(1, 3))
-            if any(vec):
+                vec[perm[i]] = str(Fraction(base.randint(-5, 5), base.randint(1, 3)))
+            if any(v != "0" for v in vec):
                 break
-        scale = rng.choice(_SCALES)
-        choices.append([list(subset), [str(x * scale) for x in vec]])
+        choices.append([sorted(perm[i] for i in subset), vec])
     return {"n": n, "nu": nu, "choices": choices}
 
 
