@@ -13,10 +13,14 @@ installed beyond the Python dependencies.  The steps:
    passes; with ``--trace 1`` every other pass is traced (``spans.py``);
    before each pass, time ``import genlab.cli`` in a fresh interpreter
    (``setup_s``);
-4. check every output (``checks.py``), and check that each later pass
+3. check every output (``checks.py``), and check that each later pass
    returned the same payloads as the first;
-5. replay a few jobs against the caches the last pass filled, untimed, and
+4. replay a few jobs against the caches the last pass filled, untimed, and
    check that the cached payloads equal the computed ones.
+
+Every time is reported in reference seconds: measured seconds scaled by a
+speed probe that runs next to the measured work (``speed.py``), so that the
+shared machine's changing speed cancels out.
 
 The last line of standard output is one JSON object with the keys
 ``correct``, ``attempted``, ``failed`` and ``metrics``: the end-to-end
@@ -30,6 +34,7 @@ or a replay disagrees with the computed payloads.
 from __future__ import annotations
 
 import argparse
+import bisect
 import json
 import math
 import os
@@ -47,12 +52,16 @@ sys.path.insert(0, HERE)
 
 import checks  # noqa: E402
 import gen  # noqa: E402
+import speed  # noqa: E402
 
 SETUP_FIRST = 4
 MIN_PASSES = 3
 REPLAY_JOBS = 4
 WORKER_TIMEOUT_S = 150
 DEFAULT_BUDGET = 10**7
+# Times are reported in reference seconds (see ``speed``).
+PROBE_WINDOW_S = 0.25
+SETUP_PROBES = 32
 
 END_TO_END = {
     "setup_s": "s",
@@ -137,14 +146,30 @@ def _env() -> dict:
     return env
 
 
-def time_setup(env) -> float:
-    """Wall time of a fresh interpreter running ``import genlab.cli``.
+# Imports genlab.cli, notes the time, then takes the probe samples.
+SETUP_CODE = (
+    "import time; import genlab.cli; t = time.perf_counter(); "
+    "import json, sys; sys.path.insert(0, {here!r}); import speed; "
+    "print(json.dumps([t, speed.burst({n})]))"
+)
 
-    No timeout: with one, ``subprocess`` polls the child every 50 ms and the
-    figure reads in 50 ms steps."""
+
+def time_setup(env) -> float:
+    """Time from starting a fresh interpreter until its ``import genlab.cli``
+    returns, in reference seconds.  The child notes the time on the shared
+    monotonic clock, then takes SETUP_PROBES probe samples on its own CPU;
+    their wall factor scales the time.  The samples come after the import,
+    so they are not part of the time.
+
+    No timeout: with one, ``subprocess`` polls the child every 50 ms."""
+    code = SETUP_CODE.format(here=HERE, n=SETUP_PROBES)
     t0 = time.perf_counter()
-    subprocess.run([sys.executable, "-c", "import genlab.cli"], env=env, cwd=ROOT, check=True)
-    return time.perf_counter() - t0
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, cwd=ROOT, check=True,
+        stdout=subprocess.PIPE, text=True,
+    )
+    imported, samples = json.loads(out.stdout)
+    return (imported - t0) * speed.wall_factor(samples)
 
 
 def run_worker(env, workdir, jobs_path, pass_id, *, trace=False, replay=()):
@@ -176,12 +201,39 @@ def read_payloads(path: str):
     return rows
 
 
+def normalise(p: dict) -> None:
+    """Adds reference-second times to one pass, in place (see ``speed``).
+
+    A job's own seconds are its measured seconds less the probe samples
+    taken inside it.  They are multiplied by the wall factor of the samples
+    from PROBE_WINDOW_S before the job to PROBE_WINDOW_S after it; CPU
+    seconds likewise by the CPU factor.  The pass gets the sums
+    (``ref_wall_s``, ``ref_cpu_s``) and its own wall factor
+    (``ref_factor``), which scales the traced span times."""
+    probe = p["probe"]
+    starts = [t for t, _, _ in probe]
+    for r in p["jobs"]:
+        end = r["t0"] + r["s"]
+        inside = probe[bisect.bisect_left(starts, r["t0"]): bisect.bisect_left(starts, end)]
+        near = probe[
+            bisect.bisect_left(starts, r["t0"] - PROBE_WINDOW_S):
+            bisect.bisect_left(starts, end + PROBE_WINDOW_S)
+        ] or probe
+        own_s = r["s"] - sum(w for _, w, _ in inside)
+        own_cpu_s = r["cpu_s"] - sum(c for _, _, c in inside)
+        r["ref_s"] = own_s * speed.wall_factor(near)
+        r["ref_cpu_s"] = own_cpu_s * speed.cpu_factor(near)
+    p["ref_wall_s"] = sum(r["ref_s"] for r in p["jobs"])
+    p["ref_cpu_s"] = sum(r["ref_cpu_s"] for r in p["jobs"])
+    p["ref_factor"] = speed.wall_factor(probe)
+
+
 def job_medians(passes) -> dict[str, float]:
-    """Each job's median wall time over the passes."""
+    """Each job's median time over the passes, in reference seconds."""
     times: dict[str, list[float]] = {}
     for p in passes:
         for r in p["jobs"]:
-            times.setdefault(r["id"], []).append(r["s"])
+            times.setdefault(r["id"], []).append(r["ref_s"])
     return {job_id: statistics.median(v) for job_id, v in times.items()}
 
 
@@ -246,6 +298,7 @@ def run_passes(env, workdir, jobs_path, seconds: float, trace: bool):
         traced = trace and len(passes) % 2 == 1
         res = run_worker(env, workdir, jobs_path, len(passes), trace=traced)
         res["traced"] = traced
+        normalise(res)
         passes.append(res)
     return passes, setups
 
@@ -297,9 +350,12 @@ def replay_check(env, workdir, jobs, jobs_path, passes, wrong) -> dict:
 def layer_metrics(jobs, passes, first, problems, replay_counts) -> dict:
     traced = [p for p in passes if p["traced"]]
     untraced = [p for p in passes if not p["traced"]]
+    def value(p, name):
+        v = (p["layers"] or {}).get(name, 0.0)
+        return v * p["ref_factor"] if PER_LAYER[name] == "s" else v
+
     values = {
-        name: statistics.median((p["layers"] or {}).get(name, 0.0) for p in traced)
-        for name in PER_LAYER
+        name: statistics.median(value(p, name) for p in traced) for name in PER_LAYER
     }
     values.update(output_counts(jobs, first))
     for code in (2, 3, 4):
@@ -312,8 +368,8 @@ def layer_metrics(jobs, passes, first, problems, replay_counts) -> dict:
     values["cli.cache.hits"] = replay_counts.get("cli.cache.hits", 0)
     values["cli.cache.misses"] += replay_counts.get("cli.cache.misses", 0)
     values["trace.overhead_s"] = statistics.median(
-        p["wall_s"] for p in traced
-    ) - statistics.median(p["wall_s"] for p in untraced)
+        p["ref_wall_s"] for p in traced
+    ) - statistics.median(p["ref_wall_s"] for p in untraced)
     return values
 
 
@@ -357,8 +413,8 @@ def main(argv=None) -> int:
         units = END_TO_END
         metrics = {
             "setup_s": statistics.median(setups),
-            "wall_s": statistics.median(p["wall_s"] for p in untraced),
-            "cpu_s": statistics.median(p["cpu_s"] for p in untraced),
+            "wall_s": statistics.median(p["ref_wall_s"] for p in untraced),
+            "cpu_s": statistics.median(p["ref_cpu_s"] for p in untraced),
             "job_s_p50": statistics.median(job_s.values()),
             "job_s_tail": tail_s,
             "peak_rss_mb": statistics.median(p["peak_rss_mb"] for p in untraced),
@@ -372,9 +428,14 @@ def main(argv=None) -> int:
         "  threads 1  closed loop, 1 client"
     )
     print(
-        f"{len(jobs)} jobs; pass walls "
-        + " ".join(f"{p['wall_s']:.3f}{'(traced)' if p['traced'] else ''}" for p in passes)
+        f"{len(jobs)} jobs; pass walls in measured (reference) seconds: "
+        + " ".join(
+            f"{p['wall_s']:.3f}({p['ref_wall_s']:.3f}{', traced' if p['traced'] else ''})"
+            for p in passes
+        )
     )
+    probe_s = statistics.median(w for p in passes for _, w, _ in p["probe"])
+    print(f"speed probe: median {probe_s:.7f} s, {speed.PROBE_REF_S} s by definition")
     print(
         f"set-up timed {len(setups)} times; job times: each job's median over"
         f" {len(untraced)} untraced passes;"

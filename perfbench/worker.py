@@ -8,7 +8,9 @@ job starts when the previous one returns.  A CLI job is one
 ``genlab.cli.run(argv)`` call with its own fresh, empty ``--cache-dir``, so
 every job is a cold miss followed by a store; its records go to
 ``DIR/out/K/<id>.jsonl``.  A library job calls ``chars.wI_family_rank``
-directly on each family of its slice.
+directly on each family of its slice.  While the jobs run, a speed probe
+samples how fast the machine runs (``SpeedProbe``); ``run.py`` uses the
+samples to take the drift of the machine's speed out of the job times.
 
 With ``--trace`` the tracer is installed before the first job.  With
 ``--replay ID ...`` the worker runs no pass: it runs the listed CLI jobs
@@ -18,6 +20,7 @@ once more against the caches pass K filled and counts cache hits.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import resource
@@ -32,7 +35,7 @@ sys.path.insert(0, HERE)
 from genlab import chars, cli  # noqa: E402
 
 from spans import Tracer  # noqa: E402
-
+from speed import SpeedProbe  # noqa: E402
 
 def _run_cli(job: dict, cache_dir: str, out: str) -> int:
     return cli.run(job["argv"] + ["--cache-dir", cache_dir, "--out", out])
@@ -58,24 +61,42 @@ def _run_family_slice(job: dict, out: str) -> int:
     return 0
 
 
+def _timed(fn, *args):
+    """(result, start, wall seconds, CPU seconds) of one call."""
+    t0, c0 = time.perf_counter(), time.process_time()
+    result = fn(*args)
+    return result, t0, time.perf_counter() - t0, time.process_time() - c0
+
+
 def run_pass(jobs, workdir, pass_id, tracer):
+    """Each job once, in order, with the speed probe running.  Returns per
+    job its start, wall and CPU seconds, the probe samples, and the pass's
+    wall and CPU seconds.
+
+    A full garbage collection runs, untimed, before each job, so that every
+    job starts from the same collector state: otherwise a collection that
+    earlier jobs' garbage made due lands in whichever job comes next."""
     out_dir = os.path.join(workdir, "out", str(pass_id))
     cache_root = os.path.join(workdir, "cache", str(pass_id))
     os.makedirs(out_dir, exist_ok=True)
     results = []
     wall0, cpu0 = time.perf_counter(), time.process_time()
-    for job in jobs:
-        out = os.path.join(out_dir, job["id"] + ".jsonl")
-        if tracer is not None:
-            tracer.job = job["id"]
-        t0 = time.perf_counter()
-        if job["kind"] == "cli":
-            code = _run_cli(job, os.path.join(cache_root, job["id"]), out)
-        else:
-            code = _run_family_slice(job, out)
-        results.append({"id": job["id"], "s": time.perf_counter() - t0, "exit": code})
+    with SpeedProbe() as probe:
+        for job in jobs:
+            out = os.path.join(out_dir, job["id"] + ".jsonl")
+            if tracer is not None:
+                tracer.job = job["id"]
+            gc.collect()
+            if job["kind"] == "cli":
+                cache_dir = os.path.join(cache_root, job["id"])
+                code, t0, s, cpu_s = _timed(_run_cli, job, cache_dir, out)
+            else:
+                code, t0, s, cpu_s = _timed(_run_family_slice, job, out)
+            results.append(
+                {"id": job["id"], "exit": code, "t0": t0, "s": s, "cpu_s": cpu_s}
+            )
     wall, cpu = time.perf_counter() - wall0, time.process_time() - cpu0
-    return results, wall, cpu
+    return results, probe.samples, wall, cpu
 
 
 def replay(jobs, ids, workdir, pass_id):
@@ -111,9 +132,10 @@ def main() -> int:
         if args.trace:
             tracer = Tracer()
             tracer.install()
-        results, wall, cpu = run_pass(jobs, args.workdir, args.pass_id, tracer)
+        results, samples, wall, cpu = run_pass(jobs, args.workdir, args.pass_id, tracer)
         result = {
             "jobs": results,
+            "probe": samples,
             "wall_s": wall,
             "cpu_s": cpu,
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
