@@ -65,12 +65,15 @@ def _rank(rows: list[list[Fraction]]) -> int:
 
 def _check_torsion(jobs, outputs, problems):
     omega = defaultdict(dict)
+    copies = []
     for job in jobs:
         chk, out = job["check"], outputs.get(job["id"])
         if not out:
             continue
         if chk["type"] == "omega":
             omega[chk["pair"]][chk["part"]] = (job["id"], out[0]["omega"])
+        elif chk["type"] == "omega-copy":
+            copies.append((job["id"], chk["of"], out[0]["omega"]))
         elif chk["type"] == "zeroest":
             p = out[0]
             if not p["found"]:
@@ -98,6 +101,11 @@ def _check_torsion(jobs, outputs, problems):
             prod_id, w = pair["S1xS2"]
             if w != min(pair["S1"][1], pair["S2"][1]):
                 problems[prod_id].append((WRONG, "omega(S1xS2) != min(omega(S1), omega(S2))"))
+    # a symmetry of the point set keeps omega
+    parts = {job_id: w for pair in omega.values() for job_id, w in pair.values()}
+    for job_id, of, w in copies:
+        if of in parts and w != parts[of]:
+            problems[job_id].append((WRONG, f"omega differs from {of}"))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ amount of work.  Where the cost of a job depends on its instance (the
 omega and zeroest point sets, the w_I families, the log-prime tuples of the
 sweeps and of the Siegel cells), the instances come from a fixed draw and
 the seed applies symmetries that keep every answer: Galois automorphisms,
-sign changes, scalings, reorderings.  The cheap jobs are drawn from the
+sign changes, reorderings.  The cheap jobs are drawn from the
 seed outright.
 """
 
@@ -91,6 +91,11 @@ _SMALL_RATIONALS = ("1", "-1", "2", "1/2", "3", "-2")
 TORSION_BASE_SEED = 4004
 OMEGA_PAIRS = 24
 MAX_PRODUCT_POINTS = 24
+# job_s_p50 falls inside a run of equal jobs rather than in a gap between
+# two different ones: copies of the S2 set of one pair whose omega job
+# costs about the median, each under its own symmetry.
+MEDIAN_PAIR = 19
+MEDIAN_COPIES = 12
 ZEROEST_JOBS = 8
 FAMILY_SLICES = 6
 FAMILIES_PER_SLICE = 20
@@ -181,21 +186,24 @@ def _zeroest_instance(rng: random.Random):
 def _family(base: random.Random, rng: random.Random) -> dict:
     """A w_I family: one nonzero rational vector per (n - nu)-subset,
     supported on that subset.  The shape and vectors come from the fixed
-    ``base`` draw; the seed permutes the coordinates, which maps the subsets
-    onto themselves and keeps the rank."""
+    ``base`` draw; the seed negates some coordinates of every vector, and
+    some whole vectors.  That keeps the rank, the witnesses and the size of
+    every fraction, so elimination takes the same steps from seed to seed;
+    a permutation of the coordinates changed the work of a slice by a
+    fifth."""
     n = base.randint(2, 6)
     nu = base.randint(1, n - 1)
-    perm = list(range(n))
-    rng.shuffle(perm)
+    flips = [rng.choice((1, -1)) for _ in range(n)]
     choices = []
     for subset in combinations(range(n), n - nu):
         while True:
-            vec = ["0"] * n
+            vec = [Fraction(0)] * n
             for i in subset:
-                vec[perm[i]] = str(Fraction(base.randint(-5, 5), base.randint(1, 3)))
-            if any(v != "0" for v in vec):
+                vec[i] = Fraction(base.randint(-5, 5), base.randint(1, 3))
+            if any(vec):
                 break
-        choices.append([sorted(perm[i] for i in subset), vec])
+        sign = rng.choice((1, -1))
+        choices.append([list(subset), [str(sign * f * x) for f, x in zip(flips, vec)]])
     return {"n": n, "nu": nu, "choices": choices}
 
 
@@ -225,6 +233,16 @@ def _torsion(rng: random.Random, w: _Writer) -> list[dict]:
                     {"type": "omega", "pair": k, "part": part},
                 )
             )
+    order2, s2 = pairs[MEDIAN_PAIR][2:]
+    for k in range(MEDIAN_COPIES):
+        path = w.lines(f"omega_median{k}.cyc", _symmetry(rng, order2, s2))
+        jobs.append(
+            _cli(
+                f"omega-median{k}",
+                ["omega", "--points", path, "--max-degree", "4"],
+                {"type": "omega-copy", "of": f"omega{MEDIAN_PAIR}-S2"},
+            )
+        )
     for k in range(ZEROEST_JOBS):
         order, pts, depth, L = _zeroest_instance(base)
         path = w.lines(f"zeroest{k}.cyc", _symmetry(rng, order, pts))
@@ -427,7 +445,9 @@ def _siegel(rng: random.Random, w: _Writer) -> list[dict]:
     th = w.lines("dist_theta.tup", ["1", "1"])
     ka = w.lines("dist_kappa.tup", ["1", "2"])
     for k in range(DIST_AUDITS):
-        z = w.lines(f"dist{k}_z.cyc", [_root(5, rng.randrange(1, 5))] * 4)
+        # The power sets the cost: zeta^2 and zeta^4 take a fifth and a
+        # third longer than zeta and zeta^3, which cost the same.
+        z = w.lines(f"dist{k}_z.cyc", [_root(5, rng.choice((1, 3)))] * 4)
         jobs.append(
             _cli(
                 f"dist-audit{k}",

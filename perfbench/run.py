@@ -211,7 +211,7 @@ def normalise(p: dict) -> None:
     (``ref_wall_s``, ``ref_cpu_s``) and its own wall factor
     (``ref_factor``), which scales the traced span times."""
     probe = p["probe"]
-    starts = [t for t, _, _ in probe]
+    starts = [sample[0] for sample in probe]
     for r in p["jobs"]:
         end = r["t0"] + r["s"]
         inside = probe[bisect.bisect_left(starts, r["t0"]): bisect.bisect_left(starts, end)]
@@ -219,8 +219,8 @@ def normalise(p: dict) -> None:
             bisect.bisect_left(starts, r["t0"] - PROBE_WINDOW_S):
             bisect.bisect_left(starts, end + PROBE_WINDOW_S)
         ] or probe
-        own_s = r["s"] - sum(w for _, w, _ in inside)
-        own_cpu_s = r["cpu_s"] - sum(c for _, _, c in inside)
+        own_s = r["s"] - sum(sample[1] for sample in inside)
+        own_cpu_s = r["cpu_s"] - sum(sample[2] for sample in inside)
         r["ref_s"] = own_s * speed.wall_factor(near)
         r["ref_cpu_s"] = own_cpu_s * speed.cpu_factor(near)
     p["ref_wall_s"] = sum(r["ref_s"] for r in p["jobs"])
@@ -434,7 +434,7 @@ def main(argv=None) -> int:
             for p in passes
         )
     )
-    probe_s = statistics.median(w for p in passes for _, w, _ in p["probe"])
+    probe_s = statistics.median(sample[1] for p in passes for sample in p["probe"])
     print(f"speed probe: median {probe_s:.7f} s, {speed.PROBE_REF_S} s by definition")
     print(
         f"set-up timed {len(setups)} times; job times: each job's median over"

@@ -11,8 +11,9 @@ longer; the machine's state cancels.
 
 ``SpeedProbe`` samples from a SIGALRM handler every PROBE_INTERVAL_S of
 wall time, so jobs longer than that are sampled while they run; ``burst``
-samples back to back, around a set-up timing.  A sample is
-``[start, wall seconds, CPU seconds]``.
+samples back to back, after a set-up timing.  The work mixes exact
+rational elimination with mpmath: a smaller probe of rationals and mpmath
+alone left nearly twice the noise in a pass's total on ``torsion``.
 """
 
 from __future__ import annotations
@@ -25,19 +26,32 @@ from fractions import Fraction
 import mpmath
 
 # Reference seconds are seconds on a machine on which probe_work takes this.
-PROBE_REF_S = 0.00015
-PROBE_INTERVAL_S = 0.02
+PROBE_REF_S = 0.001
+PROBE_INTERVAL_S = 0.04
 
 _CTX = mpmath.MPContext()
 _CTX.prec = 128
 
 
 def probe_work() -> None:
-    """A fixed piece of pure-Python work, about 0.2 ms, that uses no genlab
-    code: exact rationals, mpmath floats at 128 bits, a dict."""
-    s = Fraction(0)
-    for k in range(1, 12):
-        s += Fraction((-1) ** k, k * k + 1)
+    """A fixed piece of pure-Python work, about 1 ms, that uses no genlab
+    code: elimination on a 6x6 matrix of exact rationals, mpmath floats at
+    128 bits, a dict."""
+    n = 6
+    m = [
+        [Fraction((i * 7 + j * 3 + i * j) % 11 - 5, (i + 2 * j) % 4 + 1) for j in range(n)]
+        for i in range(n)
+    ]
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if m[r][c]), None)
+        if pivot is None:
+            continue
+        m[c], m[pivot] = m[pivot], m[c]
+        inv = 1 / m[c][c]
+        for r in range(c + 1, n):
+            f = m[r][c] * inv
+            if f:
+                m[r] = [a - f * b for a, b in zip(m[r], m[c])]
     x = _CTX.mpf(1)
     for k in range(1, 10):
         x = x * _CTX.mpf(k) / (k + 1) + _CTX.mpf(1) / k
@@ -48,6 +62,7 @@ def probe_work() -> None:
 
 
 def sample() -> list[float]:
+    """[start, wall seconds, CPU seconds] of one run of ``probe_work``."""
     t0, c0 = time.perf_counter(), time.process_time()
     probe_work()
     return [t0, time.perf_counter() - t0, time.process_time() - c0]
@@ -60,12 +75,12 @@ def burst(n: int) -> list[list[float]]:
 
 def wall_factor(samples) -> float:
     """Reference seconds per measured wall second over ``samples``."""
-    return PROBE_REF_S / statistics.median(w for _, w, _ in samples)
+    return PROBE_REF_S / statistics.median(s[1] for s in samples)
 
 
 def cpu_factor(samples) -> float:
     """Reference seconds per measured CPU second over ``samples``."""
-    return PROBE_REF_S / statistics.median(c for _, _, c in samples)
+    return PROBE_REF_S / statistics.median(s[2] for s in samples)
 
 
 class SpeedProbe:

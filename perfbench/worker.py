@@ -75,12 +75,17 @@ def run_pass(jobs, workdir, pass_id, tracer):
 
     A full garbage collection runs, untimed, before each job, so that every
     job starts from the same collector state: otherwise a collection that
-    earlier jobs' garbage made due lands in whichever job comes next."""
+    earlier jobs' garbage made due lands in whichever job comes next.  The
+    objects that exist before the first job (the interpreter's, genlab's
+    modules) are frozen first, so that those collections do not rescan
+    them: scanning them took about 12 ms a job, a fifth of a pass."""
     out_dir = os.path.join(workdir, "out", str(pass_id))
     cache_root = os.path.join(workdir, "cache", str(pass_id))
     os.makedirs(out_dir, exist_ok=True)
     results = []
     wall0, cpu0 = time.perf_counter(), time.process_time()
+    gc.collect()
+    gc.freeze()
     with SpeedProbe() as probe:
         for job in jobs:
             out = os.path.join(out_dir, job["id"] + ".jsonl")
