@@ -1148,11 +1148,11 @@ def _distance_hypothesis(
     import numpy as np
     from scipy.optimize import minimize
 
-    from .intmat import rank_int, smith_normal_form
+    from .intmat import rank_rational, smith_normal_form
 
     n = len(theta_point)
     e_rows = [list(ch) for ch in chars]
-    rank = rank_int(e_rows)
+    rank = rank_rational(e_rows)
     _, _, v = smith_normal_form(e_rows)
     kernel = [[v[i][j] for i in range(n)] for j in range(rank, n)]
     dim = len(kernel)

@@ -18,6 +18,8 @@ from functools import lru_cache
 from math import lcm
 from typing import Iterable, Sequence
 
+from .intmat import echelon
+
 IntPoly = list[int]
 FracPoly = list[Fraction]
 
@@ -121,7 +123,7 @@ class CycloNum:
     def __init__(self, order: int, coeffs: Iterable[Fraction | int]):
         mod = cyclotomic_polynomial(order)
         deg = len(mod) - 1
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         if len(cs) > deg:
             cs = _frac_poly_mod(cs, mod)
         while len(cs) < deg:
@@ -246,7 +248,10 @@ class CycloNum:
         return acc
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
+
+    def __bool__(self) -> bool:
+        return any(self.coeffs)
 
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
@@ -395,32 +400,7 @@ def monomials_up_to(nvars: int, degree: int) -> list[tuple[int, ...]]:
 
 def rank_field(rows: list[list]) -> int:
     """Rank by Gaussian elimination over any exact field (Fraction, CycloNum)."""
-    if not rows:
-        return 0
-    w = [list(r) for r in rows]
-    m, n = len(w), len(w[0])
-    rank = 0
-    for col in range(n):
-        pivot = None
-        for i in range(rank, m):
-            v = w[i][col]
-            if not (v.is_zero() if isinstance(v, CycloNum) else v == 0):
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        w[rank], w[pivot] = w[pivot], w[rank]
-        pv = w[rank][col]
-        w[rank] = [x / pv for x in w[rank]]
-        for i in range(m):
-            if i != rank:
-                f = w[i][col]
-                if not (f.is_zero() if isinstance(f, CycloNum) else f == 0):
-                    w[i] = [x - f * y for x, y in zip(w[i], w[rank])]
-        rank += 1
-        if rank == m:
-            break
-    return rank
+    return echelon(rows)[0]
 
 
 def evaluation_matrix(points: Sequence[Point], degree: int) -> tuple[list[list], list[tuple[int, ...]]]:
@@ -478,31 +458,8 @@ def kernel_polynomial(points: Sequence[Sequence], degree: int) -> dict[tuple[int
     """
     pts = normalize_point_set(points)
     rows, mons = evaluation_matrix(pts, degree)
-    # find a kernel vector of the column space by eliminating and
-    # back-substituting a free column
-    m, n = len(rows), len(mons)
-    w = [list(r) for r in rows]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(n):
-        pivot = None
-        for i in range(rank, m):
-            if not w[i][col].is_zero():
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        w[rank], w[pivot] = w[pivot], w[rank]
-        pv = w[rank][col]
-        w[rank] = [x / pv for x in w[rank]]
-        for i in range(m):
-            if i != rank and not w[i][col].is_zero():
-                f = w[i][col]
-                w[i] = [x - f * y for x, y in zip(w[i], w[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == m:
-            break
+    n = len(mons)
+    rank, pivots, w = echelon(rows)
     if rank == n:
         return None
     free = next(c for c in range(n) if c not in pivots)

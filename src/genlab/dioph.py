@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, InvalidConfig
 from .expr import BinOp, Num, exact_rational, eval_interval, to_string
+from .intmat import rank_rational
 from .numeric import (
     ComplexIV,
     NeedsBits,
@@ -377,16 +378,8 @@ def _check_rational_matrix(A, m: int) -> list[list[Fraction]]:
     rows = [[Fraction(x) for x in row] for row in A]
     if len(rows) != m or any(len(r) != m for r in rows):
         raise InvalidConfig(f"matrix must be {m}x{m}")
-    # nonsingularity via Gaussian elimination
-    work = [row[:] for row in rows]
-    for col in range(m):
-        piv = next((r for r in range(col, m) if work[r][col] != 0), None)
-        if piv is None:
-            raise InvalidConfig("matrix must be nonsingular")
-        work[col], work[piv] = work[piv], work[col]
-        for r in range(col + 1, m):
-            f = work[r][col] / work[col][col]
-            work[r] = [a - f * b for a, b in zip(work[r], work[col])]
+    if rank_rational(rows) != m:
+        raise InvalidConfig("matrix must be nonsingular")
     return rows
 
 

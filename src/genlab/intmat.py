@@ -1,8 +1,11 @@
 """Exact integer and rational matrix algebra.
 
-Everything here runs on plain Python ints and fractions.Fraction, so there
-is no overflow and no rounding.  Matrices are lists of lists in row-major
-order and are never mutated by the public functions.
+Integer routines (det, Smith normal form) run on plain Python ints, so there
+is no overflow and no rounding.  `echelon` is the one exact elimination: it
+runs over any exact field whose elements support + - * / and whose
+truthiness means "nonzero" (fractions.Fraction, cyclo.CycloNum), and rank,
+inverse and kernel are read off its result.  Matrices are lists of lists in
+row-major order and are never mutated by the public functions.
 """
 
 from __future__ import annotations
@@ -74,71 +77,60 @@ def det(a: Sequence[Sequence[int]]) -> int:
     return sign * w[m - 1][m - 1]
 
 
-def rank_rational(a: Sequence[Sequence[int | Fraction]]) -> int:
-    """Rank over the rationals by exact Gaussian elimination."""
-    if not a:
-        return 0
-    w = [[Fraction(x) for x in row] for row in a]
-    m, n = len(w), len(w[0])
+def echelon(rows: Sequence[Sequence]) -> tuple[int, list[int], list[list]]:
+    """Reduced row echelon form by exact Gauss-Jordan elimination.
+
+    Entries must be exact field elements (Fraction, CycloNum; plain ints
+    would divide to floats).  Returns (rank, pivot columns, reduced rows):
+    each pivot is 1 and the only nonzero entry of its column.  Stops once
+    every row holds a pivot.
+    """
+    w = [list(r) for r in rows]
+    m = len(w)
+    n = len(w[0]) if m else 0
+    pivots: list[int] = []
     rank = 0
-    col = 0
     for col in range(n):
-        pivot = None
-        for i in range(rank, m):
-            if w[i][col] != 0:
-                pivot = i
-                break
+        if rank == m:
+            break
+        pivot = next((i for i in range(rank, m) if w[i][col]), None)
         if pivot is None:
             continue
         w[rank], w[pivot] = w[pivot], w[rank]
-        pv = w[rank][col]
-        w[rank] = [x / pv for x in w[rank]]
+        inv = 1 / w[rank][col]
+        w[rank] = [x * inv for x in w[rank]]
         for i in range(m):
-            if i != rank and w[i][col] != 0:
-                f = w[i][col]
+            f = w[i][col]
+            if i != rank and f:
                 w[i] = [x - f * y for x, y in zip(w[i], w[rank])]
+        pivots.append(col)
         rank += 1
-        if rank == m:
-            break
-    return rank
+    return rank, pivots, w
+
+
+def rank_rational(a: Sequence[Sequence[int | Fraction]]) -> int:
+    """Rank over the rationals by exact Gaussian elimination."""
+    return echelon([[Fraction(x) for x in row] for row in a])[0]
 
 
 def invert_unimodular(a: Sequence[Sequence[int]]) -> Matrix:
     """Inverse of an integer matrix with determinant +-1.
 
-    Exact Gauss-Jordan over Fraction; the result is integral by
+    Gauss-Jordan on [a | I] over Fraction; the result is integral by
     unimodularity and is returned as an int matrix.
     """
     m, n = dims(a)
     if m != n:
         raise ValueError("invert_unimodular: matrix not square")
-    w = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+    _, pivots, w = echelon(
+        [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
          for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = None
-        for i in range(col, n):
-            if w[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            raise ValueError("invert_unimodular: matrix is singular")
-        w[col], w[pivot] = w[pivot], w[col]
-        pv = w[col][col]
-        w[col] = [x / pv for x in w[col]]
-        for i in range(n):
-            if i != col and w[i][col] != 0:
-                f = w[i][col]
-                w[i] = [x - f * y for x, y in zip(w[i], w[col])]
-    inv = []
-    for i in range(n):
-        row = []
-        for j in range(n, 2 * n):
-            v = w[i][j]
-            if v.denominator != 1:
-                raise ValueError("invert_unimodular: inverse is not integral")
-            row.append(int(v))
-        inv.append(row)
-    return inv
+    )
+    if pivots[:n] != list(range(n)):
+        raise ValueError("invert_unimodular: matrix is singular")
+    if any(v.denominator != 1 for row in w for v in row[n:]):
+        raise ValueError("invert_unimodular: inverse is not integral")
+    return [[int(v) for v in row[n:]] for row in w]
 
 
 def _min_abs_pivot(w: Matrix, t: int, m: int, n: int) -> tuple[int, int] | None:
@@ -299,7 +291,3 @@ def snf_diagonal(a: Sequence[Sequence[int]]) -> list[int]:
     m, n = dims(s)
     return [s[i][i] for i in range(min(m, n)) if s[i][i] != 0]
 
-
-def rank_int(a: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix (equals the rational rank)."""
-    return rank_rational(a)

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genlab.cyclo import (
     CycloNum,
@@ -14,7 +16,9 @@ from genlab.cyclo import (
     monomials_up_to,
     normalize_point_set,
     product_point_set,
+    rank_field,
 )
+from genlab.intmat import rank_rational
 
 
 def test_cyclotomic_polynomials():
@@ -149,3 +153,84 @@ def test_char_value_with_negative_exponents():
     p = make_point([Fraction(2), Fraction(3)])
     v = char_value([-1, 1], p)
     assert v.as_rational() == Fraction(3, 2)
+
+
+def test_bool_is_nonzero():
+    assert not CycloNum.from_rational(0)
+    assert not CycloNum(12, [0, 0, 0, 0])
+    assert CycloNum.from_rational(Fraction(1, 7))
+    assert CycloNum.root_of_unity(5, 3)
+    w = CycloNum.root_of_unity(3)
+    # zero and nonzero values promoted from another order keep their truth
+    assert not (CycloNum.from_rational(1) + w + w * w).promote(12)
+    assert not CycloNum.from_rational(0).promote(20)
+    assert w.promote(12)
+    assert (w - w * w).promote(15)
+    i = CycloNum.root_of_unity(4)
+    assert not (i * i + 1)
+
+
+def test_coefficients_stay_fractions():
+    x = CycloNum(5, [1, Fraction(1, 2), 0, 3])
+    assert all(type(c) is Fraction for c in x.coeffs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda m: st.integers(1, 4).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                min_size=m,
+                max_size=m,
+            )
+        )
+    ),
+    st.sampled_from([3, 4, 5, 12]),
+    st.lists(st.integers(0, 11), min_size=4, max_size=4),
+)
+def test_rank_field_on_cyclonum_lift_matches_rank_rational(a, order, powers):
+    # scaling row i by a root of unity leaves the rank unchanged, and makes
+    # the elimination run on non-rational entries
+    lifted = [
+        [CycloNum.root_of_unity(order, k) * x for x in row]
+        for row, k in zip(a, powers)
+    ]
+    assert rank_field(lifted) == rank_rational(a)
+
+
+def _vanishes_on(poly, points):
+    for p in normalize_point_set(points):
+        acc = CycloNum.from_rational(0)
+        for mon, coef in poly.items():
+            acc = acc + char_value(mon, p) * coef
+        if acc:
+            return False
+    return True
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 2).flatmap(
+        lambda dim: st.lists(
+            st.tuples(*[st.integers(-2, 3)] * dim), min_size=1, max_size=5
+        )
+    ),
+    st.sampled_from([1, 3, 4]),
+    st.integers(1, 3),
+)
+def test_kernel_polynomial_vanishes_exactly(coords, order, degree):
+    # coordinates k become zeta_order^k, or the rational k + 3 when order is 1
+    def lift(k):
+        if order == 1:
+            return CycloNum.from_rational(k + 3)
+        return CycloNum.root_of_unity(order, k)
+
+    points = [tuple(lift(k) for k in p) for p in coords]
+    poly = kernel_polynomial(points, degree)
+    if min_vanishing_degree(points) > degree:
+        assert poly is None
+    else:
+        assert poly
+        assert all(sum(mon) <= degree for mon in poly)
+        assert _vanishes_on(poly, points)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from genlab.dioph import (
     GenericityReport,
+    apply_matrix,
     bituple_probe,
     canonical_form,
     gen_estimate,
@@ -129,6 +130,21 @@ def test_invalid_inputs():
         genericity_probe(GOLDEN, 2, 1.0, 1.0, [])
     with pytest.raises(InvalidConfig):
         genericity_probe(GOLDEN, 2, 1.0, 1.0, [2], A=[[1, 1], [1, 1]])
+
+
+def test_apply_matrix_requires_square_nonsingular():
+    theta = RealTuple(("1", "sqrt(2)", "sqrt(3)"))
+    with pytest.raises(InvalidConfig, match="nonsingular"):
+        apply_matrix(theta, [[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+    with pytest.raises(InvalidConfig, match="nonsingular"):
+        apply_matrix(theta, [[0, 1, 0], [0, 0, 1], [0, 0, 2]])
+    with pytest.raises(InvalidConfig, match="3x3"):
+        apply_matrix(theta, [[1, 0], [0, 1]])
+    out = apply_matrix(
+        RealTuple(("1", "2", "3")),
+        [[0, 1, 0], [Fraction(1, 2), 0, 0], [0, 0, -1]],
+    )
+    assert out.exact_values() == (2, Fraction(1, 2), -3)
 
 
 def test_golden_generic_at_small_heights():

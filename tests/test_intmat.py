@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from genlab.intmat import (
     det,
+    echelon,
     identity,
     invert_unimodular,
     matmul,
@@ -131,6 +132,17 @@ def test_invert_unimodular_roundtrip():
         assert matmul(v, w) == identity(n)
 
 
+def test_invert_unimodular_rejects_singular_and_non_integral():
+    with pytest.raises(ValueError, match="singular"):
+        invert_unimodular([[1, 2], [2, 4]])
+    with pytest.raises(ValueError, match="singular"):
+        invert_unimodular([[0, 0, 1], [0, 1, 0], [0, 1, 0]])
+    with pytest.raises(ValueError, match="not integral"):
+        invert_unimodular([[2, 0], [0, 1]])
+    with pytest.raises(ValueError, match="not square"):
+        invert_unimodular([[1, 0, 0], [0, 1, 0]])
+
+
 def test_rank_rational():
     assert rank_rational([[1, 2], [2, 4]]) == 1
     assert rank_rational([[1, 0], [0, 1]]) == 2
@@ -144,3 +156,43 @@ def test_det_examples():
     assert det([[0, 1], [1, 0]]) == -1
     with pytest.raises(ValueError):
         det([[1, 2, 3]])
+
+
+small_int_matrices = st.integers(1, 5).flatmap(
+    lambda m: st.integers(1, 5).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-6, 6), min_size=n, max_size=n),
+            min_size=m,
+            max_size=m,
+        )
+    )
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_int_matrices)
+def test_echelon_is_reduced_and_keeps_row_space(a):
+    rank, pivots, w = echelon([[Fraction(x) for x in row] for row in a])
+    assert rank == len(pivots) <= len(a)
+    assert pivots == sorted(set(pivots))
+    for r, pc in enumerate(pivots):
+        assert w[r][pc] == 1
+        assert all(w[i][pc] == 0 for i in range(len(w)) if i != r)
+        # nothing nonzero left of a row's pivot
+        assert not any(w[r][:pc])
+    assert all(not any(row) for row in w[rank:])
+    # the reduced rows span the same space as the original ones
+    assert rank_rational(w) == rank
+    assert rank_rational(a + w[:rank]) == rank
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+        min_size=n,
+        max_size=n,
+    )
+))
+def test_echelon_full_rank_iff_bareiss_det_nonzero(a):
+    assert (rank_rational(a) == len(a)) == (det(a) != 0)
