@@ -605,11 +605,11 @@ def siegel_construct(
     scored = []
     for h in candidates:
         height = math.log(max(abs(v) for v in h))
-        sup_iv, _ = _taylor_bounds(ctx, encl, exact, h, radius, terms)
-        sup_hi = to_float_pair(sup_iv)[1]
-        scored.append((height > delta + 1e-12, sup_hi, height, h))
+        bounds = _taylor_bounds(ctx, encl, exact, h, radius, terms)
+        sup_hi = to_float_pair(bounds[0])[1]
+        scored.append((height > delta + 1e-12, sup_hi, height, h, bounds))
     scored.sort(key=lambda rec: (rec[0], rec[1], rec[3]))
-    _, _, log_height, best = scored[0]
+    _, _, log_height, best, (sup_iv, dsup_iv) = scored[0]
     height_ok = log_height <= delta + 1e-12
 
     zero = _symbolically_zero(keys, best)
@@ -617,7 +617,6 @@ def siegel_construct(
         grid_max, slack_hi, taylor_hi = 0.0, 0.0, 0.0
         achieved = float("-inf")
     else:
-        sup_iv, dsup_iv = _taylor_bounds(ctx, encl, exact, best, radius, terms)
         taylor_hi = to_float_pair(sup_iv)[1]
         grid_max = _grid_sup(ctx, encl, best, radius, grid)
         mesh = rad_f / grid.rings + math.pi * rad_f / grid.angles
@@ -673,18 +672,11 @@ def omega(points: Sequence[Sequence], max_degree: int = DESK_OMEGA_DEGREE) -> in
     Raises HypothesisNotMet when no degree within the cap works.
     """
     pts = normalize_point_set(points)
-    if not pts:
-        raise InvalidConfig("empty point set")
     if len(pts) > DESK_OMEGA_POINTS:
         raise BudgetExceeded(f"point count {len(pts)} exceeds desk scale")
     if max_degree < 1 or max_degree > DESK_OMEGA_DEGREE:
         raise BudgetExceeded(f"degree cap must lie in [1, {DESK_OMEGA_DEGREE}]")
-    try:
-        return min_vanishing_degree(pts, max_degree=max_degree)
-    except ValueError as exc:
-        raise HypothesisNotMet(
-            f"no nonzero polynomial of degree <= {max_degree} vanishes on the set"
-        ) from exc
+    return min_vanishing_degree(pts, max_degree=max_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -858,7 +850,7 @@ def distance_audit(
 
     try:
         omega_deg = min_vanishing_degree(sigma, max_degree=sched.L)
-    except ValueError:
+    except HypothesisNotMet:
         return report(
             sigma_points=len(sigma),
             binding="no_low_degree_vanishing",
@@ -1148,12 +1140,12 @@ def _distance_hypothesis(
     import numpy as np
     from scipy.optimize import minimize
 
-    from .intmat import rank_rational, smith_normal_form
+    from .intmat import smith_normal_form
 
     n = len(theta_point)
     e_rows = [list(ch) for ch in chars]
-    rank = rank_rational(e_rows)
-    _, _, v = smith_normal_form(e_rows)
+    _, s, v = smith_normal_form(e_rows)
+    rank = sum(1 for i in range(min(len(s), n)) if s[i][i])
     kernel = [[v[i][j] for i in range(n)] for j in range(rank, n)]
     dim = len(kernel)
 

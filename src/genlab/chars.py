@@ -16,7 +16,7 @@ from itertools import combinations, product
 from typing import Mapping, Sequence
 
 from .cyclo import char_value, min_vanishing_degree, normalize_point_set, product_point_set
-from .errors import BudgetExceeded, HypothesisNotMet, InvalidConfig
+from .errors import BudgetExceeded, InvalidConfig
 from .intmat import (
     invert_unimodular,
     rank_rational,
@@ -281,12 +281,7 @@ def zero_estimate_search(
     if (2 * L + 1) ** mu * len(base) ** depth > budget:
         raise BudgetExceeded("character search space exceeds budget")
     sigma = product_point_set(base, depth)
-    try:
-        w = min_vanishing_degree(sigma, max_degree=L)
-    except ValueError as exc:
-        raise HypothesisNotMet(
-            f"no nonzero polynomial of degree <= {L} vanishes on the product set"
-        ) from exc
+    w = min_vanishing_degree(sigma, max_degree=L)
     hilbert_ambient = L ** mu
     checked = 0
     for cand in product(range(-L, L + 1), repeat=mu):

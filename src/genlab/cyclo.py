@@ -15,9 +15,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from math import lcm
 from typing import Iterable, Sequence
 
+from .errors import HypothesisNotMet, InvalidConfig
 from .intmat import echelon
 
 IntPoly = list[int]
@@ -432,21 +434,21 @@ def min_vanishing_degree(points: Sequence[Sequence], max_degree: int | None = No
     """Smallest degree of a nonzero polynomial vanishing on the whole set.
 
     A degree L works iff the evaluation matrix (points x monomials of degree
-    <= L) has a nontrivial kernel.  The search is exact and always terminates
-    at or before L = number of distinct points.
+    <= L) has a nontrivial kernel, which is guaranteed once the monomials
+    outnumber the distinct points.  Raises InvalidConfig on an empty set and
+    HypothesisNotMet when no degree <= max_degree works.
     """
     pts = normalize_point_set(points)
     if not pts:
-        raise ValueError("empty point set")
-    cap = len(pts) if max_degree is None else max_degree
-    for L in range(1, cap + 1):
+        raise InvalidConfig("empty point set")
+    for L in count(1):
+        if max_degree is not None and L > max_degree:
+            raise HypothesisNotMet(
+                f"no nonzero polynomial of degree <= {max_degree} vanishes on the set"
+            )
         rows, mons = evaluation_matrix(pts, L)
         if rank_field(rows) < len(mons):
             return L
-    if max_degree is None:
-        # interpolation guarantees a kernel by L = len(pts); unreachable
-        raise AssertionError("no vanishing degree found")
-    raise ValueError(f"no vanishing polynomial of degree <= {max_degree}")
 
 
 def kernel_polynomial(points: Sequence[Sequence], degree: int) -> dict[tuple[int, ...], Fraction] | None:

@@ -2,12 +2,21 @@
 
 The central primitive is linear_form_min: over nonzero integer vectors l
 with max-norm at most D, minimize |l_1 θ_{i_1} + ... + l_mu θ_{i_mu}|.
-Exhaustive mode enumerates the whole box (float screening first, then
-interval certification of the survivors); above the enumeration budget a
-lattice-reduction mode returns a certified upper-bound record flagged
-approximate.  The probes aggregate these records over heights and
+Exhaustive mode screens the whole box in floats in one pass over chunks
+(each chunk keeps the entries within a slack of the running minimum; the
+kept entries are filtered against the final minimum at the end), then
+certifies the survivors with interval arithmetic.  Above the enumeration
+budget a lattice-reduction mode returns a certified upper-bound record
+flagged approximate.  The probes aggregate these records over heights and
 subsets with the existential subset quantifier (max over subsets of the
-min over forms) and compare against thresholds -c*D^eta.
+min over forms) and compare against thresholds -c*D^eta, all through one
+pass / fail / escalate rule.
+
+Integer relations come from one relation lattice (_relation_rows: scaled
+midpoints, knapsack basis, LLL).  A found relation is confirmed minimal by
+the same box screen at its height: every plausible relation survives the
+screen, so the first survivor in (max-norm, l) order that holds is the
+minimal one.
 
 Index subsets are 0-based throughout.
 """
@@ -17,6 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Optional, Sequence
 
 import mpmath
@@ -38,7 +48,7 @@ from .numeric import (
     straddles_zero,
     to_float_pair,
 )
-from .reduction import lll_reduce
+from .reduction import knapsack_basis, lll_reduce
 from .tuples import RealTuple
 
 ENUM_BUDGET = 10**7
@@ -68,12 +78,14 @@ def canonical_form(l: Sequence[int]) -> tuple[int, ...]:
     return tuple(l)
 
 
-def _pair_of(interval) -> tuple[float, float]:
+def _log_pair(interval) -> tuple[float, float]:
+    """Float pair of a log enclosure: NEG_PAIR for the exact-zero sentinel
+    None, NeedsBits when the enclosure is too wide."""
+    if interval is None:
+        return NEG_PAIR
+    if float(interval.delta) > _MAX_LOG_WIDTH:
+        raise NeedsBits
     return to_float_pair(interval)
-
-
-def _width_ok(interval) -> bool:
-    return float(interval.delta) <= _MAX_LOG_WIDTH
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +103,11 @@ def _decode(flat: int, mu: int, base: int, D: int) -> tuple[int, ...]:
 
 def _screen_box(theta_float: list[complex], D: int) -> list[tuple[int, ...]]:
     """Float screening of the full box: returns canonical candidate vectors
-    guaranteed to contain every true minimizer."""
+    guaranteed to contain every true minimizer.
+
+    One pass over the chunks: each chunk keeps the entries within slack of
+    the running minimum, which is never below the final one, so the kept
+    entries are a superset of the survivors of the final minv + slack."""
     mu = len(theta_float)
     base = 2 * D + 1
     total = base**mu
@@ -102,10 +118,12 @@ def _screen_box(theta_float: list[complex], D: int) -> list[tuple[int, ...]]:
     slack = scale * 2.0**-46 + 1e-10
     zero_flat = sum(D * base**j for j in range(mu))
 
-    def chunk_values(lo: int, hi: int):
-        idx = np.arange(lo, hi, dtype=np.int64)
-        vre = np.zeros(hi - lo)
-        vim = np.zeros(hi - lo) if is_complex else None
+    minv = np.inf
+    kept_idx, kept_vals = [], []
+    for lo in range(0, total, _CHUNK):
+        idx = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
+        vre = np.zeros(len(idx))
+        vim = np.zeros(len(idx)) if is_complex else None
         rem = idx
         for pos in range(mu - 1, -1, -1):
             rem, dig = np.divmod(rem, base)
@@ -114,30 +132,36 @@ def _screen_box(theta_float: list[complex], D: int) -> list[tuple[int, ...]]:
             if is_complex:
                 vim += coeff * im[pos]
         vals = np.hypot(vre, vim) if is_complex else np.abs(vre)
-        if lo <= zero_flat < hi:
+        if lo <= zero_flat < lo + len(idx):
             vals[zero_flat - lo] = np.inf
-        return idx, vals
-
-    minv = np.inf
-    for lo in range(0, total, _CHUNK):
-        _, vals = chunk_values(lo, min(lo + _CHUNK, total))
         minv = min(minv, float(vals.min()))
-    keep: set[tuple[int, ...]] = set()
-    threshold = minv + slack
-    for lo in range(0, total, _CHUNK):
-        idx, vals = chunk_values(lo, min(lo + _CHUNK, total))
-        for flat in idx[vals <= threshold]:
-            keep.add(canonical_form(_decode(int(flat), mu, base, D)))
+        sel = vals <= minv + slack
+        kept_idx.append(idx[sel])
+        kept_vals.append(vals[sel])
+    idx, vals = np.concatenate(kept_idx), np.concatenate(kept_vals)
+    keep = {
+        canonical_form(_decode(int(flat), mu, base, D)) for flat in idx[vals <= minv + slack]
+    }
     return sorted(keep)
 
 
-def _float_entries(theta: RealTuple, subset: Sequence[int]) -> list[complex]:
-    ctx, encl = theta.complex_enclosures(128)
-    out = []
-    for i in subset:
-        z = encl[i]
-        out.append(complex(float(mpmath.mpf(z.re.mid)), float(mpmath.mpf(z.im.mid))))
-    return out
+def _midpoints(entries) -> list[complex]:
+    """Float midpoints of complex enclosures, the input of _screen_box."""
+    return [complex(float(mpmath.mpf(z.re.mid)), float(mpmath.mpf(z.im.mid))) for z in entries]
+
+
+def _relation_rows(entries, bits: int, bound: int) -> list[tuple[int, ...]]:
+    """Canonical nonzero coefficient parts, max-norm <= bound, of the
+    LLL-reduced relation lattice of the enclosures (midpoints scaled by
+    2^(bits/2))."""
+    n = len(entries)
+    scale = mpmath.mpf(2) ** (bits // 2)
+    scaled = [
+        tuple(int(mpmath.nint(mpmath.mpf(part.mid) * scale)) for part in (z.re, z.im))
+        for z in entries
+    ]
+    rows = (canonical_form(row[:n]) for row in lll_reduce(knapsack_basis(scaled)))
+    return [l for l in rows if any(l) and max(abs(x) for x in l) <= bound]
 
 
 def _lattice_candidates(
@@ -145,34 +169,9 @@ def _lattice_candidates(
 ) -> list[tuple[int, ...]]:
     """Reduced relation-lattice rows that fit the height box, plus the unit
     vectors (which always fit and guarantee a nonempty candidate set)."""
-    mu = len(subset)
-    scale = mpmath.mpf(2) ** (bits // 2)
-    ctx, encl = theta.complex_enclosures(bits)
-    rows = []
-    for i in subset:
-        z = encl[i]
-        rows.append(
-            [
-                int(mpmath.nint(mpmath.mpf(z.re.mid) * scale)),
-                int(mpmath.nint(mpmath.mpf(z.im.mid) * scale)),
-            ]
-        )
-    basis = []
-    for j in range(mu):
-        row = [0] * mu + [rows[j][0], rows[j][1]]
-        row[j] = 1
-        basis.append(row)
-    reduced = lll_reduce(basis)
-    cands: set[tuple[int, ...]] = set()
-    for row in reduced:
-        l = canonical_form(row[:mu])
-        if any(l) and max(abs(x) for x in l) <= D:
-            cands.add(l)
-    for j in range(mu):
-        unit = [0] * mu
-        unit[j] = 1
-        cands.add(tuple(unit))
-    return sorted(cands)
+    _, encl = theta.complex_enclosures(bits)
+    units = [tuple(int(i == j) for i in range(len(subset))) for j in range(len(subset))]
+    return sorted({*_relation_rows([encl[i] for i in subset], bits, D), *units})
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +207,7 @@ def _log_parts(ctx, value, bits: int):
         le = log_expm1_abs_interval(ctx, value, bits)
     if lv is None or le is None:
         return NEG_PAIR, NEG_PAIR
-    if not (_width_ok(lv) and _width_ok(le)):
-        raise NeedsBits
-    return _pair_of(lv), _pair_of(le)
+    return _log_pair(lv), _log_pair(le)
 
 
 def _min_record(
@@ -225,7 +222,8 @@ def _min_record(
     exact_entries = theta.exact_values()
     exhaustive = (2 * D + 1) ** mu <= budget
     if exhaustive:
-        candidates = _screen_box(_float_entries(theta, subset), D)
+        _, encl = theta.complex_enclosures(128)
+        candidates = _screen_box(_midpoints([encl[i] for i in subset]), D)
     else:
         candidates = _lattice_candidates(theta, subset, D, max(128, bits_floor))
 
@@ -320,12 +318,7 @@ def log_expm1_abs(x, precision_bits: int = 128) -> tuple[float, float]:
             xi = iv_from_fraction(ctx, exact)
         else:
             xi = eval_interval(ctx, node)
-        r = log_expm1_abs_interval(ctx, xi, bits)
-        if r is None:
-            return NEG_PAIR
-        if not _width_ok(r):
-            raise NeedsBits
-        return _pair_of(r)
+        return _log_pair(log_expm1_abs_interval(ctx, xi, bits))
 
     return run_escalating(attempt, precision_bits)
 
@@ -356,6 +349,23 @@ class GenericityReport:
     @property
     def all_passed(self) -> bool:
         return self.overall == "generic-up-to-budget"
+
+
+def _verdict(log_exp: tuple[float, float], thr: float, scale: float) -> tuple[bool, float]:
+    """(passed, c_required) of log|e^s - 1| against thr = -c*scale;
+    NeedsBits while the enclosure straddles the threshold."""
+    lo, hi = log_exp
+    if lo >= thr:
+        passed = True
+    elif hi < thr:
+        passed = False
+    else:
+        raise NeedsBits
+    return passed, max(0.0, -lo) / scale
+
+
+def _overall(verdicts) -> str:
+    return "generic-up-to-budget" if all(v.passed for v in verdicts) else "special-witnesses"
 
 
 def _better(a: LinearFormRecord, b: LinearFormRecord) -> bool:
@@ -442,30 +452,20 @@ def genericity_probe(
         theta = apply_matrix(theta, A)
     verdicts = []
     for D in ds:
-        thr = -c * float(D) ** eta
+        scale = float(D) ** eta
+        thr = -c * scale
 
-        def per_height(bits: int, D=D, thr=thr) -> HeightVerdict:
+        def per_height(bits: int, D=D, thr=thr, scale=scale) -> HeightVerdict:
             rec = _best_subset_record(theta, mu, D, bits_floor=bits, budget=budget)
-            lo, hi = rec.log_exp_value
-            if lo >= thr:
-                passed = True
-            elif hi < thr:
-                passed = False
-            else:
-                raise NeedsBits
-            c_req = max(0.0, -lo) / float(D) ** eta
-            return HeightVerdict(D, rec, thr, passed, c_req)
+            return HeightVerdict(D, rec, thr, *_verdict(rec.log_exp_value, thr, scale))
 
         verdicts.append(run_escalating(per_height, theta.precision_bits))
-    overall = (
-        "generic-up-to-budget" if all(v.passed for v in verdicts) else "special-witnesses"
-    )
     return GenericityReport(
         eta=eta,
         mu=mu,
         c=c,
         verdicts=tuple(verdicts),
-        overall=overall,
+        overall=_overall(verdicts),
         c_required_max=max(v.c_required for v in verdicts),
         approximate=any(v.record.approximate for v in verdicts),
     )
@@ -570,71 +570,52 @@ def bituple_probe(
     """
     ls = _validate_probe_args(theta, mu, eta, c, L_set)
     rs = _validate_probe_args(kappa, nu, eta, c, R_set)
-    if theta.is_complex or kappa.is_complex:
-        return _bituple_complex(theta, kappa, mu, nu, eta, c, ls, rs, budget)
+    complex_mode = theta.is_complex or kappa.is_complex
 
-    theta_best = {}
-    kappa_best = {}
-    for L in ls:
-        theta_best[L] = run_escalating(
-            lambda bits, L=L: _best_subset_record(theta, mu, L, bits_floor=bits, budget=budget),
-            theta.precision_bits,
-        )
-    for R in rs:
-        kappa_best[R] = run_escalating(
-            lambda bits, R=R: _best_subset_record(kappa, nu, R, bits_floor=bits, budget=budget),
-            kappa.precision_bits,
-        )
+    def best_records(t: RealTuple, k: int, heights) -> dict[int, LinearFormRecord]:
+        return {
+            H: run_escalating(
+                lambda bits, H=H: _best_subset_record(t, k, H, bits_floor=bits, budget=budget),
+                t.precision_bits,
+            )
+            for H in heights
+        }
 
+    theta_best = {} if complex_mode else best_records(theta, mu, ls)
+    kappa_best = {} if complex_mode else best_records(kappa, nu, rs)
     verdicts = []
     base_bits = max(theta.precision_bits, kappa.precision_bits)
     for L in ls:
         for R in rs:
-            rec_l, rec_r = theta_best[L], kappa_best[R]
-            thr = -c * (float(L) ** eta + float(R) ** eta)
-
-            def per_pair(bits: int, rec_l=rec_l, rec_r=rec_r, thr=thr, L=L, R=R):
-                log_value = (
-                    rec_l.log_value[0] + rec_r.log_value[0],
-                    rec_l.log_value[1] + rec_r.log_value[1],
-                )
-                if rec_l.log_value == NEG_PAIR or rec_r.log_value == NEG_PAIR:
-                    log_value = NEG_PAIR
-                    log_exp = NEG_PAIR
-                else:
-                    ctx = make_ctx(bits)
-                    t = _abs_product_interval(ctx, theta, rec_l, kappa, rec_r, bits)
-                    le = log_expm1_abs_interval(ctx, -t, bits)
-                    if le is None:
-                        log_exp = NEG_PAIR
-                    else:
-                        if not _width_ok(le):
-                            raise NeedsBits
-                        log_exp = _pair_of(le)
-                lo, hi = log_exp
-                if lo >= thr:
-                    passed = True
-                elif hi < thr:
-                    passed = False
-                else:
-                    raise NeedsBits
-                c_req = max(0.0, -lo) / (float(L) ** eta + float(R) ** eta)
-                return BitupleVerdict(
-                    L, R, rec_l.subset, rec_r.subset, rec_l.l, rec_r.l,
-                    log_value, log_exp, thr, passed, c_req,
-                )
-
-            verdicts.append(run_escalating(per_pair, base_bits))
-    overall = (
-        "generic-up-to-budget" if all(v.passed for v in verdicts) else "special-witnesses"
-    )
+            scale = float(L) ** eta + float(R) ** eta
+            if complex_mode:
+                pair = partial(_bituple_complex, theta, kappa, mu, nu, L, R, c, scale, budget)
+            else:
+                pair = partial(_bituple_real, theta, kappa, theta_best[L], kappa_best[R], c, scale)
+            verdicts.append(run_escalating(pair, base_bits))
     return BitupleReport(
-        eta=eta, mu=mu, nu=nu, c=c, verdicts=tuple(verdicts), overall=overall,
+        eta=eta, mu=mu, nu=nu, c=c, verdicts=tuple(verdicts), overall=_overall(verdicts),
         c_required_max=max(v.c_required for v in verdicts),
-        approximate=any(
-            theta_best[L].approximate or kappa_best[R].approximate
-            for L in ls for R in rs
-        ),
+        approximate=any(r.approximate for r in [*theta_best.values(), *kappa_best.values()]),
+    )
+
+
+def _bituple_real(theta, kappa, rec_l, rec_r, c, scale, bits: int) -> BitupleVerdict:
+    """One (L, R) pair of real tuples from the minimal records of each side."""
+    if NEG_PAIR in (rec_l.log_value, rec_r.log_value):
+        log_value = log_exp = NEG_PAIR
+    else:
+        log_value = (
+            rec_l.log_value[0] + rec_r.log_value[0],
+            rec_l.log_value[1] + rec_r.log_value[1],
+        )
+        ctx = make_ctx(bits)
+        t = _abs_product_interval(ctx, theta, rec_l, kappa, rec_r, bits)
+        log_exp = _log_pair(log_expm1_abs_interval(ctx, -t, bits))
+    thr = -c * scale
+    return BitupleVerdict(
+        rec_l.D, rec_r.D, rec_l.subset, rec_r.subset, rec_l.l, rec_r.l,
+        log_value, log_exp, thr, *_verdict(log_exp, thr, scale),
     )
 
 
@@ -644,67 +625,38 @@ def _nonzero_box(dim: int, H: int):
             yield l
 
 
-def _bituple_complex(theta, kappa, mu, nu, eta, c, ls, rs, budget) -> BitupleReport:
-    verdicts = []
-    base_bits = max(theta.precision_bits, kappa.precision_bits)
-    for L in ls:
-        for R in rs:
-            pair_count = ((2 * L + 1) ** mu) * ((2 * R + 1) ** nu)
-            if pair_count > min(budget, 50_000):
-                raise BudgetExceeded(
-                    f"complex bituple enumeration of {pair_count} pairs exceeds the budget"
-                )
-            thr = -c * (float(L) ** eta + float(R) ** eta)
-
-            def per_pair(bits: int, L=L, R=R, thr=thr):
-                ctx, encl_t = theta.complex_enclosures(bits)
-                _, encl_k = kappa.complex_enclosures(bits)
-                best = None  # (log_exp pair, key, payload)
-                for sub_t in itertools.combinations(range(len(theta)), mu):
-                    for sub_k in itertools.combinations(range(len(kappa)), nu):
-                        worst = None
-                        for l in _nonzero_box(mu, L):
-                            sl = _signed_sum(ctx, [encl_t[i] for i in sub_t], l)
-                            for r in _nonzero_box(nu, R):
-                                sk = _signed_sum(ctx, [encl_k[i] for i in sub_k], r)
-                                w = sl * sk
-                                le = complex_log_expm1_abs(ctx, w, bits)
-                                key = (l, r)
-                                if le is None:
-                                    cand = (NEG_PAIR, key, w)
-                                else:
-                                    if not _width_ok(le):
-                                        raise NeedsBits
-                                    cand = (_pair_of(le), key, w)
-                                if worst is None or cand[0][1] < worst[0][0] or (
-                                    not (cand[0][0] > worst[0][1]) and cand[1] < worst[1]
-                                ):
-                                    worst = cand
-                        entry = (worst, (sub_t, sub_k))
-                        if best is None or entry[0][0][0] > best[0][0][1]:
-                            best = entry
-                (log_exp, (l, r), w), (sub_t, sub_k) = best
-                la = complex_log_abs(ctx, w)
-                log_value = NEG_PAIR if la is None else _pair_of(la)
-                lo, hi = log_exp
-                if lo >= thr:
-                    passed = True
-                elif hi < thr:
-                    passed = False
-                else:
-                    raise NeedsBits
-                c_req = max(0.0, -lo) / (float(L) ** eta + float(R) ** eta)
-                return BitupleVerdict(
-                    L, R, sub_t, sub_k, l, r, log_value, log_exp, thr, passed, c_req
-                )
-
-            verdicts.append(run_escalating(per_pair, base_bits))
-    overall = (
-        "generic-up-to-budget" if all(v.passed for v in verdicts) else "special-witnesses"
-    )
-    return BitupleReport(
-        eta=eta, mu=mu, nu=nu, c=c, verdicts=tuple(verdicts), overall=overall,
-        c_required_max=max(v.c_required for v in verdicts), approximate=False,
+def _bituple_complex(theta, kappa, mu, nu, L, R, c, scale, budget, bits: int) -> BitupleVerdict:
+    """One (L, R) pair of complex tuples, by direct enumeration of all pairs."""
+    pair_count = ((2 * L + 1) ** mu) * ((2 * R + 1) ** nu)
+    if pair_count > min(budget, 50_000):
+        raise BudgetExceeded(
+            f"complex bituple enumeration of {pair_count} pairs exceeds the budget"
+        )
+    ctx, encl_t = theta.complex_enclosures(bits)
+    _, encl_k = kappa.complex_enclosures(bits)
+    best = None  # (log_exp pair, key, payload)
+    for sub_t in itertools.combinations(range(len(theta)), mu):
+        for sub_k in itertools.combinations(range(len(kappa)), nu):
+            worst = None
+            for l in _nonzero_box(mu, L):
+                sl = _signed_sum(ctx, [encl_t[i] for i in sub_t], l)
+                for r in _nonzero_box(nu, R):
+                    sk = _signed_sum(ctx, [encl_k[i] for i in sub_k], r)
+                    w = sl * sk
+                    cand = (_log_pair(complex_log_expm1_abs(ctx, w, bits)), (l, r), w)
+                    if worst is None or cand[0][1] < worst[0][0] or (
+                        not (cand[0][0] > worst[0][1]) and cand[1] < worst[1]
+                    ):
+                        worst = cand
+            entry = (worst, (sub_t, sub_k))
+            if best is None or entry[0][0][0] > best[0][0][1]:
+                best = entry
+    (log_exp, (l, r), w), (sub_t, sub_k) = best
+    la = complex_log_abs(ctx, w)
+    log_value = NEG_PAIR if la is None else to_float_pair(la)
+    thr = -c * scale
+    return BitupleVerdict(
+        L, R, sub_t, sub_k, l, r, log_value, log_exp, thr, *_verdict(log_exp, thr, scale)
     )
 
 
@@ -766,54 +718,27 @@ def regularity_probe(
     if not append_pi:
         exact_entries = theta.exact_values()
 
-    scale = mpmath.mpf(2) ** (bits // 2)
-    scaled = []
-    for z in entries:
-        scaled.append(
-            (
-                int(mpmath.nint(mpmath.mpf(z.re.mid) * scale)),
-                int(mpmath.nint(mpmath.mpf(z.im.mid) * scale)),
-            )
-        )
-    basis = []
-    for j in range(n):
-        row = [0] * n + [scaled[j][0], scaled[j][1]]
-        row[j] = 1
-        basis.append(row)
-    reduced = lll_reduce(basis)
+    def first_holding(vectors):
+        """(l, exact) for the first plausible relation in (max-norm, l) order."""
+        for l in sorted(vectors, key=lambda l: (max(abs(x) for x in l), l)):
+            plausible, exact = _relation_holds(ctx, entries, l, exact_entries)
+            if plausible:
+                return l, exact
+        return None
 
-    candidates = []
-    for row in reduced:
-        l = canonical_form(row[:n])
-        if any(l) and max(abs(x) for x in l) <= height_bound:
-            candidates.append(l)
-    candidates.sort(key=lambda l: (max(abs(x) for x in l), l))
-
-    found = None
-    for l in candidates:
-        plausible, exact = _relation_holds(ctx, entries, l, exact_entries)
-        if plausible:
-            found = (l, exact)
-            break
+    found = first_holding(_relation_rows(entries, bits, height_bound))
     if found is None:
         return RegularityResult(
             "no_relation_found", None, append_pi, height_bound, bits, False, None
         )
-
-    l0, exact0 = found
-    h0 = max(abs(x) for x in l0)
+    h0 = max(abs(x) for x in found[0])
     minimal = None
     if (2 * h0 + 1) ** n <= budget:
-        best = None
-        for l in _nonzero_box(n, h0):
-            l = canonical_form(l)
-            plausible, exact = _relation_holds(ctx, entries, l, exact_entries)
-            if plausible:
-                key = (max(abs(x) for x in l), l)
-                if best is None or key < best[0]:
-                    best = (key, l, exact)
-        _, l0, exact0 = best
+        # a plausible relation's value lies within its enclosure's width of
+        # zero, far inside the screen's slack, so every one survives the screen
+        found = first_holding(_screen_box(_midpoints(entries), h0))
         minimal = True
+    l0, exact0 = found
     return RegularityResult(
         "relation_found", tuple(l0), append_pi, height_bound, bits, exact0, minimal
     )

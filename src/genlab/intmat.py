@@ -38,10 +38,6 @@ def matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
-def transpose(a: Sequence[Sequence[int]]) -> Matrix:
-    return [list(row) for row in zip(*a)] if a else []
-
-
 def dims(a: Sequence[Sequence[int]]) -> tuple[int, int]:
     m = len(a)
     n = len(a[0]) if m else 0

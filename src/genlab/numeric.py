@@ -59,11 +59,6 @@ def iv_from_fraction(ctx, q: Fraction):
     return ctx.mpf(q.numerator) / ctx.mpf(q.denominator)
 
 
-def interval_lt(a, b) -> bool:
-    """Certainly a < b (disjoint, a below b)."""
-    return a.b < b.a
-
-
 def to_float_pair(x) -> tuple[float, float]:
     """Outward-rounded float endpoints of an interval."""
     lo = float(mpmath.mpf(x.a.a))

@@ -123,14 +123,10 @@ def is_lll_reduced(basis: list[list[int]], delta: Fraction = Fraction(3, 4)) -> 
     return True
 
 
-def knapsack_basis(scaled: list[int]) -> list[list[int]]:
-    """Rows [e_i | scaled_i]: the standard basis for hunting an integer
-    relation among reals whose scaled approximations are given."""
+def knapsack_basis(scaled: list[tuple[int, ...]]) -> list[list[int]]:
+    """Rows [e_i | scaled_i...]: the standard basis for hunting an integer
+    relation among reals or complex numbers whose scaled approximations are
+    given, one integer tuple per entry (e.g. (re,) or (re, im)); all tuples
+    must have the same length.  A short row's tail holds the combination."""
     n = len(scaled)
-    rows = []
-    for i in range(n):
-        row = [0] * (n + 1)
-        row[i] = 1
-        row[n] = scaled[i]
-        rows.append(row)
-    return rows
+    return [[int(i == j) for j in range(n)] + list(entry) for i, entry in enumerate(scaled)]

@@ -18,6 +18,7 @@ from genlab.cyclo import (
     product_point_set,
     rank_field,
 )
+from genlab.errors import HypothesisNotMet, InvalidConfig
 from genlab.intmat import rank_rational
 
 
@@ -99,6 +100,19 @@ def test_min_vanishing_degree_collinear_vs_not():
 def test_min_vanishing_degree_single_point():
     assert min_vanishing_degree([(5,)]) == 1
     assert min_vanishing_degree([(Fraction(2, 3), 7)]) == 1
+
+
+def test_min_vanishing_degree_errors():
+    # the four 4th roots of unity on a line need x^4 - 1: nothing of degree <= 3
+    i = CycloNum.root_of_unity(4)
+    pts = [(i ** k,) for k in range(4)]
+    with pytest.raises(HypothesisNotMet, match="degree <= 3 vanishes on the set"):
+        min_vanishing_degree(pts, max_degree=3)
+    assert min_vanishing_degree(pts, max_degree=4) == 4
+    with pytest.raises(HypothesisNotMet):
+        min_vanishing_degree([(5,)], max_degree=0)
+    with pytest.raises(InvalidConfig, match="empty point set"):
+        min_vanishing_degree([])
 
 
 def test_min_vanishing_degree_roots_of_unity():

@@ -1,12 +1,16 @@
 """Linear-form minima, genericity probes, and relation detection."""
 
+import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from genlab import dioph
 from genlab.dioph import (
     GenericityReport,
     apply_matrix,
@@ -19,6 +23,7 @@ from genlab.dioph import (
     regularity_probe,
 )
 from genlab.errors import BudgetExceeded, InvalidConfig
+from genlab.numeric import ComplexIV
 from genlab.tuples import RealTuple
 
 GOLDEN = RealTuple(("1", "phi"))
@@ -321,3 +326,141 @@ def test_log_expm1_abs_public():
     assert lo <= 0 <= hi
     lo, hi = log_expm1_abs(Fraction(1, 2))
     assert abs(lo - math.log(math.exp(0.5) - 1)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the one-pass box screen and the screen-based minimality check
+
+
+def _two_pass_screen(theta_float, D):
+    """Reference: every value of the box, then the survivors of min + slack."""
+    mu = len(theta_float)
+    re = np.array([z.real for z in theta_float])
+    im = np.array([z.imag for z in theta_float])
+    is_complex = bool(np.any(im != 0.0))
+    slack = mu * D * max(1.0, float(np.max(np.abs(re)) + np.max(np.abs(im)))) * 2.0**-46 + 1e-10
+    box = np.array(list(itertools.product(range(-D, D + 1), repeat=mu)), dtype=np.int64)
+    vre = np.zeros(len(box))
+    vim = np.zeros(len(box))
+    for pos in range(mu - 1, -1, -1):
+        vre += box[:, pos] * re[pos]
+        vim += box[:, pos] * im[pos]
+    vals = np.hypot(vre, vim) if is_complex else np.abs(vre)
+    vals[np.all(box == 0, axis=1)] = np.inf
+    keep = vals <= vals.min() + slack
+    return sorted({canonical_form(tuple(int(x) for x in l)) for l in box[keep]})
+
+
+def _exact_minimizers(theta_float, D):
+    """Canonical minimizers of |l.theta| with the floats taken as exact rationals."""
+    parts = [(Fraction(z.real), Fraction(z.imag)) for z in theta_float]
+    best, arg = None, set()
+    for l in itertools.product(range(-D, D + 1), repeat=len(parts)):
+        if not any(l):
+            continue
+        a = sum(c * re for c, (re, _) in zip(l, parts))
+        b = sum(c * im for c, (_, im) in zip(l, parts))
+        v = a * a + b * b
+        if best is None or v < best:
+            best, arg = v, set()
+        if v == best:
+            arg.add(canonical_form(l))
+    return arg
+
+
+_part = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.fractions(min_value=-3, max_value=3, max_denominator=7).map(float),
+    st.floats(-5, 5, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda mu: st.tuples(
+            st.lists(_part, min_size=mu, max_size=mu),
+            st.one_of(st.none(), st.lists(_part, min_size=mu, max_size=mu)),
+        )
+    ),
+    st.integers(1, 4),
+    st.integers(1, 40),
+)
+def test_screen_box_one_pass_matches_two_pass(parts, D, chunk):
+    re, im = parts
+    theta_float = [complex(a, b) for a, b in zip(re, im or [0.0] * len(re))]
+    with mock.patch.object(dioph, "_CHUNK", chunk):  # many chunks per box
+        got = dioph._screen_box(theta_float, D)
+    assert got == _two_pass_screen(theta_float, D)
+    assert _exact_minimizers(theta_float, D) <= set(got)
+
+
+@pytest.mark.parametrize(
+    "entries, pi_i, lattice_row, minimal_row",
+    [
+        # the reduced lattice's relation has max-norm 5; one of max-norm 4 exists
+        (("-16", "-23", "-11"), False, (2, 1, -5), (3, -4, 4)),
+        # equal max-norm: the lexicographically smallest relation wins
+        (("-4", "-4", "-4"), False, (1, -1, 0), (0, 1, -1)),
+        (("5", "-1", "1", "1"), True, (0, 1, 0, 1, 0), (0, 0, 1, -1, 0)),
+    ],
+)
+def test_regularity_minimal_beats_the_lattice_row(entries, pi_i, lattice_row, minimal_row):
+    theta = RealTuple(entries)
+    res = regularity_probe(theta, pi_i)
+    assert (res.relation, res.minimal) == (minimal_row, True)
+    # over budget the minimality screen is skipped and the lattice row stands
+    h = max(abs(x) for x in lattice_row)
+    res = regularity_probe(theta, pi_i, budget=(2 * h + 1) ** len(lattice_row) - 1)
+    assert (res.relation, res.minimal) == (lattice_row, None)
+
+
+def _brute_relation(theta, include_pi_i, h):
+    """Reference: the smallest (max-norm, l) plausible relation in the
+    height-h box, by walking the whole box."""
+    bits = max(128, theta.precision_bits)
+    ctx, encl = theta.complex_enclosures(bits)
+    entries = list(encl)
+    append_pi = include_pi_i or theta.is_complex
+    if append_pi:
+        entries.append(ComplexIV(ctx.pi * 0, +ctx.pi))
+    exact_entries = None if append_pi else theta.exact_values()
+    best = None
+    for l in dioph._nonzero_box(len(entries), h):
+        l = canonical_form(l)
+        plausible, exact = dioph._relation_holds(ctx, entries, l, exact_entries)
+        key = (max(abs(x) for x in l), l)
+        if plausible and (best is None or key < best[0]):
+            best = (key, l, exact)
+    return best
+
+
+_entry = st.one_of(
+    st.integers(-4, 4).map(str),
+    st.sampled_from(["1/2", "-2/3", "sqrt(2)", "2*sqrt(2)", "-sqrt(2)", "pi", "-2*pi", "phi"]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.tuples(
+            st.lists(_entry, min_size=n, max_size=n),
+            st.one_of(st.none(), st.lists(_entry, min_size=n, max_size=n)),
+        )
+    ),
+    st.booleans(),
+)
+def test_regularity_minimal_matches_box_walk(parts, include_pi_i):
+    re, im = parts
+    theta = RealTuple(tuple(re), imag_expressions=None if im is None else tuple(im))
+    res = regularity_probe(theta, include_pi_i, height_bound=6)
+    if res.status == "no_relation_found":
+        assert res.relation is None and res.minimal is None
+        return
+    assert res.minimal
+    ref = _brute_relation(theta, include_pi_i, max(abs(x) for x in res.relation))
+    assert ref is not None
+    _, l, exact = ref
+    assert res.relation == l
+    assert res.verified_exact == exact

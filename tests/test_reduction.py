@@ -79,13 +79,27 @@ def test_golden_ratio_relation_hunt():
     # scaled approximations of (1, phi): a short vector encodes m + n*phi ~ 0
     scale = 2**40
     phi = (1 + math.sqrt(5)) / 2
-    rows = knapsack_basis([scale, round(phi * scale)])
+    rows = knapsack_basis([(scale,), (round(phi * scale),)])
     out = lll_reduce(rows)
     m, n, resid = out[0]
     assert (m, n) != (0, 0)
     assert abs(m + n * phi) < 1e-5
     # the combination must actually be the residual column
     assert resid == m * scale + n * round(phi * scale)
+
+
+def test_knapsack_basis_two_columns():
+    # (re, im) pairs: rows are [e_i | re_i, im_i]
+    assert knapsack_basis([(3, -1), (5, 7), (0, 2)]) == [
+        [1, 0, 0, 3, -1],
+        [0, 1, 0, 5, 7],
+        [0, 0, 1, 0, 2],
+    ]
+    # i and 2i + 1 scaled by 2^30: the short vector is the relation 2*(i) - (2i + 1) + 1 = 0
+    scale = 2**30
+    rows = knapsack_basis([(0, scale), (scale, 2 * scale), (scale, 0)])
+    out = lll_reduce(rows)
+    assert [2, -1, 1, 0, 0] in out or [-2, 1, -1, 0, 0] in out
 
 
 @settings(max_examples=40, deadline=None)
