@@ -11,7 +11,12 @@ Four layers, bottom to top:
   * a Siegel-style coefficient search: integer coefficients making an
     exponential polynomial small on a disc, found by lattice reduction on
     scaled Taylor columns and certified a posteriori on a grid with a
-    Lipschitz slack plus an independent Taylor-tail bound;
+    Lipschitz slack plus an independent Taylor-tail bound; the grid takes
+    one interval exp per term and angle, because ring points are integer
+    multiples of the first ring (exp(a w_j) = exp(a w_1)^(j+1), and interval
+    products enclose the powers) and, with real exponents a_d and integer
+    coefficients h_d, |phi(conj w)| = |phi(w)| lets the upper half-plane
+    angles stand for their conjugates;
   * two audits: the pigeonhole distance audit (count check, zero estimate,
     coset collision, contradiction bound) and the hypothesis checklist for
     the effective-distance proposition, which checks hypotheses only and
@@ -511,21 +516,35 @@ def _taylor_bounds(ctx, encl, exact, coeffs, radius: Fraction, terms: int):
 
 
 def _grid_sup(ctx, encl, coeffs, radius: Fraction, grid: GridSpec) -> float:
-    # max over rings x angles of a certified |phi(w)| upper bound
+    """Max over the rings x angles grid of a certified upper bound on |phi(w)|.
+
+    Ring powers: angle g's ring points are w_j = (j+1) w_1 with
+    w_1 = (radius/rings) e^(2 pi i g/angles), so exp(a w_j) = exp(a w_1)^(j+1).
+    One interval exp per nonzero term gives the base; each further ring is
+    the previous ring's value times the base, and interval multiplication
+    encloses the true power.
+
+    Conjugate symmetry: every a_d is real and every h_d an integer, so
+    phi(conj w) = conj phi(w), and angle angles - g carries the same |phi|
+    as angle g.  The angles g = 0 .. angles // 2 therefore cover the grid,
+    and each enclosure bounds |phi| at its conjugate point as well.
+    """
+    step = iv_from_fraction(ctx, radius / grid.rings)
+    terms = [(ctx.mpf(c), alpha * step) for c, alpha in zip(coeffs, encl) if c]
     worst = 0.0
-    for g in range(grid.angles):
+    for g in range(grid.angles // 2 + 1):
         ang = 2 * ctx.pi * g / grid.angles
         cos_a, sin_a = ctx.cos(ang), ctx.sin(ang)
+        bases = [complex_exp(ctx, ComplexIV(x * cos_a, x * sin_a)) for _, x in terms]
+        powers = bases
         for j in range(grid.rings):
-            rho = iv_from_fraction(ctx, radius * Fraction(j + 1, grid.rings))
-            acc = ComplexIV(ctx.mpf(0), ctx.mpf(0))
-            for c, alpha in zip(coeffs, encl):
-                if not c:
-                    continue
-                x = alpha * rho
-                term = complex_exp(ctx, ComplexIV(x * cos_a, x * sin_a))
-                acc = acc + term.scale(c)
-            abs2_hi = to_float_pair(acc.abs2())[1]
+            if j:
+                powers = [p * b for p, b in zip(powers, bases)]
+            re = im = ctx.mpf(0)
+            for (c, _), p in zip(terms, powers):
+                re += c * p.re
+                im += c * p.im
+            abs2_hi = to_float_pair(re * re + im * im)[1]
             hi = math.nextafter(math.sqrt(max(0.0, abs2_hi)), math.inf)
             worst = max(worst, hi)
     return worst
@@ -613,20 +632,21 @@ def siegel_construct(
     height_ok = log_height <= delta + 1e-12
 
     zero = _symbolically_zero(keys, best)
+    rad = iv_from_fraction(ctx, radius)
     if zero:
         grid_max, slack_hi, taylor_hi = 0.0, 0.0, 0.0
         achieved = float("-inf")
     else:
         taylor_hi = to_float_pair(sup_iv)[1]
         grid_max = _grid_sup(ctx, encl, best, radius, grid)
-        mesh = rad_f / grid.rings + math.pi * rad_f / grid.angles
-        slack_hi = mesh * to_float_pair(dsup_iv)[1]
-        total = min(grid_max + slack_hi, taylor_hi)
+        mesh = rad / grid.rings + ctx.pi * rad / grid.angles
+        slack_hi = to_float_pair(mesh * dsup_iv)[1]
+        total = min(math.nextafter(grid_max + slack_hi, math.inf), taylor_hi)
         achieved = math.log(total) if total > 0 else float("-inf")
     taylor_log = math.log(taylor_hi) if taylor_hi > 0 else float("-inf")
     u_achieved = -achieved
 
-    e_rad = iv_from_fraction(ctx, radius) * ctx.exp(1)
+    e_rad = rad * ctx.exp(1)
     norm_sum = ctx.mpf(0)
     for c, q, iv in zip(best, exact, encl):
         base = iv_from_fraction(ctx, q) if q is not None else iv

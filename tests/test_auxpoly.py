@@ -9,10 +9,12 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import genlab.auxpoly as auxpoly_mod
 from genlab.auxpoly import (
     AuxSchedule,
     GridSpec,
@@ -35,6 +37,7 @@ from genlab.errors import (
     InvalidConfig,
     PrecisionExhausted,
 )
+from genlab.numeric import ComplexIV, complex_exp, iv_from_fraction, to_float_pair
 from genlab.tuples import RealTuple
 
 NEG_INF = float("-inf")
@@ -351,6 +354,92 @@ def test_siegel_rejects_bad_input():
         siegel_construct(("1",), 1.0, 1.0, radius=Fraction(0))
     with pytest.raises(InvalidConfig):
         GridSpec(rings=0)
+
+
+def grid_sup_reference(ctx, encl, coeffs, radius, grid):
+    # one interval exp per term at every grid point: the straightforward loop
+    worst = 0.0
+    for g in range(grid.angles):
+        ang = 2 * ctx.pi * g / grid.angles
+        cos_a, sin_a = ctx.cos(ang), ctx.sin(ang)
+        for j in range(grid.rings):
+            rho = iv_from_fraction(ctx, radius * Fraction(j + 1, grid.rings))
+            acc = ComplexIV(ctx.mpf(0), ctx.mpf(0))
+            for c, alpha in zip(coeffs, encl):
+                if not c:
+                    continue
+                x = alpha * rho
+                term = complex_exp(ctx, ComplexIV(x * cos_a, x * sin_a))
+                acc = acc + term.scale(c)
+            abs2_hi = to_float_pair(acc.abs2())[1]
+            hi = math.nextafter(math.sqrt(max(0.0, abs2_hi)), math.inf)
+            worst = max(worst, hi)
+    return worst
+
+
+# exponents with pairwise distinct values: rationals, log(p), sqrt(q) with q
+# not a square
+EXPONENTS = st.one_of(
+    st.builds(
+        lambda n, d: ("q", Fraction(n, d)), st.integers(-3, 3), st.integers(1, 4)
+    ),
+    st.builds(lambda p: ("log", p), st.sampled_from((2, 3, 5, 7))),
+    st.builds(lambda q: ("sqrt", q), st.sampled_from((2, 3, 5, 6, 7))),
+)
+
+
+def exponent_text(e):
+    kind, v = e
+    return str(v) if kind == "q" else f"{kind}({v})"
+
+
+def exponent_mp(e):
+    kind, v = e
+    if kind == "q":
+        return mpmath.mpf(v.numerator) / v.denominator
+    return mpmath.log(v) if kind == "log" else mpmath.sqrt(v)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_grid_sup_matches_pointwise_loop_and_encloses_phi(data):
+    exps = data.draw(st.lists(EXPONENTS, min_size=1, max_size=4, unique=True))
+    coeffs = data.draw(
+        st.lists(st.integers(-9, 9), min_size=len(exps), max_size=len(exps)).filter(any)
+    )
+    grid = GridSpec(data.draw(st.integers(1, 4)), data.draw(st.integers(8, 13)))
+    radius = data.draw(st.sampled_from((Fraction(1, 4), Fraction(1, 2), Fraction(1))))
+    bits = data.draw(st.sampled_from((128, 256)))
+    ctx, encl, _, _ = auxpoly_mod._alpha_data([exponent_text(e) for e in exps], bits)
+    got = auxpoly_mod._grid_sup(ctx, encl, coeffs, radius, grid)
+    assert got == grid_sup_reference(ctx, encl, coeffs, radius, grid)
+    with mpmath.workprec(2 * bits):
+        alphas = [exponent_mp(e) for e in exps]
+        rad = mpmath.mpf(radius.numerator) / radius.denominator
+        true_max = mpmath.mpf(0)
+        for g in range(grid.angles):
+            turn = mpmath.expj(2 * mpmath.pi * g / grid.angles)
+            for j in range(grid.rings):
+                w = rad * (j + 1) / grid.rings * turn
+                val = abs(mpmath.fsum(c * mpmath.exp(a * w) for c, a in zip(coeffs, alphas)))
+                assert got >= val
+                true_max = max(true_max, val)
+        assert got <= true_max * (1 + mpmath.mpf(1e-12))
+
+
+@pytest.mark.parametrize("rings,angles", [(1, 8), (3, 9), (10, 100), (4, 13)])
+def test_grid_sup_takes_one_exp_per_term_per_half_plane_angle(monkeypatch, rings, angles):
+    coeffs = (3, 0, -2, 1)
+    ctx, encl, _, _ = auxpoly_mod._alpha_data(("0", "log(2)", "log(3)", "1/2"), 128)
+    calls = []
+
+    def counting_exp(ctx, z):
+        calls.append(z)
+        return complex_exp(ctx, z)
+
+    monkeypatch.setattr(auxpoly_mod, "complex_exp", counting_exp)
+    auxpoly_mod._grid_sup(ctx, encl, coeffs, Fraction(1, 4), GridSpec(rings, angles))
+    assert len(calls) == (angles // 2 + 1) * 3
 
 
 # ---------------------------------------------------------------------------

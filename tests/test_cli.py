@@ -214,6 +214,25 @@ def test_auxpoly_subcommand(tup, capsys):
     assert len(payload["coefficients"]) == len(payload["monomials"]) == 6
 
 
+@pytest.mark.parametrize(
+    "grid_args,grid_sup",
+    [([], 0.003097829438903638), (["--rings", "3", "--angles", "9"], 0.0030873796910862203)],
+)
+def test_auxpoly_pinned_payload(tup, capsys, grid_args, grid_sup):
+    # figures of the pointwise grid loop (one interval exp per term and point)
+    path = tup("logs.tup", ["log(2)", "log(3)"])
+    code, out = run_capture(
+        capsys,
+        ["auxpoly", "--tuple", path, "--subset", "0,1", "--L", "2", "--delta", "8"]
+        + grid_args,
+    )
+    assert code == 0
+    payload = records_of(out)[0]["payload"]
+    assert payload["coefficients"] == [1, 33, -2, -11, 12, -33]
+    assert payload["grid_sup"] == grid_sup
+    assert payload["taylor_log_sup"] == -5.598558937923047
+
+
 # ---------------------------------------------------------------------------
 # determinism and cache
 
