@@ -17,11 +17,7 @@ from typing import Mapping, Sequence
 
 from .cyclo import char_value, min_vanishing_degree, normalize_point_set, product_point_set
 from .errors import BudgetExceeded, InvalidConfig
-from .intmat import (
-    invert_unimodular,
-    rank_rational,
-    smith_normal_form,
-)
+from .intmat import insert_row, invert_unimodular, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -186,15 +182,10 @@ def wI_family_rank(n: int, nu: int, choices: Mapping[Sequence[int], Sequence]) -
         for i, x in enumerate(vec):
             if x != 0 and i not in subset:
                 raise InvalidConfig(f"vector for {subset} has support outside it")
-    # greedy independent set in lexicographic order
-    witnesses: list[tuple[int, ...]] = []
-    chosen: list[list[Fraction]] = []
-    for subset in expected:
-        trial = chosen + [normalized[subset]]
-        if rank_rational(trial) == len(trial):
-            chosen.append(normalized[subset])
-            witnesses.append(subset)
-    total_rank = rank_rational([normalized[s] for s in expected])
+    # greedy independent set in lexicographic order; it spans the family
+    basis: list = []
+    witnesses = [s for s in expected if insert_row(basis, normalized[s])[1] is not None]
+    total_rank = len(basis)
     if total_rank < nu + 1:
         # unreachable when the preconditions really hold; returned as a
         # certificate instead of asserting, so callers can inspect the input
@@ -207,7 +198,8 @@ def product_character_codim(l_vec: Sequence[int], relation_lattice: CharacterMod
 
     The ambient torus has dimension m*n with coordinates indexed (i, j) ->
     i*n + j; the relation lattice is the annihilator of the subgroup the
-    computation happens inside.  Codimension = rank(stacked) - rank(relations).
+    computation happens inside.  The codimension is the number of chi rows that
+    stay independent when inserted after the relation rows.
     """
     l_vec = [int(x) for x in l_vec]
     if all(x == 0 for x in l_vec):
@@ -223,10 +215,10 @@ def product_character_codim(l_vec: Sequence[int], relation_lattice: CharacterMod
         for i in range(m):
             row[i * n + j] = l_vec[i]
         chis.append(row)
-    base = relation_lattice.matrix()
-    r_base = rank_rational(base) if base else 0
-    r_stacked = rank_rational(base + chis)
-    return r_stacked - r_base
+    basis: list = []
+    for row in relation_lattice.matrix():
+        insert_row(basis, [Fraction(x) for x in row])
+    return sum(insert_row(basis, [Fraction(x) for x in row])[1] is not None for row in chis)
 
 
 def hilbert_function(subgroup: SubgroupDescriptor, L: int) -> int:

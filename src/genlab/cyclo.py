@@ -7,20 +7,20 @@ root-of-unity constructions used throughout the workbench, while keeping
 every equality test exact.
 
 The head-line operation is min_vanishing_degree: the smallest total degree
-of a nonzero polynomial vanishing on a finite set, computed as a rank
-deficiency of the exact evaluation matrix.
+of a nonzero polynomial vanishing on a finite set.  The monomials' value
+columns are inserted in graded order into one exact echelon basis, and the
+first column that reduces to zero has that degree.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count
 from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import HypothesisNotMet, InvalidConfig
-from .intmat import echelon
+from .intmat import echelon, insert_row
 
 IntPoly = list[int]
 FracPoly = list[Fraction]
@@ -198,13 +198,7 @@ class CycloNum:
         if o is None:
             return NotImplemented
         a, b = self._align(o)
-        prod = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
-        for i, x in enumerate(a.coeffs):
-            if x:
-                for j, y in enumerate(b.coeffs):
-                    if y:
-                        prod[i + j] += x * y
-        return CycloNum(a.order, prod)
+        return CycloNum(a.order, _poly_mul_frac(a.coeffs, b.coeffs))
 
     __rmul__ = __mul__
 
@@ -386,18 +380,9 @@ def monomials_up_to(nvars: int, degree: int) -> list[tuple[int, ...]]:
     """Exponent tuples with entrywise >= 0 and total degree <= degree, lex order."""
     if nvars < 1:
         raise ValueError("need at least one variable")
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 0:
-            out.append(tuple(prefix))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + [e], remaining - e, slots - 1)
-
-    rec([], degree, nvars)
-    out.sort()
-    return out
+    if nvars == 1:
+        return [(e,) for e in range(degree + 1)]
+    return [(e,) + m for e in range(degree + 1) for m in monomials_up_to(nvars - 1, degree - e)]
 
 
 def rank_field(rows: list[list]) -> int:
@@ -406,71 +391,84 @@ def rank_field(rows: list[list]) -> int:
 
 
 def evaluation_matrix(points: Sequence[Point], degree: int) -> tuple[list[list], list[tuple[int, ...]]]:
+    """Values of the monomials of degree <= degree (lex order) at the points."""
     if not points:
         raise ValueError("empty point set")
-    nvars = len(points[0])
-    mons = monomials_up_to(nvars, degree)
-    rows = []
-    for p in points:
-        # incremental powers per coordinate keep this from re-multiplying
-        pows = []
-        for c in p:
-            cs = [ONE]
-            for _ in range(degree):
-                cs.append(cs[-1] * c)
-            pows.append(cs)
-        row = []
-        for mon in mons:
-            acc = ONE
-            for i, e in enumerate(mon):
-                if e:
-                    acc = acc * pows[i][e]
-            row.append(acc)
-        rows.append(row)
-    return rows, mons
+    mons = monomials_up_to(len(points[0]), degree)
+    return [[char_value(mon, p) for mon in mons] for p in points], mons
+
+
+def _graded_columns(pts: Sequence[Point]):
+    """(monomial, values at the points) in graded order, without end.
+
+    x^a is extended by x_i, pointwise, only for i >= the index that last
+    extended it, so every monomial comes once.
+    """
+    # monomials_up_to rejects points without coordinates
+    layer = [(mon, [ONE.promote(pts[0][0].order)] * len(pts), 0)
+             for mon in monomials_up_to(len(pts[0]), 0)]
+    while True:
+        yield from (entry[:2] for entry in layer)
+        layer = [
+            (mon[:i] + (mon[i] + 1,) + mon[i + 1:], [x * p[i] for x, p in zip(col, pts)], i)
+            for mon, col, last in layer
+            for i in range(last, len(mon))
+        ]
+
+
+def _first_dependent(points: Sequence[Sequence], max_degree: int | None):
+    """(monomial, multipliers, inserted (monomial, multipliers, scale) steps)
+    of the first graded column that reduces to zero; None past max_degree."""
+    pts = normalize_point_set(points)
+    if not pts:
+        raise InvalidConfig("empty point set")
+    basis: list = []
+    steps = []
+    for mon, col in _graded_columns(pts):
+        if max_degree is not None and sum(mon) > max_degree:
+            return None
+        mults, scale = insert_row(basis, col)
+        if scale is None:
+            return mon, mults, steps
+        steps.append((mon, mults, scale))
 
 
 def min_vanishing_degree(points: Sequence[Sequence], max_degree: int | None = None) -> int:
     """Smallest degree of a nonzero polynomial vanishing on the whole set.
 
-    A degree L works iff the evaluation matrix (points x monomials of degree
-    <= L) has a nontrivial kernel, which is guaranteed once the monomials
-    outnumber the distinct points.  Raises InvalidConfig on an empty set and
-    HypothesisNotMet when no degree <= max_degree works.
+    The monomial columns (values at the points) go into one echelon basis
+    in graded order, so all columns of degree <= L-1 come before the first
+    of degree L.  The first column that reduces to zero thus has the minimal
+    degree: its reduction is a vanishing polynomial, and the columns before
+    it carry none.  One turns up once the columns outnumber the points.
+    Raises InvalidConfig on an empty set and HypothesisNotMet when no
+    degree <= max_degree works.
     """
-    pts = normalize_point_set(points)
-    if not pts:
-        raise InvalidConfig("empty point set")
-    for L in count(1):
-        if max_degree is not None and L > max_degree:
-            raise HypothesisNotMet(
-                f"no nonzero polynomial of degree <= {max_degree} vanishes on the set"
-            )
-        rows, mons = evaluation_matrix(pts, L)
-        if rank_field(rows) < len(mons):
-            return L
+    found = _first_dependent(points, max_degree)
+    if found is None:
+        raise HypothesisNotMet(
+            f"no nonzero polynomial of degree <= {max_degree} vanishes on the set"
+        )
+    return sum(found[0])
 
 
 def kernel_polynomial(points: Sequence[Sequence], degree: int) -> dict[tuple[int, ...], Fraction] | None:
     """One nonzero polynomial of total degree <= degree vanishing on the set.
 
-    Returns a dict monomial -> coefficient over the base field projected to
-    Fractions when possible, or CycloNum coefficients otherwise; None when
-    only the zero polynomial vanishes.
+    Back-substitutes the multipliers of the first dependent column through
+    the inserted steps.  Returns a dict monomial -> coefficient, projected to
+    Fractions when rational and CycloNum otherwise; None when only the zero
+    polynomial vanishes.
     """
-    pts = normalize_point_set(points)
-    rows, mons = evaluation_matrix(pts, degree)
-    n = len(mons)
-    rank, pivots, w = echelon(rows)
-    if rank == n:
+    found = _first_dependent(points, degree)
+    if found is None:
         return None
-    free = next(c for c in range(n) if c not in pivots)
-    vec: list[CycloNum] = [ZERO] * n
-    vec[free] = ONE
-    for r, pc in enumerate(pivots):
-        vec[pc] = -w[r][free]
-    out = {}
-    for mon, c in zip(mons, vec):
-        if not c.is_zero():
-            out[mon] = c.as_rational() if c.is_rational() else c
+    mon, coef, steps = found
+    out = {mon: Fraction(1)}
+    for k in range(len(steps) - 1, -1, -1):
+        m, mults, scale = steps[k]
+        c = coef[k] * scale
+        if c:
+            out[m] = -c.as_rational() if c.is_rational() else -c
+            coef[:k] = [a - c * f if f else a for a, f in zip(coef, mults)]
     return out

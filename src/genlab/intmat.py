@@ -1,11 +1,12 @@
 """Exact integer and rational matrix algebra.
 
 Integer routines (det, Smith normal form) run on plain Python ints, so there
-is no overflow and no rounding.  `echelon` is the one exact elimination: it
-runs over any exact field whose elements support + - * / and whose
-truthiness means "nonzero" (fractions.Fraction, cyclo.CycloNum), and rank,
-inverse and kernel are read off its result.  Matrices are lists of lists in
-row-major order and are never mutated by the public functions.
+is no overflow and no rounding.  Two exact eliminations run over any field
+whose elements support + - * / and whose truthiness means "nonzero"
+(fractions.Fraction, cyclo.CycloNum): `echelon` reduces a whole matrix, and
+rank and inverse are read off its result; `insert_row` extends a basis in
+place by one vector, for ranks and first dependencies found row by row.
+Matrices are lists of lists in row-major order; no other input is mutated.
 """
 
 from __future__ import annotations
@@ -102,6 +103,30 @@ def echelon(rows: Sequence[Sequence]) -> tuple[int, list[int], list[list]]:
         pivots.append(col)
         rank += 1
     return rank, pivots, w
+
+
+def insert_row(basis: list[tuple[int, list]], vec: Sequence) -> tuple[list, object]:
+    """Reduce vec against a growing echelon basis; append it if independent.
+
+    basis holds (pivot, row) pairs in insertion order, each row 1 at its
+    pivot and 0 at every earlier pivot.  Returns (multipliers, scale) with
+    vec == sum(m * row) + rest over the basis as it was.  A vec that reduces
+    to zero leaves the basis as it is and has scale None; otherwise
+    rest * scale, pivoted at its first nonzero entry, is appended.
+    """
+    rest = list(vec)
+    mults = []
+    for piv, row in basis:
+        f = rest[piv]
+        mults.append(f)
+        if f:
+            rest = [x - f * y if y else x for x, y in zip(rest, row)]
+    piv = next((i for i, x in enumerate(rest) if x), None)
+    if piv is None:
+        return mults, None
+    scale = 1 / rest[piv]
+    basis.append((piv, [x * scale if x else x for x in rest]))
+    return mults, scale
 
 
 def rank_rational(a: Sequence[Sequence[int | Fraction]]) -> int:

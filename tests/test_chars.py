@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genlab.chars import (
     Character,
@@ -167,3 +169,72 @@ def test_zero_estimate_precondition_failure():
     # one variable vanishes on both, so the hypothesis fails
     with pytest.raises(HypothesisNotMet):
         zero_estimate_search([(Fraction(2),), (Fraction(3),)], 1, 1)
+
+
+def _greedy_rank_reference(n, nu, choices):
+    # reference: one full rank per trial subset, then one for the family
+    expected = list(combinations(range(n), n - nu))
+    witnesses, chosen = [], []
+    for subset in expected:
+        trial = chosen + [choices[subset]]
+        if rank_rational(trial) == len(trial):
+            chosen.append(choices[subset])
+            witnesses.append(subset)
+    total = rank_rational([choices[s] for s in expected])
+    if total < nu + 1:
+        return total, tuple(witnesses), tuple(expected)
+    return total, tuple(witnesses[: nu + 1]), None
+
+
+@st.composite
+def _families(draw):
+    n = draw(st.integers(2, 6))
+    nu = draw(st.integers(1, n - 1))
+    entry = st.one_of(st.just(Fraction(0)), st.fractions(-3, 3, max_denominator=3))
+    choices = {}
+    for subset in combinations(range(n), n - nu):
+        on = draw(
+            st.lists(entry, min_size=n - nu, max_size=n - nu).filter(any)
+        )
+        vec = [Fraction(0)] * n
+        for i, x in zip(subset, on):
+            vec[i] = x
+        choices[subset] = vec
+    return n, nu, choices
+
+
+@settings(max_examples=80, deadline=None)
+@given(_families())
+def test_wI_family_rank_matches_greedy_full_ranks(family):
+    n, nu, choices = family
+    res = wI_family_rank(n, nu, choices)
+    assert (res.rank, res.witnesses, res.counterexample) == _greedy_rank_reference(n, nu, choices)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda m: st.integers(1, 3).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.integers(-3, 3), min_size=m, max_size=m).filter(any),
+                st.lists(
+                    st.lists(st.integers(-2, 2), min_size=m * n, max_size=m * n),
+                    max_size=4,
+                ),
+                st.just(n),
+            )
+        )
+    )
+)
+def test_product_character_codim_matches_rank_difference(case):
+    l_vec, base, n = case
+    m = len(l_vec)
+    chis = []
+    for j in range(n):
+        row = [0] * (m * n)
+        for i in range(m):
+            row[i * n + j] = l_vec[i]
+        chis.append(row)
+    module = CharacterModule(base, ambient_dim=m * n)
+    expected = rank_rational(base + chis) - (rank_rational(base) if base else 0)
+    assert product_character_codim(l_vec, module) == expected

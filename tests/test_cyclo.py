@@ -1,14 +1,18 @@
 import random
 from fractions import Fraction
+from itertools import count
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from genlab import cyclo
 from genlab.cyclo import (
     CycloNum,
     char_value,
     cyclotomic_polynomial,
+    evaluation_matrix,
     external_product_set,
     kernel_polynomial,
     make_point,
@@ -248,3 +252,79 @@ def test_kernel_polynomial_vanishes_exactly(coords, order, degree):
         assert poly
         assert all(sum(mon) <= degree for mon in poly)
         assert _vanishes_on(poly, points)
+
+
+def _full_elimination_degree(points, max_degree):
+    # reference: rebuild the whole evaluation matrix and eliminate it at every L
+    pts = normalize_point_set(points)
+    for L in count(1):
+        if L > max_degree:
+            raise HypothesisNotMet(f"nothing of degree <= {max_degree}")
+        rows, mons = evaluation_matrix(pts, L)
+        if rank_field(rows) < len(mons):
+            return L
+
+
+@st.composite
+def _torsion_point_sets(draw):
+    # roots of unity of one order mixed with small rationals
+    dim = draw(st.integers(1, 3))
+    order = draw(st.sampled_from([1, 3, 4, 5, 6, 8]))
+    coord = st.one_of(
+        st.integers(0, order - 1).map(lambda k: CycloNum.root_of_unity(order, k)),
+        st.fractions(-3, 3, max_denominator=3).map(CycloNum.from_rational),
+    )
+    return draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=12))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_torsion_point_sets(), st.integers(1, 6))
+def test_graded_insertion_matches_full_elimination(points, max_degree):
+    try:
+        expected = _full_elimination_degree(points, max_degree)
+    except HypothesisNotMet:
+        with pytest.raises(HypothesisNotMet):
+            min_vanishing_degree(points, max_degree=max_degree)
+        expected = max_degree + 1
+    else:
+        assert min_vanishing_degree(points, max_degree=max_degree) == expected
+    for d in range(1, max_degree + 1):
+        poly = kernel_polynomial(points, d)
+        if d < expected:
+            assert poly is None
+        else:
+            assert poly
+            assert all(sum(mon) <= d for mon in poly)
+            assert _vanishes_on(poly, points)
+
+
+def test_min_vanishing_degree_inserts_each_column_once(monkeypatch):
+    # no evaluation matrix is rebuilt or re-eliminated, and each kept
+    # column costs one inverse: every column below the answer's degree is
+    # kept, and no more columns than points can be
+    def refuse(*args, **kwargs):
+        raise AssertionError("full evaluation matrix rebuilt")
+
+    monkeypatch.setattr(cyclo, "evaluation_matrix", refuse)
+    monkeypatch.setattr(cyclo, "rank_field", refuse)
+    calls = []
+    inverse = CycloNum.inverse
+
+    def counted(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(CycloNum, "inverse", counted)
+    i = CycloNum.root_of_unity(4)
+    w = CycloNum.root_of_unity(3)
+    cases = [
+        ([(i ** k,) for k in range(4)], 4),
+        ([(i ** a, w ** b) for a in range(4) for b in range(3)], 3),
+        ([(1, 1), (2, 2), (3, 3)], 1),
+        (product_point_set([(i, w, 2), (w, 1, i), (2, i, w)], 2), 2),
+    ]
+    for pts, degree in cases:
+        calls.clear()
+        assert min_vanishing_degree(pts) == degree
+        nvars = len(pts[0])
+        assert comb(degree - 1 + nvars, nvars) <= len(calls) <= len(normalize_point_set(pts))
