@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -671,7 +672,10 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args leaves it
+    unchanged, so every run() shares it."""
     parser = argparse.ArgumentParser(
         prog="genlab",
         description="Number-theory workbench: probes, schedules, audits.",

@@ -185,13 +185,14 @@ class CycloNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        a, b = self._align(o)
+        return CycloNum(a.order, [x - y for x, y in zip(a.coeffs, b.coeffs)])
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o - self
 
     def __mul__(self, other):
         o = self._coerce(other)

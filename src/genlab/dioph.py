@@ -2,11 +2,16 @@
 
 The central primitive is linear_form_min: over nonzero integer vectors l
 with max-norm at most D, minimize |l_1 θ_{i_1} + ... + l_mu θ_{i_mu}|.
-Exhaustive mode screens the whole box in floats in one pass over chunks
-(each chunk keeps the entries within a slack of the running minimum; the
-kept entries are filtered against the final minimum at the end), then
-certifies the survivors with interval arithmetic.  Above the enumeration
-budget a lattice-reduction mode returns a certified upper-bound record
+Exhaustive mode screens the box in floats, then certifies the survivors
+(the vectors within a slack of the least float value) with interval
+arithmetic.  The screen meets in the middle: l splits into a head of
+mu // 2 coordinates and a tail, each half-box is enumerated once, and a
+search for each head value's nearest negation among the tail values finds
+the least value.  Every pair within twice the slack of it is re-evaluated
+in the full-box summation order, so the survivors are exactly those of a
+walk over the whole box: rounding moves a value by far less than the
+slack.  The enumeration budget still counts the whole box, (2D+1)^mu.
+Above it a lattice-reduction mode returns a certified upper-bound record
 flagged approximate.  The probes aggregate these records over heights and
 subsets with the existential subset quantifier (max over subsets of the
 min over forms) and compare against thresholds -c*D^eta, all through one
@@ -31,6 +36,7 @@ from typing import Optional, Sequence
 
 import mpmath
 import numpy as np
+from mpmath import libmp
 
 from .errors import BudgetExceeded, InvalidConfig
 from .expr import BinOp, Num, exact_rational, eval_interval, to_string
@@ -53,7 +59,6 @@ from .tuples import RealTuple
 
 ENUM_BUDGET = 10**7
 NEG_PAIR = (float("-inf"), float("-inf"))
-_CHUNK = 1 << 18
 _MAX_LOG_WIDTH = 2.0**-32
 
 
@@ -101,48 +106,96 @@ def _decode(flat: int, mu: int, base: int, D: int) -> tuple[int, ...]:
     return tuple(l)
 
 
-def _screen_box(theta_float: list[complex], D: int) -> list[tuple[int, ...]]:
-    """Float screening of the full box: returns canonical candidate vectors
-    guaranteed to contain every true minimizer.
+def _box_values(flat, re, im, D: int):
+    """(real, imaginary) parts of l.theta for flat indices of the box over
+    the coordinates re/im (first coordinate most significant), summed from
+    the last coordinate to the first."""
+    base = 2 * D + 1
+    vre = np.zeros(len(flat))
+    vim = np.zeros(len(flat))
+    rem = flat
+    for pos in range(len(re) - 1, -1, -1):
+        rem, dig = np.divmod(rem, base)
+        coeff = dig - D
+        vre += coeff * re[pos]
+        vim += coeff * im[pos]
+    return vre, vim
 
-    One pass over the chunks: each chunk keeps the entries within slack of
-    the running minimum, which is never below the final one, so the kept
-    entries are a superset of the survivors of the final minv + slack."""
+
+def _near_pairs(head, tail, zero_head: int, zero_tail: int, slack: float, is_complex: bool):
+    """(head, tail) index arrays of every nonzero pair whose value
+    |head + tail| lies within 2*slack of the least one found by a
+    nearest-negation search."""
+    if is_complex:
+        from scipy.spatial import cKDTree
+
+        tree = cKDTree(tail)
+        dist, nbr = tree.query(-head, k=2)
+        near = dist[:, 0].copy()
+        if nbr[zero_head, 0] == zero_tail:
+            near[zero_head] = dist[zero_head, 1]
+        hits = tree.query_ball_point(-head, float(near.min()) + 2 * slack)
+        counts = np.array([len(h) for h in hits], dtype=np.int64)
+        tails = np.fromiter(itertools.chain.from_iterable(hits), np.int64, int(counts.sum()))
+    else:
+        order = np.argsort(tail, kind="stable")
+        ts = tail[order]
+        pos = np.searchsorted(ts, -head)
+        lo, hi = np.clip(pos - 1, 0, len(ts) - 1), np.clip(pos, 0, len(ts) - 1)
+        near = np.minimum(np.abs(head + ts[lo]), np.abs(head + ts[hi]))
+        near[zero_head] = np.abs(np.delete(tail, zero_tail)).min()
+        window = float(near.min()) + 2 * slack
+        first = np.searchsorted(ts, -head - window, side="left")
+        counts = np.searchsorted(ts, -head + window, side="right") - first
+        starts = np.cumsum(counts) - counts
+        tails = order[np.repeat(first - starts, counts) + np.arange(int(counts.sum()))]
+    heads = np.repeat(np.arange(len(head)), counts)
+    nonzero = (heads != zero_head) | (tails != zero_tail)
+    return heads[nonzero], tails[nonzero]
+
+
+def _screen_box(theta_float: list[complex], D: int) -> list[tuple[int, ...]]:
+    """Float screening of the full box: the canonical vectors l whose value
+    |l.theta| is within slack of the least nonzero one, a set guaranteed to
+    contain every true minimizer.
+
+    Meet in the middle (Horowitz-Sahni): l splits into a head of mu // 2
+    coordinates and a tail, the value of l is |head + tail|, and each
+    half-box is enumerated once.  A nearest-negation search (sorted tail
+    values for real tuples, a k-d tree for complex ones) finds a value
+    within rounding of the least one, and a window search gathers every
+    pair within 2*slack of it.  Those pairs are re-evaluated in the
+    full-box summation order (last coordinate first), and the survivors are
+    the pairs within slack of the least re-evaluated value.  Rounding moves
+    a value by far less than slack, so the window holds every survivor and
+    the least value of the full box: the survivors, and every record
+    certified from them, are those of a walk over the whole box.  The work
+    is O(B^ceil(mu/2) log B) for B = 2D + 1, but callers still test the
+    enumeration budget against the full box B^mu."""
     mu = len(theta_float)
     base = 2 * D + 1
-    total = base**mu
     re = np.array([z.real for z in theta_float])
     im = np.array([z.imag for z in theta_float])
     is_complex = bool(np.any(im != 0.0))
     scale = mu * D * max(1.0, float(np.max(np.abs(re)) + np.max(np.abs(im))))
     slack = scale * 2.0**-46 + 1e-10
-    zero_flat = sum(D * base**j for j in range(mu))
 
-    minv = np.inf
-    kept_idx, kept_vals = [], []
-    for lo in range(0, total, _CHUNK):
-        idx = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
-        vre = np.zeros(len(idx))
-        vim = np.zeros(len(idx)) if is_complex else None
-        rem = idx
-        for pos in range(mu - 1, -1, -1):
-            rem, dig = np.divmod(rem, base)
-            coeff = dig - D
-            vre += coeff * re[pos]
-            if is_complex:
-                vim += coeff * im[pos]
-        vals = np.hypot(vre, vim) if is_complex else np.abs(vre)
-        if lo <= zero_flat < lo + len(idx):
-            vals[zero_flat - lo] = np.inf
-        minv = min(minv, float(vals.min()))
-        sel = vals <= minv + slack
-        kept_idx.append(idx[sel])
-        kept_vals.append(vals[sel])
-    idx, vals = np.concatenate(kept_idx), np.concatenate(kept_vals)
-    keep = {
-        canonical_form(_decode(int(flat), mu, base, D)) for flat in idx[vals <= minv + slack]
-    }
-    return sorted(keep)
+    h = mu // 2
+    halves = []
+    for lo, hi in ((0, h), (h, mu)):
+        flat = np.arange(base ** (hi - lo), dtype=np.int64)
+        vre, vim = _box_values(flat, re[lo:hi], im[lo:hi], D)
+        halves.append(np.column_stack((vre, vim)) if is_complex else vre)
+    head, tail = halves
+    # the zero vector of a half box is its centre: every digit equals D
+    zero_head, zero_tail = (base**h - 1) // 2, (base ** (mu - h) - 1) // 2
+    heads, tails = _near_pairs(head, tail, zero_head, zero_tail, slack, is_complex)
+
+    flat = heads * len(tail) + tails
+    vre, vim = _box_values(flat, re, im, D)
+    vals = np.hypot(vre, vim) if is_complex else np.abs(vre)
+    keep = flat[vals <= float(vals.min()) + slack]
+    return sorted({canonical_form(_decode(int(f), mu, base, D)) for f in keep})
 
 
 def _midpoints(entries) -> list[complex]:
@@ -150,16 +203,18 @@ def _midpoints(entries) -> list[complex]:
     return [complex(float(mpmath.mpf(z.re.mid)), float(mpmath.mpf(z.im.mid))) for z in entries]
 
 
+def _scaled_mid(x, shift: int) -> int:
+    """The midpoint of interval x times 2^shift, rounded to the nearest
+    integer, at the full precision of x."""
+    return libmp.to_int(libmp.mpf_shift(x.mid._mpi_[0], shift), libmp.round_nearest)
+
+
 def _relation_rows(entries, bits: int, bound: int) -> list[tuple[int, ...]]:
     """Canonical nonzero coefficient parts, max-norm <= bound, of the
     LLL-reduced relation lattice of the enclosures (midpoints scaled by
     2^(bits/2))."""
     n = len(entries)
-    scale = mpmath.mpf(2) ** (bits // 2)
-    scaled = [
-        tuple(int(mpmath.nint(mpmath.mpf(part.mid) * scale)) for part in (z.re, z.im))
-        for z in entries
-    ]
+    scaled = [tuple(_scaled_mid(part, bits // 2) for part in (z.re, z.im)) for z in entries]
     rows = (canonical_form(row[:n]) for row in lll_reduce(knapsack_basis(scaled)))
     return [l for l in rows if any(l) and max(abs(x) for x in l) <= bound]
 

@@ -8,6 +8,7 @@ either return honest enclosures or raise NeedsBits to request escalation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,7 +28,13 @@ class NeedsBits(Exception):
     """Internal signal: the current working precision cannot decide."""
 
 
+@functools.lru_cache(maxsize=None)
 def make_ctx(bits: int) -> "mpmath.ctx_iv.MPIntervalContext":
+    """The shared interval context at the given precision.
+
+    One context per precision serves every caller, so no code may set
+    ctx.prec on a context it gets from here (mpmath's own functions raise
+    and restore it internally, which is safe)."""
     ctx = mpmath.ctx_iv.MPIntervalContext()
     ctx.prec = bits
     return ctx

@@ -2,8 +2,9 @@
 
 A tuple is the basic input object for the diophantine probes: entries
 are expression strings (see expr), carried with a working precision and
-an optional label.  Entries are re-evaluated to intervals at whatever
-precision a computation needs, so nothing is ever rounded at parse time.
+an optional label.  Entries are evaluated to intervals at whatever
+precision a computation needs, once per precision, so nothing is ever
+rounded at parse time.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ class RealTuple:
     imag_expressions: Optional[tuple[str, ...]] = None
     _nodes: tuple[Node, ...] = field(init=False, repr=False, compare=False)
     _imag_nodes: Optional[tuple[Node, ...]] = field(init=False, repr=False, compare=False)
+    _enclosures: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         if not self.expressions:
@@ -89,21 +91,26 @@ class RealTuple:
 
     def real_enclosures(self, bits: int):
         """Interval enclosures of the real parts at the given precision."""
-        ctx = make_ctx(bits)
-        return ctx, [eval_interval(ctx, node) for node in self._nodes]
+        ctx, encl = self.complex_enclosures(bits)
+        return ctx, tuple(z.re for z in encl)
 
     def complex_enclosures(self, bits: int):
-        """ComplexIV enclosures at the given precision (imag 0 if real)."""
-        ctx = make_ctx(bits)
-        out = []
-        for j, node in enumerate(self._nodes):
-            re = eval_interval(ctx, node)
-            if self._imag_nodes is None:
-                im = re * 0
-            else:
-                im = eval_interval(ctx, self._imag_nodes[j])
-            out.append(ComplexIV(re, im))
-        return ctx, out
+        """(ctx, tuple of ComplexIV enclosures) at the given precision (imag
+        0 if real).  Evaluated once per precision; later calls return the
+        same objects."""
+        memo = self._enclosures.get(bits)
+        if memo is None:
+            ctx = make_ctx(bits)
+            out = []
+            for j, node in enumerate(self._nodes):
+                re = eval_interval(ctx, node)
+                if self._imag_nodes is None:
+                    im = re * 0
+                else:
+                    im = eval_interval(ctx, self._imag_nodes[j])
+                out.append(ComplexIV(re, im))
+            memo = self._enclosures[bits] = (ctx, tuple(out))
+        return memo
 
     def validate_nonzero(self) -> None:
         """Certify every entry is nonzero, escalating precision as needed."""

@@ -1,12 +1,16 @@
 """End-to-end harness tests: exit codes, determinism, caching, reports."""
 
 import json
-from fractions import Fraction
 import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from genlab.cli import (
+    build_parser,
     jsonable,
     parse_cyclo_coordinate,
     parse_range,
@@ -246,6 +250,24 @@ def test_byte_identical_reruns(tup, tmp_path, capsys):
     assert run(argv + ["--out", str(out_a)]) == 0
     assert run(argv + ["--out", str(out_b)]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+def test_shared_parser_survives_bad_usage(tup, capsys):
+    assert build_parser() is build_parser()
+    path = tup("golden.tup", ["1", "(1 + sqrt(5))/2"])
+    argv = ["gen", "--tuple", path, "--mu", "2", "--eta", "1.0", "--c", "3", "--D", "2..8"]
+    assert run(["gen", "--tuple", path, "--mu", "two"]) == 2
+    capsys.readouterr()
+    code, out = run_capture(capsys, argv)
+    assert code == 0
+    src = Path(__file__).resolve().parent.parent / "src"
+    fresh = subprocess.run(
+        [sys.executable, "-m", "genlab.cli", *argv],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert fresh.returncode == 0, fresh.stderr
+    assert out == fresh.stdout
 
 
 def test_cache_hit_and_keying(tup, tmp_path, capsys):

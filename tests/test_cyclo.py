@@ -188,6 +188,25 @@ def test_bool_is_nonzero():
     assert not (i * i + 1)
 
 
+_cyclonum = st.sampled_from([1, 3, 4, 5, 6, 8, 12]).flatmap(
+    lambda order: st.lists(
+        st.fractions(min_value=-4, max_value=4, max_denominator=6), min_size=1, max_size=order
+    ).map(lambda cs: CycloNum(order, cs))
+)
+_operand = st.one_of(
+    _cyclonum, st.integers(-5, 5), st.fractions(min_value=-3, max_value=3, max_denominator=5)
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_cyclonum, _operand)
+def test_subtraction_is_addition_of_the_negation(a, b):
+    for diff, ref in ((a - b, a + (-b)), (b - a, b + (-a))):
+        assert type(diff) is CycloNum
+        assert (diff.order, diff.coeffs) == (ref.order, ref.coeffs)
+        assert all(type(c) is Fraction for c in diff.coeffs)
+
+
 def test_coefficients_stay_fractions():
     x = CycloNum(5, [1, Fraction(1, 2), 0, 3])
     assert all(type(c) is Fraction for c in x.coeffs)

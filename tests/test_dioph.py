@@ -3,7 +3,6 @@
 import itertools
 import math
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -329,7 +328,7 @@ def test_log_expm1_abs_public():
 
 
 # ---------------------------------------------------------------------------
-# the one-pass box screen and the screen-based minimality check
+# the meet-in-the-middle box screen and the screen-based minimality check
 
 
 def _two_pass_screen(theta_float, D):
@@ -375,24 +374,32 @@ _part = st.one_of(
 )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(
-    st.integers(1, 3).flatmap(
+    st.integers(1, 4).flatmap(
         lambda mu: st.tuples(
             st.lists(_part, min_size=mu, max_size=mu),
             st.one_of(st.none(), st.lists(_part, min_size=mu, max_size=mu)),
         )
     ),
     st.integers(1, 4),
-    st.integers(1, 40),
 )
-def test_screen_box_one_pass_matches_two_pass(parts, D, chunk):
+def test_screen_box_matches_two_pass(parts, D):
+    # mu 1..4 covers an empty and a nonempty head, odd and even splits
     re, im = parts
     theta_float = [complex(a, b) for a, b in zip(re, im or [0.0] * len(re))]
-    with mock.patch.object(dioph, "_CHUNK", chunk):  # many chunks per box
-        got = dioph._screen_box(theta_float, D)
+    got = dioph._screen_box(theta_float, D)
     assert got == _two_pass_screen(theta_float, D)
     assert _exact_minimizers(theta_float, D) <= set(got)
+
+
+def test_relation_lattice_scales_the_full_precision_midpoint():
+    _, (z,) = RealTuple(("sqrt(2)",)).complex_enclosures(256)
+    scaled = dioph._scaled_mid(z.re, 128)
+    n = 2 << 256  # (sqrt(2) * 2^128)^2
+    root = math.isqrt(n)
+    assert scaled == (root + 1 if n - root * root > root else root)
+    assert scaled % 2**76 != 0  # a 53-bit midpoint would leave these bits zero
 
 
 @pytest.mark.parametrize(

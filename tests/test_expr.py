@@ -197,6 +197,33 @@ def test_complex_tuple_nonzero_via_imag_part():
     assert t2.exact_values() == (Fraction(3),)
 
 
+def test_one_context_per_precision():
+    assert make_ctx(192) is make_ctx(192)
+    assert make_ctx(192) is not make_ctx(256)
+    assert make_ctx(192).prec == 192
+
+
+def test_enclosures_evaluated_once_per_precision():
+    t = RealTuple(("phi", "log(2)"), imag_expressions=("1", "0"))
+    ctx, encl = t.complex_enclosures(128)
+    assert ctx is make_ctx(128)
+    assert isinstance(encl, tuple)
+    assert t.complex_enclosures(128) is t.complex_enclosures(128)
+    assert t.complex_enclosures(256)[1] is not encl
+    _, re = t.real_enclosures(128)
+    assert all(x is z.re for x, z in zip(re, encl))
+
+
+def test_enclosure_memo_ignored_by_eq_and_hash():
+    fresh = RealTuple(("phi", "sqrt(2)"))
+    used = RealTuple(("phi", "sqrt(2)"))
+    used.complex_enclosures(128)
+    used.complex_enclosures(512)
+    assert used == fresh
+    assert hash(used) == hash(fresh)
+    assert len({used, fresh}) == 1
+
+
 def test_load_expressions(tmp_path):
     p = tmp_path / "theta.txt"
     p.write_text("# a comment\n1\n\nphi\n  sqrt(2)  \n")
