@@ -13,10 +13,12 @@ Four layers, bottom to top:
     scaled Taylor columns and certified a posteriori on a grid with a
     Lipschitz slack plus an independent Taylor-tail bound; the grid takes
     one interval exp per term and angle, because ring points are integer
-    multiples of the first ring (exp(a w_j) = exp(a w_1)^(j+1), and interval
-    products enclose the powers) and, with real exponents a_d and integer
-    coefficients h_d, |phi(conj w)| = |phi(w)| lets the upper half-plane
-    angles stand for their conjugates;
+    multiples of the first ring (exp(a w_j) = exp(a w_1)^(j+1)) and, with
+    real exponents a_d and integer coefficients h_d, |phi(conj w)| = |phi(w)|
+    lets the upper half-plane angles stand for their conjugates; the ring
+    powers and the sums run in ball arithmetic on Python ints (midpoint-
+    radius discs at scale 2^-prec), certified by
+    |ab - a~b~| <= |a~| r_b + |b~| r_a + r_a r_b with every radius rounded up;
   * two audits: the pigeonhole distance audit (count check, zero estimate,
     coset collision, contradiction bound) and the hypothesis checklist for
     the effective-distance proposition, which checks hypotheses only and
@@ -35,6 +37,8 @@ from fractions import Fraction
 from itertools import product
 from typing import Mapping, Sequence
 
+from mpmath import libmp
+
 from .chars import ZeroEstimateResult, zero_estimate_search
 from .cyclo import (
     CycloNum,
@@ -52,6 +56,7 @@ from .numeric import (
     ComplexIV,
     NeedsBits,
     complex_exp,
+    cos_sin,
     iv_from_fraction,
     log_abs_interval,
     make_ctx,
@@ -468,51 +473,87 @@ def _symbolically_zero(keys, coeffs) -> bool:
     return all(v == 0 for v in groups.values())
 
 
-def _taylor_bounds(ctx, encl, exact, coeffs, radius: Fraction, terms: int):
+@dataclass(frozen=True)
+class _TaylorTable:
+    """The candidate-independent factors of the series bounds on |w| <= radius.
+
+    coeff_pow[t][d] is a_d^t / t! as a Fraction when every exponent is exact
+    (all_exact), else the interval a_d^t; rad_pow[t] is rad^t; tails[d] is
+    (|a_d|, (|a_d| rad)^T, (|a_d| rad)^(T-1), e^{|a_d| rad}).
+    """
+
+    terms: int
+    all_exact: bool
+    rad: object
+    coeff_pow: tuple
+    rad_pow: tuple
+    tails: tuple
+
+
+def _taylor_table(ctx, encl, exact, radius: Fraction, terms: int) -> _TaylorTable:
+    """Build the factors of _taylor_bounds once per siegel_construct call."""
+    rad = iv_from_fraction(ctx, radius)
+    all_exact = all(q is not None for q in exact)
+    bases = [
+        iv_from_fraction(ctx, q) if q is not None else iv
+        for q, iv in zip(exact, encl)
+    ]
+    if all_exact:
+        coeff_pow = tuple(
+            tuple(Fraction(q) ** t / math.factorial(t) for q in exact)
+            for t in range(terms)
+        )
+    else:
+        coeff_pow = tuple(tuple(b**t for b in bases) for t in range(terms))
+    tails = []
+    for base in bases:
+        a_abs = abs(base)
+        ar = a_abs * rad
+        tails.append((a_abs, ar**terms, ar ** (terms - 1), ctx.exp(ar)))
+    rad_pow = tuple(rad**t for t in range(terms))
+    return _TaylorTable(terms, all_exact, rad, coeff_pow, rad_pow, tuple(tails))
+
+
+def _taylor_bounds(ctx, table: _TaylorTable, coeffs):
     """Certified (sup, derivative-sup) bounds on |w| <= radius via the series.
 
     sup  <= sum_{t<T} |c_t| rad^t + sum_d |h_d| (|a_d| rad)^T / T! e^{|a_d| rad}
     sup' <= sum_{1<=t<T} t |c_t| rad^(t-1)
             + sum_d |h_d| |a_d| (|a_d| rad)^(T-1) / (T-1)! e^{|a_d| rad}
     """
-    rad = iv_from_fraction(ctx, radius)
-    all_exact = all(q is not None for q in exact)
+    terms = table.terms
     sup = ctx.mpf(0)
     dsup = ctx.mpf(0)
     for t in range(terms):
-        if all_exact:
-            c_t = sum(
-                Fraction(c) * q**t / math.factorial(t)
-                for c, q in zip(coeffs, exact)
-            )
+        if table.all_exact:
+            c_t = sum(Fraction(c) * w for c, w in zip(coeffs, table.coeff_pow[t]))
             c_abs = iv_from_fraction(ctx, abs(c_t))
         else:
             acc = ctx.mpf(0)
-            for c, q, iv in zip(coeffs, exact, encl):
-                base = iv_from_fraction(ctx, q) if q is not None else iv
-                acc += c * base**t
+            for c, power in zip(coeffs, table.coeff_pow[t]):
+                acc += c * power
             acc = acc / math.factorial(t)
             c_abs = abs(acc)
-        sup += c_abs * rad**t
+        sup += c_abs * table.rad_pow[t]
         if t >= 1:
-            dsup += t * c_abs * rad ** (t - 1)
+            dsup += t * c_abs * table.rad_pow[t - 1]
     fact_t = math.factorial(terms)
-    for c, q, iv in zip(coeffs, exact, encl):
-        base = iv_from_fraction(ctx, q) if q is not None else iv
-        a_abs = abs(base)
-        growth = ctx.exp(a_abs * rad)
-        tail = abs(c) * (a_abs * rad) ** terms / fact_t * growth
-        sup += tail
-        if terms >= 1:
-            dtail = (
-                abs(c)
-                * a_abs
-                * (a_abs * rad) ** (terms - 1)
-                / math.factorial(terms - 1)
-                * growth
-            )
-            dsup += dtail
+    fact_t1 = math.factorial(terms - 1)
+    for c, (a_abs, ar_t, ar_t1, growth) in zip(coeffs, table.tails):
+        sup += abs(c) * ar_t / fact_t * growth
+        dsup += abs(c) * a_abs * ar_t1 / fact_t1 * growth
     return sup, dsup
+
+
+def _ball(x, prec: int) -> tuple[int, int]:
+    """(mid, rad) with [mid - rad, mid + rad] * 2^-prec containing the finite
+    interval x: its endpoints floored to fixed point and widened by one unit
+    on each side; rad is at least mid's distance to either end."""
+    a, b = x._mpi_
+    lo = libmp.to_fixed(a, prec) - 1
+    hi = libmp.to_fixed(b, prec) + 1
+    mid = (lo + hi) >> 1
+    return mid, hi - mid
 
 
 def _grid_sup(ctx, encl, coeffs, radius: Fraction, grid: GridSpec) -> float:
@@ -521,31 +562,61 @@ def _grid_sup(ctx, encl, coeffs, radius: Fraction, grid: GridSpec) -> float:
     Ring powers: angle g's ring points are w_j = (j+1) w_1 with
     w_1 = (radius/rings) e^(2 pi i g/angles), so exp(a w_j) = exp(a w_1)^(j+1).
     One interval exp per nonzero term gives the base; each further ring is
-    the previous ring's value times the base, and interval multiplication
-    encloses the true power.
+    the previous ring's value times the base.
+
+    Balls: the ring powers and the sums run on midpoint-radius discs of
+    Python ints at scale 2^-p, p = ctx.prec.  A base's rectangle becomes the
+    disc (mx + i my, rx + ry) of its widened fixed-point endpoints.  A
+    product keeps the truncated midpoint product and the radius
+    |ab - a~b~| <= |a~| r_b + |b~| r_a + r_a r_b, with |a~| <= |ax| + |ay| + 1,
+    shifted down and plus 3 units for that floor and the midpoint's
+    truncation; every radius is rounded up.  The sum over terms is exact on
+    the midpoints with radius sum_d |h_d| r_d, and |phi|^2 is bounded by
+    (|sx| + sr)^2 + (|sy| + sr)^2, rounded up to p bits.
 
     Conjugate symmetry: every a_d is real and every h_d an integer, so
     phi(conj w) = conj phi(w), and angle angles - g carries the same |phi|
     as angle g.  The angles g = 0 .. angles // 2 therefore cover the grid,
-    and each enclosure bounds |phi| at its conjugate point as well.
+    and each bound holds at its conjugate point as well.
     """
+    p = ctx.prec
     step = iv_from_fraction(ctx, radius / grid.rings)
-    terms = [(ctx.mpf(c), alpha * step) for c, alpha in zip(coeffs, encl) if c]
+    terms = [(c, abs(c), alpha * step) for c, alpha in zip(coeffs, encl) if c]
     worst = 0.0
     for g in range(grid.angles // 2 + 1):
         ang = 2 * ctx.pi * g / grid.angles
-        cos_a, sin_a = ctx.cos(ang), ctx.sin(ang)
-        bases = [complex_exp(ctx, ComplexIV(x * cos_a, x * sin_a)) for _, x in terms]
-        powers = bases
+        cos_a, sin_a = cos_sin(ctx, ang)
+        bases = []
+        for _, _, x in terms:
+            z = complex_exp(ctx, ComplexIV(x * cos_a, x * sin_a))
+            mx, rx = _ball(z.re, p)
+            my, ry = _ball(z.im, p)
+            bases.append((mx, my, rx + ry, abs(mx) + abs(my) + 1))
+        powers = [base[:3] for base in bases]
         for j in range(grid.rings):
             if j:
-                powers = [p * b for p, b in zip(powers, bases)]
-            re = im = ctx.mpf(0)
-            for (c, _), p in zip(terms, powers):
-                re += c * p.re
-                im += c * p.im
-            abs2_hi = to_float_pair(re * re + im * im)[1]
-            hi = math.nextafter(math.sqrt(max(0.0, abs2_hi)), math.inf)
+                powers = [
+                    (
+                        (ax * bx - ay * by) >> p,
+                        (ax * by + ay * bx) >> p,
+                        (((abs(ax) + abs(ay) + 1) * rb + b_mag * ra + ra * rb) >> p)
+                        + 3,
+                    )
+                    for (ax, ay, ra), (bx, by, rb, b_mag) in zip(powers, bases)
+                ]
+            sx = sy = sr = 0
+            for (c, c_abs, _), (mx, my, r) in zip(terms, powers):
+                sx += c * mx
+                sy += c * my
+                sr += c_abs * r
+            abs2 = libmp.from_man_exp(
+                (abs(sx) + sr) ** 2 + (abs(sy) + sr) ** 2,
+                -2 * p,
+                p,
+                libmp.round_ceiling,
+            )
+            abs2_hi = to_float_pair(ctx.make_mpf((abs2, abs2)))[1]
+            hi = math.nextafter(math.sqrt(abs2_hi), math.inf)
             worst = max(worst, hi)
     return worst
 
@@ -621,10 +692,11 @@ def siegel_construct(
     if not candidates:
         candidates = [tuple(1 if i == 0 else 0 for i in range(m))]
 
+    table = _taylor_table(ctx, encl, exact, radius, terms)
     scored = []
     for h in candidates:
         height = math.log(max(abs(v) for v in h))
-        bounds = _taylor_bounds(ctx, encl, exact, h, radius, terms)
+        bounds = _taylor_bounds(ctx, table, h)
         sup_hi = to_float_pair(bounds[0])[1]
         scored.append((height > delta + 1e-12, sup_hi, height, h, bounds))
     scored.sort(key=lambda rec: (rec[0], rec[1], rec[3]))
@@ -632,7 +704,7 @@ def siegel_construct(
     height_ok = log_height <= delta + 1e-12
 
     zero = _symbolically_zero(keys, best)
-    rad = iv_from_fraction(ctx, radius)
+    rad = table.rad
     if zero:
         grid_max, slack_hi, taylor_hi = 0.0, 0.0, 0.0
         achieved = float("-inf")
@@ -648,9 +720,8 @@ def siegel_construct(
 
     e_rad = rad * ctx.exp(1)
     norm_sum = ctx.mpf(0)
-    for c, q, iv in zip(best, exact, encl):
-        base = iv_from_fraction(ctx, q) if q is not None else iv
-        norm_sum += ctx.exp(abs(base) * e_rad)
+    for a_abs, _, _, _ in table.tails:
+        norm_sum += ctx.exp(a_abs * e_rad)
     norm_ok = to_float_pair(norm_sum)[1] <= math.exp(u_target)
 
     best_effort = (not height_ok) or (u_achieved <= 0 and not zero)

@@ -442,6 +442,152 @@ def test_grid_sup_takes_one_exp_per_term_per_half_plane_angle(monkeypatch, rings
     assert len(calls) == (angles // 2 + 1) * 3
 
 
+# wide exponents, |a| <= 8, pairwise distinct values
+WIDE_EXPONENTS = st.one_of(
+    st.builds(
+        lambda n, d: ("q", Fraction(n, d)), st.integers(-8, 8), st.integers(1, 3)
+    ),
+    st.builds(
+        lambda k, p: ("klog", (k, p)),
+        st.sampled_from((-4, -3, -2, -1, 1, 2, 3, 4)),
+        st.sampled_from((2, 3, 5, 7)),
+    ),
+    st.builds(
+        lambda k, q: ("ksqrt", (k, q)),
+        st.sampled_from((-3, -2, -1, 1, 2, 3)),
+        st.sampled_from((2, 3, 5, 6, 7)),
+    ),
+)
+
+
+def wide_exponent_text(e):
+    kind, v = e
+    if kind == "q":
+        return str(v)
+    k, n = v
+    return f"({k})*{kind[1:]}({n})"
+
+
+def wide_exponent_mp(e):
+    kind, v = e
+    if kind == "q":
+        return mpmath.mpf(v.numerator) / v.denominator
+    k, n = v
+    return k * (mpmath.log(n) if kind == "klog" else mpmath.sqrt(n))
+
+
+@given(st.data())
+@settings(max_examples=20, deadline=None)
+def test_grid_sup_encloses_phi_over_forty_rings_at_radius_one(data):
+    # the ball radii grow with every ring power: 40 rings of exponents up to
+    # |a| = 8 on the unit disc must still bound |phi| at every grid point
+    exps = data.draw(st.lists(WIDE_EXPONENTS, min_size=1, max_size=4, unique=True))
+    coeffs = data.draw(
+        st.lists(st.integers(-9, 9), min_size=len(exps), max_size=len(exps)).filter(any)
+    )
+    rings = data.draw(st.one_of(st.just(40), st.integers(1, 40)))
+    grid = GridSpec(rings, data.draw(st.integers(8, 12)))
+    bits = 128
+    ctx, encl, _, _ = auxpoly_mod._alpha_data([wide_exponent_text(e) for e in exps], bits)
+    got = auxpoly_mod._grid_sup(ctx, encl, coeffs, Fraction(1), grid)
+    with mpmath.workprec(2 * bits):
+        alphas = [wide_exponent_mp(e) for e in exps]
+        true_max = mpmath.mpf(0)
+        for g in range(grid.angles):
+            turn = mpmath.expj(2 * mpmath.pi * g / grid.angles)
+            for j in range(grid.rings):
+                w = mpmath.mpf(j + 1) / grid.rings * turn
+                val = abs(mpmath.fsum(c * mpmath.exp(a * w) for c, a in zip(coeffs, alphas)))
+                assert got >= val
+                true_max = max(true_max, val)
+        assert got <= true_max * (1 + mpmath.mpf(1e-12))
+
+
+def fixed_point_interval(ctx, lo_man, lo_exp, width_man, width_exp):
+    lo = mpmath.libmp.from_man_exp(lo_man, lo_exp)
+    hi = mpmath.libmp.mpf_add(lo, mpmath.libmp.from_man_exp(width_man, width_exp))
+    return ctx.make_mpf((lo, hi))
+
+
+@given(
+    lo_man=st.integers(-(2**600), 2**600),
+    lo_exp=st.integers(-700, 8),
+    width_man=st.one_of(st.just(0), st.integers(0, 2**600)),
+    width_exp=st.integers(-700, 8),
+    bits=st.sampled_from((128, 256, 512)),
+)
+@settings(max_examples=300, deadline=None)
+def test_ball_contains_both_endpoints(lo_man, lo_exp, width_man, width_exp, bits):
+    # negative, zero-width and sign-straddling intervals, with endpoints finer
+    # and coarser than the fixed-point unit 2^-bits
+    ctx = auxpoly_mod.make_ctx(bits)
+    x = fixed_point_interval(ctx, lo_man, lo_exp, width_man, width_exp)
+    mid, rad = auxpoly_mod._ball(x, bits)
+    assert rad >= 1
+    a, b = (Fraction(*mpmath.libmp.to_rational(e)) for e in x._mpi_)
+    unit = Fraction(1, 2**bits)
+    assert (mid - rad) * unit <= a <= b <= (mid + rad) * unit
+
+
+def taylor_bounds_reference(ctx, encl, exact, coeffs, radius, terms):
+    # every factor recomputed per candidate: the per-call form of the bound
+    rad = iv_from_fraction(ctx, radius)
+    all_exact = all(q is not None for q in exact)
+    sup = ctx.mpf(0)
+    dsup = ctx.mpf(0)
+    for t in range(terms):
+        if all_exact:
+            c_t = sum(
+                Fraction(c) * q**t / math.factorial(t) for c, q in zip(coeffs, exact)
+            )
+            c_abs = iv_from_fraction(ctx, abs(c_t))
+        else:
+            acc = ctx.mpf(0)
+            for c, q, iv in zip(coeffs, exact, encl):
+                base = iv_from_fraction(ctx, q) if q is not None else iv
+                acc += c * base**t
+            acc = acc / math.factorial(t)
+            c_abs = abs(acc)
+        sup += c_abs * rad**t
+        if t >= 1:
+            dsup += t * c_abs * rad ** (t - 1)
+    fact_t = math.factorial(terms)
+    for c, q, iv in zip(coeffs, exact, encl):
+        base = iv_from_fraction(ctx, q) if q is not None else iv
+        a_abs = abs(base)
+        growth = ctx.exp(a_abs * rad)
+        sup += abs(c) * (a_abs * rad) ** terms / fact_t * growth
+        dsup += (
+            abs(c) * a_abs * (a_abs * rad) ** (terms - 1)
+            / math.factorial(terms - 1) * growth
+        )
+    return sup, dsup
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_taylor_bounds_from_shared_table_equal_fresh_bounds(data):
+    exact_only = data.draw(st.booleans())
+    pool = EXPONENTS.filter(lambda e: e[0] == "q") if exact_only else EXPONENTS
+    exps = data.draw(st.lists(pool, min_size=1, max_size=5))
+    terms = data.draw(st.integers(1, 10))
+    radius = data.draw(st.sampled_from((Fraction(1, 4), Fraction(1, 3), Fraction(1))))
+    bits = data.draw(st.sampled_from((128, 256)))
+    ctx, encl, exact, _ = auxpoly_mod._alpha_data([exponent_text(e) for e in exps], bits)
+    table = auxpoly_mod._taylor_table(ctx, encl, exact, radius, terms)
+    candidates = data.draw(
+        st.lists(
+            st.lists(st.integers(-40, 40), min_size=len(exps), max_size=len(exps)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    for h in candidates:
+        got = auxpoly_mod._taylor_bounds(ctx, table, h)
+        want = taylor_bounds_reference(ctx, encl, exact, h, radius, terms)
+        assert [iv._mpi_ for iv in got] == [iv._mpi_ for iv in want]
+
+
 # ---------------------------------------------------------------------------
 # vanishing order wrapper
 

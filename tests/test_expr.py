@@ -13,6 +13,7 @@ from genlab.numeric import (
     ComplexIV,
     complex_exp,
     complex_log_expm1_abs,
+    cos_sin,
     log_expm1_abs_interval,
     make_ctx,
     run_escalating,
@@ -165,6 +166,24 @@ def test_complex_exp_of_i_pi():
     val = complex_log_expm1_abs(ctx, z, 128)
     lo, hi = to_float_pair(val)
     assert abs(lo - math.log(2)) < 1e-12
+
+
+@given(
+    lo=st.one_of(st.just(0.0), st.floats(-1.0, 1.0)),
+    width=st.sampled_from((0.0, 1e-30, 1e-6, 0.5, 2.0, 7.0, 40.0)),
+    quarter_turns=st.one_of(st.none(), st.integers(-9, 9)),
+    bits=st.sampled_from((128, 256, 512)),
+)
+@settings(max_examples=120, deadline=None)
+def test_cos_sin_matches_ctx_cos_and_sin(lo, width, quarter_turns, bits):
+    # zero-width, narrow and wide intervals, some around a multiple of pi/2
+    ctx = make_ctx(bits)
+    x = ctx.mpf([lo, lo + width])
+    if quarter_turns is not None:
+        x = x + quarter_turns * ctx.pi / 2
+    cos, sin = cos_sin(ctx, x)
+    assert cos._mpi_ == ctx.cos(x)._mpi_
+    assert sin._mpi_ == ctx.sin(x)._mpi_
 
 
 def test_real_tuple_validation():
