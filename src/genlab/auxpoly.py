@@ -1203,6 +1203,149 @@ def philippon_audit(
     return PhilipponReport(h1, h2, h3, h4, case, D)
 
 
+class _OutOfEvaluations(Exception):
+    """The evaluation budget of one `_nelder_mead` run is spent."""
+
+
+def _nelder_mead(f, x0):
+    """Minimise f from x0 by the Nelder-Mead simplex (Nelder & Mead 1965).
+
+    The steps are those of scipy's default Nelder-Mead method, unbounded and
+    non-adaptive (``scipy.optimize.minimize(f, x0, method="Nelder-Mead")``,
+    scipy 1.17), in the same floating-point operations, so the returned
+    value and point are bit-identical to its ``fun`` and ``x``:
+
+      * the initial simplex is x0 plus x0 with coordinate k scaled by 1.05,
+        or set to 0.00025 where it is zero;
+      * reflection, expansion, contraction and shrink use rho=1, chi=2,
+        psi=sigma=1/2, written as scipy evaluates them, with the centroid
+        ``np.add.reduce(sim[:-1], 0) / N``;
+      * the vertices are re-sorted by default-kind ``np.argsort`` after
+        every step (twice after the first evaluations);
+      * it stops when the simplex spans at most 1e-4 in x and in f, after
+        200*N iterations, or when 200*N evaluations are spent; the last cuts
+        a step off part-way, a shrink after the vertices already moved.
+
+    x0 is a float array of length N >= 1; f takes such an array, returns a
+    float and must not modify its argument.  Returns (least value, vertex).
+    """
+    import numpy as np
+
+    N = len(x0)
+    budget = 200 * N
+    calls = 0
+
+    def fx(x):
+        nonlocal calls
+        if calls >= budget:
+            raise _OutOfEvaluations
+        calls += 1
+        return f(x)
+
+    sim = np.array([x0] * (N + 1), dtype=float)
+    for k in range(N):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.full(N + 1, np.inf)
+    for k in range(N + 1):
+        fsim[k] = fx(sim[k])
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    iterations = 1
+    while calls < budget and iterations < budget:
+        try:
+            if (
+                np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= 1e-4
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-4
+            ):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / N
+            xr = 2 * xbar - 1 * sim[-1]
+            fxr = fx(xr)
+            shrink = False
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = fx(xe)
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-1]:
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = fx(xc)
+                if fxc <= fxr:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    shrink = True
+            else:
+                xcc = 0.5 * xbar + 0.5 * sim[-1]
+                fxcc = fx(xcc)
+                if fxcc < fsim[-1]:
+                    sim[-1], fsim[-1] = xcc, fxcc
+                else:
+                    shrink = True
+            if shrink:
+                for j in range(1, N + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = fx(sim[j])
+            iterations += 1
+        except _OutOfEvaluations:
+            pass
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+    return np.min(fsim), sim[0]
+
+
+def _zero_distance_search(
+    kernel: list[list[int]], theta_point: RealTuple, *, seed: int, starts: int,
+    precision_bits: int,
+) -> tuple[float, Sequence[float]]:
+    """Least sup-distance found from Theta to exp(K^T s), s real, and its s.
+
+    K's rows span the integer kernel of the characters, so exp(K^T s) runs
+    over the positive-real component of the zero subgroup.  The search is
+    seeded: the origin, then `starts` Nelder-Mead runs from normal points at
+    spreads 0.1, 1 and 3 in turn.  Empirical: nothing certifies that the
+    true minimum is not smaller.
+    """
+    import numpy as np
+
+    n = len(theta_point)
+    dim = len(kernel)
+    _, coords = theta_point.real_enclosures(max(128, precision_bits))
+    target = np.array([sum(to_float_pair(x)) / 2 for x in coords])
+    try:
+        kmat = np.array(kernel, dtype=float).T if dim else np.zeros((n, 0))
+    except OverflowError:  # a kernel entry beyond float range
+        return 1e300, np.zeros(dim)
+
+    def objective(s: np.ndarray) -> float:
+        try:
+            pt = np.exp(kmat @ s)
+        except (OverflowError, FloatingPointError):
+            return 1e300
+        if not np.all(np.isfinite(pt)):
+            return 1e300
+        return float(np.max(np.abs(pt - target)))
+
+    rng = np.random.default_rng(seed)
+    best_val = objective(np.zeros(dim))
+    best_s = np.zeros(dim)
+    if dim:
+        for i in range(starts):
+            spread = (0.1, 1.0, 3.0)[i % 3]
+            s0 = rng.standard_normal(dim) * spread
+            fun, x = _nelder_mead(objective, s0)
+            if fun < best_val:
+                best_val, best_s = float(fun), x
+    return best_val, best_s
+
+
 def _distance_hypothesis(
     polys,
     theta_point: RealTuple,
@@ -1228,9 +1371,6 @@ def _distance_hypothesis(
             (("reason", "needs a supplied bound or a binomial family"),),
         )
 
-    import numpy as np
-    from scipy.optimize import minimize
-
     from .intmat import smith_normal_form
 
     n = len(theta_point)
@@ -1239,30 +1379,10 @@ def _distance_hypothesis(
     rank = sum(1 for i in range(min(len(s), n)) if s[i][i])
     kernel = [[v[i][j] for i in range(n)] for j in range(rank, n)]
     dim = len(kernel)
-
-    ctx, coords = theta_point.real_enclosures(max(128, precision_bits))
-    target = np.array([sum(to_float_pair(x)) / 2 for x in coords])
-
-    def objective(s: np.ndarray) -> float:
-        try:
-            u = np.array(kernel, dtype=float).T @ s if dim else np.zeros(n)
-            pt = np.exp(u)
-        except (OverflowError, FloatingPointError):
-            return 1e300
-        if not np.all(np.isfinite(pt)):
-            return 1e300
-        return float(np.max(np.abs(pt - target)))
-
-    rng = np.random.default_rng(seed)
-    best_val = objective(np.zeros(dim)) if dim else objective(np.zeros(0))
-    best_s = np.zeros(dim)
-    if dim:
-        for i in range(starts):
-            spread = (0.1, 1.0, 3.0)[i % 3]
-            s0 = rng.standard_normal(dim) * spread
-            res = minimize(objective, s0, method="Nelder-Mead")
-            if res.fun < best_val:
-                best_val, best_s = float(res.fun), np.asarray(res.x)
+    best_val, best_s = _zero_distance_search(
+        kernel, theta_point, seed=seed, starts=starts,
+        precision_bits=precision_bits,
+    )
 
     found_log = math.log(best_val) if best_val > 0 else float("-inf")
     details = [

@@ -7,9 +7,11 @@ evaluation logs from closed forms through math.log/math.expm1.
 
 import math
 import random
+import zlib
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -733,6 +735,50 @@ def test_philippon_product_binomial_distance_fails():
     assert rep.distance_check.status == "fail"
 
 
+@pytest.mark.parametrize(
+    "family, point, D, kwargs, status, found_log, best_s, witness",
+    [
+        # Theta = (2, 1/2) lies on x1 x2 = 1: the witness is certified
+        (
+            [{(1, 1): 1, (0, 0): -1}], ("2", "1/2"), 2,
+            dict(c1=1.0, C=1.0, eta=2.0), "fail",
+            -16.072523757116155, [-0.6931472328912562],
+            (-16.072523758973503, -16.072523758973496),
+        ),
+        (
+            [{(1, 1): 1, (0, 0): -1}], ("exp(1)", "2"), 3,
+            dict(starts=4), "empirical_pass",
+            0.25975439164048647, [-0.35183240543753735], None,
+        ),
+        (
+            [{(1, 1, 0): 1, (0, 0, 0): -1}], ("log(2)", "log(3)", "log(5)"), 3,
+            dict(starts=12), "empirical_pass",
+            -2.0837421013629767, [0.20136889319307802, 0.40461411857209795],
+            None,
+        ),
+    ],
+)
+def test_philippon_distance_search_pinned(
+    monkeypatch, family, point, D, kwargs, status, found_log, best_s, witness
+):
+    # frozen from the scipy.optimize.minimize(method="Nelder-Mead") search
+    # that _nelder_mead replaced; both give these bits
+    found = []
+    search = auxpoly_mod._zero_distance_search
+
+    def recording(*args, **kw):
+        found.append(search(*args, **kw))
+        return found[-1]
+
+    monkeypatch.setattr(auxpoly_mod, "_zero_distance_search", recording)
+    rep = philippon_audit(family, RealTuple(point), D, **kwargs)
+    details = dict(rep.distance_check.details)
+    assert rep.distance_check.status == status
+    assert details["min_log_distance_found"] == found_log
+    assert [float(x) for x in found[0][1]] == best_s
+    assert details.get("certified_witness_log") == witness
+
+
 def test_philippon_supplied_distance_bound():
     theta = RealTuple(("2", "1/2"))
     rep = philippon_audit(
@@ -765,3 +811,73 @@ def test_philippon_rejects_bad_input():
         philippon_audit([{(1,): 1}], theta, 2, case="sometimes")
     with pytest.raises(InvalidConfig):
         philippon_audit([{(1, 2): 1}], theta, 2)
+
+
+# ---------------------------------------------------------------------------
+# Nelder-Mead: bit-for-bit against scipy's default method
+
+
+def _nm_objective(kind: str, A, c):
+    def f(x):
+        y = A @ (x - c)
+        if kind == "quadratic":
+            return float(y @ y)
+        if kind == "sup_norm":
+            return float(np.max(np.abs(y)))
+        if kind == "plateau":
+            return float(min(1.0, y @ y))
+        if kind == "ties":
+            return float(np.round(y @ y, 1))
+        if kind == "sentinel":  # the search objective's overflow value
+            return 1e300 if np.max(np.abs(x)) > 2.0 else float(y @ y)
+        if kind == "unbounded":  # keeps expanding: never converges
+            return float(-np.sum(y))
+        if kind == "hashed":  # any change in any bit of x changes the path
+            return zlib.crc32(x.tobytes()) / 2.0**32
+        # "spike": 0 at the origin only, so from the origin every step
+        # shrinks and the simplex never converges
+        return 0.0 if not np.any(x) else 1.0
+
+    return f
+
+
+_NM_KINDS = (
+    "quadratic", "sup_norm", "plateau", "ties", "sentinel", "unbounded", "hashed",
+    "spike",
+)
+
+
+def _assert_nelder_mead_matches_scipy(f, x0):
+    from scipy.optimize import minimize
+
+    res = minimize(f, x0, method="Nelder-Mead")
+    fun, x = auxpoly_mod._nelder_mead(f, x0)
+    assert np.float64(fun).tobytes() == np.float64(res.fun).tobytes()
+    assert x.tobytes() == res.x.tobytes()
+    return res
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_nelder_mead_matches_scipy(data):
+    N = data.draw(st.integers(1, 4))
+    coord = st.one_of(
+        st.just(0.0), st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+    )
+    x0 = np.array(data.draw(st.lists(coord, min_size=N, max_size=N)))
+    entry = st.floats(-2.0, 2.0, allow_nan=False)
+    A = np.array(data.draw(st.lists(entry, min_size=N * N, max_size=N * N)))
+    c = np.array(data.draw(st.lists(entry, min_size=N, max_size=N)))
+    kind = data.draw(st.sampled_from(_NM_KINDS))
+    _assert_nelder_mead_matches_scipy(_nm_objective(kind, A.reshape(N, N), c), x0)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["unbounded", "spike"])
+def test_nelder_mead_budget_cutoff_matches_scipy(N, kind):
+    # both spend the whole budget; for N >= 2 the last step is cut off:
+    # "unbounded" in an expansion, "spike" in a contraction (N = 2, 3) or
+    # part-way through a shrink (N = 4)
+    f = _nm_objective(kind, np.eye(N), np.zeros(N))
+    res = _assert_nelder_mead_matches_scipy(f, np.zeros(N))
+    assert res.nfev == 200 * N

@@ -204,6 +204,33 @@ def test_phil_audit_smoke(tup, capsys):
     assert "not asserted" in payload["note"]
 
 
+def test_phil_audit_imports_no_scipy(tup):
+    # importing scipy.optimize costs about half a second and 40 MB on every
+    # cold run; neither the CLI nor the zero-distance search may need it
+    fam = tup("fam.tup", ["1,0:1; 0,0:-1"])
+    point = tup("pt.tup", ["exp(1)", "2"])
+    script = (
+        "import sys\n"
+        "import genlab.cli\n"
+        "scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert scipy() == [], scipy()[:3]\n"
+        "argv = ['phil-audit', '--family', sys.argv[1], '--tuple', sys.argv[2],"
+        " '--D', '3', '--starts', '4']\n"
+        "assert genlab.cli.run(argv) == 0\n"
+        "assert scipy() == [], scipy()[:3]\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    fresh = subprocess.run(
+        [sys.executable, "-c", script, fam, point],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert fresh.returncode == 0, fresh.stderr
+    assert records_of(fresh.stdout)[0]["payload"]["zero_distance_status"] == (
+        "empirical_pass"
+    )
+
+
 def test_auxpoly_subcommand(tup, capsys):
     path = tup("logs.tup", ["log(2)", "log(3)"])
     code, out = run_capture(
