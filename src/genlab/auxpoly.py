@@ -1210,15 +1210,16 @@ class _OutOfEvaluations(Exception):
 def _nelder_mead(f, x0):
     """Minimise f from x0 by the Nelder-Mead simplex (Nelder & Mead 1965).
 
-    The steps are those of scipy's default Nelder-Mead method, unbounded and
-    non-adaptive (``scipy.optimize.minimize(f, x0, method="Nelder-Mead")``,
-    scipy 1.17), in the same floating-point operations, so the returned
-    value and point are bit-identical to its ``fun`` and ``x``:
+    The steps are those of SciPy 1.17's default Nelder-Mead method in
+    ``optimize.minimize``, unbounded and non-adaptive, in the same
+    floating-point operations, so the returned value and point are
+    bit-identical to its ``fun`` and ``x`` (the differential tests compare
+    the two; SciPy is a test dependency only):
 
       * the initial simplex is x0 plus x0 with coordinate k scaled by 1.05,
         or set to 0.00025 where it is zero;
       * reflection, expansion, contraction and shrink use rho=1, chi=2,
-        psi=sigma=1/2, written as scipy evaluates them, with the centroid
+        psi=sigma=1/2, written as SciPy evaluates them, with the centroid
         ``np.add.reduce(sim[:-1], 0) / N``;
       * the vertices are re-sorted by default-kind ``np.argsort`` after
         every step (twice after the first evaluations);
@@ -1304,14 +1305,15 @@ def _nelder_mead(f, x0):
 def _zero_distance_search(
     kernel: list[list[int]], theta_point: RealTuple, *, seed: int, starts: int,
     precision_bits: int,
-) -> tuple[float, Sequence[float]]:
+) -> tuple[float, Sequence[float]] | None:
     """Least sup-distance found from Theta to exp(K^T s), s real, and its s.
 
     K's rows span the integer kernel of the characters, so exp(K^T s) runs
     over the positive-real component of the zero subgroup.  The search is
     seeded: the origin, then `starts` Nelder-Mead runs from normal points at
     spreads 0.1, 1 and 3 in turn.  Empirical: nothing certifies that the
-    true minimum is not smaller.
+    true minimum is not smaller.  None when no evaluated distance is finite
+    and below the 1e300 that stands for a point beyond float range.
     """
     import numpy as np
 
@@ -1322,7 +1324,7 @@ def _zero_distance_search(
     try:
         kmat = np.array(kernel, dtype=float).T if dim else np.zeros((n, 0))
     except OverflowError:  # a kernel entry beyond float range
-        return 1e300, np.zeros(dim)
+        return None
 
     def objective(s: np.ndarray) -> float:
         try:
@@ -1343,7 +1345,7 @@ def _zero_distance_search(
             fun, x = _nelder_mead(objective, s0)
             if fun < best_val:
                 best_val, best_s = float(fun), x
-    return best_val, best_s
+    return (best_val, best_s) if best_val < 1e300 else None
 
 
 def _distance_hypothesis(
@@ -1379,10 +1381,17 @@ def _distance_hypothesis(
     rank = sum(1 for i in range(min(len(s), n)) if s[i][i])
     kernel = [[v[i][j] for i in range(n)] for j in range(rank, n)]
     dim = len(kernel)
-    best_val, best_s = _zero_distance_search(
+    found = _zero_distance_search(
         kernel, theta_point, seed=seed, starts=starts,
         precision_bits=precision_bits,
     )
+    if found is None:
+        return HypothesisCheck(
+            "zero_distance",
+            "not_checked",
+            (("reason", "no distance to the zero subgroup is within float range"),),
+        )
+    best_val, best_s = found
 
     found_log = math.log(best_val) if best_val > 0 else float("-inf")
     details = [

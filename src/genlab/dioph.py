@@ -6,8 +6,9 @@ Exhaustive mode screens the box in floats, then certifies the survivors
 (the vectors within a slack of the least float value) with interval
 arithmetic.  The screen meets in the middle: l splits into a head of
 mu // 2 coordinates and a tail, each half-box is enumerated once, and a
-search for each head value's nearest negation among the tail values finds
-the least value.  Every pair within twice the slack of it is re-evaluated
+search for each head value's nearest negation among the tail values, sorted
+along their principal axis (the real axis for real tuples), finds the least
+value.  Every pair within twice the slack of it is re-evaluated
 in the full-box summation order, so the survivors are exactly those of a
 walk over the whole box: rounding moves a value by far less than the
 slack.  The enumeration budget still counts the whole box, (2D+1)^mu.
@@ -28,6 +29,7 @@ Index subsets are 0-based throughout.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -106,52 +108,52 @@ def _decode(flat: int, mu: int, base: int, D: int) -> tuple[int, ...]:
     return tuple(l)
 
 
-def _box_values(flat, re, im, D: int):
-    """(real, imaginary) parts of l.theta for flat indices of the box over
-    the coordinates re/im (first coordinate most significant), summed from
-    the last coordinate to the first."""
+def _box_values(flat, theta, D: int):
+    """Complex values l.theta for flat indices of the box over the complex
+    coordinates theta (first coordinate most significant), summed from the
+    last coordinate to the first.  An integer times a complex number is
+    rounded part by part like the two real products, so the parts equal
+    those of separate real sums."""
     base = 2 * D + 1
-    vre = np.zeros(len(flat))
-    vim = np.zeros(len(flat))
+    vals = np.zeros(len(flat), dtype=complex)
     rem = flat
-    for pos in range(len(re) - 1, -1, -1):
+    for pos in range(len(theta) - 1, -1, -1):
         rem, dig = np.divmod(rem, base)
-        coeff = dig - D
-        vre += coeff * re[pos]
-        vim += coeff * im[pos]
-    return vre, vim
+        vals += (dig - D) * theta[pos]
+    return vals
 
 
-def _near_pairs(head, tail, zero_head: int, zero_tail: int, slack: float, is_complex: bool):
-    """(head, tail) index arrays of every nonzero pair whose value
-    |head + tail| lies within 2*slack of the least one found by a
-    nearest-negation search."""
-    if is_complex:
-        from scipy.spatial import cKDTree
+def _near_pairs(head, tail, zero_head: int, zero_tail: int, slack: float):
+    """(head, tail) index arrays of the nonzero pairs whose value
+    |head + tail| lies within 2*slack of the least one.
 
-        tree = cKDTree(tail)
-        dist, nbr = tree.query(-head, k=2)
-        near = dist[:, 0].copy()
-        if nbr[zero_head, 0] == zero_tail:
-            near[zero_head] = dist[zero_head, 1]
-        hits = tree.query_ball_point(-head, float(near.min()) + 2 * slack)
-        counts = np.array([len(h) for h in hits], dtype=np.int64)
-        tails = np.fromiter(itertools.chain.from_iterable(hits), np.int64, int(counts.sum()))
-    else:
-        order = np.argsort(tail, kind="stable")
-        ts = tail[order]
-        pos = np.searchsorted(ts, -head)
-        lo, hi = np.clip(pos - 1, 0, len(ts) - 1), np.clip(pos, 0, len(ts) - 1)
-        near = np.minimum(np.abs(head + ts[lo]), np.abs(head + ts[hi]))
-        near[zero_head] = np.abs(np.delete(tail, zero_tail)).min()
-        window = float(near.min()) + 2 * slack
-        first = np.searchsorted(ts, -head - window, side="left")
-        counts = np.searchsorted(ts, -head + window, side="right") - first
-        starts = np.cumsum(counts) - counts
-        tails = order[np.repeat(first - starts, counts) + np.arange(int(counts.sum()))]
+    The complex tail values are sorted by their projection onto the tails'
+    principal axis, u = exp(-i arg(sum t^2) / 2): the direction of largest
+    spread, and exactly 1 for real tails.  Each head's two neighbours in that
+    order give a nonzero pair, so the least of their values bounds the
+    minimum from above (for real tuples it is the minimum).  A projection
+    never exceeds the value, |<h + t, u>| <= |h + t|, so a window search over
+    the sorted projections gathers every pair within the bound plus 2*slack,
+    and the pairs within 2*slack of the least value among them are kept."""
+    u = cmath.exp(-0.5j * cmath.phase(np.dot(tail, tail)))
+    tkey, hkey = (tail * u).real, (head * u).real
+    order = np.argsort(tkey, kind="stable")
+    ts, tz = tkey[order], tail[order]
+    pos = np.searchsorted(ts, -hkey)
+    lo, hi = np.clip(pos - 1, 0, len(ts) - 1), np.clip(pos, 0, len(ts) - 1)
+    near = np.minimum(np.abs(head + tz[lo]), np.abs(head + tz[hi]))
+    near[zero_head] = np.abs(np.delete(tail, zero_tail)).min()
+    window = float(near.min()) + 2 * slack
+    first = np.searchsorted(ts, -hkey - window, side="left")
+    counts = np.searchsorted(ts, -hkey + window, side="right") - first
+    starts = np.cumsum(counts) - counts
+    tails = order[np.repeat(first - starts, counts) + np.arange(int(counts.sum()))]
     heads = np.repeat(np.arange(len(head)), counts)
     nonzero = (heads != zero_head) | (tails != zero_tail)
-    return heads[nonzero], tails[nonzero]
+    heads, tails = heads[nonzero], tails[nonzero]
+    vals = np.abs(head[heads] + tail[tails])
+    keep = vals <= float(vals.min()) + 2 * slack
+    return heads[keep], tails[keep]
 
 
 def _screen_box(theta_float: list[complex], D: int) -> list[tuple[int, ...]]:
@@ -161,39 +163,35 @@ def _screen_box(theta_float: list[complex], D: int) -> list[tuple[int, ...]]:
 
     Meet in the middle (Horowitz-Sahni): l splits into a head of mu // 2
     coordinates and a tail, the value of l is |head + tail|, and each
-    half-box is enumerated once.  A nearest-negation search (sorted tail
-    values for real tuples, a k-d tree for complex ones) finds a value
-    within rounding of the least one, and a window search gathers every
-    pair within 2*slack of it.  Those pairs are re-evaluated in the
+    half-box is enumerated once, as complex values (imaginary part 0 for
+    real tuples).  A nearest-negation search over the tail values sorted
+    along their principal axis (_near_pairs) gathers every pair within
+    2*slack of the least value.  Those pairs are re-evaluated in the
     full-box summation order (last coordinate first), and the survivors are
     the pairs within slack of the least re-evaluated value.  Rounding moves
     a value by far less than slack, so the window holds every survivor and
     the least value of the full box: the survivors, and every record
     certified from them, are those of a walk over the whole box.  The work
-    is O(B^ceil(mu/2) log B) for B = 2D + 1, but callers still test the
-    enumeration budget against the full box B^mu."""
+    is O(B^ceil(mu/2) log B) for B = 2D + 1 on real tuples, but callers
+    still test the enumeration budget against the full box B^mu."""
     mu = len(theta_float)
     base = 2 * D + 1
-    re = np.array([z.real for z in theta_float])
-    im = np.array([z.imag for z in theta_float])
-    is_complex = bool(np.any(im != 0.0))
-    scale = mu * D * max(1.0, float(np.max(np.abs(re)) + np.max(np.abs(im))))
+    theta = np.array(theta_float, dtype=complex)
+    scale = mu * D * max(1.0, float(np.max(np.abs(theta.real)) + np.max(np.abs(theta.imag))))
     slack = scale * 2.0**-46 + 1e-10
 
     h = mu // 2
-    halves = []
-    for lo, hi in ((0, h), (h, mu)):
-        flat = np.arange(base ** (hi - lo), dtype=np.int64)
-        vre, vim = _box_values(flat, re[lo:hi], im[lo:hi], D)
-        halves.append(np.column_stack((vre, vim)) if is_complex else vre)
-    head, tail = halves
+    head, tail = (
+        _box_values(np.arange(base ** (hi - lo), dtype=np.int64), theta[lo:hi], D)
+        for lo, hi in ((0, h), (h, mu))
+    )
     # the zero vector of a half box is its centre: every digit equals D
     zero_head, zero_tail = (base**h - 1) // 2, (base ** (mu - h) - 1) // 2
-    heads, tails = _near_pairs(head, tail, zero_head, zero_tail, slack, is_complex)
+    heads, tails = _near_pairs(head, tail, zero_head, zero_tail, slack)
 
     flat = heads * len(tail) + tails
-    vre, vim = _box_values(flat, re, im, D)
-    vals = np.hypot(vre, vim) if is_complex else np.abs(vre)
+    v = _box_values(flat, theta, D)
+    vals = np.hypot(v.real, v.imag)
     keep = flat[vals <= float(vals.min()) + slack]
     return sorted({canonical_form(_decode(int(f), mu, base, D)) for f in keep})
 
@@ -276,11 +274,12 @@ def _min_record(
     mu = len(subset)
     exact_entries = theta.exact_values()
     exhaustive = (2 * D + 1) ** mu <= budget
+    screen_bits = max(128, bits_floor)
     if exhaustive:
-        _, encl = theta.complex_enclosures(128)
+        _, encl = theta.complex_enclosures(screen_bits)
         candidates = _screen_box(_midpoints([encl[i] for i in subset]), D)
     else:
-        candidates = _lattice_candidates(theta, subset, D, max(128, bits_floor))
+        candidates = _lattice_candidates(theta, subset, D, screen_bits)
 
     if exact_entries is not None:
         vals = [
@@ -305,7 +304,7 @@ def _min_record(
 
         return run_escalating(assemble, bits_floor)
 
-    tie_cap = 4 * max(128, bits_floor)
+    tie_cap = 4 * screen_bits
 
     def compute(bits: int) -> LinearFormRecord:
         ctx, encl = theta.complex_enclosures(bits)

@@ -796,6 +796,24 @@ def test_philippon_non_binomial_not_checked():
     assert rep.distance_check.status == "not_checked"
 
 
+@pytest.mark.parametrize(
+    "family, point",
+    [
+        # x1^(2^1100) x2 = 1: a kernel basis entry is beyond float range, so
+        # no point of the zero subgroup is ever evaluated
+        ([{(2**1100, 1): 1, (0, 0): -1}], ("1", "2")),
+        # Theta itself is beyond float range: every distance is infinite
+        ([{(1, 0): 1, (0, 0): -1}], ("10^400", "2")),
+    ],
+)
+def test_philippon_distance_beyond_float_range_not_checked(family, point):
+    rep = philippon_audit(family, RealTuple(point), 2)
+    assert rep.distance_check.status == "not_checked"
+    assert dict(rep.distance_check.details) == {
+        "reason": "no distance to the zero subgroup is within float range"
+    }
+
+
 def test_philippon_degree_and_height_failures():
     theta = RealTuple(("2",))
     rep = philippon_audit([{(3,): 1, (0,): -(10**9)}], theta, 2, c1=1.0, c2=1.0)

@@ -205,10 +205,12 @@ def test_phil_audit_smoke(tup, capsys):
 
 
 def test_phil_audit_imports_no_scipy(tup):
-    # importing scipy.optimize costs about half a second and 40 MB on every
-    # cold run; neither the CLI nor the zero-distance search may need it
+    # importing scipy costs about half a second and 40 MB on every cold run;
+    # neither the CLI, the zero-distance search nor the box screen of a
+    # complex tuple (here through --pi-i and a complex gen probe) may need it
     fam = tup("fam.tup", ["1,0:1; 0,0:-1"])
     point = tup("pt.tup", ["exp(1)", "2"])
+    rel = tup("rel.tup", ["5", "-1", "1", "1"])
     script = (
         "import sys\n"
         "import genlab.cli\n"
@@ -218,17 +220,43 @@ def test_phil_audit_imports_no_scipy(tup):
         " '--D', '3', '--starts', '4']\n"
         "assert genlab.cli.run(argv) == 0\n"
         "assert scipy() == [], scipy()[:3]\n"
+        "assert genlab.cli.run(['relation', '--tuple', sys.argv[3], '--pi-i']) == 0\n"
+        "assert scipy() == [], scipy()[:3]\n"
+        "from genlab.dioph import genericity_probe\n"
+        "from genlab.tuples import RealTuple\n"
+        "theta = RealTuple(('1', 'log(2)', 'exp(1/3)'),"
+        " imag_expressions=('0', 'log(3)', 'pi/7'))\n"
+        "rep = genericity_probe(theta, 3, 2.0, 0.045, [2, 3])\n"
+        "assert not any(v.record.approximate for v in rep.verdicts)\n"
+        "assert scipy() == [], scipy()[:3]\n"
     )
     src = Path(__file__).resolve().parent.parent / "src"
     fresh = subprocess.run(
-        [sys.executable, "-c", script, fam, point],
+        [sys.executable, "-c", script, fam, point, rel],
         capture_output=True, text=True, timeout=120,
         env=dict(os.environ, PYTHONPATH=str(src)),
     )
     assert fresh.returncode == 0, fresh.stderr
-    assert records_of(fresh.stdout)[0]["payload"]["zero_distance_status"] == (
-        "empirical_pass"
-    )
+    phil, relation = records_of(fresh.stdout)
+    assert phil["payload"]["zero_distance_status"] == "empirical_pass"
+    assert relation["payload"]["relation"] == [0, 0, 1, -1, 0]
+    assert relation["payload"]["minimal"] is True
+
+
+def test_gen_screens_at_the_escalated_precision(tup, capsys):
+    # the first entry is about 2.4e-25, the difference of two numbers near pi,
+    # so its enclosure needs more than 128 bits; the exhaustive screen must
+    # read its midpoints at the precision the probe escalated to
+    digits = "31415926535897932384626433832795028841971693993751"
+    path = tup("deep.tup", [f"sqrt(pi - {digits}/10^49)", "log(2)", "log(3)"])
+    for prec in ("128", "512"):
+        code, out = run_capture(
+            capsys,
+            ["gen", "--tuple", path, "--mu", "2", "--eta", "2", "--c", "0.045",
+             "--D", "2..3", "--prec", prec],
+        )
+        assert code == 0
+        assert [r["payload"]["l"] for r in records_of(out)] == [[2, -1], [3, -2]]
 
 
 def test_auxpoly_subcommand(tup, capsys):

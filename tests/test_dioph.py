@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -391,6 +392,36 @@ def test_screen_box_matches_two_pass(parts, D):
     got = dioph._screen_box(theta_float, D)
     assert got == _two_pass_screen(theta_float, D)
     assert _exact_minimizers(theta_float, D) <= set(got)
+
+
+_IMAGINARY_LOGS = [complex(0, math.log(p)) for p in (2, 3, 5, 7)]
+
+
+@pytest.mark.parametrize(
+    "theta_float, D",
+    [
+        # mu = 5: a head of 2 and a tail of 3 complex coordinates
+        ([1 + 0j, 0.5 + 0.8660254037844386j, 0.6931471805599453 + 1.0986122886681098j,
+          1.3956124250860895 + 0.4487989505128276j, -0.25 - 2.0j], 5),
+        # on the imaginary axis: sorted by real part, every value would tie
+        (_IMAGINARY_LOGS, 6),
+    ],
+)
+def test_screen_box_matches_two_pass_fixed(theta_float, D):
+    assert dioph._screen_box(theta_float, D) == _two_pass_screen(theta_float, D)
+
+
+def test_screen_box_memory_on_the_imaginary_axis():
+    # the tails' principal axis is the imaginary one, so the window search
+    # gathers a handful of pairs, not a strip across the whole 55^4 box
+    tracemalloc.start()
+    try:
+        got = dioph._screen_box(_IMAGINARY_LOGS, 27)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == [(1, -15, -18, 23)]
+    assert peak < 4 * 2**20
 
 
 def test_relation_lattice_scales_the_full_precision_midpoint():
