@@ -49,16 +49,18 @@ from .cyclo import (
     normalize_point_set,
     point_mul,
 )
-from .dioph import NEG_PAIR, log_expm1_abs
+from .dioph import log_expm1_abs
 from .errors import BudgetExceeded, HypothesisNotMet, InvalidConfig
 from .expr import eval_interval, exact_rational, parse_expression, to_string
 from .numeric import (
+    NEG_PAIR,
     ComplexIV,
     NeedsBits,
     complex_exp,
     cos_sin,
     iv_from_fraction,
     log_abs_interval,
+    log_pair,
     make_ctx,
     run_escalating,
     straddles_zero,
@@ -272,15 +274,15 @@ def pullback_mr(f: Poly, r: Sequence, mu: int, k: int, nu: int) -> PullbackResul
 
 @dataclass(frozen=True)
 class ExpEvalResult:
-    """Certified log|value| of an exponential sum, with the route taken."""
+    """Certified log|value| of an exponential sum; pullback_terms == 0 records
+    that the image vanished identically."""
 
     log_value: tuple[float, float]
-    route: str
     precision_bits: int
     pullback_terms: int
 
 
-def _subset_nodes(tup: RealTuple, subset: Sequence[int] | None, size: int):
+def _subset(tup: RealTuple, subset: Sequence[int] | None, size: int) -> tuple[int, ...]:
     if subset is None:
         subset = tuple(range(size))
     subset = tuple(int(i) for i in subset)
@@ -288,7 +290,7 @@ def _subset_nodes(tup: RealTuple, subset: Sequence[int] | None, size: int):
         raise InvalidConfig(f"index subset must have {size} entries")
     if any(i < 0 or i >= len(tup) for i in subset):
         raise InvalidConfig("index subset out of range")
-    return [parse_expression(tup.expressions[i]) for i in subset]
+    return subset
 
 
 def evaluate_at_theta_kappa(
@@ -302,57 +304,33 @@ def evaluate_at_theta_kappa(
     nu: int,
     I: Sequence[int] | None = None,
     J: Sequence[int] | None = None,
-    route: str = "auto",
     precision_bits: int = 128,
 ) -> ExpEvalResult:
     """log|sum_d h_d exp(sum_{lambda,a} d_{lambda,a} theta_I[lambda] w_a)|
     with w_a = sum_rho r[rho][a] kappa_J[rho].
 
-    Routes: "factorized" evaluates through the w_a directly; "expanded"
-    first pushes f through the pullback so exact integer cancellation of
-    colliding exponents is visible; "auto" uses the pullback to detect an
-    identically-zero image and otherwise evaluates by factorization.
-    Returns the (-inf, -inf) sentinel for an exact zero.
+    f is first pushed through the pullback, so exact integer cancellation of
+    colliding exponents shows as an identically-zero image; otherwise the
+    sum is evaluated through the w_a.  Returns the (-inf, -inf) sentinel for
+    an exact zero.
     """
-    if route not in ("auto", "factorized", "expanded"):
-        raise InvalidConfig(f"unknown route {route!r}")
     if theta.is_complex or kappa.is_complex:
         raise InvalidConfig("evaluation expects real tuples")
-    theta_nodes = _subset_nodes(theta, I, mu)
-    kappa_nodes = _subset_nodes(kappa, J, nu)
+    I = _subset(theta, I, mu)
+    J = _subset(kappa, J, nu)
     src = _as_poly(f, mu * k)
     rows = _normalize_r(r, k)
     if len(rows) != nu:
         raise InvalidConfig(f"expected {nu} exponent rows, got {len(rows)}")
     pb = pullback_mr(src, rows, mu, k, nu)
     if not pb.poly:
-        return ExpEvalResult(NEG_PAIR, "expanded", precision_bits, 0)
+        return ExpEvalResult(NEG_PAIR, precision_bits, 0)
 
-    def eval_expanded(bits: int) -> tuple[float, float]:
-        ctx = make_ctx(bits)
-        th = [eval_interval(ctx, n) for n in theta_nodes]
-        ka = [eval_interval(ctx, n) for n in kappa_nodes]
-        total = ctx.mpf(0)
-        for e, coeff in sorted(pb.poly.items()):
-            s = ctx.mpf(0)
-            for lam in range(mu):
-                for rho in range(nu):
-                    exp_int = e[lam * nu + rho]
-                    if exp_int:
-                        s += exp_int * th[lam] * ka[rho]
-            total += coeff * ctx.exp(s)
-        out = log_abs_interval(ctx, total)
-        if out is None:
-            return NEG_PAIR
-        pair = to_float_pair(out)
-        if pair[1] - pair[0] > 2.0**-20:
-            raise NeedsBits(bits * 2)
-        return pair
-
-    def eval_factorized(bits: int) -> tuple[float, float]:
-        ctx = make_ctx(bits)
-        th = [eval_interval(ctx, n) for n in theta_nodes]
-        ka = [eval_interval(ctx, n) for n in kappa_nodes]
+    def attempt(bits: int) -> tuple[float, float]:
+        ctx, theta_iv = theta.real_enclosures(bits)
+        _, kappa_iv = kappa.real_enclosures(bits)
+        th = [theta_iv[i] for i in I]
+        ka = [kappa_iv[j] for j in J]
         w = []
         for a in range(k):
             coeffs = [rows[rho][a] for rho in range(nu)]
@@ -368,19 +346,10 @@ def evaluate_at_theta_kappa(
                     if d[lam * k + a]:
                         s += d[lam * k + a] * th[lam] * w[a]
             total += coeff * ctx.exp(s)
-        out = log_abs_interval(ctx, total)
-        if out is None:
-            return NEG_PAIR
-        pair = to_float_pair(out)
-        if pair[1] - pair[0] > 2.0**-20:
-            raise NeedsBits(bits * 2)
-        return pair
+        return log_pair(log_abs_interval(ctx, total))
 
-    if route == "expanded":
-        pair = run_escalating(eval_expanded, precision_bits)
-        return ExpEvalResult(pair, "expanded", precision_bits, len(pb.poly))
-    pair = run_escalating(eval_factorized, precision_bits)
-    return ExpEvalResult(pair, "factorized", precision_bits, len(pb.poly))
+    pair = run_escalating(attempt, precision_bits)
+    return ExpEvalResult(pair, precision_bits, len(pb.poly))
 
 
 # ---------------------------------------------------------------------------
@@ -801,6 +770,27 @@ class DistanceAuditReport:
     verdict: str
 
 
+def _log_sup_distance(ctx, pairs) -> tuple[float, float]:
+    """Float pair of log max |z - y| over the interval pairs (z, y).
+
+    The max is taken on the endpoints of the |z - y| enclosures before the
+    one log; log and outward rounding are monotone, so the bits are those of
+    the max of the per-coordinate log pairs.  A difference that straddles
+    zero contributes only its upper end, so one far coordinate settles the
+    sup; NeedsBits only while no difference is bounded away from zero.
+    NEG_PAIR when every difference is exactly zero."""
+    lo = hi = ctx.mpf(0)
+    for z, y in pairs:
+        diff = abs(z - y)
+        lo = max(lo, diff.a)
+        hi = max(hi, diff.b)
+    if hi == 0:
+        return NEG_PAIR
+    if lo == 0:
+        raise NeedsBits
+    return log_pair(ctx.log(ctx.mpf([lo, hi])))
+
+
 def _is_exact_coord(v) -> bool:
     return isinstance(v, (int, Fraction, CycloNum))
 
@@ -884,28 +874,14 @@ def distance_audit(
 
     if not all(_is_exact_coord(v) for v in z):
         # numeric mode: certified coordinate distance to the image point only
-        exprs = [str(v) for v in z]
+        z_nodes = [parse_expression(str(v)) for v in z]
 
         def attempt(bits: int) -> tuple[float, float]:
-            ctx = make_ctx(bits)
-            th = [eval_interval(ctx, parse_expression(theta.expressions[i])) for i in I]
-            ka = [eval_interval(ctx, parse_expression(kappa.expressions[j])) for j in J]
-            # elementwise max of the per-coordinate log enclosures encloses
-            # the log of the max distance
-            lo, hi = float("-inf"), float("-inf")
-            for lam in range(mu):
-                for rho in range(nu):
-                    node = parse_expression(exprs[lam * nu + rho])
-                    zv = eval_interval(ctx, node)
-                    diff = zv - ctx.exp(th[lam] * ka[rho])
-                    out = log_abs_interval(ctx, diff)
-                    if out is None:
-                        continue
-                    p = to_float_pair(out)
-                    lo, hi = max(lo, p[0]), max(hi, p[1])
-            if hi == float("-inf"):
-                return NEG_PAIR
-            return lo, hi
+            ctx, theta_iv = theta.real_enclosures(bits)
+            _, kappa_iv = kappa.real_enclosures(bits)
+            zs = [eval_interval(ctx, node) for node in z_nodes]
+            images = [ctx.exp(theta_iv[i] * kappa_iv[j]) for i in I for j in J]
+            return _log_sup_distance(ctx, zip(zs, images))
 
         dist = run_escalating(attempt, precision_bits)
         if dist[0] >= -1.0:
@@ -1042,12 +1018,6 @@ class PhilipponReport:
     D: int
     note: str = "hypothesis audit only; the conclusion is not asserted"
 
-    def all_certified_pass(self) -> bool:
-        return all(
-            chk.status == "pass"
-            for chk in (self.degree_check, self.height_check, self.smallness_check)
-        )
-
 
 def _laurent_degree(mono: Sequence[int]) -> int:
     return sum(abs(e) for e in mono)
@@ -1066,6 +1036,18 @@ def _binomial_characters(family) -> list[tuple[int, ...]] | None:
     return chars
 
 
+def _poly_eval_exact(poly, coords) -> Fraction:
+    total = Fraction(0)
+    for mono, coeff in poly.items():
+        term = Fraction(1)
+        for e, q in zip(mono, coords):
+            if e < 0 and q == 0:
+                raise InvalidConfig("image point has a zero coordinate under a pole")
+            term *= Fraction(q) ** e
+        total += coeff * term
+    return total
+
+
 def _poly_eval_iv(ctx, poly, coords):
     total = ctx.mpf(0)
     for mono, coeff in sorted(poly.items()):
@@ -1074,7 +1056,7 @@ def _poly_eval_iv(ctx, poly, coords):
             if e == 0:
                 continue
             if e < 0 and straddles_zero(x):
-                raise NeedsBits(0)
+                raise NeedsBits
             term *= x**e
         total += coeff * term
     return total
@@ -1145,44 +1127,18 @@ def philippon_audit(
     exact_coords = theta_point.exact_values()
     small_details = []
     for idx, poly in enumerate(polys):
-        if exact_coords is not None:
-            val = Fraction(0)
-            defined = True
-            for mono, coeff in poly.items():
-                term = Fraction(1)
-                for e, q in zip(mono, exact_coords):
-                    if e < 0 and q == 0:
-                        defined = False
-                        break
-                    term *= Fraction(q) ** e
-                if not defined:
-                    break
-                val += coeff * term
-            if not defined:
-                raise InvalidConfig("image point has a zero coordinate under a pole")
-            if val == 0:
-                pair = NEG_PAIR
-            else:
+        exact = None if exact_coords is None else _poly_eval_exact(poly, exact_coords)
 
-                def attempt(bits: int, q=val) -> tuple[float, float]:
-                    ctx = make_ctx(bits)
-                    out = log_abs_interval(ctx, iv_from_fraction(ctx, q))
-                    return to_float_pair(out)
-
-                pair = run_escalating(attempt, precision_bits)
-        else:
-
-            def attempt(bits: int, p=poly) -> tuple[float, float]:
+        def attempt(bits: int, p=poly, q=exact) -> tuple[float, float]:
+            if q is None:
                 ctx, coords = theta_point.real_enclosures(bits)
-                out = log_abs_interval(ctx, _poly_eval_iv(ctx, p, coords))
-                if out is None:
-                    return NEG_PAIR
-                pair = to_float_pair(out)
-                if pair[1] - pair[0] > 2.0**-20:
-                    raise NeedsBits(bits * 2)
-                return pair
+                value = _poly_eval_iv(ctx, p, coords)
+            else:
+                ctx = make_ctx(bits)
+                value = iv_from_fraction(ctx, q)
+            return log_pair(log_abs_interval(ctx, value))
 
-            pair = run_escalating(attempt, precision_bits)
+        pair = run_escalating(attempt, precision_bits)
         small_details.append((idx, pair, pair[1] <= small_bound))
     h3 = HypothesisCheck(
         "evaluation_smallness",
@@ -1312,8 +1268,9 @@ def _zero_distance_search(
     over the positive-real component of the zero subgroup.  The search is
     seeded: the origin, then `starts` Nelder-Mead runs from normal points at
     spreads 0.1, 1 and 3 in turn.  Empirical: nothing certifies that the
-    true minimum is not smaller.  None when no evaluated distance is finite
-    and below the 1e300 that stands for a point beyond float range.
+    true minimum is not smaller.  None, before any run, when a coordinate of
+    Theta is beyond float range, and None when no evaluated distance is
+    finite and below the 1e300 that stands for a point beyond float range.
     """
     import numpy as np
 
@@ -1321,6 +1278,8 @@ def _zero_distance_search(
     dim = len(kernel)
     _, coords = theta_point.real_enclosures(max(128, precision_bits))
     target = np.array([sum(to_float_pair(x)) / 2 for x in coords])
+    if not np.all(np.isfinite(target)):
+        return None
     try:
         kmat = np.array(kernel, dtype=float).T if dim else np.zeros((n, 0))
     except OverflowError:  # a kernel entry beyond float range
@@ -1401,24 +1360,16 @@ def _distance_hypothesis(
     ]
     if found_log < dist_bound:
         # certify the witness: any kernel point is a true common zero
+        s_exact = [Fraction(float(x)).limit_denominator(10**12) for x in best_s]
+        u = [
+            sum((s_exact[i] * kernel[i][j] for i in range(dim)), Fraction(0))
+            for j in range(n)
+        ]
+
         def attempt(bits: int) -> tuple[float, float]:
-            ctx2, coords2 = theta_point.real_enclosures(bits)
-            lo, hi = float("-inf"), float("-inf")
-            for j in range(n):
-                u_j = sum(
-                    (Fraction(float(best_s[i])).limit_denominator(10**12) * kernel[i][j]
-                     for i in range(dim)),
-                    Fraction(0),
-                )
-                zv = ctx2.exp(iv_from_fraction(ctx2, u_j))
-                out = log_abs_interval(ctx2, zv - coords2[j])
-                if out is None:
-                    continue
-                p = to_float_pair(out)
-                lo, hi = max(lo, p[0]), max(hi, p[1])
-            if hi == float("-inf"):
-                return NEG_PAIR
-            return lo, hi
+            ctx, coords = theta_point.real_enclosures(bits)
+            zs = [ctx.exp(iv_from_fraction(ctx, u_j)) for u_j in u]
+            return _log_sup_distance(ctx, zip(zs, coords))
 
         pair = run_escalating(attempt, precision_bits)
         if pair[1] < dist_bound:

@@ -44,6 +44,7 @@ from .errors import BudgetExceeded, InvalidConfig
 from .expr import BinOp, Num, exact_rational, eval_interval, to_string
 from .intmat import rank_rational
 from .numeric import (
+    NEG_PAIR,
     ComplexIV,
     NeedsBits,
     complex_log_abs,
@@ -51,17 +52,15 @@ from .numeric import (
     iv_from_fraction,
     log_abs_interval,
     log_expm1_abs_interval,
+    log_pair,
     make_ctx,
     run_escalating,
     straddles_zero,
-    to_float_pair,
 )
 from .reduction import knapsack_basis, lll_reduce
 from .tuples import RealTuple
 
 ENUM_BUDGET = 10**7
-NEG_PAIR = (float("-inf"), float("-inf"))
-_MAX_LOG_WIDTH = 2.0**-32
 
 
 @dataclass(frozen=True)
@@ -83,16 +82,6 @@ def canonical_form(l: Sequence[int]) -> tuple[int, ...]:
         if x != 0:
             return tuple(l) if x > 0 else tuple(-v for v in l)
     return tuple(l)
-
-
-def _log_pair(interval) -> tuple[float, float]:
-    """Float pair of a log enclosure: NEG_PAIR for the exact-zero sentinel
-    None, NeedsBits when the enclosure is too wide."""
-    if interval is None:
-        return NEG_PAIR
-    if float(interval.delta) > _MAX_LOG_WIDTH:
-        raise NeedsBits
-    return to_float_pair(interval)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +249,7 @@ def _log_parts(ctx, value, bits: int):
         le = log_expm1_abs_interval(ctx, value, bits)
     if lv is None or le is None:
         return NEG_PAIR, NEG_PAIR
-    return _log_pair(lv), _log_pair(le)
+    return log_pair(lv), log_pair(le)
 
 
 def _min_record(
@@ -372,7 +361,7 @@ def log_expm1_abs(x, precision_bits: int = 128) -> tuple[float, float]:
             xi = iv_from_fraction(ctx, exact)
         else:
             xi = eval_interval(ctx, node)
-        return _log_pair(log_expm1_abs_interval(ctx, xi, bits))
+        return log_pair(log_expm1_abs_interval(ctx, xi, bits))
 
     return run_escalating(attempt, precision_bits)
 
@@ -665,7 +654,7 @@ def _bituple_real(theta, kappa, rec_l, rec_r, c, scale, bits: int) -> BitupleVer
         )
         ctx = make_ctx(bits)
         t = _abs_product_interval(ctx, theta, rec_l, kappa, rec_r, bits)
-        log_exp = _log_pair(log_expm1_abs_interval(ctx, -t, bits))
+        log_exp = log_pair(log_expm1_abs_interval(ctx, -t, bits))
     thr = -c * scale
     return BitupleVerdict(
         rec_l.D, rec_r.D, rec_l.subset, rec_r.subset, rec_l.l, rec_r.l,
@@ -697,7 +686,7 @@ def _bituple_complex(theta, kappa, mu, nu, L, R, c, scale, budget, bits: int) ->
                 for r in _nonzero_box(nu, R):
                     sk = _signed_sum(ctx, [encl_k[i] for i in sub_k], r)
                     w = sl * sk
-                    cand = (_log_pair(complex_log_expm1_abs(ctx, w, bits)), (l, r), w)
+                    cand = (log_pair(complex_log_expm1_abs(ctx, w, bits)), (l, r), w)
                     if worst is None or cand[0][1] < worst[0][0] or (
                         not (cand[0][0] > worst[0][1]) and cand[1] < worst[1]
                     ):
@@ -706,8 +695,7 @@ def _bituple_complex(theta, kappa, mu, nu, L, R, c, scale, budget, bits: int) ->
             if best is None or entry[0][0][0] > best[0][0][1]:
                 best = entry
     (log_exp, (l, r), w), (sub_t, sub_k) = best
-    la = complex_log_abs(ctx, w)
-    log_value = NEG_PAIR if la is None else to_float_pair(la)
+    log_value = log_pair(complex_log_abs(ctx, w))
     thr = -c * scale
     return BitupleVerdict(
         L, R, sub_t, sub_k, l, r, log_value, log_exp, thr, *_verdict(log_exp, thr, scale)

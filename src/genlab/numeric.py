@@ -21,6 +21,8 @@ from .errors import PrecisionExhausted
 
 HARD_CAP_BITS = 16384
 NEG_INF = float("-inf")
+NEG_PAIR = (NEG_INF, NEG_INF)  # the float pair of log 0
+LOG_PAIR_WIDTH = 2.0**-32  # widest log enclosure a float pair may come from
 
 T = TypeVar("T")
 
@@ -78,6 +80,19 @@ def to_float_pair(x) -> tuple[float, float]:
     return lo, hi
 
 
+def log_pair(interval) -> tuple[float, float]:
+    """Float pair of a log enclosure: NEG_PAIR for the exact-zero sentinel
+    None, NeedsBits while the enclosure is wider than LOG_PAIR_WIDTH.
+
+    Every reported log|.| goes through here, so all of them are certified
+    to the same width."""
+    if interval is None:
+        return NEG_PAIR
+    if float(interval.delta) > LOG_PAIR_WIDTH:
+        raise NeedsBits
+    return to_float_pair(interval)
+
+
 def log_abs_interval(ctx, x):
     """Enclosure of log|x|; None as a minus-infinity sentinel for exact zero.
 
@@ -93,7 +108,7 @@ def log_abs_interval(ctx, x):
 def log_expm1_abs_interval(ctx, x, precision_bits: int):
     """Enclosure of log|e^x - 1| for an interval x; None for exact zero.
 
-    Near zero the direct route cancels catastrophically, so for
+    Near zero the direct formula cancels catastrophically, so for
     |x| <= 2^(-precision_bits/4) it switches to
     log|x| + log(1 + x/2 + x^2/6 + x^3/24 + tail), with the tail bounded
     rigorously.

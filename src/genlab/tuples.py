@@ -15,13 +15,7 @@ from typing import Optional
 
 from .errors import InvalidConfig
 from .expr import Node, eval_interval, exact_rational, parse_expression
-from .numeric import (
-    ComplexIV,
-    is_exact_zero,
-    make_ctx,
-    run_escalating,
-    straddles_zero,
-)
+from .numeric import ComplexIV, complex_log_abs, make_ctx, run_escalating
 
 MIN_PRECISION_BITS = 64
 
@@ -122,17 +116,10 @@ class RealTuple:
             return
 
         def attempt(bits: int) -> None:
-            from .numeric import NeedsBits
-
             ctx, encl = self.complex_enclosures(bits)
             for j, z in enumerate(encl):
-                if z.is_exact_zero():
+                if complex_log_abs(ctx, z) is None:
                     raise InvalidConfig(f"tuple entry {j} is zero")
-                a2 = z.abs2()
-                if is_exact_zero(a2):
-                    raise InvalidConfig(f"tuple entry {j} is zero")
-                if straddles_zero(a2):
-                    raise NeedsBits
 
         run_escalating(attempt, self.precision_bits)
 

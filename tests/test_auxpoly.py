@@ -6,7 +6,7 @@ evaluation logs from closed forms through math.log/math.expm1.
 """
 
 import math
-import random
+import warnings
 import zlib
 from fractions import Fraction
 
@@ -228,75 +228,88 @@ def test_evaluate_frozen_value():
     theta = RealTuple(("1/2",))
     kappa = RealTuple(("1/3",))
     expected = math.log(2 * math.exp(1 / 6) + 1)
-    for route in ("factorized", "expanded"):
-        res = evaluate_at_theta_kappa(
-            {(1,): 2, (0,): 1},
-            ((1,),),
-            theta,
-            kappa,
-            mu=1,
-            k=1,
-            nu=1,
-            route=route,
-        )
-        assert enclosure_contains(res.log_value, expected)
+    res = evaluate_at_theta_kappa(
+        {(1,): 2, (0,): 1}, ((1,),), theta, kappa, mu=1, k=1, nu=1
+    )
+    assert enclosure_contains(res.log_value, expected)
 
 
 def test_evaluate_hidden_identity_is_honest():
     # e^(theta_0 w) - e^(theta_1 w) with theta_0 = theta_1: exactly zero but
-    # with no integer collision, so both routes must refuse to certify
+    # with no integer collision, so the evaluation must refuse to certify
     one = RealTuple(("1", "1"))
     kappa = RealTuple(("1",))
-    for route in ("factorized", "expanded"):
-        with pytest.raises(PrecisionExhausted):
-            evaluate_at_theta_kappa(
-                {(1, 0): 1, (0, 1): -1},
-                ((1,),),
-                one,
-                kappa,
-                mu=2,
-                k=1,
-                nu=1,
-                route=route,
-            )
-
-
-def test_evaluate_routes_agree():
-    rng = random.Random(7)
-    theta = RealTuple(("1/2", "2/3", "1/5"))
-    kappa = RealTuple(("1/3", "3/4"))
-    for _ in range(6):
-        mu = rng.choice([1, 2])
-        k = rng.choice([1, 2])
-        nu = rng.choice([1, 2])
-        if mu * nu * k > 4:
-            continue
-        mons = monomial_set(mu, k, rng.randint(1, 3))
-        f = {}
-        for d in rng.sample(mons, min(3, len(mons))):
-            c = rng.randint(-3, 3)
-            if c:
-                f[d] = c
-        if not f:
-            f = {mons[0]: 1}
-        r = tuple(tuple(rng.randint(0, 5) for _ in range(k)) for _ in range(nu))
-        I = sorted(rng.sample(range(3), mu))
-        J = sorted(rng.sample(range(2), nu))
-        results = {}
-        for route in ("factorized", "expanded"):
-            results[route] = evaluate_at_theta_kappa(
-                f, r, theta, kappa, mu=mu, k=k, nu=nu, I=I, J=J, route=route
-            ).log_value
-        a, b = results["factorized"], results["expanded"]
-        assert max(a[0], b[0]) <= min(a[1], b[1]) + 1e-12
-
-
-def test_evaluate_rejects_bad_route():
-    one = RealTuple(("1",))
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(PrecisionExhausted):
         evaluate_at_theta_kappa(
-            {(1,): 1}, ((1,),), one, one, mu=1, k=1, nu=1, route="magic"
+            {(1, 0): 1, (0, 1): -1}, ((1,),), one, kappa, mu=2, k=1, nu=1
         )
+
+
+# tuple entries as (genlab expression, mpmath value at the current precision)
+_ENTRY = st.one_of(
+    st.builds(
+        lambda p, q: (f"{p}/{q}", lambda: mpmath.mpf(p) / q),
+        st.integers(-5, 5),
+        st.integers(1, 5),
+    ),
+    st.builds(
+        lambda n: (f"log({n})", lambda: mpmath.log(n)), st.integers(2, 7)
+    ),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_evaluate_encloses_mpmath(data):
+    # the certified pair must hold a plain mpmath evaluation of the same sum
+    # at 4x the precision; an exact or undecidable zero must be one there too
+    mu, k, nu = data.draw(
+        st.sampled_from(
+            [(1, 1, 1), (1, 2, 1), (2, 1, 1), (1, 1, 2), (2, 1, 2), (2, 2, 1), (1, 2, 2)]
+        )
+    )
+    theta_entries = data.draw(st.lists(_ENTRY, min_size=3, max_size=3))
+    kappa_entries = data.draw(st.lists(_ENTRY, min_size=2, max_size=2))
+    I = data.draw(st.lists(st.integers(0, 2), min_size=mu, max_size=mu, unique=True))
+    J = data.draw(st.lists(st.integers(0, 1), min_size=nu, max_size=nu, unique=True))
+    f = data.draw(
+        st.dictionaries(
+            st.tuples(*[st.integers(0, 2)] * (mu * k)),
+            st.integers(-3, 3).filter(bool),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    r = data.draw(
+        st.lists(st.lists(st.integers(0, 3), min_size=k, max_size=k), min_size=nu, max_size=nu)
+    )
+    theta = RealTuple(tuple(e for e, _ in theta_entries))
+    kappa = RealTuple(tuple(e for e, _ in kappa_entries))
+
+    with mpmath.workprec(4 * 128):
+        th = [theta_entries[i][1]() for i in I]
+        ka = [kappa_entries[j][1]() for j in J]
+        w = [sum(r[rho][a] * ka[rho] for rho in range(nu)) for a in range(k)]
+        terms = [
+            c * mpmath.exp(
+                sum(d[lam * k + a] * th[lam] * w[a] for lam in range(mu) for a in range(k))
+            )
+            for d, c in f.items()
+        ]
+        total = mpmath.fsum(terms)
+        negligible = abs(total) <= mpmath.mpf(2) ** -256 * sum(abs(t) for t in terms)
+        log_total = None if negligible else mpmath.log(abs(total))
+    try:
+        res = evaluate_at_theta_kappa(f, r, theta, kappa, mu=mu, k=k, nu=nu, I=I, J=J)
+    except PrecisionExhausted:
+        assert negligible
+        return
+    if res.log_value == NEG_PAIR:
+        assert res.pullback_terms == 0
+        assert negligible
+    else:
+        assert res.pullback_terms > 0
+        assert res.log_value[0] <= log_total <= res.log_value[1]
 
 
 # ---------------------------------------------------------------------------
@@ -722,6 +735,18 @@ def test_philippon_single_binomial_near_one():
     assert "not asserted" in rep.note
 
 
+def test_philippon_near_cancelling_smallness_is_narrow():
+    # x1^2 - x2 at (sqrt(2), 2 + 10^-30): f(Theta) = -10^-30 cancels about
+    # 100 bits, and the log pair must still come from an enclosure at most
+    # 2^-32 wide
+    theta = RealTuple(("sqrt(2)", "2 + 10^-30"))
+    rep = philippon_audit([{(2, 0): 1, (0, 1): -1}], theta, 2, starts=4)
+    (_, pair, ok) = rep.smallness_check.details[0]
+    assert pair[1] - pair[0] <= 2.0**-32
+    assert enclosure_contains(pair, -30 * math.log(10), slack=1e-12)
+    assert ok
+
+
 def test_philippon_product_binomial_distance_fails():
     # f = x1 x2 - 1 at Theta = (2, 1/2): Theta lies on the zero set
     theta = RealTuple(("2", "1/2"))
@@ -806,8 +831,15 @@ def test_philippon_non_binomial_not_checked():
         ([{(1, 0): 1, (0, 0): -1}], ("10^400", "2")),
     ],
 )
-def test_philippon_distance_beyond_float_range_not_checked(family, point):
-    rep = philippon_audit(family, RealTuple(point), 2)
+def test_philippon_distance_beyond_float_range_not_checked(monkeypatch, family, point):
+    # nothing is searched, so no run can warn about inf - inf
+    def no_search(f, x0):
+        raise AssertionError("a Nelder-Mead run started")
+
+    monkeypatch.setattr(auxpoly_mod, "_nelder_mead", no_search)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = philippon_audit(family, RealTuple(point), 2)
     assert rep.distance_check.status == "not_checked"
     assert dict(rep.distance_check.details) == {
         "reason": "no distance to the zero subgroup is within float range"

@@ -1,7 +1,9 @@
 """End-to-end harness tests: exit codes, determinism, caching, reports."""
 
+import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -187,6 +189,30 @@ def test_dist_audit_inf_sentinel(tup, capsys):
     assert payload["verdict"] == "contradiction"
     assert payload["contradiction_log"] == ["-inf", "-inf"]
     assert json.loads(out.splitlines()[0])  # strict JSON despite the infinity
+
+
+def test_dist_audit_numeric_coordinate_on_its_image(tup, capsys):
+    # the last coordinate equals its image exactly, so its difference
+    # straddles zero at every precision; the first coordinate, 10^-6 away,
+    # still fixes the sup
+    z = tup("z.tup", [
+        "exp(log(2)*log(5)) + 1/1000000",
+        "exp(log(2)*log(7)) + 1/10^9",
+        "exp(log(3)*log(5)) + 1/10^9",
+        "exp(log(3)*log(7))",
+    ])
+    th = tup("th.tup", ["log(2)", "log(3)"])
+    ka = tup("ka.tup", ["log(5)", "log(7)"])
+    code, out = run_capture(
+        capsys,
+        ["dist-audit", "--z", z, "--tuple", th, "--kappa", ka, "--I", "0,1",
+         "--J", "0,1", "--D", "12", "--eta", "2.0", "--c", "0.045"],
+    )
+    assert code == 0
+    payload = records_of(out)[0]["payload"]
+    assert payload["mode"] == "numeric"
+    assert payload["distance_log"] == [-13.815510557964275, -13.815510557964272]
+    assert payload["binding"] == "numeric_point_near_image"
 
 
 def test_phil_audit_smoke(tup, capsys):
@@ -398,3 +424,120 @@ def test_empty_records_header_only_csv(tup, tmp_path, capsys):
     )
     assert code == 2
     assert out == "op\n"
+
+
+# ---------------------------------------------------------------------------
+# pinned output: the README commands, and CLI paths the benchmark never runs
+
+
+PINNED_INPUTS = {
+    "golden.tup": ["1", "(1 + sqrt(5))/2"],
+    "theta.tup": ["log(2)", "log(3)"],
+    "kappa.tup": ["log(5)", "log(7)"],
+    "logs.tup": ["log(2)", "log(3)"],
+    "pts.cyc": ["zeta(5),zeta(5)^2", "zeta(5)^2,zeta(5)^4"],
+    "fam.poly": ["1,1:1; 0,0:-1"],
+    "ones.tup": ["1", "1"],
+    "one.tup": ["1"],
+    "z_far.tup": ["sqrt(25)", "sqrt(49)", "sqrt(121)", "sqrt(169)"],
+    "z_near.tup": ["exp(1) + 10^-6"],
+    "quad.poly": ["2:1; 1:1; 0:-3"],
+    "two.tup": ["2"],
+    "half.tup": ["2", "1/2"],
+    "shift.poly": ["1,0:1; 0,0:-1"],
+    "huge.tup": ["10^400", "2"],
+}
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        pytest.param(
+            "relation --tuple golden.tup --height 50",
+            "9354cb03ef4454f605d5c3fd5d83b49d97c45917c09127bdb203b2d88af4dfc6",
+            id="readme-relation",
+        ),
+        pytest.param(
+            "gen --tuple golden.tup --D 2..50 --mu 2 --eta 2.0 --c 0.045",
+            "f2e457e83888e82bbe5a65e9cc3338553cf5e0b2e6ca08c8f7b3a05682680365",
+            id="readme-gen",
+        ),
+        pytest.param(
+            "bigen --tuple theta.tup --kappa kappa.tup --L 4 --R 12 --mu 2 --nu 2"
+            " --eta 2.0 --c 0.045",
+            "a85ea23ad25b3354df6dca40f01a13e0097d909756fdd2001f77dee6cf266270",
+            id="readme-bigen",
+        ),
+        pytest.param(
+            "schedule --D 16..64 --mu 3 --nu 2 --k 1",
+            "d50086870e922e9da708ec5b0b42d3114a20affe9121f6a27f2b87b5f514fe2c",
+            id="readme-schedule",
+        ),
+        pytest.param(
+            "auxpoly --tuple logs.tup --subset 0,1 --L 2 --delta 8.0 --radius 1/4",
+            "75c4bf51b9dc98d06cb6d84cbb32427b0715ed5009bab4a916b773c515199f21",
+            id="readme-auxpoly",
+        ),
+        pytest.param(
+            "omega --points pts.cyc --max-degree 4",
+            "56cd6153a065bb92c38af1daa8c81c2d36b42e2dd29fb924387737c41b589790",
+            id="readme-omega",
+        ),
+        pytest.param(
+            "zeroest --points pts.cyc --depth 2 --L 3",
+            "fed563ac5d4f00c650e46ebceafe535b9e93154cd34bc8ea55a81f684a40120c",
+            id="readme-zeroest",
+        ),
+        pytest.param(
+            "dist-audit --z theta --tuple theta.tup --kappa kappa.tup --I 0,1 --J 0,1"
+            " --D 12 --k 1 --eta 2.0 --c 0.045",
+            "7d517c02ab3a94aadccf4a9b90352ab2904476413ef147ff200dc0cd3ce95f74",
+            id="readme-dist-audit",
+        ),
+        pytest.param(
+            "bounds --m 2..12 --n 2..12 --format csv",
+            "e946e0f0957f21cd670e120f46d23038b55bdeff3c828eb4396a5435e4edeba7",
+            id="readme-bounds",
+        ),
+        pytest.param(
+            "phil-audit --family fam.poly --tuple logs.tup --D 8",
+            "03a080e1e81f210dfce2470014a86ef17d46a632147ab9021047b0eb2962dd52",
+            id="readme-phil-audit",
+        ),
+        pytest.param(
+            "dist-audit --z z_far.tup --tuple ones.tup --kappa ones.tup --I 0,1 --J 0,1"
+            " --D 16",
+            "ef323d0e6e5d5aa172e902158dbba429752c815748078c36aa8eddedc7ffc104",
+            id="dist-audit-numeric-far",
+        ),
+        pytest.param(
+            "dist-audit --z z_near.tup --tuple one.tup --kappa one.tup --I 0 --J 0 --D 16",
+            "27a46ed9751da68b86a0dd542c3e66de65e4808928700b6f9d2680eb6dfdbf18",
+            id="dist-audit-numeric-near",
+        ),
+        pytest.param(
+            "phil-audit --family quad.poly --tuple two.tup --D 2 --c1 2",
+            "4e3cd7b118e1d90775ac6d644822eee9fe964d5614db2ee5574feae1b6f89564",
+            id="phil-audit-exact-smallness",
+        ),
+        pytest.param(
+            "phil-audit --family fam.poly --tuple half.tup --D 2",
+            "0a403fcfc316ed74a33c9da53697586e951a3676852c906e123e26cedcc9775e",
+            id="phil-audit-certified-witness",
+        ),
+        pytest.param(
+            "phil-audit --family shift.poly --tuple huge.tup --D 2",
+            "dca359b52a740d6d9846409dbe10ea2d6803310069bb70111d256c8b78d8af9c",
+            id="phil-audit-beyond-float-range",
+        ),
+    ],
+)
+def test_pinned_stdout(tmp_path, monkeypatch, capsys, argv, digest):
+    # sha256 of the exact stdout bytes; a change here is an output change and
+    # must be listed in CHANGES.md with its before and after
+    for name, lines in PINNED_INPUTS.items():
+        (tmp_path / name).write_text("".join(line + "\n" for line in lines))
+    monkeypatch.chdir(tmp_path)
+    code, out = run_capture(capsys, shlex.split(argv))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
