@@ -391,8 +391,16 @@ def _load_tuple(path: str, prec: int) -> RealTuple:
     return RealTuple(tuple(load_expressions(path)), precision_bits=prec)
 
 
+def _load_nonzero_tuple(path: str, prec: int) -> RealTuple:
+    """A tuple for the linear-form probes: every entry is certified nonzero,
+    and the enclosures this computes stay memoised for the probe."""
+    tup = _load_tuple(path, prec)
+    tup.validate_nonzero()
+    return tup
+
+
 def run_relation(args, sink: list[dict]) -> None:
-    theta = _load_tuple(args.tuple_file, args.prec)
+    theta = _load_nonzero_tuple(args.tuple_file, args.prec)
     result = dioph.regularity_probe(
         theta,
         include_pi_i=args.pi_i,
@@ -413,7 +421,7 @@ def run_relation(args, sink: list[dict]) -> None:
 
 
 def run_gen(args, sink: list[dict]) -> None:
-    theta = _load_tuple(args.tuple_file, args.prec)
+    theta = _load_nonzero_tuple(args.tuple_file, args.prec)
     report_ = dioph.genericity_probe(
         theta, args.mu, args.eta, args.c, parse_range(args.D), budget=args.budget
     )
@@ -438,8 +446,8 @@ def run_gen(args, sink: list[dict]) -> None:
 
 
 def run_bigen(args, sink: list[dict]) -> None:
-    theta = _load_tuple(args.tuple_file, args.prec)
-    kappa = _load_tuple(args.kappa_file, args.prec)
+    theta = _load_nonzero_tuple(args.tuple_file, args.prec)
+    kappa = _load_nonzero_tuple(args.kappa_file, args.prec)
     report_ = dioph.bituple_probe(
         theta,
         kappa,

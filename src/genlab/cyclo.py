@@ -1,10 +1,13 @@
 """Exact arithmetic in cyclotomic fields and finite point sets built from it.
 
-Point coordinates are elements of Q(zeta_n) represented as polynomial
-residues modulo the n-th cyclotomic polynomial with Fraction coefficients.
-That covers exact rationals (n = 1), Gaussian rationals (n = 4), and the
-root-of-unity constructions used throughout the workbench, while keeping
-every equality test exact.
+Point coordinates are elements of Q(zeta_n).  Each is stored as integer
+numerators over one positive common denominator, in lowest terms: the
+residue sum(nums[i] x^i) / den modulo the n-th cyclotomic polynomial Phi_n.
+Phi_n is monic, so reducing an integer polynomial modulo it stays in the
+integers, and one gcd per result keeps the form canonical.  That covers
+exact rationals (n = 1), Gaussian rationals (n = 4), and the root-of-unity
+constructions used throughout the workbench, while keeping every equality
+test exact.
 
 The head-line operation is min_vanishing_degree: the smallest total degree
 of a nonzero polynomial vanishing on a finite set.  The monomials' value
@@ -14,16 +17,16 @@ first column that reduces to zero has that degree.
 
 from __future__ import annotations
 
+import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import HypothesisNotMet, InvalidConfig
 from .intmat import echelon, insert_row
 
 IntPoly = list[int]
-FracPoly = list[Fraction]
 
 
 @lru_cache(maxsize=None)
@@ -40,14 +43,11 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 def _int_poly_div_exact(num: IntPoly, den: IntPoly) -> IntPoly:
+    """num / den for a monic den."""
     num = list(num)
     out = [0] * (len(num) - len(den) + 1)
     for k in range(len(out) - 1, -1, -1):
-        c = num[k + len(den) - 1]
-        if c % den[-1] != 0:
-            raise ArithmeticError("non-exact polynomial division")
-        q = c // den[-1]
-        out[k] = q
+        out[k] = q = num[k + len(den) - 1]
         if q:
             for i, dc in enumerate(den):
                 num[k + i] -= q * dc
@@ -56,94 +56,100 @@ def _int_poly_div_exact(num: IntPoly, den: IntPoly) -> IntPoly:
     return out
 
 
-def _frac_poly_mod(poly: FracPoly, mod: Sequence[int]) -> FracPoly:
+@lru_cache(maxsize=None)
+def _reduction_table(order: int) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
+    """(phi(order), rows): rows[k - phi] holds x^k mod Phi_order as its nonzero
+    (index, coefficient) pairs, for phi <= k < max(2 phi - 1, order).
+
+    That reaches every product of two residues and every exponent below
+    the order.  Phi is monic, so every row is integral.
+    """
+    mod = cyclotomic_polynomial(order)
     deg = len(mod) - 1
-    work = list(poly)
-    for k in range(len(work) - 1, deg - 1, -1):
-        c = work[k]
+    row = [-c for c in mod[:deg]]
+    rows = []
+    for _ in range(deg, max(2 * deg - 1, order)):
+        rows.append(tuple((i, c) for i, c in enumerate(row) if c))
+        top = row[-1]
+        row = [0] + row[:-1]
+        if top:
+            for i in range(deg):
+                row[i] -= top * mod[i]
+    return deg, tuple(rows)
+
+
+def _reduce(order: int, poly: IntPoly) -> IntPoly:
+    """The phi(order) integer coefficients of poly mod Phi_order."""
+    deg, rows = _reduction_table(order)
+    if len(poly) > deg + len(rows):
+        # Phi_order divides x^order - 1
+        folded = [0] * order
+        for k, c in enumerate(poly):
+            folded[k % order] += c
+        poly = folded
+    out = poly[:deg] + [0] * (deg - len(poly))
+    for c, row in zip(poly[deg:], rows):
         if c:
-            # mod is monic, so this stays exact
-            for i in range(deg + 1):
-                work[k - deg + i] -= c * mod[i]
-    work = work[:deg]
-    while len(work) < deg:
-        work.append(Fraction(0))
-    return work
-
-
-def _frac_poly_divmod(a: FracPoly, b: FracPoly) -> tuple[FracPoly, FracPoly]:
-    a = list(a)
-    db = _poly_deg(b)
-    if db < 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    da = _poly_deg(a)
-    if da < db:
-        return [Fraction(0)], a
-    out = [Fraction(0)] * (da - db + 1)
-    for k in range(da - db, -1, -1):
-        c = a[k + db] / b[db]
-        out[k] = c
-        if c:
-            for i in range(db + 1):
-                a[k + i] -= c * b[i]
-    return out, a
-
-
-def _poly_deg(p: Sequence[Fraction]) -> int:
-    for i in range(len(p) - 1, -1, -1):
-        if p[i]:
-            return i
-    return -1
-
-
-def _poly_mul_frac(a: FracPoly, b: FracPoly) -> FracPoly:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
+            for i, r in row:
+                out[i] += c * r
     return out
 
 
-def _zip_pad(a: FracPoly, b: FracPoly):
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return zip(a, b)
+def _mul_mod(a: Sequence[int], b: Sequence[int], order: int) -> IntPoly:
+    """Product of two integer residues mod Phi_order."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                if y:
+                    prod[j] += x * y
+    return _reduce(order, prod)
+
+
+def _make(order: int, nums: Sequence[int], den: int) -> "CycloNum":
+    """The CycloNum nums / den (den > 0), brought to lowest terms."""
+    g = gcd(*nums, den)
+    if g != 1:
+        nums = [x // g for x in nums]
+        den //= g
+    out = object.__new__(CycloNum)
+    out.order, out.nums, out.den, out._hash = order, tuple(nums), den, None
+    return out
 
 
 class CycloNum:
     """An element of Q(zeta_order), immutable and hashable.
 
-    Binary operations promote both sides into the compositum
+    Stored as phi(order) integer numerators `nums`, low degree first, over
+    one common denominator `den`, in lowest terms: den > 0 and
+    gcd(*nums, den) == 1.  So two values of one order are equal exactly
+    when their (nums, den) are.  `coeffs` gives the same residue as a tuple
+    of Fractions.  Binary operations promote both sides into the compositum
     Q(zeta_lcm(orders)), so values of different orders mix freely.
     """
 
-    __slots__ = ("order", "coeffs", "_hash")
+    __slots__ = ("order", "nums", "den", "_hash")
 
     def __init__(self, order: int, coeffs: Iterable[Fraction | int]):
-        mod = cyclotomic_polynomial(order)
-        deg = len(mod) - 1
-        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        if len(cs) > deg:
-            cs = _frac_poly_mod(cs, mod)
-        while len(cs) < deg:
-            cs.append(Fraction(0))
-        self.order = order
-        self.coeffs = tuple(cs)
-        self._hash = None
+        cs = [c if type(c) in (int, Fraction) else Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in cs))
+        made = _make(order, _reduce(order, [c.numerator * (den // c.denominator) for c in cs]), den)
+        self.order, self.nums, self.den, self._hash = order, made.nums, made.den, None
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The residue's coefficients as Fractions, low degree first."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     @staticmethod
     def from_rational(q: Fraction | int) -> "CycloNum":
-        return CycloNum(1, [Fraction(q)])
+        q = Fraction(q)
+        return _make(1, (q.numerator,), q.denominator)
 
     @staticmethod
     def root_of_unity(order: int, power: int = 1) -> "CycloNum":
         power %= order
-        coeffs = [Fraction(0)] * (power + 1)
-        coeffs[power] = Fraction(1)
-        return CycloNum(order, coeffs)
+        return _make(order, _reduce(order, [0] * power + [1]), 1)
 
     def promote(self, order: int) -> "CycloNum":
         if order == self.order:
@@ -151,10 +157,9 @@ class CycloNum:
         if order % self.order != 0:
             raise ValueError("can only promote to a multiple of the order")
         step = order // self.order
-        out = [Fraction(0)] * ((len(self.coeffs) - 1) * step + 1 or 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * step] += c
-        return CycloNum(order, out)
+        poly = [0] * ((len(self.nums) - 1) * step + 1)
+        poly[::step] = self.nums
+        return _make(order, _reduce(order, poly), self.den)
 
     def _align(self, other: "CycloNum") -> tuple["CycloNum", "CycloNum"]:
         if self.order == other.order:
@@ -174,50 +179,57 @@ class CycloNum:
         if o is None:
             return NotImplemented
         a, b = self._align(o)
-        return CycloNum(a.order, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        if a.den == b.den:
+            return _make(a.order, [x + y for x, y in zip(a.nums, b.nums)], a.den)
+        ad, bd = a.den, b.den
+        return _make(a.order, [x * bd + y * ad for x, y in zip(a.nums, b.nums)], ad * bd)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloNum(self.order, [-c for c in self.coeffs])
+        return _make(self.order, [-c for c in self.nums], self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         a, b = self._align(o)
-        return CycloNum(a.order, [x - y for x, y in zip(a.coeffs, b.coeffs)])
+        if a.den == b.den:
+            return _make(a.order, [x - y for x, y in zip(a.nums, b.nums)], a.den)
+        ad, bd = a.den, b.den
+        return _make(a.order, [x * bd - y * ad for x, y in zip(a.nums, b.nums)], ad * bd)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         a, b = self._align(o)
-        return CycloNum(a.order, _poly_mul_frac(a.coeffs, b.coeffs))
+        return _make(a.order, _mul_mod(a.nums, b.nums, a.order), a.den * b.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycloNum":
-        if self.is_zero():
+        """1 / self, in integers: with self = a / den,
+        1 / self = den * prod_{u != 1} sigma_u(a) / N(a), where sigma_u maps
+        zeta to zeta^u (u a unit mod the order) and N(a) = a * prod sigma_u(a)
+        is a nonzero integer."""
+        a, n = self.nums, self.order
+        if not any(a):
             raise ZeroDivisionError("inverse of zero")
-        mod = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        # extended Euclid in Q[x]: s*self + t*mod = 1
-        r0, r1 = mod, list(self.coeffs)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while _poly_deg(r1) > 0:
-            q, r = _frac_poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            qs1 = _poly_mul_frac(q, s1)
-            s0, s1 = s1, [x - y for x, y in _zip_pad(s0, qs1)]
-        c = r1[_poly_deg(r1)]
-        inv = [x / c for x in s1]
-        return CycloNum(self.order, inv)
+        conj = [1] + [0] * (len(a) - 1)
+        if any(a[1:]):
+            for u in range(2, n):
+                if gcd(u, n) == 1:
+                    image = [0] * n
+                    for i, c in enumerate(a):
+                        image[i * u % n] += c
+                    conj = _mul_mod(conj, _reduce(n, image), n)
+        norm = _mul_mod(a, conj, n)[0]
+        sign = -1 if norm < 0 else 1
+        return _make(n, [sign * self.den * c for c in conj], sign * norm)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -226,17 +238,14 @@ class CycloNum:
         return self * o.inverse()
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
+        return self.inverse().__mul__(other)
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
             return NotImplemented
         base = self if k >= 0 else self.inverse()
         k = abs(k)
-        acc = CycloNum(base.order, [Fraction(1)])
+        acc = ONE.promote(base.order)
         while k:
             if k & 1:
                 acc = acc * base
@@ -245,48 +254,44 @@ class CycloNum:
         return acc
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.nums)
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return any(self.nums)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("not a rational value")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return Fraction(self.nums[0], self.den)
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         a, b = self._align(o)
-        return a.coeffs == b.coeffs
+        return a.den == b.den and a.nums == b.nums
 
     def __hash__(self):
         if self._hash is None:
-            # hash in a canonical order so equal values collide across orders
-            if self.is_rational():
-                h = hash(("cyclo", 1, (self.coeffs[0] if self.coeffs else Fraction(0),)))
-            else:
-                h = hash(("cyclo", self.order, self.coeffs))
-            self._hash = h
+            # lowest terms make (nums, den) canonical in each order, and a
+            # rational's (nums[0], den) the same in every order
+            key = (1, self.nums[:1]) if self.is_rational() else (self.order, self.nums)
+            self._hash = hash(("cyclo", *key, self.den))
         return self._hash
 
     def complex_value(self) -> complex:
-        import cmath
-
         z = cmath.exp(2j * cmath.pi / self.order)
         acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + complex(c)
-        return acc
+        for c in reversed(self.nums):
+            acc = acc * z + c
+        return acc / self.den
 
     def __repr__(self):
         if self.is_rational():
-            return f"CycloNum({self.coeffs[0] if self.coeffs else 0})"
+            return f"CycloNum({self.as_rational()})"
         terms = ", ".join(str(c) for c in self.coeffs)
         return f"CycloNum(zeta{self.order}; [{terms}])"
 
@@ -298,13 +303,11 @@ Point = tuple[CycloNum, ...]
 
 
 def make_point(coords: Iterable) -> Point:
-    out = []
-    for c in coords:
-        if isinstance(c, CycloNum):
-            out.append(c)
-        else:
-            out.append(CycloNum.from_rational(c))
-    return tuple(out)
+    return tuple(c if isinstance(c, CycloNum) else CycloNum.from_rational(c) for c in coords)
+
+
+def _point_key(p: Point) -> tuple:
+    return tuple((c.nums, c.den) for c in p)
 
 
 def normalize_point_set(points: Iterable[Sequence]) -> list[Point]:
@@ -322,15 +325,11 @@ def normalize_point_set(points: Iterable[Sequence]) -> list[Point]:
     for p in pts:
         for c in p:
             common = lcm(common, c.order)
-    promoted = [tuple(c.promote(common) for c in p) for p in pts]
-    seen = set()
-    out = []
-    for p in promoted:
-        key = tuple(c.coeffs for c in p)
-        if key not in seen:
-            seen.add(key)
-            out.append(p)
-    return out
+    out: dict = {}
+    for p in pts:
+        p = tuple(c.promote(common) for c in p)
+        out.setdefault(_point_key(p), p)
+    return list(out.values())
 
 
 def point_mul(p: Point, q: Point) -> Point:
@@ -358,16 +357,16 @@ def product_point_set(points: Sequence[Sequence], depth: int) -> list[Point]:
     for p in base:
         if any(c.is_zero() for c in p):
             raise ValueError("points must lie in the torus (no zero coordinate)")
-    current = {tuple(c.coeffs for c in p): p for p in base}
+    current = {_point_key(p): p for p in base}
     for _ in range(depth - 1):
         nxt: dict = {}
         for p in current.values():
             for q in base:
                 r = point_mul(p, q)
-                nxt.setdefault(tuple(c.coeffs for c in r), r)
+                nxt.setdefault(_point_key(r), r)
         current = nxt
-    # deterministic order: sort by coefficient key
-    return [current[k] for k in sorted(current.keys())]
+    # deterministic order: sort by the Fraction coefficients
+    return sorted(current.values(), key=lambda p: tuple(c.coeffs for c in p))
 
 
 def external_product_set(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[Point]:

@@ -2,10 +2,12 @@
 
 Integer routines (det, Smith normal form) run on plain Python ints, so there
 is no overflow and no rounding.  Two exact eliminations run over any field
-whose elements support + - * / and whose truthiness means "nonzero"
-(fractions.Fraction, cyclo.CycloNum): `echelon` reduces a whole matrix, and
-rank and inverse are read off its result; `insert_row` extends a basis in
-place by one vector, for ranks and first dependencies found row by row.
+whose elements are immutable, support + - * and 1 / x exactly, and whose
+truthiness means "nonzero": fractions.Fraction, or cyclo.CycloNum, whose
+canonical integer form (numerators over one denominator, in lowest terms)
+makes both exact.  `echelon` reduces a whole matrix, and rank and inverse
+are read off its result; `insert_row` extends a basis in place by one
+vector, for ranks and first dependencies found row by row.
 Matrices are lists of lists in row-major order; no other input is mutated.
 """
 

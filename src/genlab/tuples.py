@@ -15,7 +15,7 @@ from typing import Optional
 
 from .errors import InvalidConfig
 from .expr import Node, eval_interval, exact_rational, parse_expression
-from .numeric import ComplexIV, complex_log_abs, make_ctx, run_escalating
+from .numeric import ComplexIV, NeedsBits, make_ctx, run_escalating
 
 MIN_PRECISION_BITS = 64
 
@@ -116,10 +116,12 @@ class RealTuple:
             return
 
         def attempt(bits: int) -> None:
-            ctx, encl = self.complex_enclosures(bits)
+            _, encl = self.complex_enclosures(bits)
             for j, z in enumerate(encl):
-                if complex_log_abs(ctx, z) is None:
+                if z.is_exact_zero():
                     raise InvalidConfig(f"tuple entry {j} is zero")
+                if z.straddles_zero():
+                    raise NeedsBits
 
         run_escalating(attempt, self.precision_bits)
 

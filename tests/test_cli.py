@@ -124,6 +124,34 @@ def test_bad_parameter_exits_2(tup, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, entry",
+    [
+        (["gen", "--tuple", "{zero}", "--mu", "2", "--eta", "2", "--c", "0.045",
+          "--D", "2..3"], 0),
+        (["relation", "--tuple", "{zero}"], 0),
+        (["bigen", "--tuple", "{zero}", "--kappa", "{logs}", "--mu", "2", "--nu", "2",
+          "--eta", "2", "--c", "0.045", "--L", "2", "--R", "2"], 0),
+        (["bigen", "--tuple", "{logs}", "--kappa", "{zero_last}", "--mu", "2",
+          "--nu", "2", "--eta", "2", "--c", "0.045", "--L", "2", "--R", "2"], 1),
+    ],
+    ids=["gen", "relation", "bigen-theta", "bigen-kappa"],
+)
+def test_zero_tuple_entry_exits_2(tup, capsys, argv, entry):
+    # a zero entry makes l = e_j an exact zero form; the linear-form probes
+    # refuse the tuple instead of reporting it as a witness or a relation
+    files = {
+        "zero": tup("zero.tup", ["0", "log(2)"]),
+        "zero_last": tup("zero_last.tup", ["log(3)", "0"]),
+        "logs": tup("logs.tup", ["log(5)", "log(7)"]),
+    }
+    code = run([a.format(**files) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"tuple entry {entry} is zero" in captured.err
+
+
 def test_budget_exit_code(tup, capsys):
     pts = tup("pts.tup", ["zeta(5),zeta(5)^2", "zeta(5)^2,zeta(5)^4"])
     code, _ = run_capture(
@@ -446,6 +474,13 @@ PINNED_INPUTS = {
     "half.tup": ["2", "1/2"],
     "shift.poly": ["1,0:1; 0,0:-1"],
     "huge.tup": ["10^400", "2"],
+    "mixed.cyc": [
+        f"{a},{b}"
+        for a in ("zeta(3)", "zeta(3)^2", "2")
+        for b in ("zeta(8)", "zeta(8)^3", "-1")
+    ],
+    "z5.cyc": ["zeta(5)^3"] * 4,
+    "one_two.tup": ["1", "2"],
 }
 
 
@@ -529,6 +564,22 @@ PINNED_INPUTS = {
             "phil-audit --family shift.poly --tuple huge.tup --D 2",
             "dca359b52a740d6d9846409dbe10ea2d6803310069bb70111d256c8b78d8af9c",
             id="phil-audit-beyond-float-range",
+        ),
+        pytest.param(
+            "omega --points mixed.cyc --max-degree 4",
+            "858bccf70d638dcec788e4135868933957534b0323dcbaa556506df92e28e73b",
+            id="omega-mixed-order-product",
+        ),
+        pytest.param(
+            "zeroest --points pts.cyc --depth 3 --L 3",
+            "f8022eba84b20e30d8e8458753eb8abe7f1298143c0864fb860a2d2a9151f739",
+            id="zeroest-depth-3",
+        ),
+        pytest.param(
+            "dist-audit --z z5.cyc --tuple ones.tup --kappa one_two.tup --I 0,1 --J 0,1"
+            " --D 16",
+            "f186ed6ce563e1eb9aff1cfb33f4cf771490d50254816ab9e524dd4ccd051620",
+            id="dist-audit-exact-zeta5-cubed",
         ),
     ],
 )

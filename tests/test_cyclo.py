@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import count
-from math import comb
+from math import comb, gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -347,3 +347,115 @@ def test_min_vanishing_degree_inserts_each_column_once(monkeypatch):
         assert min_vanishing_degree(pts) == degree
         nvars = len(pts[0])
         assert comb(degree - 1 + nvars, nvars) <= len(calls) <= len(normalize_point_set(pts))
+
+
+# ---------------------------------------------------------------------------
+# differential test: integer CycloNum against Fraction polynomials mod Phi_N
+
+
+def _ref_reduce(poly, n):
+    mod = cyclotomic_polynomial(n)
+    deg = len(mod) - 1
+    work = [Fraction(c) for c in poly] + [Fraction(0)] * deg
+    for k in range(len(work) - 1, deg - 1, -1):
+        if work[k]:
+            c = work[k]
+            for i, m in enumerate(mod):
+                work[k - deg + i] -= c * m
+    return tuple(work[:deg])
+
+
+def _ref_promote(coeffs, n, m):
+    step = m // n
+    poly = [Fraction(0)] * (len(coeffs) * step)
+    poly[::step] = coeffs
+    return _ref_reduce(poly, m)
+
+
+def _ref_mul(a, b, n):
+    prod = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return _ref_reduce(prod, n)
+
+
+def _ref_inverse(b, n):
+    # solve (b * c) = 1 for c: column j of the system is b * x^j
+    deg = len(b)
+    cols = [_ref_mul(b, _ref_reduce([0] * j + [1], n), n) for j in range(deg)]
+    rows = [[col[i] for col in cols] + [Fraction(int(i == 0))] for i in range(deg)]
+    rank, _, w = cyclo.echelon(rows)
+    assert rank == deg
+    return tuple(w[i][deg] for i in range(deg))
+
+
+def _assert_canonical(x, order, ref):
+    assert type(x) is CycloNum and x.order == order
+    assert len(x.nums) == len(cyclotomic_polynomial(order)) - 1
+    assert x.den > 0 and gcd(*x.nums, x.den) == 1
+    assert all(type(c) is int for c in x.nums)
+    assert x.coeffs == ref
+
+
+_small_fraction = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+_element = st.integers(1, 12).flatmap(
+    lambda order: st.tuples(
+        st.just(order), st.lists(_small_fraction, min_size=0, max_size=order + 3)
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_element, _element, st.integers(-3, 3), st.integers(1, 3))
+def test_integer_cyclonum_matches_fraction_reference(ea, eb, k, widen):
+    (na, ca), (nb, cb) = ea, eb
+    a, b = CycloNum(na, ca), CycloNum(nb, cb)
+    ra, rb = _ref_reduce(ca, na), _ref_reduce(cb, nb)
+    _assert_canonical(a, na, ra)
+    _assert_canonical(b, nb, rb)
+    m = lcm(na, nb)
+    pa, pb = _ref_promote(ra, na, m), _ref_promote(rb, nb, m)
+    _assert_canonical(a.promote(m * widen), m * widen, _ref_promote(ra, na, m * widen))
+    _assert_canonical(a + b, m, tuple(x + y for x, y in zip(pa, pb)))
+    _assert_canonical(a - b, m, tuple(x - y for x, y in zip(pa, pb)))
+    _assert_canonical(-a, na, tuple(-x for x in ra))
+    _assert_canonical(a * b, m, _ref_mul(pa, pb, m))
+    assert (a == b) == (pa == pb)
+    assert a == a.promote(m * widen)
+    q = cb[0] if cb else Fraction(3, 2)
+    _assert_canonical(q - a, na, tuple(int(i == 0) * q - x for i, x in enumerate(ra)))
+    _assert_canonical(a * q, na, tuple(x * q for x in ra))
+    assert bool(a) == any(ra)
+    assert a.is_rational() == (not any(ra[1:]))
+    if a.is_rational():
+        assert a.as_rational() == (ra[0] if ra else 0)
+        q = a.as_rational()
+        assert a == q and hash(a) == hash(CycloNum.from_rational(q).promote(m * widen))
+    if b:
+        inv_b = _ref_inverse(pb, m)
+        _assert_canonical(a / b, m, _ref_mul(pa, inv_b, m))
+        _assert_canonical(b.inverse(), nb, _ref_inverse(rb, nb))
+        assert b * b.inverse() == 1
+    if a or k >= 0:
+        ref = _ref_reduce([1], na)
+        step = ra if k >= 0 else _ref_inverse(ra, na)
+        for _ in range(abs(k)):
+            ref = _ref_mul(ref, step, na)
+        _assert_canonical(a ** k, na, ref)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_element, st.integers(1, 4), st.integers(-4, 4).filter(bool), _small_fraction)
+def test_equal_values_hash_alike(e, widen, r, q):
+    # the same value built two ways in one order, and a rational in any order
+    n, cs = e
+    x = CycloNum(n, cs)
+    m = n * widen
+    y = (x.promote(m) * r + q) / r - CycloNum.from_rational(q) / r
+    assert y.order == m and y == x.promote(m)
+    assert hash(y) == hash(x.promote(m))
+    rational = CycloNum.from_rational(q)
+    for order in (1, n, m):
+        assert hash(rational.promote(order)) == hash(rational)
+        assert rational.promote(order) == q
