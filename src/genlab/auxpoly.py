@@ -107,6 +107,15 @@ def _root_lower_float(value: int, n: int, bits: int = 128) -> float:
     return to_float_pair(iv)[0]
 
 
+def _log_upper(ctx, x: float) -> float:
+    """A float at or above log x for a float x >= 0 (-inf at 0): the
+    rounded-up top of an interval log, so a reported log bound never sits
+    below the bound it certifies."""
+    if x <= 0:
+        return float("-inf")
+    return to_float_pair(ctx.log(ctx.mpf(x)))[1]
+
+
 @dataclass(frozen=True)
 class AuxSchedule:
     """Derived parameters of one auxiliary construction at height D.
@@ -374,7 +383,8 @@ class AuxPolynomial:
 
     achieved_log_sup = log(grid_sup + lipschitz_slack) certifies
     sup_{|w|<=radius} |phi(w)| <= exp(achieved_log_sup); taylor_log_sup is
-    the independent series bound on the same sup.  u_achieved is
+    the independent series bound on the same sup.  Both logs are rounded up,
+    so exp of each is at least the float bound it reports.  u_achieved is
     -achieved_log_sup.  norm_hypothesis_ok records whether
     sum_d sup_{|w|<=e*radius} |phi_d(w)| <= exp(u_target).
     """
@@ -683,8 +693,8 @@ def siegel_construct(
         mesh = rad / grid.rings + ctx.pi * rad / grid.angles
         slack_hi = to_float_pair(mesh * dsup_iv)[1]
         total = min(math.nextafter(grid_max + slack_hi, math.inf), taylor_hi)
-        achieved = math.log(total) if total > 0 else float("-inf")
-    taylor_log = math.log(taylor_hi) if taylor_hi > 0 else float("-inf")
+        achieved = _log_upper(ctx, total)
+    taylor_log = _log_upper(ctx, taylor_hi)
     u_achieved = -achieved
 
     e_rad = rad * ctx.exp(1)

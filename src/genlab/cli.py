@@ -4,8 +4,11 @@ Every run is identified by two sha256 digests: a config hash over the
 parameter block (file paths excluded) and an inputs digest over the
 contents of the referenced files.  Identical digests mean identical
 payloads, byte for byte; wall time lives only in the cache record so the
-emitted stream stays deterministic.  Cache writes are atomic (temp file
-then rename); a corrupt cache record is warned about and recomputed.
+emitted stream stays deterministic.  Each cache entry is also stamped with
+a digest of genlab's own sources (code_digest), and an entry stamped by
+other code is a miss, so a cached record never outlives the code that
+produced it.  Cache writes are atomic (temp file then rename); a corrupt
+cache record is warned about and recomputed.
 
 Exit codes: 0 success, 2 invalid configuration, 3 precision exhaustion,
 4 budget exhaustion.  Partial results are flushed before a nonzero exit.
@@ -248,6 +251,19 @@ def make_records(
     ]
 
 
+@functools.cache
+def code_digest() -> str:
+    """sha256 over the names and contents of genlab's own .py sources, read
+    once per process."""
+    package = os.path.dirname(os.path.abspath(__file__))
+    h = hashlib.sha256()
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), "rb") as fh:
+                h.update(f"{name}:{_sha256(fh.read())}\n".encode())
+    return h.hexdigest()
+
+
 def cache_path(cache_dir: str, config_hash: str, inputs_dig: str) -> str:
     return os.path.join(cache_dir, f"{config_hash[:24]}-{inputs_dig[:24]}.json")
 
@@ -255,8 +271,9 @@ def cache_path(cache_dir: str, config_hash: str, inputs_dig: str) -> str:
 def cache_lookup(
     cache_dir: Optional[str], config_hash: str, inputs_dig: str
 ) -> Optional[list[dict]]:
-    """Stored payload list iff both digests match exactly; corrupt records
-    are warned about and treated as misses."""
+    """Stored payload list iff both digests match exactly and the entry was
+    stored by this code (code_digest); corrupt records are warned about and
+    treated as misses."""
     if cache_dir is None:
         return None
     path = cache_path(cache_dir, config_hash, inputs_dig)
@@ -269,13 +286,14 @@ def cache_lookup(
             entry["schema_version"] != SCHEMA_VERSION
             or entry["config_hash"] != config_hash
             or entry["inputs_digest"] != inputs_dig
+            or entry.get("code_digest") != code_digest()
         ):
             return None
         payloads = entry["payloads"]
         if not isinstance(payloads, list):
             raise ValueError("payloads is not a list")
         return payloads
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         warnings.warn(f"ignoring corrupt cache record {path}: {exc}")
         return None
 
@@ -295,6 +313,7 @@ def cache_store(
         "schema_version": SCHEMA_VERSION,
         "config_hash": config_hash,
         "inputs_digest": inputs_dig,
+        "code_digest": code_digest(),
         "wall_ms": wall_ms,
         "payloads": jsonable(list(payloads)),
     }

@@ -18,6 +18,20 @@ subsets with the existential subset quantifier (max over subsets of the
 min over forms) and compare against thresholds -c*D^eta, all through one
 pass / fail / escalate rule.
 
+A sweep meets the same forms again and again: the minimizer over a subset
+usually stays put for several heights, and every height starts its
+escalation at the tuple's precision, so it meets earlier heights' forms at
+the same precisions.  So each form is certified once per tuple and
+precision.  The tuple memoises its float midpoints per precision
+(RealTuple.midpoints, the screen's input) and, keyed by (subset, l, bits),
+each form's signed enclosure, its |.| bounds and its certified log pairs
+(_Form, read by both the interval and the exact-rational branch of
+_min_record; a tuple always takes the same branch).  A record is the same
+deterministic function of the same inputs either way, so outputs are
+byte-identical to certifying afresh.  The memo lives exactly as long as the
+tuple object, which the CLI builds once per run: it is never module-level,
+so no run reuses another's work.
+
 Integer relations come from one relation lattice (_relation_rows: scaled
 midpoints, knapsack basis, LLL).  A found relation is confirmed minimal by
 the same box screen at its height: every plausible relation survives the
@@ -36,7 +50,6 @@ from fractions import Fraction
 from functools import partial
 from typing import Optional, Sequence
 
-import mpmath
 import numpy as np
 from mpmath import libmp
 
@@ -185,11 +198,6 @@ def _screen_box(theta_float: list[complex], D: int) -> list[tuple[int, ...]]:
     return sorted({canonical_form(_decode(int(f), mu, base, D)) for f in keep})
 
 
-def _midpoints(entries) -> list[complex]:
-    """Float midpoints of complex enclosures, the input of _screen_box."""
-    return [complex(float(mpmath.mpf(z.re.mid)), float(mpmath.mpf(z.im.mid))) for z in entries]
-
-
 def _scaled_mid(x, shift: int) -> int:
     """The midpoint of interval x times 2^shift, rounded to the nearest
     integer, at the full precision of x."""
@@ -252,6 +260,34 @@ def _log_parts(ctx, value, bits: int):
     return log_pair(lv), log_pair(le)
 
 
+class _Form:
+    """One linear form over one subset at one precision: its signed
+    enclosure, the bounds on its |.| (|.|^2 for complex tuples) and, once
+    certified, its (log_value, log_exp) pairs.  Memoised on the tuple."""
+
+    __slots__ = ("signed", "low", "high", "logs")
+
+    def __init__(self, signed):
+        self.signed = signed
+        self.low, self.high = _abs_low_high(signed)
+        self.logs = None
+
+    def log_parts(self, ctx, bits: int):
+        if self.logs is None:
+            self.logs = _log_parts(ctx, self.signed, bits)
+        return self.logs
+
+
+def _form(theta: RealTuple, subset, l, bits: int, signed_sum) -> _Form:
+    """The memoised form (subset, l) of theta at bits; signed_sum() builds
+    its enclosure on the first call."""
+    key = (subset, l, bits)
+    form = theta._forms.get(key)
+    if form is None:
+        form = theta._forms[key] = _Form(signed_sum())
+    return form
+
+
 def _min_record(
     theta: RealTuple,
     subset: tuple[int, ...],
@@ -265,8 +301,8 @@ def _min_record(
     exhaustive = (2 * D + 1) ** mu <= budget
     screen_bits = max(128, bits_floor)
     if exhaustive:
-        _, encl = theta.complex_enclosures(screen_bits)
-        candidates = _screen_box(_midpoints([encl[i] for i in subset]), D)
+        mids = theta.midpoints(screen_bits)
+        candidates = _screen_box([mids[i] for i in subset], D)
     else:
         candidates = _lattice_candidates(theta, subset, D, screen_bits)
 
@@ -283,12 +319,12 @@ def _min_record(
             if q == 0:
                 return LinearFormRecord(subset, best_l, D, NEG_PAIR, NEG_PAIR, Fraction(0), not exhaustive)
             ctx = make_ctx(bits)
-            signed = sum(
+            form = _form(theta, subset, best_l, bits, lambda: sum(
                 iv_from_fraction(ctx, Fraction(c) * exact_entries[i])
                 for c, i in zip(best_l, subset)
                 if c != 0
-            )
-            log_value, log_exp = _log_parts(ctx, signed, bits)
+            ))
+            log_value, log_exp = form.log_parts(ctx, bits)
             return LinearFormRecord(subset, best_l, D, log_value, log_exp, q, not exhaustive)
 
         return run_escalating(assemble, bits_floor)
@@ -300,14 +336,18 @@ def _min_record(
         if not theta.is_complex:
             encl = [z.re for z in encl]
         entries = [encl[i] for i in subset]
-        sums = [( _signed_sum(ctx, entries, l), l) for l in candidates]
-        bounds = [(_abs_low_high(s), l, s) for s, l in sums]
-        min_upper = min(hi for (lo, hi), _, _ in bounds)
-        contenders = [(l, s) for (lo, hi), l, s in bounds if lo <= min_upper]
-        if len(contenders) > 1 and bits < tie_cap:
-            raise NeedsBits
-        best_l, signed = min(contenders, key=lambda t: t[0])
-        log_value, log_exp = _log_parts(ctx, signed, bits)
+        forms = [
+            (_form(theta, subset, l, bits, partial(_signed_sum, ctx, entries, l)), l)
+            for l in candidates
+        ]
+        contenders = forms  # a lone survivor is the minimizer
+        if len(forms) > 1:
+            min_upper = min(f.high for f, _ in forms)
+            contenders = [(f, l) for f, l in forms if f.low <= min_upper]
+            if len(contenders) > 1 and bits < tie_cap:
+                raise NeedsBits
+        form, best_l = min(contenders, key=lambda t: t[1])
+        log_value, log_exp = form.log_parts(ctx, bits)
         return LinearFormRecord(subset, best_l, D, log_value, log_exp, None, not exhaustive)
 
     return run_escalating(compute, bits_floor)
@@ -778,7 +818,8 @@ def regularity_probe(
     if (2 * h0 + 1) ** n <= budget:
         # a plausible relation's value lies within its enclosure's width of
         # zero, far inside the screen's slack, so every one survives the screen
-        found = first_holding(_screen_box(_midpoints(entries), h0))
+        mids = [*theta.midpoints(bits), *(z.midpoint() for z in entries[len(theta):])]
+        found = first_holding(_screen_box(mids, h0))
         minimal = True
     l0, exact0 = found
     return RegularityResult(

@@ -170,6 +170,10 @@ class ComplexIV:
     def abs2(self):
         return self.re * self.re + self.im * self.im
 
+    def midpoint(self) -> complex:
+        """The float nearest each part's midpoint."""
+        return complex(float(mpmath.mpf(self.re.mid)), float(mpmath.mpf(self.im.mid)))
+
     def is_exact_zero(self) -> bool:
         return is_exact_zero(self.re) and is_exact_zero(self.im)
 

@@ -5,6 +5,11 @@ are expression strings (see expr), carried with a working precision and
 an optional label.  Entries are evaluated to intervals at whatever
 precision a computation needs, once per precision, so nothing is ever
 rounded at parse time.
+
+A tuple also carries the memos its consumers fill: the float midpoints of
+its enclosures (once per precision), and the dioph probes' certified linear
+forms.  Every memo lives exactly as long as the tuple object, which the CLI
+builds once per run, so no run ever reads another run's work.
 """
 
 from __future__ import annotations
@@ -26,6 +31,14 @@ class RealTuple:
 
     imag_expressions, when present, makes the tuple complex: entry j is
     expressions[j] + i*imag_expressions[j].
+
+    Three memos ride on the instance, none of them part of its value:
+    _enclosures (bits -> ctx and enclosures), _midpoints (bits -> float
+    midpoints) and _forms, which dioph keys by (subset, l, bits) and fills
+    with each linear form's signed enclosure, its |.| bounds and its
+    certified log pairs.  A sweep over heights and subsets certifies each
+    form once per precision this way.  They live as long as the tuple, one
+    CLI run; a new tuple (apply_matrix builds one) starts empty.
     """
 
     expressions: tuple[str, ...]
@@ -35,6 +48,8 @@ class RealTuple:
     _nodes: tuple[Node, ...] = field(init=False, repr=False, compare=False)
     _imag_nodes: Optional[tuple[Node, ...]] = field(init=False, repr=False, compare=False)
     _enclosures: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _midpoints: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _forms: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         if not self.expressions:
@@ -105,6 +120,16 @@ class RealTuple:
                 out.append(ComplexIV(re, im))
             memo = self._enclosures[bits] = (ctx, tuple(out))
         return memo
+
+    def midpoints(self, bits: int) -> tuple[complex, ...]:
+        """Float midpoints of the enclosures at the given precision (imag 0
+        if real), the input of the float box screen.  Computed once per
+        precision."""
+        mids = self._midpoints.get(bits)
+        if mids is None:
+            _, encl = self.complex_enclosures(bits)
+            mids = self._midpoints[bits] = tuple(z.midpoint() for z in encl)
+        return mids
 
     def validate_nonzero(self) -> None:
         """Certify every entry is nonzero, escalating precision as needed."""

@@ -9,10 +9,17 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 
+from genlab import auxpoly
 from genlab.cli import (
+    SCHEMA_VERSION,
     build_parser,
+    cache_path,
+    code_digest,
+    config_digest,
+    inputs_digest,
     jsonable,
     parse_cyclo_coordinate,
     parse_range,
@@ -343,7 +350,37 @@ def test_auxpoly_pinned_payload(tup, capsys, grid_args, grid_sup):
     payload = records_of(out)[0]["payload"]
     assert payload["coefficients"] == [1, 33, -2, -11, 12, -33]
     assert payload["grid_sup"] == grid_sup
-    assert payload["taylor_log_sup"] == -5.598558937923047
+    assert payload["taylor_log_sup"] == -5.5985589379230465
+
+
+@pytest.mark.parametrize(
+    "logs, grid_args",
+    [
+        (["log(2)", "log(3)", "log(5)"], ["--subset", "0,1,2", "--rings", "7", "--angles", "8"]),
+        (["log(2)", "log(3)"], ["--subset", "0,1", "--radius", "1/4"]),
+    ],
+)
+def test_auxpoly_log_sups_round_up(tup, capsys, monkeypatch, logs, grid_args):
+    # each reported log bound, taken back through exp at 300 bits, is at
+    # least the float bound it certifies
+    seen = []
+    log_upper = auxpoly._log_upper
+
+    def recording(ctx, x):
+        seen.append((x, log_upper(ctx, x)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(auxpoly, "_log_upper", recording)
+    path = tup("logs.tup", logs)
+    code, out = run_capture(
+        capsys, ["auxpoly", "--tuple", path, "--L", "2", "--delta", "8.0"] + grid_args
+    )
+    assert code == 0
+    payload = records_of(out)[0]["payload"]
+    assert {payload["achieved_log_sup"], payload["taylor_log_sup"]} <= {y for _, y in seen}
+    with mpmath.workprec(300):
+        for x, y in seen:
+            assert mpmath.exp(mpmath.mpf(y)) >= mpmath.mpf(x)
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +463,47 @@ def test_corrupt_cache_recomputed(tup, tmp_path, capsys):
     assert records_of(out)[0]["payload"]["status"] == "relation_found"
 
 
+def test_cache_entry_from_other_code_is_recomputed(tup, tmp_path, capsys):
+    # a record cached by code that did not yet refuse zero entries, planted
+    # under this command's digests: it answers only if stamped by this code
+    path = tup("zero.tup", ["0", "log(2)"])
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    argv = ["gen", "--tuple", path, "--mu", "2", "--eta", "2", "--c", "0.045",
+            "--D", "2..3", "--cache-dir", str(cache)]
+    args = build_parser().parse_args(argv)
+    config_hash, inputs_dig = config_digest(args.op, args), inputs_digest(args)
+    entry_path = cache_path(str(cache), config_hash, inputs_dig)
+
+    def plant(stamp):
+        entry = {"schema_version": SCHEMA_VERSION, "config_hash": config_hash,
+                 "inputs_digest": inputs_dig, "code_digest": stamp, "wall_ms": 1.0,
+                 "payloads": [{"D": 2, "l": [1, 0], "passed": False}]}
+        Path(entry_path).write_text(json.dumps(entry))
+
+    plant("0" * 64)
+    code, out = run_capture(capsys, argv)
+    assert code == 2 and out == ""
+    plant(code_digest())
+    code, out = run_capture(capsys, argv)
+    assert code == 0
+    assert [r["payload"]["l"] for r in records_of(out)] == [[1, 0]]
+
+
+def test_non_object_cache_record_recomputed(tup, tmp_path, capsys):
+    path = tup("deps.tup", ["1", "2", "3"])
+    cache = str(tmp_path / "cache")
+    base = ["relation", "--tuple", path, "--cache-dir", cache]
+    run_capture(capsys, base)
+    (entry_name,) = os.listdir(cache)
+    with open(os.path.join(cache, entry_name), "w") as fh:
+        fh.write("[1, 2]")
+    with pytest.warns(UserWarning, match="corrupt cache record"):
+        code, out = run_capture(capsys, base)
+    assert code == 0
+    assert records_of(out)[0]["payload"]["status"] == "relation_found"
+
+
 def test_refresh_bypasses_cache(tup, tmp_path, capsys):
     path = tup("deps.tup", ["1", "2", "3"])
     cache = str(tmp_path / "cache")
@@ -481,6 +559,10 @@ PINNED_INPUTS = {
     ],
     "z5.cyc": ["zeta(5)^3"] * 4,
     "one_two.tup": ["1", "2"],
+    "logs4.tup": ["log(2)", "log(3)", "log(5)", "log(7)"],
+    "logs4b.tup": ["log(13)", "log(3)", "log(11)", "log(5)"],
+    "mixed5.tup": ["exp(1/3)", "phi", "pi", "log(2)", "sqrt(3)"],
+    "rational.tup": ["(-7/3)", "(5/2)", "(4/5)"],
 }
 
 
@@ -510,7 +592,7 @@ PINNED_INPUTS = {
         ),
         pytest.param(
             "auxpoly --tuple logs.tup --subset 0,1 --L 2 --delta 8.0 --radius 1/4",
-            "75c4bf51b9dc98d06cb6d84cbb32427b0715ed5009bab4a916b773c515199f21",
+            "a4b8be32b2d9f8ad8ce3dab7f41fca5522547ab61f594b3748cd4a9eae0fdaba",
             id="readme-auxpoly",
         ),
         pytest.param(
@@ -580,6 +662,26 @@ PINNED_INPUTS = {
             " --D 16",
             "f186ed6ce563e1eb9aff1cfb33f4cf771490d50254816ab9e524dd4ccd051620",
             id="dist-audit-exact-zeta5-cubed",
+        ),
+        pytest.param(
+            "gen --tuple logs4.tup --mu 2 --eta 2.0 --c 0.045 --D 2..10",
+            "0693586f72d1bb8d06c2ad2d807f1e96b1985fe6a950e1c898337b92af1d7431",
+            id="gen-log-primes-mu2",
+        ),
+        pytest.param(
+            "gen --tuple logs4b.tup --mu 3 --eta 2.0 --c 0.045 --D 2..8",
+            "26f517d5020780cf4e3662e50544cb99e3630c57fb452f5827b46d55e73005a0",
+            id="gen-log-primes-mu3",
+        ),
+        pytest.param(
+            "gen --tuple mixed5.tup --mu 2 --eta 2.0 --c 0.045 --D 2..12",
+            "4a76866e59430f04b4a9727e28ae696aae8dc7507906a5e3fc8c64378c1117f8",
+            id="gen-mixed-mu2",
+        ),
+        pytest.param(
+            "gen --tuple rational.tup --mu 3 --eta 2.0 --c 0.045 --D 2..6",
+            "b5a521bca68f3dd942496e03e40693aebeb8138863974d744984e8cdb956cc12",
+            id="gen-rational-exact",
         ),
     ],
 )

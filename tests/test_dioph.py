@@ -1,9 +1,11 @@
 """Linear-form minima, genericity probes, and relation detection."""
 
+import hashlib
 import itertools
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -502,3 +504,121 @@ def test_regularity_minimal_matches_box_walk(parts, include_pi_i):
     _, l, exact = ref
     assert res.relation == l
     assert res.verified_exact == exact
+
+
+# ---------------------------------------------------------------------------
+# certified forms memoised on the tuple
+
+
+# Real entries whose values are linearly independent over Q (Baker,
+# Besicovitch), plus rationals; a draw holds at most one rational unless
+# every entry is rational, so no zero form arises on the interval branch.
+# DEEP is about 5e-31, a difference of two numbers near pi: at 128 bits its
+# forms are too wide to certify, so a sweep that meets it escalates.
+DEEP = "pi - 3141592653589793238462643383279/10^30"
+_IRRATIONAL = ["log(2)", "log(3)", "log(5)", "log(7)", "sqrt(2)", "sqrt(3)", "sqrt(5)"]
+_RATIONAL = ["1/2", "-3/4", "5/3", "2", "-7/5"]
+
+
+@st.composite
+def _probe_tuples(draw):
+    kind = draw(st.sampled_from(["mixed", "rational", "complex"]))
+    m = draw(st.integers(2, 4))
+    if kind == "rational":
+        return RealTuple(tuple(draw(st.lists(st.sampled_from(_RATIONAL), min_size=m, max_size=m))))
+    pool = [DEEP, *_IRRATIONAL, draw(st.sampled_from(_RATIONAL))]
+    re = draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m, unique=True))
+    if kind == "mixed":
+        return RealTuple(tuple(re))
+    im = draw(st.lists(st.sampled_from(["0", *_IRRATIONAL, *_RATIONAL]), min_size=m, max_size=m))
+    return RealTuple(tuple(re), imag_expressions=tuple(im))
+
+
+@settings(max_examples=50, deadline=None)
+@given(_probe_tuples(), st.data())
+def test_probe_sweep_records_equal_fresh_linear_form_min(theta, data):
+    # the sweep reads forms its earlier heights and subsets certified; a
+    # fresh tuple per record computes each one cold, at the same precision
+    mu = data.draw(st.integers(1, min(3, len(theta))))
+    hi = data.draw(st.integers(2, 8))
+    computed = []
+    min_record = dioph._min_record
+
+    def recording(theta, subset, D, *, bits_floor, budget):
+        rec = min_record(theta, subset, D, bits_floor=bits_floor, budget=budget)
+        computed.append((rec, bits_floor))
+        return rec
+
+    with mock.patch.object(dioph, "_min_record", recording):
+        rep = genericity_probe(theta, mu, 2.0, 0.045, range(2, hi + 1))
+
+    def fresh():
+        return RealTuple(theta.expressions, imag_expressions=theta.imag_expressions)
+
+    assert {v.record for v in rep.verdicts} <= {rec for rec, _ in computed}
+    for rec, bits in computed:
+        assert rec == linear_form_min(fresh(), rec.subset, rec.D, precision_bits=bits)
+
+
+def test_sweep_certifies_each_form_once(monkeypatch):
+    calls = []
+    log_parts = dioph._log_parts
+
+    def counting(ctx, value, bits):
+        calls.append((value.a, value.b, bits))
+        return log_parts(ctx, value, bits)
+
+    monkeypatch.setattr(dioph, "_log_parts", counting)
+    logs = ("log(2)", "log(3)", "log(5)", "log(7)")
+    genericity_probe(RealTuple(logs), 2, 2.0, 0.045, range(2, 11))
+    swept = list(calls)
+    # every (subset, height) minimum, each on a fresh tuple, at 128 bits
+    forms = {
+        (subset, linear_form_min(RealTuple(logs), subset, D).l)
+        for subset in itertools.combinations(range(4), 2)
+        for D in range(2, 11)
+    }
+    # one call per distinct (subset, l, bits), not one per subset and height
+    assert len(swept) == len(set(swept)) == len(forms) < 6 * 9
+
+
+def test_cli_runs_share_no_memo(tmp_path, monkeypatch, capsys):
+    from genlab.cli import run
+
+    calls = []
+    log_parts = dioph._log_parts
+    monkeypatch.setattr(
+        dioph, "_log_parts", lambda *args: calls.append(1) or log_parts(*args)
+    )
+    path = tmp_path / "logs.tup"
+    path.write_text("log(2)\nlog(3)\nlog(5)\nlog(7)\n")
+    argv = ["gen", "--tuple", str(path), "--mu", "2", "--eta", "2.0", "--c", "0.045",
+            "--D", "2..10"]
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        assert run(argv) == 0
+        counts.append(len(calls))
+    capsys.readouterr()
+    assert counts[0] == counts[1] > 0
+
+
+def test_midpoints_memoised_per_precision():
+    theta = RealTuple(("log(2)", "sqrt(3)"), imag_expressions=("1/3", "0"))
+    mids = theta.midpoints(128)
+    assert mids is theta.midpoints(128)
+    assert mids == (complex(math.log(2), 1 / 3), complex(math.sqrt(3), 0.0))
+
+
+def test_pinned_complex_sweep():
+    # sha256 of the canonical JSON of a complex-tuple sweep (the CLI reads
+    # real tuples only), pinned from the code before the form memo
+    from genlab.cli import canonical_json
+
+    theta = RealTuple(
+        ("log(2)", "log(3)", "1/2", "sqrt(2)"),
+        imag_expressions=("1/3", "0", "sqrt(2)", "log(5)"),
+    )
+    rep = genericity_probe(theta, 3, 2.0, 0.01, range(2, 7))
+    digest = hashlib.sha256(canonical_json(rep).encode()).hexdigest()
+    assert digest == "09f8607282295b9bd505acf9b23a43e39a3326b85c1be110b5dbdbdfe610656b"
