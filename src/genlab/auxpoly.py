@@ -32,7 +32,7 @@ leg of the hypothesis checklist, which is labelled empirical in its output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 from typing import Mapping, Sequence
@@ -47,7 +47,6 @@ from .cyclo import (
     min_vanishing_degree,
     monomials_up_to,
     normalize_point_set,
-    point_mul,
 )
 from .dioph import log_expm1_abs
 from .errors import BudgetExceeded, HypothesisNotMet, InvalidConfig
@@ -60,6 +59,7 @@ from .numeric import (
     cos_sin,
     iv_from_fraction,
     log_abs_interval,
+    log_expm1_abs_interval,
     log_pair,
     make_ctx,
     run_escalating,
@@ -760,24 +760,24 @@ class DistanceAuditReport:
     `binding` names the first stage that stopped the pipeline (or
     "contradiction_bound" when the full argument closed); `verdict` is one of
     "contradiction", "pass_trivial", "at_theta_flagged", "inconclusive".
+    Stages the pipeline did not reach stay None.
     """
 
-    mode: str
     schedule: AuxSchedule
     S: int
     count_ok: bool
     sigma_count: int
     l_power: int
-    sigma_points: int | None
-    omega_degree: int | None
-    zero_estimate: ZeroEstimateResult | None
-    collision: tuple[tuple[int, ...], tuple[int, ...]] | None
-    relation_exact: bool | None
-    contradiction_log: tuple[float, float] | None
-    distance_log: tuple[float, float] | None
     threshold: float
     binding: str
-    verdict: str
+    verdict: str = "inconclusive"
+    mode: str = "exact"
+    omega_degree: int | None = None
+    zero_estimate: ZeroEstimateResult | None = None
+    collision: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+    relation_exact: bool | None = None
+    contradiction_log: tuple[float, float] | None = None
+    distance_log: tuple[float, float] | None = None
 
 
 def _log_sup_distance(ctx, pairs) -> tuple[float, float]:
@@ -801,8 +801,28 @@ def _log_sup_distance(ctx, pairs) -> tuple[float, float]:
     return log_pair(ctx.log(ctx.mpf([lo, hi])))
 
 
-def _is_exact_coord(v) -> bool:
-    return isinstance(v, (int, Fraction, CycloNum))
+def _log_expm1_product(
+    theta: RealTuple, kappa: RealTuple, u_terms, v_terms, precision_bits: int
+) -> tuple[float, float]:
+    """Float pair of log|exp(u v) - 1| for u = sum l theta_i and
+    v = sum d kappa_j over (coefficient, index) terms: exact when every entry
+    the terms use is rational, else on the tuples' enclosures, escalating."""
+
+    def dot(terms, values):
+        return sum(c * values[i] for c, i in terms)
+
+    theta_q = {i: exact_rational(theta._nodes[i]) for _, i in u_terms}
+    kappa_q = {j: exact_rational(kappa._nodes[j]) for _, j in v_terms}
+    if None not in (*theta_q.values(), *kappa_q.values()):
+        return log_expm1_abs(dot(u_terms, theta_q) * dot(v_terms, kappa_q), precision_bits)
+
+    def attempt(bits: int) -> tuple[float, float]:
+        ctx, theta_iv = theta.real_enclosures(bits)
+        _, kappa_iv = kappa.real_enclosures(bits)
+        x = dot(u_terms, theta_iv) * dot(v_terms, kappa_iv)
+        return log_pair(log_expm1_abs_interval(ctx, x, bits))
+
+    return run_escalating(attempt, precision_bits)
 
 
 def distance_audit(
@@ -826,10 +846,14 @@ def distance_audit(
     coordinates (lambda-major) for the full pipeline, or a flat sequence of
     expression strings for a numeric distance check only.
 
-    Exact pipeline: count check floor(R/(2 mu))^nu > L^mu, materialization of
-    the product slice, vanishing degree <= L, zero-estimate character, coset
-    collision by pigeonhole, exact relation check, and the contradiction
-    bound log|exp((l . theta_I)((r - rbar) . kappa_J)) - 1| < -c D^eta.
+    Exact pipeline: count check floor(R/(2 mu))^nu > L^mu; the box points
+    prod_rho z[., rho]^{r_rho}, one char_value per coordinate column; their
+    vanishing degree <= L; the zero-estimate character of
+    zero_estimate_search; a coset collision by pigeonhole, re-checked as an
+    exact relation; and the contradiction bound
+    log|exp((l . theta_I)((r - rbar) . kappa_J)) - 1| < -c D^eta, exact when
+    every entry it uses is rational and from the tuples' enclosures
+    otherwise.
     """
     I = tuple(int(i) for i in I)
     J = tuple(int(j) for j in J)
@@ -846,43 +870,28 @@ def distance_audit(
     S = sched.R // (2 * mu)
     sigma_count = S**nu
     l_power = sched.L**mu
-    count_ok = sigma_count > l_power
-    threshold = -c * float(D) ** eta
-
-    def report(**kw) -> DistanceAuditReport:
-        base = dict(
-            mode="exact",
-            schedule=sched,
-            S=S,
-            count_ok=count_ok,
-            sigma_count=sigma_count,
-            l_power=l_power,
-            sigma_points=None,
-            omega_degree=None,
-            zero_estimate=None,
-            collision=None,
-            relation_exact=None,
-            contradiction_log=None,
-            distance_log=None,
-            threshold=threshold,
-        )
-        base.update(kw)
-        return DistanceAuditReport(**base)
+    base = DistanceAuditReport(
+        schedule=sched,
+        S=S,
+        count_ok=sigma_count > l_power,
+        sigma_count=sigma_count,
+        l_power=l_power,
+        threshold=-c * float(D) ** eta,
+        binding="count_check",
+    )
 
     if isinstance(z, str):
         if z != "theta":
             raise InvalidConfig(f"unknown audit point marker {z!r}")
-        return report(
-            mode="at_theta",
-            binding="distance_zero",
-            verdict="at_theta_flagged",
+        return replace(
+            base, mode="at_theta", binding="distance_zero", verdict="at_theta_flagged"
         )
 
     z = list(z)
     if len(z) != mu * nu:
         raise InvalidConfig(f"audit point must have {mu * nu} coordinates")
 
-    if not all(_is_exact_coord(v) for v in z):
+    if not all(isinstance(v, (int, Fraction, CycloNum)) for v in z):
         # numeric mode: certified coordinate distance to the image point only
         z_nodes = [parse_expression(str(v)) for v in z]
 
@@ -894,110 +903,69 @@ def distance_audit(
             return _log_sup_distance(ctx, zip(zs, images))
 
         dist = run_escalating(attempt, precision_bits)
+        numeric = replace(base, mode="numeric", distance_log=dist)
         if dist[0] >= -1.0:
-            return report(
-                mode="numeric",
-                distance_log=dist,
-                binding="distance_far",
-                verdict="pass_trivial",
-            )
-        return report(
-            mode="numeric",
-            distance_log=dist,
-            binding="numeric_point_near_image",
-            verdict="inconclusive",
-        )
+            return replace(numeric, binding="distance_far", verdict="pass_trivial")
+        return replace(numeric, binding="numeric_point_near_image")
 
-    if not count_ok:
-        return report(binding="count_check", verdict="inconclusive")
+    if not base.count_ok:
+        return base
 
     if (S + 1) ** nu > 4096:
         raise BudgetExceeded("pigeonhole box exceeds desk scale")
-    coords = [v if isinstance(v, CycloNum) else CycloNum.from_rational(v) for v in z]
-    slices = [tuple(coords[lam * nu + rho] for lam in range(mu)) for rho in range(nu)]
-    powers: dict[tuple[int, ...], tuple] = {}
-    for r_vec in product(range(S + 1), repeat=nu):
-        pt = make_point([CycloNum.from_rational(1)] * mu)
-        for rho, e in enumerate(r_vec):
-            if e:
-                pe = make_point([v**e for v in slices[rho]])
-                pt = point_mul(pt, pe)
-        powers[r_vec] = pt
-    sigma = normalize_point_set(powers.values())
+    coords = make_point(z)
+    columns = [coords[lam * nu : (lam + 1) * nu] for lam in range(mu)]
+    powers = {
+        r_vec: tuple(char_value(r_vec, col) for col in columns)
+        for r_vec in product(range(S + 1), repeat=nu)
+    }
 
     try:
-        omega_deg = min_vanishing_degree(sigma, max_degree=sched.L)
-    except HypothesisNotMet:
-        return report(
-            sigma_points=len(sigma),
-            binding="no_low_degree_vanishing",
-            verdict="inconclusive",
+        omega_deg = min_vanishing_degree(
+            normalize_point_set(powers.values()), max_degree=sched.L
         )
+    except HypothesisNotMet:
+        return replace(base, binding="no_low_degree_vanishing")
 
     # the search builds products of exactly `depth` factors, so the identity
     # is added as a generator to realize every partial product in the box
-    identity = make_point([CycloNum.from_rational(1)] * mu)
+    identity = make_point([1] * mu)
     try:
         zres = zero_estimate_search(
-            [identity, *slices], S * nu, sched.L, budget=budget
+            [identity, *zip(*columns)], S * nu, sched.L, budget=budget
         )
     except HypothesisNotMet:
-        return report(
-            sigma_points=len(sigma),
-            omega_degree=omega_deg,
-            binding="zero_estimate_hypothesis",
-            verdict="inconclusive",
+        return replace(
+            base, omega_degree=omega_deg, binding="zero_estimate_hypothesis"
         )
+    reached = replace(base, omega_degree=omega_deg, zero_estimate=zres)
     if not zres.found:
-        return report(
-            sigma_points=len(sigma),
-            omega_degree=omega_deg,
-            zero_estimate=zres,
-            binding="no_obstruction_character",
-            verdict="inconclusive",
-        )
+        return replace(reached, binding="no_obstruction_character")
 
+    # powers iterates the box in lexicographic order
     seen: dict = {}
-    pair = None
-    for r_vec in sorted(powers):
-        val = char_value(zres.character, powers[r_vec])
+    for r_vec, pt in powers.items():
+        val = char_value(zres.character, pt)
         if val in seen:
-            pair = (seen[val], r_vec)
             break
         seen[val] = r_vec
-    if pair is None:
-        return report(
-            sigma_points=len(sigma),
-            omega_degree=omega_deg,
-            zero_estimate=zres,
-            binding="no_coset_collision",
-            verdict="inconclusive",
-        )
-    rbar, r_vec = pair
-    diff_pt = make_point(
-        [a / b for a, b in zip(powers[r_vec], powers[rbar])]
-    )
-    relation_exact = char_value(zres.character, diff_pt) == CycloNum.from_rational(1)
-
-    u_expr = " + ".join(
-        f"({l})*({theta.expressions[I[lam]]})"
-        for lam, l in enumerate(zres.character)
-        if l
-    )
-    dr = [r_vec[rho] - rbar[rho] for rho in range(nu)]
-    v_expr = " + ".join(
-        f"({d})*({kappa.expressions[J[rho]]})" for rho, d in enumerate(dr) if d
-    )
-    if not u_expr or not v_expr:
-        contr = NEG_PAIR
     else:
-        contr = log_expm1_abs(f"({u_expr})*({v_expr})", precision_bits)
-    binds = contr[1] < threshold
-    return report(
-        sigma_points=len(sigma),
-        omega_degree=omega_deg,
-        zero_estimate=zres,
-        collision=pair,
+        return replace(reached, binding="no_coset_collision")
+    rbar = seen[val]
+    diff_pt = tuple(a / b for a, b in zip(pt, powers[rbar]))
+    relation_exact = char_value(zres.character, diff_pt) == 1
+
+    contr = _log_expm1_product(
+        theta,
+        kappa,
+        [(l, I[lam]) for lam, l in enumerate(zres.character) if l],
+        [(r - rb, J[rho]) for rho, (r, rb) in enumerate(zip(r_vec, rbar)) if r != rb],
+        precision_bits,
+    )
+    binds = contr[1] < base.threshold
+    return replace(
+        reached,
+        collision=(rbar, r_vec),
         relation_exact=relation_exact,
         contradiction_log=contr,
         binding="contradiction_bound" if binds else "genericity_margin",

@@ -10,7 +10,7 @@ exact integer/rational arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Mapping, Sequence
@@ -124,14 +124,6 @@ class SubgroupDescriptor:
     dim: int
     torsion: tuple[int, ...] = ()
 
-    def to_json(self) -> dict:
-        return {
-            "ambient_dim": self.ambient_dim,
-            "annihilator": [list(row) for row in self.annihilator],
-            "dim": self.dim,
-            "torsion": list(self.torsion),
-        }
-
 
 def kernel_subgroup(module: CharacterModule) -> SubgroupDescriptor:
     """The subgroup on which every character of the module equals 1."""
@@ -241,14 +233,13 @@ class ZeroEstimateResult:
     checked: int
 
 
+# desk scale of the obstruction-subgroup scan
+DESK_ZERO_ESTIMATE_DIM = 3
+DESK_ZERO_ESTIMATE_POINTS = 8
+
+
 def zero_estimate_search(
-    points: Sequence[Sequence],
-    depth: int,
-    L: int,
-    *,
-    budget: int = 10_000_000,
-    max_dim: int = 3,
-    max_points: int = 8,
+    points: Sequence[Sequence], depth: int, L: int, *, budget: int = 10_000_000
 ) -> ZeroEstimateResult:
     """Search for an obstruction subgroup behind a low-degree vanishing set.
 
@@ -258,16 +249,17 @@ def zero_estimate_search(
     representatives in lexicographic order) and returns the first one whose
     kernel H satisfies card(Sigma*H/H) * L^{dim H} <= L^{mu}.  The coset
     count card(Sigma*H/H) is the number of distinct character values on the
-    set.
+    set.  The kernel of one nonzero character has dim H = mu - 1, so the
+    scan compares counts only and builds the subgroup of the hit alone.
     """
     base = normalize_point_set(points)
     if not base:
         raise InvalidConfig("empty point set")
     mu = len(base[0])
-    if mu > max_dim:
-        raise BudgetExceeded(f"torus dimension {mu} exceeds desk scale {max_dim}")
-    if len(base) > max_points:
-        raise BudgetExceeded(f"point count {len(base)} exceeds desk scale {max_points}")
+    if mu > DESK_ZERO_ESTIMATE_DIM:
+        raise BudgetExceeded(f"torus dimension {mu} exceeds desk scale {DESK_ZERO_ESTIMATE_DIM}")
+    if len(base) > DESK_ZERO_ESTIMATE_POINTS:
+        raise BudgetExceeded(f"point count {len(base)} exceeds desk scale {DESK_ZERO_ESTIMATE_POINTS}")
     if L < 1:
         raise InvalidConfig("L must be >= 1")
     if (2 * L + 1) ** mu * len(base) ** depth > budget:
@@ -275,31 +267,7 @@ def zero_estimate_search(
     sigma = product_point_set(base, depth)
     w = min_vanishing_degree(sigma, max_degree=L)
     hilbert_ambient = L ** mu
-    checked = 0
-    for cand in product(range(-L, L + 1), repeat=mu):
-        if all(c == 0 for c in cand):
-            continue
-        first = next(c for c in cand if c != 0)
-        if first < 0:
-            continue
-        checked += 1
-        values = {char_value(cand, p) for p in sigma}
-        cosets = len(values)
-        sub = kernel_subgroup(CharacterModule([cand]))
-        h_sub = hilbert_function(sub, L)
-        if cosets * h_sub <= hilbert_ambient:
-            return ZeroEstimateResult(
-                found=True,
-                character=tuple(cand),
-                subgroup=sub,
-                cosets=cosets,
-                hilbert_sub=h_sub,
-                hilbert_ambient=hilbert_ambient,
-                sigma_size=len(sigma),
-                vanishing_degree=w,
-                checked=checked,
-            )
-    return ZeroEstimateResult(
+    miss = ZeroEstimateResult(
         found=False,
         character=None,
         subgroup=None,
@@ -308,5 +276,23 @@ def zero_estimate_search(
         hilbert_ambient=hilbert_ambient,
         sigma_size=len(sigma),
         vanishing_degree=w,
-        checked=checked,
+        checked=0,
     )
+    checked = 0
+    for cand in product(range(-L, L + 1), repeat=mu):
+        if not any(cand) or next(c for c in cand if c) < 0:
+            continue
+        checked += 1
+        cosets = len({char_value(cand, p) for p in sigma})
+        if cosets * L ** (mu - 1) <= hilbert_ambient:
+            sub = kernel_subgroup(CharacterModule([cand]))
+            return replace(
+                miss,
+                found=True,
+                character=cand,
+                subgroup=sub,
+                cosets=cosets,
+                hilbert_sub=hilbert_function(sub, L),
+                checked=checked,
+            )
+    return replace(miss, checked=checked)

@@ -171,8 +171,12 @@ def load_poly_family(path: str) -> list[dict[tuple[int, ...], int]]:
             if ":" not in term:
                 raise InvalidConfig(f"bad polynomial term {term!r}")
             exps_s, coeff_s = term.rsplit(":", 1)
-            exps = tuple(int(p) for p in exps_s.split(","))
-            poly[exps] = poly.get(exps, 0) + int(coeff_s)
+            try:
+                exps = tuple(int(p) for p in exps_s.split(","))
+                coeff = int(coeff_s)
+            except ValueError as exc:
+                raise InvalidConfig(f"bad polynomial term {term!r}") from exc
+            poly[exps] = poly.get(exps, 0) + coeff
         poly = {e: c for e, c in poly.items() if c}
         if not poly:
             raise InvalidConfig(f"polynomial cancelled to zero: {line!r}")
@@ -402,10 +406,6 @@ def report(records: Sequence[dict], fmt: str, stream) -> None:
 # payload builders, one per subcommand
 
 
-def _enclosure(pair) -> list[float]:
-    return [pair[0], pair[1]]
-
-
 def _load_tuple(path: str, prec: int) -> RealTuple:
     return RealTuple(tuple(load_expressions(path)), precision_bits=prec)
 
@@ -450,8 +450,8 @@ def run_gen(args, sink: list[dict]) -> None:
                 "D": v.D,
                 "subset": list(v.record.subset),
                 "l": list(v.record.l),
-                "log_min": _enclosure(v.record.log_value),
-                "log_exp_value": _enclosure(v.record.log_exp_value),
+                "log_min": v.record.log_value,
+                "log_exp_value": v.record.log_exp_value,
                 "threshold": v.threshold,
                 "passed": v.passed,
                 "c_required": v.c_required,
@@ -487,8 +487,8 @@ def run_bigen(args, sink: list[dict]) -> None:
                 "subset_kappa": list(v.subset_kappa),
                 "l": list(v.l),
                 "r": list(v.r),
-                "log_value": _enclosure(v.log_value),
-                "log_exp_value": _enclosure(v.log_exp_value),
+                "log_value": v.log_value,
+                "log_exp_value": v.log_exp_value,
                 "threshold": v.threshold,
                 "passed": v.passed,
                 "c_required": v.c_required,
@@ -572,20 +572,7 @@ def run_omega(args, sink: list[dict]) -> None:
 
 def run_zeroest(args, sink: list[dict]) -> None:
     points = load_points(args.points_file)
-    result = zero_estimate_search(points, args.depth, args.L, budget=args.budget)
-    sink.append(
-        {
-            "found": result.found,
-            "character": list(result.character) if result.character else None,
-            "subgroup": result.subgroup.to_json() if result.subgroup else None,
-            "cosets": result.cosets,
-            "hilbert_sub": result.hilbert_sub,
-            "hilbert_ambient": result.hilbert_ambient,
-            "sigma_size": result.sigma_size,
-            "vanishing_degree": result.vanishing_degree,
-            "checked": result.checked,
-        }
-    )
+    sink.append(zero_estimate_search(points, args.depth, args.L, budget=args.budget))
 
 
 def run_dist_audit(args, sink: list[dict]) -> None:
@@ -618,15 +605,11 @@ def run_dist_audit(args, sink: list[dict]) -> None:
             "l_power": rep.l_power,
             "omega_degree": rep.omega_degree,
             "zero_estimate_found": ze.found if ze else None,
-            "character": list(ze.character) if ze and ze.character else None,
-            "collision": [list(r) for r in rep.collision] if rep.collision else None,
+            "character": ze.character if ze else None,
+            "collision": rep.collision,
             "relation_exact": rep.relation_exact,
-            "contradiction_log": (
-                _enclosure(rep.contradiction_log) if rep.contradiction_log else None
-            ),
-            "distance_log": (
-                _enclosure(rep.distance_log) if rep.distance_log else None
-            ),
+            "contradiction_log": rep.contradiction_log,
+            "distance_log": rep.distance_log,
             "threshold": rep.threshold,
             "binding": rep.binding,
             "verdict": rep.verdict,

@@ -320,7 +320,7 @@ def normalize_point_set(points: Iterable[Sequence]) -> list[Point]:
         return []
     dim = len(pts[0])
     if any(len(p) != dim for p in pts):
-        raise ValueError("points have mixed dimensions")
+        raise InvalidConfig("points have mixed dimensions")
     common = 1
     for p in pts:
         for c in p:
@@ -352,11 +352,11 @@ def char_value(exponents: Sequence[int], p: Point) -> CycloNum:
 def product_point_set(points: Sequence[Sequence], depth: int) -> list[Point]:
     """All products of `depth` factors drawn (with repetition) from the set."""
     if depth < 1:
-        raise ValueError("depth must be >= 1")
+        raise InvalidConfig("depth must be >= 1")
     base = normalize_point_set(points)
     for p in base:
         if any(c.is_zero() for c in p):
-            raise ValueError("points must lie in the torus (no zero coordinate)")
+            raise InvalidConfig("points must lie in the torus (no zero coordinate)")
     current = {_point_key(p): p for p in base}
     for _ in range(depth - 1):
         nxt: dict = {}

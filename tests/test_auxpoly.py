@@ -32,7 +32,7 @@ from genlab.auxpoly import (
     siegel_construct,
 )
 from genlab.cyclo import CycloNum
-from genlab.dioph import NEG_PAIR
+from genlab.dioph import NEG_PAIR, log_expm1_abs
 from genlab.errors import (
     BudgetExceeded,
     HypothesisNotMet,
@@ -699,6 +699,51 @@ def test_distance_audit_numeric_near_point():
     assert rep.verdict == "inconclusive"
     assert rep.binding == "numeric_point_near_image"
     assert enclosure_contains(rep.distance_log, math.log(1e-6))
+
+
+def test_distance_audit_rational_relation_closes_exactly():
+    # theta = (1/3, 1/3) is killed by the character (1, -1) in exact
+    # arithmetic; on intervals 1/3 - 1/3 would straddle zero at every
+    # precision and exhaust it
+    theta = RealTuple(("1/3", "1/3"))
+    kappa = RealTuple(("1", "2"))
+    rep = distance_audit([torsion_point(5)] * 4, theta, kappa, (0, 1), (0, 1), 16)
+    assert rep.zero_estimate.character == (1, -1)
+    assert rep.contradiction_log == NEG_PAIR
+    assert rep.verdict == "contradiction"
+
+
+_BOUND_ENTRIES = ("log(2)", "log(3)", "1/3", "-5/2", "pi", "sqrt(2)", "exp(1/5)", "7")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.sampled_from(_BOUND_ENTRIES), min_size=1, max_size=3),
+    st.lists(st.sampled_from(_BOUND_ENTRIES), min_size=1, max_size=3),
+    st.data(),
+)
+def test_contradiction_bound_matches_expression_text(theta_entries, kappa_entries, data):
+    # reference: the bound as one expression text, parsed and evaluated whole
+    # by log_expm1_abs; the audit sums the same terms on the tuples' own
+    # enclosures (or exactly), so the float pairs agree bit for bit
+    def terms(n):
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any))
+        return [(c, i) for i, c in enumerate(coeffs) if c]
+
+    # an entry with coefficient 0 is left out, as the audit leaves it out
+    u_terms, v_terms = terms(len(theta_entries)), terms(len(kappa_entries))
+    theta, kappa = RealTuple(tuple(theta_entries)), RealTuple(tuple(kappa_entries))
+    u = " + ".join(f"({l})*({theta_entries[i]})" for l, i in u_terms)
+    v = " + ".join(f"({d})*({kappa_entries[j]})" for d, j in v_terms)
+    try:
+        expected = log_expm1_abs(f"({u})*({v})", 128)
+    except PrecisionExhausted:
+        expected = PrecisionExhausted
+    try:
+        got = auxpoly_mod._log_expm1_product(theta, kappa, u_terms, v_terms, 128)
+    except PrecisionExhausted:
+        got = PrecisionExhausted
+    assert got == expected
 
 
 def test_distance_audit_validates_input():

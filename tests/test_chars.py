@@ -1,22 +1,30 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from genlab import chars
 from genlab.chars import (
     Character,
     CharacterModule,
     SubgroupDescriptor,
+    ZeroEstimateResult,
     hilbert_function,
     kernel_subgroup,
     product_character_codim,
     wI_family_rank,
     zero_estimate_search,
 )
-from genlab.cyclo import CycloNum
+from genlab.cyclo import (
+    CycloNum,
+    char_value,
+    min_vanishing_degree,
+    normalize_point_set,
+    product_point_set,
+)
 from genlab.errors import HypothesisNotMet, InvalidConfig
 from genlab.intmat import rank_rational
 
@@ -169,6 +177,87 @@ def test_zero_estimate_precondition_failure():
     # one variable vanishes on both, so the hypothesis fails
     with pytest.raises(HypothesisNotMet):
         zero_estimate_search([(Fraction(2),), (Fraction(3),)], 1, 1)
+
+
+def _zero_estimate_reference(points, depth, L):
+    # the scan with one kernel subgroup (a Smith form and a unimodular
+    # inverse) per candidate character, and the test on its dimension
+    sigma = product_point_set(normalize_point_set(points), depth)
+    w = min_vanishing_degree(sigma, max_degree=L)
+    mu = len(sigma[0])
+    checked = 0
+    for cand in product(range(-L, L + 1), repeat=mu):
+        if not any(cand) or next(c for c in cand if c) < 0:
+            continue
+        checked += 1
+        cosets = len({char_value(cand, p) for p in sigma})
+        sub = kernel_subgroup(CharacterModule([cand]))
+        h_sub = hilbert_function(sub, L)
+        if cosets * h_sub <= L**mu:
+            return ZeroEstimateResult(
+                True, cand, sub, cosets, h_sub, L**mu, len(sigma), w, checked
+            )
+    return ZeroEstimateResult(
+        False, None, None, None, None, L**mu, len(sigma), w, checked
+    )
+
+
+_ROOTS = [CycloNum.root_of_unity(n, k) for n in (3, 4, 6) for k in range(n)]
+_RATIONALS = [CycloNum.from_rational(q) for q in (2, Fraction(1, 2), -3, 5, Fraction(7, 3))]
+
+
+@st.composite
+def _zero_estimate_cases(draw):
+    # roots of unity make hits, rationals make misses and failed hypotheses
+    mu = draw(st.integers(1, 3))
+    coord = st.one_of(st.sampled_from(_ROOTS), st.sampled_from(_RATIONALS))
+    points = draw(
+        st.lists(st.tuples(*[coord] * mu), min_size=1, max_size=3)
+    )
+    return points, draw(st.integers(1, 2)), draw(st.integers(1, 3))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except HypothesisNotMet:
+        return HypothesisNotMet
+
+
+@settings(max_examples=60, deadline=None)
+@given(_zero_estimate_cases())
+def test_zero_estimate_matches_subgroup_per_candidate_scan(case):
+    points, depth, L = case
+    assert _outcome(zero_estimate_search, points, depth, L) == _outcome(
+        _zero_estimate_reference, points, depth, L
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-6, 6), min_size=1, max_size=5).filter(any))
+def test_kernel_of_one_nonzero_character_has_codimension_one(exponents):
+    assert kernel_subgroup(CharacterModule([exponents])).dim == len(exponents) - 1
+
+
+def test_zero_estimate_builds_the_subgroup_of_the_hit_only(monkeypatch):
+    calls = []
+    real = chars.kernel_subgroup
+
+    def counting(module):
+        calls.append(module)
+        return real(module)
+
+    monkeypatch.setattr(chars, "kernel_subgroup", counting)
+    w = CycloNum.root_of_unity(3)
+    two, three, five, seven = (CycloNum.from_rational(q) for q in (2, 3, 5, 7))
+    hit = zero_estimate_search([(w, two), (w, three)], 2, 2)
+    assert hit.character == (1, 0) and hit.checked == 5
+    assert [m.generators[0].exponents for m in calls] == [hit.character]
+
+    calls.clear()
+    miss = zero_estimate_search([(two, three), (five, seven)], 2, 2)
+    assert not miss.found and miss.checked == 12
+    assert calls == []
 
 
 def _greedy_rank_reference(n, nu, choices):

@@ -159,6 +159,53 @@ def test_zero_tuple_entry_exits_2(tup, capsys, argv, entry):
     assert f"tuple entry {entry} is zero" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, files, message",
+    [
+        pytest.param(
+            ["zeroest", "--points", "{pts}", "--depth", "2", "--L", "2"],
+            {"pts": ["zeta(5),0", "zeta(5)^2,zeta(5)^4"]},
+            "no zero coordinate",
+            id="zeroest-zero-coordinate",
+        ),
+        pytest.param(
+            ["dist-audit", "--z", "{z}", "--tuple", "{th}", "--kappa", "{ka}",
+             "--I", "0,1", "--J", "0,1", "--D", "16"],
+            {"z": ["0", "zeta(5)", "zeta(5)", "zeta(5)"], "th": ["1", "1"],
+             "ka": ["1", "2"]},
+            "no zero coordinate",
+            id="dist-audit-zero-coordinate",
+        ),
+        pytest.param(
+            ["omega", "--points", "{pts}"],
+            {"pts": ["zeta(5)", "zeta(5)^2,zeta(5)^4"]},
+            "mixed dimensions",
+            id="omega-mixed-dimensions",
+        ),
+        pytest.param(
+            ["zeroest", "--points", "{pts}", "--depth", "2", "--L", "2"],
+            {"pts": ["zeta(5)", "zeta(5)^2,zeta(5)^4"]},
+            "mixed dimensions",
+            id="zeroest-mixed-dimensions",
+        ),
+        pytest.param(
+            ["phil-audit", "--family", "{fam}", "--tuple", "{pt}", "--D", "2"],
+            {"fam": ["1,x:1"], "pt": ["2", "3"]},
+            "bad polynomial term '1,x:1'",
+            id="phil-audit-bad-exponent",
+        ),
+    ],
+)
+def test_malformed_torus_and_family_inputs_exit_2(tup, capsys, argv, files, message):
+    paths = {name: tup(f"{name}.txt", lines) for name, lines in files.items()}
+    code = run([a.format(**paths) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert message in captured.err
+
+
 def test_budget_exit_code(tup, capsys):
     pts = tup("pts.tup", ["zeta(5),zeta(5)^2", "zeta(5)^2,zeta(5)^4"])
     code, _ = run_capture(
@@ -563,6 +610,11 @@ PINNED_INPUTS = {
     "logs4b.tup": ["log(13)", "log(3)", "log(11)", "log(5)"],
     "mixed5.tup": ["exp(1/3)", "phi", "pi", "log(2)", "sqrt(3)"],
     "rational.tup": ["(-7/3)", "(5/2)", "(4/5)"],
+    "z5_powers.cyc": ["zeta(5)", "zeta(5)^2", "zeta(5)^3", "zeta(5)^4"],
+    "z3_torsion.cyc": ["zeta(3)", "zeta(3)", "2", "3"],
+    "third_log2.tup": ["1/3", "log(2)"],
+    "half_fifth.tup": ["1/2", "1/5"],
+    "generic.cyc": ["2,3", "5,7"],
 }
 
 
@@ -662,6 +714,39 @@ PINNED_INPUTS = {
             " --D 16",
             "f186ed6ce563e1eb9aff1cfb33f4cf771490d50254816ab9e524dd4ccd051620",
             id="dist-audit-exact-zeta5-cubed",
+        ),
+        pytest.param(
+            # irrational entries: the contradiction bound runs on intervals
+            "dist-audit --z z5.cyc --tuple theta.tup --kappa kappa.tup --I 0,1 --J 0,1"
+            " --D 16",
+            "c6eed3e176d7d94a9ee317efeab2bcc738d7cf0d70d9f71a138650835cada2a3",
+            id="dist-audit-exact-logs-zeta5",
+        ),
+        pytest.param(
+            # character (1, 0) meets 1/3, the collision meets 3 log 2: a
+            # rational entry inside an interval bound
+            "dist-audit --z z3_torsion.cyc --tuple third_log2.tup --kappa third_log2.tup"
+            " --I 0,1 --J 0,1 --D 16",
+            "797ec7601228f9abf4f5a4e60d8ade25a0ddbf3b8b7c5614f25f8c8106b073e5",
+            id="dist-audit-exact-mixed-zeta3",
+        ),
+        pytest.param(
+            # every entry the bound uses is rational, log 2 is not used: exact
+            "dist-audit --z z3_torsion.cyc --tuple third_log2.tup --kappa half_fifth.tup"
+            " --I 0,1 --J 0,1 --D 16",
+            "bc2280da7e444cb0c790ec34d64f8c2dca7f071180f51b6955b94e077acddbbd",
+            id="dist-audit-exact-rational-bound",
+        ),
+        pytest.param(
+            "dist-audit --z z5_powers.cyc --tuple theta.tup --kappa kappa.tup --I 0,1"
+            " --J 0,1 --D 16",
+            "f0be2a2abbd18d9ca2ba7c4963800d7941138306e4384c4094377835e7c4f8bd",
+            id="dist-audit-no-low-degree-vanishing",
+        ),
+        pytest.param(
+            "zeroest --points generic.cyc --depth 2 --L 2",
+            "33facdd6deb5ecb39bcc3a7efcf33031b65c05a01cba9ffe327747c45af48b12",
+            id="zeroest-no-character",
         ),
         pytest.param(
             "gen --tuple logs4.tup --mu 2 --eta 2.0 --c 0.045 --D 2..10",
