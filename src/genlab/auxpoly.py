@@ -12,13 +12,18 @@ Four layers, bottom to top:
     exponential polynomial small on a disc, found by lattice reduction on
     scaled Taylor columns and certified a posteriori on a grid with a
     Lipschitz slack plus an independent Taylor-tail bound; the grid takes
-    one interval exp per term and angle, because ring points are integer
-    multiples of the first ring (exp(a w_j) = exp(a w_1)^(j+1)) and, with
-    real exponents a_d and integer coefficients h_d, |phi(conj w)| = |phi(w)|
-    lets the upper half-plane angles stand for their conjugates; the ring
-    powers and the sums run in ball arithmetic on Python ints (midpoint-
-    radius discs at scale 2^-prec), certified by
-    |ab - a~b~| <= |a~| r_b + |b~| r_a + r_a r_b with every radius rounded up;
+    one interval exp per generator and angle, because every exponent is an
+    integer combination a_d = sum_lambda d_lambda theta_lambda of generators
+    (exp(a_d w) = prod_lambda exp(theta_lambda w)^(d_lambda); a plain family
+    is its own generators) and ring points are integer multiples of the
+    first ring (exp(a w_j) = exp(a w_1)^(j+1)); with real exponents and
+    integer coefficients h_d, |phi(conj w)| = |phi(w)| lets the upper
+    half-plane angles stand for their conjugates; the products and the sums
+    run in ball arithmetic on Python ints (midpoint-radius discs at scale
+    2^-prec), certified by |ab - a~b~| <= |a~| r_b + |b~| r_a + r_a r_b with
+    every radius rounded up, and the largest squared bound on the grid is
+    rounded to a float once, which the monotone rounding makes the same
+    float as the largest rounded bound;
   * two audits: the pigeonhole distance audit (count check, zero estimate,
     coset collision, contradiction bound) and the hypothesis checklist for
     the effective-distance proposition, which checks hypotheses only and
@@ -47,6 +52,7 @@ from .cyclo import (
     min_vanishing_degree,
     monomials_up_to,
     normalize_point_set,
+    require_torus,
 )
 from .dioph import log_expm1_abs
 from .errors import BudgetExceeded, HypothesisNotMet, InvalidConfig
@@ -408,6 +414,12 @@ class AuxPolynomial:
     precision_bits: int
 
 
+def _monomial_alpha(d: Sequence[int], gens: Sequence[str]) -> str:
+    """The exponent text of monomial d: sum_lambda d_lambda * gens[lambda]."""
+    parts = [f"({k})*({g})" for k, g in zip(d, gens) if k]
+    return " + ".join(parts) if parts else "0"
+
+
 def alphas_from_monomials(
     theta: RealTuple, subset: Sequence[int], L: int
 ) -> tuple[tuple[str, ...], tuple[tuple[int, ...], ...]]:
@@ -419,15 +431,43 @@ def alphas_from_monomials(
     if any(i < 0 or i >= len(theta) for i in subset):
         raise InvalidConfig("index subset out of range")
     mons = monomial_set(mu, 1, L)
-    exprs = []
-    for d in mons:
-        parts = [
-            f"({d[lam]})*({theta.expressions[subset[lam]]})"
-            for lam in range(mu)
-            if d[lam]
-        ]
-        exprs.append(" + ".join(parts) if parts else "0")
-    return tuple(exprs), mons
+    gens = [theta.expressions[i] for i in subset]
+    return tuple(_monomial_alpha(d, gens) for d in mons), mons
+
+
+def _identity_rows(m: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(i == d) for i in range(m)) for d in range(m))
+
+
+def _exponent_rows(
+    alphas: Sequence[str], monomials: Sequence[Sequence[int]] | None
+) -> tuple[tuple[str, ...], tuple[tuple[int, ...], ...]]:
+    """Generators theta_lambda and exponent rows d with alpha_d = d . theta.
+
+    A plain family (no monomials) is the identity: each alpha is its own
+    generator.  A monomial family's generator lambda is read off the
+    exponent "(1)*(theta_lambda)" of its unit row e_lambda, and every alpha
+    must be exactly the _monomial_alpha text of its row over them, so the
+    rows cannot disagree with the exponents they factor; a mismatch raises
+    InvalidConfig."""
+    if monomials is None:
+        return tuple(alphas), _identity_rows(len(alphas))
+    rows = tuple(tuple(int(k) for k in d) for d in monomials)
+    mu = len(rows[0]) if rows else 0
+    if len(rows) != len(alphas) or any(
+        len(d) != mu or any(k < 0 for k in d) for d in rows
+    ):
+        raise InvalidConfig("monomials do not match the exponent family")
+    gens = ["0"] * mu
+    for d, a in zip(rows, alphas):
+        if sum(d) == 1 and a.startswith("(1)*(") and a.endswith(")"):
+            gens[d.index(1)] = a[5:-1]
+    for d, a in zip(rows, alphas):
+        if a != _monomial_alpha(d, gens):
+            raise InvalidConfig(
+                f"exponent {a!r} is not the monomial {list(d)} of the family"
+            )
+    return tuple(gens), rows
 
 
 def _alpha_data(alphas: Sequence[str], bits: int):
@@ -535,23 +575,71 @@ def _ball(x, prec: int) -> tuple[int, int]:
     return mid, hi - mid
 
 
-def _grid_sup(ctx, encl, coeffs, radius: Fraction, grid: GridSpec) -> float:
+def _ball_mul(a, b, prec: int) -> tuple[int, int, int]:
+    """The product of two balls (x, y, r) at scale 2^-prec."""
+    ax, ay, ra = a
+    bx, by, rb = b
+    return (
+        (ax * bx - ay * by) >> prec,
+        (ax * by + ay * bx) >> prec,
+        (((abs(ax) + abs(ay) + 1) * rb + (abs(bx) + abs(by) + 1) * ra + ra * rb) >> prec)
+        + 3,
+    )
+
+
+def _product_plan(rows) -> list[tuple[tuple[int, ...], tuple[int, ...] | None, int]]:
+    """(row, prev, lambda) steps, each after its prev, that build every
+    nonzero row as prev + e_lambda, lambda its last nonzero index; prev is
+    None when the row is e_lambda itself."""
+    plan: list = []
+    seen: set = set()
+
+    def need(row):
+        if row in seen or not any(row):
+            return
+        lam = max(i for i, k in enumerate(row) if k)
+        prev = row[:lam] + (row[lam] - 1,) + row[lam + 1 :]
+        need(prev)
+        plan.append((row, prev if any(prev) else None, lam))
+        seen.add(row)
+
+    for row in rows:
+        need(row)
+    return plan
+
+
+def _grid_sup(ctx, encl, coeffs, radius: Fraction, grid: GridSpec, rows=None) -> float:
     """Max over the rings x angles grid of a certified upper bound on |phi(w)|.
 
-    Ring powers: angle g's ring points are w_j = (j+1) w_1 with
-    w_1 = (radius/rings) e^(2 pi i g/angles), so exp(a w_j) = exp(a w_1)^(j+1).
-    One interval exp per nonzero term gives the base; each further ring is
-    the previous ring's value times the base.
+    phi(w) = sum_d h_d exp(a_d w) with a_d = sum_lambda rows[d][lambda] *
+    theta_lambda, where encl holds the enclosures of the generators
+    theta_lambda; rows defaults to the identity, so that encl holds the
+    exponents themselves.
 
-    Balls: the ring powers and the sums run on midpoint-radius discs of
-    Python ints at scale 2^-p, p = ctx.prec.  A base's rectangle becomes the
+    Generators: exp(a_d w) = prod_lambda exp(theta_lambda w)^(d_lambda), so
+    one interval exp per angle for each generator that occurs in a term with
+    a nonzero coefficient gives every term's ring-1 base as a ball product
+    of generator balls, one product per distinct sub-monomial of the rows
+    (_product_plan); the zero row is the exact ball 1.
+
+    Ring powers: angle g's ring points are w_j = (j+1) w_1 with
+    w_1 = (radius/rings) e^(2 pi i g/angles), so exp(a w_j) = exp(a w_1)^(j+1):
+    each further ring is the previous ring's value times the base.
+
+    Balls: the products and the sums run on midpoint-radius discs of Python
+    ints at scale 2^-p, p = ctx.prec.  A generator's rectangle becomes the
     disc (mx + i my, rx + ry) of its widened fixed-point endpoints.  A
     product keeps the truncated midpoint product and the radius
     |ab - a~b~| <= |a~| r_b + |b~| r_a + r_a r_b, with |a~| <= |ax| + |ay| + 1,
     shifted down and plus 3 units for that floor and the midpoint's
     truncation; every radius is rounded up.  The sum over terms is exact on
-    the midpoints with radius sum_d |h_d| r_d, and |phi|^2 is bounded by
-    (|sx| + sr)^2 + (|sy| + sr)^2, rounded up to p bits.
+    the midpoints with radius sum_d |h_d| r_d, and |phi|^2 is bounded by the
+    integer (|sx| + sr)^2 + (|sy| + sr)^2 at scale 2^-2p.
+
+    Rounding once: ceiling to p bits, the float upper end, sqrt and
+    nextafter are each monotone, so the integer maximum over the grid is
+    rounded once and gives the same float as the maximum of the rounded
+    bounds.
 
     Conjugate symmetry: every a_d is real and every h_d an integer, so
     phi(conj w) = conj phi(w), and angle angles - g carries the same |phi|
@@ -559,45 +647,39 @@ def _grid_sup(ctx, encl, coeffs, radius: Fraction, grid: GridSpec) -> float:
     and each bound holds at its conjugate point as well.
     """
     p = ctx.prec
+    if rows is None:
+        rows = _identity_rows(len(encl))
     step = iv_from_fraction(ctx, radius / grid.rings)
-    terms = [(c, abs(c), alpha * step) for c, alpha in zip(coeffs, encl) if c]
-    worst = 0.0
+    terms = [(c, abs(c), tuple(row)) for c, row in zip(coeffs, rows) if c]
+    plan = _product_plan(row for _, _, row in terms)
+    steps = {lam: encl[lam] * step for _, _, lam in plan}
+    top = 0
     for g in range(grid.angles // 2 + 1):
         ang = 2 * ctx.pi * g / grid.angles
         cos_a, sin_a = cos_sin(ctx, ang)
-        bases = []
-        for _, _, x in terms:
+        gens = {}
+        for lam, x in steps.items():
             z = complex_exp(ctx, ComplexIV(x * cos_a, x * sin_a))
             mx, rx = _ball(z.re, p)
             my, ry = _ball(z.im, p)
-            bases.append((mx, my, rx + ry, abs(mx) + abs(my) + 1))
-        powers = [base[:3] for base in bases]
+            gens[lam] = (mx, my, rx + ry)
+        balls = {}
+        for row, prev, lam in plan:
+            balls[row] = gens[lam] if prev is None else _ball_mul(balls[prev], gens[lam], p)
+        bases = [balls.get(row, (1 << p, 0, 0)) for _, _, row in terms]
+        powers = bases
         for j in range(grid.rings):
             if j:
-                powers = [
-                    (
-                        (ax * bx - ay * by) >> p,
-                        (ax * by + ay * bx) >> p,
-                        (((abs(ax) + abs(ay) + 1) * rb + b_mag * ra + ra * rb) >> p)
-                        + 3,
-                    )
-                    for (ax, ay, ra), (bx, by, rb, b_mag) in zip(powers, bases)
-                ]
+                powers = [_ball_mul(a, b, p) for a, b in zip(powers, bases)]
             sx = sy = sr = 0
             for (c, c_abs, _), (mx, my, r) in zip(terms, powers):
                 sx += c * mx
                 sy += c * my
                 sr += c_abs * r
-            abs2 = libmp.from_man_exp(
-                (abs(sx) + sr) ** 2 + (abs(sy) + sr) ** 2,
-                -2 * p,
-                p,
-                libmp.round_ceiling,
-            )
-            abs2_hi = to_float_pair(ctx.make_mpf((abs2, abs2)))[1]
-            hi = math.nextafter(math.sqrt(abs2_hi), math.inf)
-            worst = max(worst, hi)
-    return worst
+            top = max(top, (abs(sx) + sr) ** 2 + (abs(sy) + sr) ** 2)
+    abs2 = libmp.from_man_exp(top, -2 * p, p, libmp.round_ceiling)
+    abs2_hi = to_float_pair(ctx.make_mpf((abs2, abs2)))[1]
+    return math.nextafter(math.sqrt(abs2_hi), math.inf)
 
 
 def siegel_construct(
@@ -621,7 +703,10 @@ def siegel_construct(
     reported sup is certified twice: a series bound, and a grid maximum plus
     a Lipschitz slack covering the whole disc.  With strict=True a result
     that misses the height budget or certifies no decay raises instead of
-    being returned with best_effort set.
+    being returned with best_effort set.  Given monomials, alphas must be
+    the family alphas_from_monomials builds from them: the grid exponentiates
+    the generators the exponents are read as, and a pair that does not
+    match raises InvalidConfig.
     """
     if isinstance(alphas, RealTuple):
         alphas = alphas.expressions
@@ -642,6 +727,7 @@ def siegel_construct(
     terms = taylor_terms if taylor_terms is not None else min(m, 10)
     if terms < 1:
         raise InvalidConfig("taylor_terms must be >= 1")
+    gens, exponent_rows = _exponent_rows(alphas, monomials)
     ctx, encl, exact, keys = _alpha_data(alphas, bits)
 
     scale = 1 << (math.ceil(u_target / math.log(2)) + 16)
@@ -689,7 +775,12 @@ def siegel_construct(
         achieved = float("-inf")
     else:
         taylor_hi = to_float_pair(sup_iv)[1]
-        grid_max = _grid_sup(ctx, encl, best, radius, grid)
+        gen_encl = (
+            encl
+            if monomials is None
+            else [eval_interval(ctx, parse_expression(g)) for g in gens]
+        )
+        grid_max = _grid_sup(ctx, gen_encl, best, radius, grid, exponent_rows)
         mesh = rad / grid.rings + ctx.pi * rad / grid.angles
         slack_hi = to_float_pair(mesh * dsup_iv)[1]
         total = min(math.nextafter(grid_max + slack_hi, math.inf), taylor_hi)
@@ -908,12 +999,13 @@ def distance_audit(
             return replace(numeric, binding="distance_far", verdict="pass_trivial")
         return replace(numeric, binding="numeric_point_near_image")
 
+    coords = make_point(z)
+    require_torus([coords])
     if not base.count_ok:
         return base
 
     if (S + 1) ** nu > 4096:
         raise BudgetExceeded("pigeonhole box exceeds desk scale")
-    coords = make_point(z)
     columns = [coords[lam * nu : (lam + 1) * nu] for lam in range(mu)]
     powers = {
         r_vec: tuple(char_value(r_vec, col) for col in columns)

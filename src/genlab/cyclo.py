@@ -106,6 +106,27 @@ def _mul_mod(a: Sequence[int], b: Sequence[int], order: int) -> IntPoly:
     return _reduce(order, prod)
 
 
+@lru_cache(maxsize=None)
+def _ramanujan_sums(order: int) -> tuple[int, ...]:
+    """Tr(zeta^i) over Q for 0 <= i < phi(order): the Ramanujan sums
+    c(i) = sum_{d | gcd(i, order)} mobius(order / d) d."""
+
+    def mobius(n: int) -> int:
+        sign, p = 1, 2
+        while p * p <= n:
+            if n % p == 0:
+                n //= p
+                if n % p == 0:
+                    return 0
+                sign = -sign
+            p += 1
+        return -sign if n > 1 else sign
+
+    divisors = [(d, mobius(order // d)) for d in range(1, order + 1) if order % d == 0]
+    phi = len(cyclotomic_polynomial(order)) - 1
+    return tuple(sum(m * d for d, m in divisors if i % d == 0) for i in range(phi))
+
+
 def _make(order: int, nums: Sequence[int], den: int) -> "CycloNum":
     """The CycloNum nums / den (den > 0), brought to lowest terms."""
     g = gcd(*nums, den)
@@ -276,10 +297,12 @@ class CycloNum:
 
     def __hash__(self):
         if self._hash is None:
-            # lowest terms make (nums, den) canonical in each order, and a
-            # rational's (nums[0], den) the same in every order
-            key = (1, self.nums[:1]) if self.is_rational() else (self.order, self.nums)
-            self._hash = hash(("cyclo", *key, self.den))
+            # the normalised trace Tr(x) / phi(order) is the same in every
+            # order x is promoted to, and is x itself for a rational x, so
+            # equal values hash alike across orders and alike with int and
+            # Fraction; Galois conjugates collide
+            tr = sum(c * t for c, t in zip(self.nums, _ramanujan_sums(self.order)))
+            self._hash = hash(Fraction(tr, len(self.nums) * self.den))
         return self._hash
 
     def complex_value(self) -> complex:
@@ -349,14 +372,18 @@ def char_value(exponents: Sequence[int], p: Point) -> CycloNum:
     return acc
 
 
+def require_torus(points: Iterable[Point]) -> None:
+    """Raise InvalidConfig unless every coordinate of every point is nonzero."""
+    if any(c.is_zero() for p in points for c in p):
+        raise InvalidConfig("points must lie in the torus (no zero coordinate)")
+
+
 def product_point_set(points: Sequence[Sequence], depth: int) -> list[Point]:
     """All products of `depth` factors drawn (with repetition) from the set."""
     if depth < 1:
         raise InvalidConfig("depth must be >= 1")
     base = normalize_point_set(points)
-    for p in base:
-        if any(c.is_zero() for c in p):
-            raise InvalidConfig("points must lie in the torus (no zero coordinate)")
+    require_torus(base)
     current = {_point_key(p): p for p in base}
     for _ in range(depth - 1):
         nxt: dict = {}

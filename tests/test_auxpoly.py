@@ -305,11 +305,22 @@ def test_evaluate_encloses_mpmath(data):
         assert negligible
         return
     if res.log_value == NEG_PAIR:
-        assert res.pullback_terms == 0
+        # an empty pullback, or terms whose exact sum is zero (test below)
         assert negligible
     else:
         assert res.pullback_terms > 0
         assert res.log_value[0] <= log_total <= res.log_value[1]
+
+
+def test_evaluate_exact_zero_with_surviving_terms():
+    # theta = 0 sends every pullback term to exp(0) = 1: three distinct
+    # exponent vectors survive the pullback, and -1 - 1 + 2 is exactly 0
+    theta = RealTuple(("0/1", "0/1", "0/1"))
+    kappa = RealTuple(("0/1", "0/1"))
+    f = {(0,): -1, (1,): -1, (2,): 2}
+    res = evaluate_at_theta_kappa(f, [[1]], theta, kappa, mu=1, k=1, nu=1, I=[0], J=[0])
+    assert res.log_value == NEG_PAIR
+    assert res.pullback_terms == 3
 
 
 # ---------------------------------------------------------------------------
@@ -516,6 +527,115 @@ def test_grid_sup_encloses_phi_over_forty_rings_at_radius_one(data):
                 assert got >= val
                 true_max = max(true_max, val)
         assert got <= true_max * (1 + mpmath.mpf(1e-12))
+
+
+# generators of a monomial family: distinct log primes and square roots of
+# distinct squarefree q, plus at most one nonzero rational.  They are linearly
+# independent over Q (Besicovitch for the roots against 1, Baker for the logs
+# against the algebraic numbers), so distinct monomials give distinct
+# exponents and phi is not identically zero.
+IRRATIONAL_GENERATORS = [("log", p) for p in (2, 3, 5, 7)] + [
+    ("sqrt", q) for q in (2, 3, 5, 6, 7)
+]
+NONZERO_RATIONALS = st.builds(
+    Fraction, st.integers(1, 3).flatmap(lambda n: st.sampled_from((n, -n))),
+    st.integers(1, 4),
+)
+
+
+def draw_monomial_family(data):
+    mu = data.draw(st.integers(1, 3))
+    gens = data.draw(
+        st.lists(
+            st.sampled_from(IRRATIONAL_GENERATORS), min_size=mu - 1, max_size=mu, unique=True
+        )
+    )
+    if len(gens) < mu:
+        gens.append(("q", data.draw(NONZERO_RATIONALS)))
+    gens = data.draw(st.permutations(gens))
+    L = data.draw(st.integers(1, 4))
+    bits = data.draw(st.sampled_from((128, 256)))
+    theta = RealTuple(tuple(exponent_text(e) for e in gens), precision_bits=bits)
+    alphas, mons = alphas_from_monomials(theta, range(mu), L)
+    return gens, alphas, mons, bits
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_factored_grid_sup_equals_identity_and_encloses_phi(data):
+    gens, alphas, mons, bits = draw_monomial_family(data)
+    coeffs = data.draw(
+        st.lists(
+            st.one_of(st.just(0), st.integers(-9, 9)),
+            min_size=len(alphas),
+            max_size=len(alphas),
+        ).filter(any)
+    )
+    grid = GridSpec(data.draw(st.integers(1, 4)), data.draw(st.integers(8, 13)))
+    radius = data.draw(st.sampled_from((Fraction(1, 4), Fraction(1, 2), Fraction(1))))
+    texts, rows = auxpoly_mod._exponent_rows(alphas, mons)
+    assert texts == tuple(exponent_text(e) for e in gens)
+    assert rows == mons
+    ctx, encl, _, _ = auxpoly_mod._alpha_data(alphas, bits)
+    _, gen_encl, _, _ = auxpoly_mod._alpha_data(texts, bits)
+    got = auxpoly_mod._grid_sup(ctx, gen_encl, coeffs, radius, grid, rows)
+    # the identity-matrix evaluation of the same alpha strings
+    assert got == auxpoly_mod._grid_sup(ctx, encl, coeffs, radius, grid)
+    with mpmath.workprec(2 * bits):
+        theta = [exponent_mp(e) for e in gens]
+        exps = [mpmath.fsum(k * t for k, t in zip(d, theta)) for d in mons]
+        rad = mpmath.mpf(radius.numerator) / radius.denominator
+        for g in range(grid.angles):
+            turn = mpmath.expj(2 * mpmath.pi * g / grid.angles)
+            for j in range(grid.rings):
+                w = rad * (j + 1) / grid.rings * turn
+                val = abs(mpmath.fsum(c * mpmath.exp(a * w) for c, a in zip(coeffs, exps)))
+                assert got >= val
+
+
+@pytest.mark.parametrize("rings,angles", [(1, 8), (3, 9), (10, 100), (4, 13)])
+@pytest.mark.parametrize("unused", [None, 0, 2])
+def test_monomial_grid_sup_takes_one_exp_per_generator_per_half_plane_angle(
+    monkeypatch, rings, angles, unused
+):
+    # (log 2, log 3, sqrt 5) at L = 2; a zero coefficient on every monomial
+    # that holds the unused generator leaves two generators to exponentiate
+    theta = RealTuple(("log(2)", "log(3)", "sqrt(5)"))
+    alphas, mons = alphas_from_monomials(theta, (0, 1, 2), 2)
+    coeffs = [
+        0 if unused is not None and d[unused] else 1 + i % 3 for i, d in enumerate(mons)
+    ]
+    texts, rows = auxpoly_mod._exponent_rows(alphas, mons)
+    ctx, gen_encl, _, _ = auxpoly_mod._alpha_data(texts, 128)
+    calls = []
+
+    def counting_exp(ctx, z):
+        calls.append(z)
+        return complex_exp(ctx, z)
+
+    monkeypatch.setattr(auxpoly_mod, "complex_exp", counting_exp)
+    auxpoly_mod._grid_sup(ctx, gen_encl, coeffs, Fraction(1, 4), GridSpec(rings, angles), rows)
+    assert len(calls) == (angles // 2 + 1) * (3 if unused is None else 2)
+
+
+def test_siegel_rejects_mismatched_monomials():
+    theta = RealTuple(("log(2)", "log(3)"), precision_bits=256)
+    alphas, mons = alphas_from_monomials(theta, (0, 1), 2)
+    other, _ = alphas_from_monomials(RealTuple(("log(2)", "log(5)")), (0, 1), 2)
+    mismatched = [
+        (alphas, tuple(reversed(mons))),  # rows out of order
+        (alphas, mons[:-1]),  # one row short
+        (alphas, tuple(d[::-1] for d in mons)),  # generators swapped
+        (alphas[:-1] + ("(2)*(log(5))",), mons),  # one exponent replaced
+        (alphas[:3] + other[3:], mons),  # two generator readings
+        (("log(2)", "log(3)"), ((1, 0), (0, 1))),  # plain texts as monomials
+        (("0", "(1)*(log(2))"), ((0, 0), (-1, 0))),  # a negative exponent
+    ]
+    for a, m in mismatched:
+        with pytest.raises(InvalidConfig):
+            siegel_construct(a, 1.0, 8.0, monomials=m)
+    # the matching pair certifies
+    assert siegel_construct(alphas, 1.0, 8.0, monomials=mons).monomials == mons
 
 
 def fixed_point_interval(ctx, lo_man, lo_exp, width_man, width_exp):

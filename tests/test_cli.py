@@ -177,6 +177,15 @@ def test_zero_tuple_entry_exits_2(tup, capsys, argv, entry):
             id="dist-audit-zero-coordinate",
         ),
         pytest.param(
+            # the count check fails at D = 4: the coordinate is refused first
+            ["dist-audit", "--z", "{z}", "--tuple", "{th}", "--kappa", "{ka}",
+             "--I", "0,1", "--J", "0,1", "--D", "4"],
+            {"z": ["0", "zeta(5)", "zeta(5)", "zeta(5)"], "th": ["log(2)", "log(3)"],
+             "ka": ["log(5)", "log(7)"]},
+            "no zero coordinate",
+            id="dist-audit-zero-coordinate-count-check",
+        ),
+        pytest.param(
             ["omega", "--points", "{pts}"],
             {"pts": ["zeta(5)", "zeta(5)^2,zeta(5)^4"]},
             "mixed dimensions",
@@ -646,6 +655,18 @@ PINNED_INPUTS = {
             "auxpoly --tuple logs.tup --subset 0,1 --L 2 --delta 8.0 --radius 1/4",
             "a4b8be32b2d9f8ad8ce3dab7f41fca5522547ab61f594b3748cd4a9eae0fdaba",
             id="readme-auxpoly",
+        ),
+        pytest.param(
+            # the heaviest Siegel cell: 15 monomials in (log 2, log 3)
+            "auxpoly --tuple logs.tup --subset 0,1 --L 4 --delta 8.0 --prec 256",
+            "247a26478a3cd57a677ea15a8c9d3bf981b29619df0eb04eab9fc7ae58d053f9",
+            id="auxpoly-log-pair-L4",
+        ),
+        pytest.param(
+            # three generators (log 2, log 3, log 7) at degree 1
+            "auxpoly --tuple logs4.tup --subset 0,1,3 --L 1 --delta 8.0 --prec 128",
+            "04b79d1cd9eb3dd5a5c98c4d8246828fed72aa8b4f3f607f70ac77db46f6bdc3",
+            id="auxpoly-three-logs-L1",
         ),
         pytest.param(
             "omega --points pts.cyc --max-degree 4",

@@ -445,6 +445,28 @@ def test_integer_cyclonum_matches_fraction_reference(ea, eb, k, widen):
         _assert_canonical(a ** k, na, ref)
 
 
+@settings(max_examples=150, deadline=None)
+@given(_element, st.integers(1, 6), st.integers(1, 6))
+def test_promoted_values_hash_alike(e, widen, widen2):
+    # one value in three orders, none dividing the next but the first: equal
+    # under promote, so equal hashes, in a set as one element
+    n, cs = e
+    x = CycloNum(n, cs)
+    y = x.promote(n * widen)
+    z = x.promote(n * widen2)
+    assert x == y == z
+    assert hash(x) == hash(y) == hash(z)
+    assert len({x, y, z}) == 1
+    if x.is_rational():
+        assert hash(x) == hash(x.as_rational())
+
+
+def test_root_of_unity_hashes_alike_in_a_wider_order():
+    w = CycloNum.root_of_unity(3)
+    assert w == w.promote(6) and hash(w) == hash(w.promote(6))
+    assert w.promote(6) in {w}
+
+
 @settings(max_examples=80, deadline=None)
 @given(_element, st.integers(1, 4), st.integers(-4, 4).filter(bool), _small_fraction)
 def test_equal_values_hash_alike(e, widen, r, q):
