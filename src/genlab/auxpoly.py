@@ -435,23 +435,20 @@ def alphas_from_monomials(
     return tuple(_monomial_alpha(d, gens) for d in mons), mons
 
 
-def _identity_rows(m: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(i == d) for i in range(m)) for d in range(m))
-
-
 def _exponent_rows(
     alphas: Sequence[str], monomials: Sequence[Sequence[int]] | None
-) -> tuple[tuple[str, ...], tuple[tuple[int, ...], ...]]:
-    """Generators theta_lambda and exponent rows d with alpha_d = d . theta.
+) -> tuple[tuple[tuple[int, ...], ...] | None, tuple[int, ...]]:
+    """Exponent rows d with alpha_d = d . theta, and for each generator
+    theta_lambda the index of the alpha that is theta_lambda itself.
 
-    A plain family (no monomials) is the identity: each alpha is its own
-    generator.  A monomial family's generator lambda is read off the
-    exponent "(1)*(theta_lambda)" of its unit row e_lambda, and every alpha
-    must be exactly the _monomial_alpha text of its row over them, so the
-    rows cannot disagree with the exponents they factor; a mismatch raises
-    InvalidConfig."""
+    A plain family (no monomials) has rows None, the identity: each alpha
+    is its own generator.  A monomial family's generator lambda is read off
+    the exponent "(1)*(theta_lambda)" of its unit row e_lambda, whose
+    enclosure is theta_lambda's, and every alpha must be exactly the
+    _monomial_alpha text of its row over them, so the rows cannot disagree
+    with the exponents they factor; a mismatch raises InvalidConfig."""
     if monomials is None:
-        return tuple(alphas), _identity_rows(len(alphas))
+        return None, tuple(range(len(alphas)))
     rows = tuple(tuple(int(k) for k in d) for d in monomials)
     mu = len(rows[0]) if rows else 0
     if len(rows) != len(alphas) or any(
@@ -459,15 +456,19 @@ def _exponent_rows(
     ):
         raise InvalidConfig("monomials do not match the exponent family")
     gens = ["0"] * mu
-    for d, a in zip(rows, alphas):
+    units: list = [None] * mu
+    for i, (d, a) in enumerate(zip(rows, alphas)):
         if sum(d) == 1 and a.startswith("(1)*(") and a.endswith(")"):
-            gens[d.index(1)] = a[5:-1]
+            lam = d.index(1)
+            gens[lam], units[lam] = a[5:-1], i
     for d, a in zip(rows, alphas):
         if a != _monomial_alpha(d, gens):
             raise InvalidConfig(
                 f"exponent {a!r} is not the monomial {list(d)} of the family"
             )
-    return tuple(gens), rows
+    if None in units:
+        raise InvalidConfig("every generator of the family needs its unit monomial")
+    return rows, tuple(units)
 
 
 def _alpha_data(alphas: Sequence[str], bits: int):
@@ -613,7 +614,7 @@ def _grid_sup(ctx, encl, coeffs, radius: Fraction, grid: GridSpec, rows=None) ->
 
     phi(w) = sum_d h_d exp(a_d w) with a_d = sum_lambda rows[d][lambda] *
     theta_lambda, where encl holds the enclosures of the generators
-    theta_lambda; rows defaults to the identity, so that encl holds the
+    theta_lambda; rows None is the identity, so that encl holds the
     exponents themselves.
 
     Generators: exp(a_d w) = prod_lambda exp(theta_lambda w)^(d_lambda), so
@@ -648,7 +649,7 @@ def _grid_sup(ctx, encl, coeffs, radius: Fraction, grid: GridSpec, rows=None) ->
     """
     p = ctx.prec
     if rows is None:
-        rows = _identity_rows(len(encl))
+        rows = [tuple(int(i == d) for i in range(len(encl))) for d in range(len(encl))]
     step = iv_from_fraction(ctx, radius / grid.rings)
     terms = [(c, abs(c), tuple(row)) for c, row in zip(coeffs, rows) if c]
     plan = _product_plan(row for _, _, row in terms)
@@ -727,7 +728,7 @@ def siegel_construct(
     terms = taylor_terms if taylor_terms is not None else min(m, 10)
     if terms < 1:
         raise InvalidConfig("taylor_terms must be >= 1")
-    gens, exponent_rows = _exponent_rows(alphas, monomials)
+    exponent_rows, units = _exponent_rows(alphas, monomials)
     ctx, encl, exact, keys = _alpha_data(alphas, bits)
 
     scale = 1 << (math.ceil(u_target / math.log(2)) + 16)
@@ -775,11 +776,7 @@ def siegel_construct(
         achieved = float("-inf")
     else:
         taylor_hi = to_float_pair(sup_iv)[1]
-        gen_encl = (
-            encl
-            if monomials is None
-            else [eval_interval(ctx, parse_expression(g)) for g in gens]
-        )
+        gen_encl = [encl[i] for i in units]
         grid_max = _grid_sup(ctx, gen_encl, best, radius, grid, exponent_rows)
         mesh = rad / grid.rings + ctx.pi * rad / grid.angles
         slack_hi = to_float_pair(mesh * dsup_iv)[1]

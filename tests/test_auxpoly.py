@@ -305,7 +305,9 @@ def test_evaluate_encloses_mpmath(data):
         assert negligible
         return
     if res.log_value == NEG_PAIR:
-        # an empty pullback, or terms whose exact sum is zero (test below)
+        # an empty pullback, or surviving terms whose exponents are all
+        # exactly 0, so that the interval sum is exactly zero (test below)
+        assert res.pullback_terms == 0 or all(t == c for t, c in zip(terms, f.values()))
         assert negligible
     else:
         assert res.pullback_terms > 0
@@ -573,12 +575,11 @@ def test_factored_grid_sup_equals_identity_and_encloses_phi(data):
     )
     grid = GridSpec(data.draw(st.integers(1, 4)), data.draw(st.integers(8, 13)))
     radius = data.draw(st.sampled_from((Fraction(1, 4), Fraction(1, 2), Fraction(1))))
-    texts, rows = auxpoly_mod._exponent_rows(alphas, mons)
-    assert texts == tuple(exponent_text(e) for e in gens)
+    rows, units = auxpoly_mod._exponent_rows(alphas, mons)
+    assert tuple(alphas[i] for i in units) == tuple(f"(1)*({exponent_text(e)})" for e in gens)
     assert rows == mons
     ctx, encl, _, _ = auxpoly_mod._alpha_data(alphas, bits)
-    _, gen_encl, _, _ = auxpoly_mod._alpha_data(texts, bits)
-    got = auxpoly_mod._grid_sup(ctx, gen_encl, coeffs, radius, grid, rows)
+    got = auxpoly_mod._grid_sup(ctx, [encl[i] for i in units], coeffs, radius, grid, rows)
     # the identity-matrix evaluation of the same alpha strings
     assert got == auxpoly_mod._grid_sup(ctx, encl, coeffs, radius, grid)
     with mpmath.workprec(2 * bits):
@@ -605,8 +606,9 @@ def test_monomial_grid_sup_takes_one_exp_per_generator_per_half_plane_angle(
     coeffs = [
         0 if unused is not None and d[unused] else 1 + i % 3 for i, d in enumerate(mons)
     ]
-    texts, rows = auxpoly_mod._exponent_rows(alphas, mons)
-    ctx, gen_encl, _, _ = auxpoly_mod._alpha_data(texts, 128)
+    rows, units = auxpoly_mod._exponent_rows(alphas, mons)
+    ctx, encl, _, _ = auxpoly_mod._alpha_data(alphas, 128)
+    gen_encl = [encl[i] for i in units]
     calls = []
 
     def counting_exp(ctx, z):
@@ -630,6 +632,7 @@ def test_siegel_rejects_mismatched_monomials():
         (alphas[:3] + other[3:], mons),  # two generator readings
         (("log(2)", "log(3)"), ((1, 0), (0, 1))),  # plain texts as monomials
         (("0", "(1)*(log(2))"), ((0, 0), (-1, 0))),  # a negative exponent
+        (("0", "(1)*(log(2))"), ((0, 0, 0), (1, 0, 0))),  # generators without unit rows
     ]
     for a, m in mismatched:
         with pytest.raises(InvalidConfig):
