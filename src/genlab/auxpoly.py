@@ -1,13 +1,11 @@
 """Auxiliary-polynomial pipeline at desk scale.
 
-Four layers, bottom to top:
+Three layers, bottom to top:
 
   * proof-rate schedules: given a height D and shape parameters (k, mu, nu),
     the derived degree L, exponent range R, monomial count M, height budget
     Delta and the Siegel quality target U, with the feasibility inequality
     checked in exact integers;
-  * monomial pullbacks m_r^* and certified evaluation of exponential sums
-    at a (theta, kappa) pair, by analytic factorization or by expansion;
   * a Siegel-style coefficient search: integer coefficients making an
     exponential polynomial small on a disc, found by lattice reduction on
     scaled Taylor columns and certified a posteriori on a grid with a
@@ -187,184 +185,6 @@ def monomial_set(mu: int, k: int, L: int) -> tuple[tuple[int, ...], ...]:
     if mu < 1 or k < 1 or L < 0:
         raise InvalidConfig("mu, k must be >= 1 and L >= 0")
     return tuple(sorted(monomials_up_to(mu * k, L)))
-
-
-# ---------------------------------------------------------------------------
-# pullbacks and evaluation
-
-Poly = Mapping[Sequence[int], int]
-
-
-def _as_poly(poly: Poly, nvars: int) -> dict[tuple[int, ...], int]:
-    if not poly:
-        raise InvalidConfig("empty polynomial")
-    out: dict[tuple[int, ...], int] = {}
-    for mono, coeff in poly.items():
-        mono = tuple(int(e) for e in mono)
-        if len(mono) != nvars:
-            raise InvalidConfig(f"monomial {mono} has wrong arity (expected {nvars})")
-        if coeff:
-            out[mono] = out.get(mono, 0) + int(coeff)
-    return out
-
-
-def _normalize_r(r: Sequence, k: int) -> tuple[tuple[int, ...], ...]:
-    rows = []
-    for row in r:
-        if isinstance(row, (int,)):
-            row = (row,)
-        row = tuple(int(v) for v in row)
-        if len(row) != k:
-            raise InvalidConfig(f"exponent row {row} has wrong arity (expected {k})")
-        if any(v < 0 for v in row):
-            raise InvalidConfig("exponent rows must be nonnegative")
-        rows.append(row)
-    if not rows:
-        raise InvalidConfig("empty exponent matrix")
-    return tuple(rows)
-
-
-@dataclass(frozen=True)
-class PullbackResult:
-    """Image of a polynomial under the monomial substitution m_r.
-
-    Variables of the image are (lambda, rho) pairs, lambda-major.  The degree
-    bound max_a(sum_rho r[rho][a]) * deg(f) and the pre-collision height
-    equality are checked during construction; `collisions` counts distinct
-    source monomials that landed on an already-occupied image exponent.
-    """
-
-    poly: dict[tuple[int, ...], int]
-    mu: int
-    nu: int
-    degree: int
-    degree_bound: int
-    height: int
-    source_height: int
-    collisions: int
-
-
-def pullback_mr(f: Poly, r: Sequence, mu: int, k: int, nu: int) -> PullbackResult:
-    """Substitute x_{lambda,a} <- prod_rho z_{lambda,rho}^{r[rho][a]}.
-
-    The image exponent of z_{lambda,rho} in the image of multidegree d is
-    sum_a d[lambda*k+a] * r[rho][a].
-    """
-    src = _as_poly(f, mu * k)
-    rows = _normalize_r(r, k)
-    if len(rows) != nu:
-        raise InvalidConfig(f"expected {nu} exponent rows, got {len(rows)}")
-    col_sums = [sum(rows[rho][a] for rho in range(nu)) for a in range(k)]
-    stretch = max(col_sums) if col_sums else 0
-    src_deg = max(sum(d) for d in src) if src else 0
-    out: dict[tuple[int, ...], int] = {}
-    collisions = 0
-    for d, coeff in src.items():
-        image = []
-        for lam in range(mu):
-            for rho in range(nu):
-                image.append(
-                    sum(d[lam * k + a] * rows[rho][a] for a in range(k))
-                )
-        key = tuple(image)
-        if sum(key) > stretch * sum(d):
-            raise AssertionError("pullback degree bound violated")
-        if key in out:
-            collisions += 1
-            out[key] = out[key] + coeff
-            if out[key] == 0:
-                del out[key]
-        else:
-            out[key] = coeff
-    src_height = max(abs(c) for c in src.values()) if src else 0
-    height = max((abs(c) for c in out.values()), default=0)
-    degree = max((sum(e) for e in out), default=0)
-    bound = stretch * src_deg
-    if degree > bound:
-        raise AssertionError("pullback degree bound violated")
-    if collisions == 0 and height != src_height:
-        raise AssertionError("collision-free pullback must preserve the height")
-    return PullbackResult(out, mu, nu, degree, bound, height, src_height, collisions)
-
-
-@dataclass(frozen=True)
-class ExpEvalResult:
-    """Certified log|value| of an exponential sum; pullback_terms == 0 records
-    that the image vanished identically."""
-
-    log_value: tuple[float, float]
-    precision_bits: int
-    pullback_terms: int
-
-
-def _subset(tup: RealTuple, subset: Sequence[int] | None, size: int) -> tuple[int, ...]:
-    if subset is None:
-        subset = tuple(range(size))
-    subset = tuple(int(i) for i in subset)
-    if len(subset) != size:
-        raise InvalidConfig(f"index subset must have {size} entries")
-    if any(i < 0 or i >= len(tup) for i in subset):
-        raise InvalidConfig("index subset out of range")
-    return subset
-
-
-def evaluate_at_theta_kappa(
-    f: Poly,
-    r: Sequence,
-    theta: RealTuple,
-    kappa: RealTuple,
-    *,
-    mu: int,
-    k: int,
-    nu: int,
-    I: Sequence[int] | None = None,
-    J: Sequence[int] | None = None,
-    precision_bits: int = 128,
-) -> ExpEvalResult:
-    """log|sum_d h_d exp(sum_{lambda,a} d_{lambda,a} theta_I[lambda] w_a)|
-    with w_a = sum_rho r[rho][a] kappa_J[rho].
-
-    f is first pushed through the pullback, so exact integer cancellation of
-    colliding exponents shows as an identically-zero image; otherwise the
-    sum is evaluated through the w_a.  Returns the (-inf, -inf) sentinel for
-    an exact zero.
-    """
-    if theta.is_complex or kappa.is_complex:
-        raise InvalidConfig("evaluation expects real tuples")
-    I = _subset(theta, I, mu)
-    J = _subset(kappa, J, nu)
-    src = _as_poly(f, mu * k)
-    rows = _normalize_r(r, k)
-    if len(rows) != nu:
-        raise InvalidConfig(f"expected {nu} exponent rows, got {len(rows)}")
-    pb = pullback_mr(src, rows, mu, k, nu)
-    if not pb.poly:
-        return ExpEvalResult(NEG_PAIR, precision_bits, 0)
-
-    def attempt(bits: int) -> tuple[float, float]:
-        ctx, theta_iv = theta.real_enclosures(bits)
-        _, kappa_iv = kappa.real_enclosures(bits)
-        th = [theta_iv[i] for i in I]
-        ka = [kappa_iv[j] for j in J]
-        w = []
-        for a in range(k):
-            coeffs = [rows[rho][a] for rho in range(nu)]
-            if not any(coeffs):
-                w.append(ctx.mpf(0))
-            else:
-                w.append(sum(c * ka[rho] for rho, c in enumerate(coeffs) if c))
-        total = ctx.mpf(0)
-        for d, coeff in sorted(src.items()):
-            s = ctx.mpf(0)
-            for lam in range(mu):
-                for a in range(k):
-                    if d[lam * k + a]:
-                        s += d[lam * k + a] * th[lam] * w[a]
-            total += coeff * ctx.exp(s)
-        return log_pair(log_abs_interval(ctx, total))
-
-    pair = run_escalating(attempt, precision_bits)
-    return ExpEvalResult(pair, precision_bits, len(pb.poly))
 
 
 # ---------------------------------------------------------------------------
@@ -714,15 +534,14 @@ def siegel_construct(
     alphas = tuple(str(a) for a in alphas)
     if not alphas:
         raise InvalidConfig("empty exponent family")
-    if isinstance(radius, str):
-        radius = Fraction(radius)
     radius = Fraction(radius)
     if radius <= 0:
         raise InvalidConfig("radius must be positive")
     u_target = float(u_target)
     delta = float(delta)
-    if u_target <= 0 or delta <= 0:
-        raise InvalidConfig("u_target and delta must be positive")
+    # written so that NaN fails too
+    if not (0 < u_target < math.inf and 0 < delta < math.inf):
+        raise InvalidConfig("u_target and delta must be positive and finite")
     bits = max(128, precision_bits)
     m = len(alphas)
     terms = taylor_terms if taylor_terms is not None else min(m, 10)
@@ -1084,6 +903,22 @@ class PhilipponReport:
     case: str
     D: int
     note: str = "hypothesis audit only; the conclusion is not asserted"
+
+
+Poly = Mapping[Sequence[int], int]
+
+
+def _as_poly(poly: Poly, nvars: int) -> dict[tuple[int, ...], int]:
+    if not poly:
+        raise InvalidConfig("empty polynomial")
+    out: dict[tuple[int, ...], int] = {}
+    for mono, coeff in poly.items():
+        mono = tuple(int(e) for e in mono)
+        if len(mono) != nvars:
+            raise InvalidConfig(f"monomial {mono} has wrong arity (expected {nvars})")
+        if coeff:
+            out[mono] = out.get(mono, 0) + int(coeff)
+    return out
 
 
 def _laurent_degree(mono: Sequence[int]) -> int:

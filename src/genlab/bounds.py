@@ -7,8 +7,7 @@ point anywhere.  The three bound families:
     mu*nu/(mu+nu) > t, mu <= (m-t)/max(t-1,1), nu <= (n-t)/max(t-1,1);
   * the closed-form bound floor(sqrt((min(m,n)+1)/2)) with its proof
     substitution t, mu = nu = 2t^2-1 checked inequality by inequality;
-  * the power-tuple split that feeds a geometric range of powers into the
-    closed form, with exact exponent bookkeeping.
+  * the conjectured target m*n/(m+n) - 1 and its gap to the witness bound.
 
 The kappa clause of the source statement reads max(t-1,t) where every other
 clause reads max(t-1,1); the consistent reading is the default and the
@@ -102,50 +101,6 @@ def corollary_witness_check(n: int) -> WitnessChecklist:
     return WitnessChecklist(
         n, t, mu, nu, ratio, ratio_ok, size_floor, size_ok, ratio_ok and size_ok
     )
-
-
-@dataclass(frozen=True)
-class PowerSplit:
-    """Two exponent ranges whose sumset covers a range of powers exactly."""
-
-    m: int
-    n: int
-    theta_range: tuple[int, int]
-    kappa_range: tuple[int, int]
-    theta_len: int
-    kappa_len: int
-    bound: int
-
-    def covered_range(self) -> tuple[int, int]:
-        return (
-            self.theta_range[0] + self.kappa_range[0],
-            self.theta_range[1] + self.kappa_range[1],
-        )
-
-
-def power_tuple_split(m: int, n: int) -> PowerSplit:
-    """Split the powers zeta^m, ..., zeta^(n-m) into two geometric tuples.
-
-    theta exponents run over [floor(m/2), (n-m) - floor((n-m)/2)] and kappa
-    exponents over [m - floor(m/2), floor((n-m)/2)]; their sums cover
-    [m, n-m] exactly.  A single-exponent input collapses both ranges to one
-    point each.  The returned bound is the closed form applied to the two
-    tuple lengths.
-    """
-    hi = n - m
-    if hi < m:
-        raise InvalidConfig("empty power range: need n >= 2m")
-    if hi == m:
-        theta = (m // 2, m // 2)
-        kappa = (m - m // 2, m - m // 2)
-    else:
-        theta = (m // 2, hi - hi // 2)
-        kappa = (m - m // 2, hi // 2)
-    t_len = theta[1] - theta[0] + 1
-    k_len = kappa[1] - kappa[0] + 1
-    if t_len < 1 or k_len < 1:
-        raise AssertionError("split produced an empty range")
-    return PowerSplit(m, n, theta, kappa, t_len, k_len, corollary_bound(t_len, k_len))
 
 
 def conjecture_bound(m: int, n: int) -> Fraction:

@@ -39,10 +39,6 @@ class Character:
     def degree(self) -> int:
         return sum(abs(e) for e in self.exponents)
 
-    @property
-    def is_trivial(self) -> bool:
-        return all(e == 0 for e in self.exponents)
-
 
 class CharacterModule:
     """A finitely generated group of characters on a common torus.
@@ -176,7 +172,7 @@ def wI_family_rank(n: int, nu: int, choices: Mapping[Sequence[int], Sequence]) -
                 raise InvalidConfig(f"vector for {subset} has support outside it")
     # greedy independent set in lexicographic order; it spans the family
     basis: list = []
-    witnesses = [s for s in expected if insert_row(basis, normalized[s])[1] is not None]
+    witnesses = [s for s in expected if insert_row(basis, normalized[s])]
     total_rank = len(basis)
     if total_rank < nu + 1:
         # unreachable when the preconditions really hold; returned as a
@@ -210,7 +206,7 @@ def product_character_codim(l_vec: Sequence[int], relation_lattice: CharacterMod
     basis: list = []
     for row in relation_lattice.matrix():
         insert_row(basis, [Fraction(x) for x in row])
-    return sum(insert_row(basis, [Fraction(x) for x in row])[1] is not None for row in chis)
+    return sum(insert_row(basis, [Fraction(x) for x in row]) for row in chis)
 
 
 def hilbert_function(subgroup: SubgroupDescriptor, L: int) -> int:

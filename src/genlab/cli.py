@@ -115,6 +115,14 @@ def parse_range(text: str) -> list[int]:
     return values
 
 
+def finite_float(text: str) -> float:
+    """The type of the float options: nan and inf are usage errors (exit 2)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def parse_index_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(",") if part.strip() != "")
@@ -522,6 +530,10 @@ def run_auxpoly(args, sink: list[dict]) -> None:
     theta = _load_tuple(args.tuple_file, args.prec)
     subset = parse_index_list(args.subset)
     alphas, mons = auxpoly.alphas_from_monomials(theta, subset, args.L)
+    try:
+        radius = Fraction(args.radius)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InvalidConfig(f"cannot parse radius {args.radius!r}") from exc
     delta = float(args.delta)
     u_target = (
         args.u_target
@@ -532,7 +544,7 @@ def run_auxpoly(args, sink: list[dict]) -> None:
         alphas,
         u_target,
         delta,
-        radius=Fraction(args.radius),
+        radius=radius,
         grid=GridSpec(args.rings, args.angles),
         taylor_terms=args.taylor_terms,
         monomials=mons,
@@ -702,8 +714,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("gen", help="genericity probe over a height range")
     p.add_argument("--tuple", dest="tuple_file", required=True)
     p.add_argument("--mu", type=int, required=True)
-    p.add_argument("--eta", type=float, required=True)
-    p.add_argument("--c", type=float, required=True)
+    p.add_argument("--eta", type=finite_float, required=True)
+    p.add_argument("--c", type=finite_float, required=True)
     p.add_argument("--D", required=True, help='heights, e.g. "2..50"')
     _add_common(p)
     p.set_defaults(func=run_gen)
@@ -713,8 +725,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", dest="kappa_file", required=True)
     p.add_argument("--mu", type=int, required=True)
     p.add_argument("--nu", type=int, required=True)
-    p.add_argument("--eta", type=float, required=True)
-    p.add_argument("--c", type=float, required=True)
+    p.add_argument("--eta", type=finite_float, required=True)
+    p.add_argument("--c", type=finite_float, required=True)
     p.add_argument("--L", required=True)
     p.add_argument("--R", required=True)
     _add_common(p)
@@ -732,8 +744,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tuple", dest="tuple_file", required=True)
     p.add_argument("--subset", required=True, help='tuple indices, e.g. "0,1"')
     p.add_argument("--L", type=int, required=True)
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--u-target", dest="u_target", type=float, default=None)
+    p.add_argument("--delta", type=finite_float, required=True)
+    p.add_argument("--u-target", dest="u_target", type=finite_float, default=None)
     p.add_argument("--radius", default="1/4")
     p.add_argument("--rings", type=int, default=10)
     p.add_argument("--angles", type=int, default=100)
@@ -765,8 +777,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--J", required=True, help="kappa index subset")
     p.add_argument("--D", type=int, required=True)
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--eta", type=float, default=2.0)
-    p.add_argument("--c", type=float, default=1.0)
+    p.add_argument("--eta", type=finite_float, default=2.0)
+    p.add_argument("--c", type=finite_float, default=1.0)
     _add_common(p)
     p.set_defaults(func=run_dist_audit)
 
@@ -783,13 +795,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", dest="family_file", required=True)
     p.add_argument("--tuple", dest="tuple_file", required=True)
     p.add_argument("--D", type=int, required=True)
-    p.add_argument("--c1", type=float, default=1.0)
-    p.add_argument("--c2", type=float, default=1.0)
-    p.add_argument("--C", type=float, default=1.0)
-    p.add_argument("--eta", type=float, default=2.0)
+    p.add_argument("--c1", type=finite_float, default=1.0)
+    p.add_argument("--c2", type=finite_float, default=1.0)
+    p.add_argument("--C", type=finite_float, default=1.0)
+    p.add_argument("--eta", type=finite_float, default=2.0)
     p.add_argument(
         "--case", choices=("all_large_D", "infinitely_many_D"), default="all_large_D"
     )
+    # the log of a zero distance is -inf, so this option takes any float
     p.add_argument(
         "--zero-distance-log", dest="zero_distance_log", type=float, default=None
     )

@@ -17,7 +17,6 @@ first column that reduces to zero has that degree.
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -305,13 +304,6 @@ class CycloNum:
             self._hash = hash(Fraction(tr, len(self.nums) * self.den))
         return self._hash
 
-    def complex_value(self) -> complex:
-        z = cmath.exp(2j * cmath.pi / self.order)
-        acc = 0j
-        for c in reversed(self.nums):
-            acc = acc * z + c
-        return acc / self.den
-
     def __repr__(self):
         if self.is_rational():
             return f"CycloNum({self.as_rational()})"
@@ -319,7 +311,6 @@ class CycloNum:
         return f"CycloNum(zeta{self.order}; [{terms}])"
 
 
-ZERO = CycloNum.from_rational(0)
 ONE = CycloNum.from_rational(1)
 
 Point = tuple[CycloNum, ...]
@@ -396,13 +387,6 @@ def product_point_set(points: Sequence[Sequence], depth: int) -> list[Point]:
     return sorted(current.values(), key=lambda p: tuple(c.coeffs for c in p))
 
 
-def external_product_set(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[Point]:
-    """Concatenation product {(p, q)} of two point sets."""
-    pa = normalize_point_set(a)
-    pb = normalize_point_set(b)
-    return normalize_point_set([tuple(p) + tuple(q) for p in pa for q in pb])
-
-
 def monomials_up_to(nvars: int, degree: int) -> list[tuple[int, ...]]:
     """Exponent tuples with entrywise >= 0 and total degree <= degree, lex order."""
     if nvars < 1:
@@ -443,23 +427,6 @@ def _graded_columns(pts: Sequence[Point]):
         ]
 
 
-def _first_dependent(points: Sequence[Sequence], max_degree: int | None):
-    """(monomial, multipliers, inserted (monomial, multipliers, scale) steps)
-    of the first graded column that reduces to zero; None past max_degree."""
-    pts = normalize_point_set(points)
-    if not pts:
-        raise InvalidConfig("empty point set")
-    basis: list = []
-    steps = []
-    for mon, col in _graded_columns(pts):
-        if max_degree is not None and sum(mon) > max_degree:
-            return None
-        mults, scale = insert_row(basis, col)
-        if scale is None:
-            return mon, mults, steps
-        steps.append((mon, mults, scale))
-
-
 def min_vanishing_degree(points: Sequence[Sequence], max_degree: int | None = None) -> int:
     """Smallest degree of a nonzero polynomial vanishing on the whole set.
 
@@ -471,31 +438,15 @@ def min_vanishing_degree(points: Sequence[Sequence], max_degree: int | None = No
     Raises InvalidConfig on an empty set and HypothesisNotMet when no
     degree <= max_degree works.
     """
-    found = _first_dependent(points, max_degree)
-    if found is None:
-        raise HypothesisNotMet(
-            f"no nonzero polynomial of degree <= {max_degree} vanishes on the set"
-        )
-    return sum(found[0])
-
-
-def kernel_polynomial(points: Sequence[Sequence], degree: int) -> dict[tuple[int, ...], Fraction] | None:
-    """One nonzero polynomial of total degree <= degree vanishing on the set.
-
-    Back-substitutes the multipliers of the first dependent column through
-    the inserted steps.  Returns a dict monomial -> coefficient, projected to
-    Fractions when rational and CycloNum otherwise; None when only the zero
-    polynomial vanishes.
-    """
-    found = _first_dependent(points, degree)
-    if found is None:
-        return None
-    mon, coef, steps = found
-    out = {mon: Fraction(1)}
-    for k in range(len(steps) - 1, -1, -1):
-        m, mults, scale = steps[k]
-        c = coef[k] * scale
-        if c:
-            out[m] = -c.as_rational() if c.is_rational() else -c
-            coef[:k] = [a - c * f if f else a for a, f in zip(coef, mults)]
-    return out
+    pts = normalize_point_set(points)
+    if not pts:
+        raise InvalidConfig("empty point set")
+    basis: list = []
+    for mon, col in _graded_columns(pts):
+        degree = sum(mon)
+        if max_degree is not None and degree > max_degree:
+            raise HypothesisNotMet(
+                f"no nonzero polynomial of degree <= {max_degree} vanishes on the set"
+            )
+        if not insert_row(basis, col):
+            return degree

@@ -554,40 +554,6 @@ def genericity_probe(
     )
 
 
-@dataclass(frozen=True)
-class GenEstimate:
-    estimate: int
-    eta: float
-    c: float
-    passed_at_estimate: bool
-    budget_relative: bool
-    report: GenericityReport
-    witness: Optional[LinearFormRecord]  # failing record one level up, if any
-
-
-def gen_estimate(
-    theta: RealTuple,
-    eta: float,
-    c: float,
-    D_set: Sequence[int],
-    *,
-    budget: int = ENUM_BUDGET,
-) -> GenEstimate:
-    """Largest mu whose genericity probe passes every height in D_set.
-
-    Budget-relative: a pass only means no witness was found at these
-    heights.  Clamped below at 1 (the estimate is always in [1, m])."""
-    m = len(theta)
-    witness = None
-    for mu in range(m, 0, -1):
-        rep = genericity_probe(theta, mu, eta, c, D_set, budget=budget)
-        if rep.all_passed:
-            return GenEstimate(mu, eta, c, True, True, rep, witness)
-        witness = next(v.record for v in rep.verdicts if not v.passed)
-    rep = genericity_probe(theta, 1, eta, c, D_set, budget=budget)
-    return GenEstimate(1, eta, c, rep.all_passed, True, rep, witness)
-
-
 # ---------------------------------------------------------------------------
 # bituples
 

@@ -107,28 +107,25 @@ def echelon(rows: Sequence[Sequence]) -> tuple[int, list[int], list[list]]:
     return rank, pivots, w
 
 
-def insert_row(basis: list[tuple[int, list]], vec: Sequence) -> tuple[list, object]:
+def insert_row(basis: list[tuple[int, list]], vec: Sequence) -> bool:
     """Reduce vec against a growing echelon basis; append it if independent.
 
     basis holds (pivot, row) pairs in insertion order, each row 1 at its
-    pivot and 0 at every earlier pivot.  Returns (multipliers, scale) with
-    vec == sum(m * row) + rest over the basis as it was.  A vec that reduces
-    to zero leaves the basis as it is and has scale None; otherwise
-    rest * scale, pivoted at its first nonzero entry, is appended.
+    pivot and 0 at every earlier pivot.  A vec that reduces to zero leaves
+    the basis as it is and returns False; otherwise the remainder, scaled to
+    1 at its first nonzero entry, is appended and True returned.
     """
     rest = list(vec)
-    mults = []
     for piv, row in basis:
         f = rest[piv]
-        mults.append(f)
         if f:
             rest = [x - f * y if y else x for x, y in zip(rest, row)]
     piv = next((i for i, x in enumerate(rest) if x), None)
     if piv is None:
-        return mults, None
+        return False
     scale = 1 / rest[piv]
     basis.append((piv, [x * scale if x else x for x in rest]))
-    return mults, scale
+    return True
 
 
 def rank_rational(a: Sequence[Sequence[int | Fraction]]) -> int:
@@ -306,11 +303,3 @@ def _bezout(p: int, q: int) -> tuple[int, int]:
         old_s, s = s, old_s - quo * s
         old_t, t = t, old_t - quo * t
     return old_s, old_t
-
-
-def snf_diagonal(a: Sequence[Sequence[int]]) -> list[int]:
-    """Nonzero diagonal of the Smith normal form (the invariant factors)."""
-    _, s, _ = smith_normal_form(a)
-    m, n = dims(s)
-    return [s[i][i] for i in range(min(m, n)) if s[i][i] != 0]
-

@@ -110,19 +110,6 @@ def gram_schmidt_data(basis: list[list[int]]):
     return mu, norms2
 
 
-def is_lll_reduced(basis: list[list[int]], delta: Fraction = Fraction(3, 4)) -> bool:
-    mu, norms2 = gram_schmidt_data(basis)
-    n = len(basis)
-    for i in range(n):
-        for j in range(i):
-            if 2 * abs(mu[i][j]) > 1:
-                return False
-    for k in range(1, n):
-        if norms2[k] < (delta - mu[k][k - 1] ** 2) * norms2[k - 1]:
-            return False
-    return True
-
-
 def knapsack_basis(scaled: list[tuple[int, ...]]) -> list[list[int]]:
     """Rows [e_i | scaled_i...]: the standard basis for hunting an integer
     relation among reals or complex numbers whose scaled approximations are

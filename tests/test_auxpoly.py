@@ -22,13 +22,11 @@ from genlab.auxpoly import (
     GridSpec,
     alphas_from_monomials,
     distance_audit,
-    evaluate_at_theta_kappa,
     make_schedule,
     monomial_set,
     nth_root_floor,
     omega,
     philippon_audit,
-    pullback_mr,
     siegel_construct,
 )
 from genlab.cyclo import CycloNum
@@ -43,6 +41,10 @@ from genlab.numeric import ComplexIV, complex_exp, iv_from_fraction, to_float_pa
 from genlab.tuples import RealTuple
 
 NEG_INF = float("-inf")
+
+
+def enclosure_contains(pair, value, slack=1e-9):
+    return pair[0] - slack <= value <= pair[1] + slack
 
 
 # ---------------------------------------------------------------------------
@@ -126,206 +128,6 @@ def test_monomial_set_lex_and_count():
 
 
 # ---------------------------------------------------------------------------
-# pullbacks
-
-
-def test_pullback_single_variable():
-    res = pullback_mr({(1,): 1}, ((1,),), 1, 1, 1)
-    assert res.poly == {(1,): 1}
-    assert res.collisions == 0 and res.height == 1
-
-
-def test_pullback_collision_adds_coefficients():
-    # x_{0,0} and x_{0,1} both map to z^2 under r = (2, 2)
-    res = pullback_mr({(1, 0): 1, (0, 1): 1}, ((2, 2),), 1, 2, 1)
-    assert res.poly == {(2,): 2}
-    assert res.collisions == 1
-    assert res.height == 2 and res.source_height == 1
-
-
-def test_pullback_collision_can_cancel():
-    res = pullback_mr({(1, 0): 1, (0, 1): -1}, ((1, 1),), 1, 2, 1)
-    assert res.poly == {}
-    assert res.collisions == 1
-
-
-def test_pullback_rejects_bad_rows():
-    with pytest.raises(InvalidConfig):
-        pullback_mr({(1,): 1}, ((-1,),), 1, 1, 1)
-    with pytest.raises(InvalidConfig):
-        pullback_mr({(1,): 1}, ((1, 2),), 1, 1, 1)
-    with pytest.raises(InvalidConfig):
-        pullback_mr({}, ((1,),), 1, 1, 1)
-
-
-@given(st.data())
-@settings(max_examples=40, deadline=None)
-def test_pullback_degree_and_height_invariants(data):
-    mu = data.draw(st.integers(1, 2))
-    k = data.draw(st.integers(1, 2))
-    nu = data.draw(st.integers(1, 2))
-    mons = monomial_set(mu, k, 3)
-    n_terms = data.draw(st.integers(1, 4))
-    chosen = data.draw(
-        st.lists(st.sampled_from(mons), min_size=n_terms, max_size=n_terms, unique=True)
-    )
-    coeffs = data.draw(
-        st.lists(
-            st.integers(-5, 5).filter(bool),
-            min_size=n_terms,
-            max_size=n_terms,
-        )
-    )
-    f = dict(zip(chosen, coeffs))
-    r = tuple(
-        tuple(data.draw(st.integers(0, 5)) for _ in range(k)) for _ in range(nu)
-    )
-    res = pullback_mr(f, r, mu, k, nu)
-    stretch = max(sum(r[rho][a] for rho in range(nu)) for a in range(k))
-    src_deg = max(sum(d) for d in f)
-    assert res.degree <= stretch * src_deg
-    if res.collisions == 0:
-        assert res.height == res.source_height
-    assert res.height <= sum(abs(c) for c in f.values())
-
-
-# ---------------------------------------------------------------------------
-# evaluation
-
-
-def enclosure_contains(pair, value, slack=1e-9):
-    return pair[0] - slack <= value <= pair[1] + slack
-
-
-def test_evaluate_unit_exponential():
-    one = RealTuple(("1",))
-    res = evaluate_at_theta_kappa(
-        {(1,): 1}, ((1,),), one, one, mu=1, k=1, nu=1
-    )
-    assert enclosure_contains(res.log_value, 1.0)
-    assert res.log_value[1] - res.log_value[0] < 1e-9
-
-
-def test_evaluate_exact_zero_by_constant_term():
-    one = RealTuple(("1",))
-    res = evaluate_at_theta_kappa(
-        {(1,): 1, (0,): -1}, ((0,),), one, one, mu=1, k=1, nu=1
-    )
-    assert res.log_value == NEG_PAIR
-    assert res.pullback_terms == 0
-
-
-def test_evaluate_exact_zero_by_collision():
-    one = RealTuple(("1",))
-    res = evaluate_at_theta_kappa(
-        {(1, 0): 1, (0, 1): -1}, ((1, 1),), one, one, mu=1, k=2, nu=1
-    )
-    assert res.log_value == NEG_PAIR
-
-
-def test_evaluate_frozen_value():
-    # 2 e^(1/6) + 1 with theta = 1/2, kappa = 1/3
-    theta = RealTuple(("1/2",))
-    kappa = RealTuple(("1/3",))
-    expected = math.log(2 * math.exp(1 / 6) + 1)
-    res = evaluate_at_theta_kappa(
-        {(1,): 2, (0,): 1}, ((1,),), theta, kappa, mu=1, k=1, nu=1
-    )
-    assert enclosure_contains(res.log_value, expected)
-
-
-def test_evaluate_hidden_identity_is_honest():
-    # e^(theta_0 w) - e^(theta_1 w) with theta_0 = theta_1: exactly zero but
-    # with no integer collision, so the evaluation must refuse to certify
-    one = RealTuple(("1", "1"))
-    kappa = RealTuple(("1",))
-    with pytest.raises(PrecisionExhausted):
-        evaluate_at_theta_kappa(
-            {(1, 0): 1, (0, 1): -1}, ((1,),), one, kappa, mu=2, k=1, nu=1
-        )
-
-
-# tuple entries as (genlab expression, mpmath value at the current precision)
-_ENTRY = st.one_of(
-    st.builds(
-        lambda p, q: (f"{p}/{q}", lambda: mpmath.mpf(p) / q),
-        st.integers(-5, 5),
-        st.integers(1, 5),
-    ),
-    st.builds(
-        lambda n: (f"log({n})", lambda: mpmath.log(n)), st.integers(2, 7)
-    ),
-)
-
-
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_evaluate_encloses_mpmath(data):
-    # the certified pair must hold a plain mpmath evaluation of the same sum
-    # at 4x the precision; an exact or undecidable zero must be one there too
-    mu, k, nu = data.draw(
-        st.sampled_from(
-            [(1, 1, 1), (1, 2, 1), (2, 1, 1), (1, 1, 2), (2, 1, 2), (2, 2, 1), (1, 2, 2)]
-        )
-    )
-    theta_entries = data.draw(st.lists(_ENTRY, min_size=3, max_size=3))
-    kappa_entries = data.draw(st.lists(_ENTRY, min_size=2, max_size=2))
-    I = data.draw(st.lists(st.integers(0, 2), min_size=mu, max_size=mu, unique=True))
-    J = data.draw(st.lists(st.integers(0, 1), min_size=nu, max_size=nu, unique=True))
-    f = data.draw(
-        st.dictionaries(
-            st.tuples(*[st.integers(0, 2)] * (mu * k)),
-            st.integers(-3, 3).filter(bool),
-            min_size=1,
-            max_size=3,
-        )
-    )
-    r = data.draw(
-        st.lists(st.lists(st.integers(0, 3), min_size=k, max_size=k), min_size=nu, max_size=nu)
-    )
-    theta = RealTuple(tuple(e for e, _ in theta_entries))
-    kappa = RealTuple(tuple(e for e, _ in kappa_entries))
-
-    with mpmath.workprec(4 * 128):
-        th = [theta_entries[i][1]() for i in I]
-        ka = [kappa_entries[j][1]() for j in J]
-        w = [sum(r[rho][a] * ka[rho] for rho in range(nu)) for a in range(k)]
-        terms = [
-            c * mpmath.exp(
-                sum(d[lam * k + a] * th[lam] * w[a] for lam in range(mu) for a in range(k))
-            )
-            for d, c in f.items()
-        ]
-        total = mpmath.fsum(terms)
-        negligible = abs(total) <= mpmath.mpf(2) ** -256 * sum(abs(t) for t in terms)
-        log_total = None if negligible else mpmath.log(abs(total))
-    try:
-        res = evaluate_at_theta_kappa(f, r, theta, kappa, mu=mu, k=k, nu=nu, I=I, J=J)
-    except PrecisionExhausted:
-        assert negligible
-        return
-    if res.log_value == NEG_PAIR:
-        # an empty pullback, or surviving terms whose exponents are all
-        # exactly 0, so that the interval sum is exactly zero (test below)
-        assert res.pullback_terms == 0 or all(t == c for t, c in zip(terms, f.values()))
-        assert negligible
-    else:
-        assert res.pullback_terms > 0
-        assert res.log_value[0] <= log_total <= res.log_value[1]
-
-
-def test_evaluate_exact_zero_with_surviving_terms():
-    # theta = 0 sends every pullback term to exp(0) = 1: three distinct
-    # exponent vectors survive the pullback, and -1 - 1 + 2 is exactly 0
-    theta = RealTuple(("0/1", "0/1", "0/1"))
-    kappa = RealTuple(("0/1", "0/1"))
-    f = {(0,): -1, (1,): -1, (2,): 2}
-    res = evaluate_at_theta_kappa(f, [[1]], theta, kappa, mu=1, k=1, nu=1, I=[0], J=[0])
-    assert res.log_value == NEG_PAIR
-    assert res.pullback_terms == 3
-
-
-# ---------------------------------------------------------------------------
 # Siegel construction
 
 
@@ -378,6 +180,12 @@ def test_siegel_rejects_bad_input():
         siegel_construct((), 1.0, 1.0)
     with pytest.raises(InvalidConfig):
         siegel_construct(("1",), 0.0, 1.0)
+    # NaN compares false with everything, so it must not slip past "<= 0"
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InvalidConfig):
+            siegel_construct(("1",), bad, 1.0)
+        with pytest.raises(InvalidConfig):
+            siegel_construct(("1",), 1.0, bad)
     with pytest.raises(InvalidConfig):
         siegel_construct(("1",), 1.0, 1.0, radius=Fraction(0))
     with pytest.raises(InvalidConfig):

@@ -21,7 +21,6 @@ from genlab.bounds import (
     conjecture_bound,
     corollary_bound,
     corollary_witness_check,
-    power_tuple_split,
     theorem2_best_t,
 )
 from genlab.errors import InvalidConfig
@@ -124,47 +123,6 @@ def test_corollary_witness_table():
     assert chk.ratio == Fraction(7, 2)
     assert chk.ratio_ok and chk.size_ok and chk.passed
     assert chk.size_floor == 5
-
-
-def test_power_split_covers_range_exactly():
-    split = power_tuple_split(0, 16)
-    assert split.covered_range() == (0, 16)
-    sums = {
-        a + b
-        for a in range(split.theta_range[0], split.theta_range[1] + 1)
-        for b in range(split.kappa_range[0], split.kappa_range[1] + 1)
-    }
-    assert sums == set(range(0, 17))
-    assert split.bound == 2
-
-
-def test_power_split_degenerate_and_errors():
-    single = power_tuple_split(3, 6)
-    assert single.covered_range() == (3, 3)
-    assert single.theta_len == single.kappa_len == 1
-    assert single.bound == 1
-    with pytest.raises(InvalidConfig):
-        power_tuple_split(4, 6)
-
-
-@given(
-    st.integers(min_value=-10, max_value=10),
-    st.integers(min_value=-20, max_value=40),
-)
-@settings(max_examples=100, deadline=None)
-def test_power_split_cover_property(m, n):
-    if n < 2 * m:
-        with pytest.raises(InvalidConfig):
-            power_tuple_split(m, n)
-        return
-    split = power_tuple_split(m, n)
-    sums = {
-        a + b
-        for a in range(split.theta_range[0], split.theta_range[1] + 1)
-        for b in range(split.kappa_range[0], split.kappa_range[1] + 1)
-    }
-    assert sums == set(range(m, n - m + 1))
-    assert split.bound == corollary_bound(split.theta_len, split.kappa_len)
 
 
 def test_conjecture_bound_values():

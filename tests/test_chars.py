@@ -32,8 +32,6 @@ from genlab.intmat import rank_rational
 def test_character_basics():
     c = Character((1, -2, 0))
     assert c.degree == 3
-    assert not c.is_trivial
-    assert Character((0, 0)).is_trivial
     with pytest.raises(InvalidConfig):
         Character(())
 

@@ -215,6 +215,68 @@ def test_malformed_torus_and_family_inputs_exit_2(tup, capsys, argv, files, mess
     assert message in captured.err
 
 
+_FLOAT_OPTION_RUNS = {
+    "gen": ["gen", "--tuple", "{logs}", "--mu", "2", "--D", "2..3", "--eta", "2",
+            "--c", "0.045"],
+    "bigen": ["bigen", "--tuple", "{logs}", "--kappa", "{kappa}", "--L", "2",
+              "--R", "3", "--mu", "2", "--nu", "2", "--eta", "2", "--c", "0.045"],
+    "auxpoly": ["auxpoly", "--tuple", "{logs}", "--subset", "0,1", "--L", "1",
+                "--delta", "8"],
+    "dist-audit": ["dist-audit", "--z", "theta", "--tuple", "{logs}", "--kappa",
+                   "{kappa}", "--I", "0,1", "--J", "0,1", "--D", "12"],
+    "phil-audit": ["phil-audit", "--family", "{fam}", "--tuple", "{pt}", "--D", "2"],
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "op, option",
+    [
+        ("gen", "--eta"),
+        ("gen", "--c"),
+        ("bigen", "--eta"),
+        ("bigen", "--c"),
+        ("auxpoly", "--delta"),
+        ("auxpoly", "--u-target"),
+        ("dist-audit", "--eta"),
+        ("dist-audit", "--c"),
+        ("phil-audit", "--c1"),
+        ("phil-audit", "--c2"),
+        ("phil-audit", "--C"),
+        ("phil-audit", "--eta"),
+    ],
+)
+def test_non_finite_float_option_exits_2(tup, capsys, op, option, value):
+    # the last occurrence of an option wins, so the appended value is the
+    # one parsed; argparse refuses it before any work is done
+    files = {
+        "logs": tup("logs.tup", ["log(2)", "log(3)"]),
+        "kappa": tup("kappa.tup", ["log(5)", "log(7)"]),
+        "fam": tup("fam.poly", ["1,1:1; 0,0:-1"]),
+        "pt": tup("pt.tup", ["2", "1/2"]),
+    }
+    argv = [a.format(**files) for a in _FLOAT_OPTION_RUNS[op]]
+    code = run(argv + [f"{option}={value}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"argument {option}: not a finite number: '{value}'" in captured.err
+
+
+@pytest.mark.parametrize("radius", ["abc", "1/0", "inf"])
+def test_auxpoly_unparsable_radius_exits_2(tup, capsys, radius):
+    path = tup("logs.tup", ["log(2)", "log(3)"])
+    argv = ["auxpoly", "--tuple", path, "--subset", "0,1", "--L", "1", "--delta", "8",
+            "--radius", radius]
+    # the option stays a string, so the config hash keeps the text as given
+    assert build_parser().parse_args(argv).radius == radius
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"error: cannot parse radius '{radius}'" in captured.err
+
+
 def test_budget_exit_code(tup, capsys):
     pts = tup("pts.tup", ["zeta(5),zeta(5)^2", "zeta(5)^2,zeta(5)^4"])
     code, _ = run_capture(

@@ -18,7 +18,6 @@ from genlab.dioph import (
     apply_matrix,
     bituple_probe,
     canonical_form,
-    gen_estimate,
     genericity_probe,
     linear_form_min,
     log_expm1_abs,
@@ -200,27 +199,6 @@ def test_pass_monotone_in_mu(D):
     rep1 = genericity_probe(t, 1, 1.0, 2.0, [D])
     if rep2.all_passed:
         assert rep1.all_passed
-
-
-def test_gen_estimate_independent_triple():
-    est = gen_estimate(RealTuple(("1", "phi", "sqrt(2)")), 1.2, 3.0, range(2, 13))
-    assert est.estimate == 3
-    assert est.passed_at_estimate
-    assert est.budget_relative
-
-
-def test_gen_estimate_with_rational_dependence():
-    est = gen_estimate(RealTuple(("1", "2", "phi")), 1.0, 3.0, [2, 3, 4])
-    assert est.estimate == 2
-    assert est.witness is not None
-    # the dependence 2*1 - 1*2 = 0 shows up as a minus-infinity log
-    assert est.witness.l == (2, -1, 0)
-    assert est.witness.log_value == (float("-inf"), float("-inf"))
-
-
-def test_gen_estimate_single_entry():
-    est = gen_estimate(RealTuple(("phi",)), 1.0, 3.0, [1, 2])
-    assert est.estimate == 1
 
 
 def test_bituple_product_of_minima():

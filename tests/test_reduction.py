@@ -7,7 +7,21 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genlab.reduction import gram_schmidt_data, is_lll_reduced, knapsack_basis, lll_reduce
+from genlab.reduction import gram_schmidt_data, knapsack_basis, lll_reduce
+
+
+def is_lll_reduced(basis: list[list[int]], delta: Fraction = Fraction(3, 4)) -> bool:
+    # the textbook size and Lovasz conditions on the rational Gram-Schmidt data
+    mu, norms2 = gram_schmidt_data(basis)
+    n = len(basis)
+    for i in range(n):
+        for j in range(i):
+            if 2 * abs(mu[i][j]) > 1:
+                return False
+    for k in range(1, n):
+        if norms2[k] < (delta - mu[k][k - 1] ** 2) * norms2[k - 1]:
+            return False
+    return True
 
 
 def same_lattice(a: list[list[int]], b: list[list[int]]) -> bool:
