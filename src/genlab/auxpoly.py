@@ -61,6 +61,7 @@ from .numeric import (
     NeedsBits,
     complex_exp,
     cos_sin,
+    height_power,
     iv_from_fraction,
     log_abs_interval,
     log_expm1_abs_interval,
@@ -783,7 +784,7 @@ def distance_audit(
         count_ok=sigma_count > l_power,
         sigma_count=sigma_count,
         l_power=l_power,
-        threshold=-c * float(D) ** eta,
+        threshold=-c * height_power(D, eta),
         binding="count_check",
     )
 
@@ -1000,8 +1001,6 @@ def philippon_audit(
         raise InvalidConfig("height D must be >= 1")
     n = len(theta_point)
     polys = [_as_poly(f, n) for f in family]
-    if theta_point.is_complex:
-        raise InvalidConfig("the checklist expects a real image point")
 
     deg_bound = c1 * D
     deg_details = []
@@ -1025,7 +1024,7 @@ def philippon_audit(
         tuple(ht_details),
     )
 
-    small_bound = -C * float(D) ** eta
+    small_bound = -C * height_power(D, eta)
     exact_coords = theta_point.exact_values()
     small_details = []
     for idx, poly in enumerate(polys):
@@ -1048,7 +1047,7 @@ def philippon_audit(
         tuple(small_details),
     )
 
-    dist_bound = -3.0 * C * float(D) ** eta
+    dist_bound = -3.0 * C * height_power(D, eta)
     h4 = _distance_hypothesis(
         polys,
         theta_point,

@@ -123,6 +123,15 @@ def finite_float(text: str) -> float:
     return value
 
 
+def log_distance(text: str) -> float:
+    """The type of --zero-distance-log: nan is a usage error (exit 2); -inf
+    is valid, the log of a zero distance."""
+    value = float(text)
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    return value
+
+
 def parse_index_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(",") if part.strip() != "")
@@ -802,9 +811,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--case", choices=("all_large_D", "infinitely_many_D"), default="all_large_D"
     )
-    # the log of a zero distance is -inf, so this option takes any float
     p.add_argument(
-        "--zero-distance-log", dest="zero_distance_log", type=float, default=None
+        "--zero-distance-log", dest="zero_distance_log", type=log_distance, default=None
     )
     p.add_argument("--starts", type=int, default=100)
     _add_common(p)

@@ -7,11 +7,11 @@ Exhaustive mode screens the box in floats, then certifies the survivors
 arithmetic.  The screen meets in the middle: l splits into a head of
 mu // 2 coordinates and a tail, each half-box is enumerated once, and a
 search for each head value's nearest negation among the tail values, sorted
-along their principal axis (the real axis for real tuples), finds the least
-value.  Every pair within twice the slack of it is re-evaluated
-in the full-box summation order, so the survivors are exactly those of a
-walk over the whole box: rounding moves a value by far less than the
-slack.  The enumeration budget still counts the whole box, (2D+1)^mu.
+along their principal axis (the real axis, unless a relation search appends
+pi*i), finds the least value.  Every pair within twice the slack of it is
+re-evaluated in the full-box summation order, so the survivors are exactly
+those of a walk over the whole box: rounding moves a value by far less than
+the slack.  The enumeration budget still counts the whole box, (2D+1)^mu.
 Above it a lattice-reduction mode returns a certified upper-bound record
 flagged approximate.  The probes aggregate these records over heights and
 subsets with the existential subset quantifier (max over subsets of the
@@ -53,22 +53,20 @@ from typing import Optional, Sequence
 import numpy as np
 from mpmath import libmp
 
-from .errors import BudgetExceeded, InvalidConfig
+from .errors import InvalidConfig
 from .expr import BinOp, Num, exact_rational, eval_interval, to_string
 from .intmat import rank_rational
 from .numeric import (
     NEG_PAIR,
     ComplexIV,
     NeedsBits,
-    complex_log_abs,
-    complex_log_expm1_abs,
+    height_power,
     iv_from_fraction,
     log_abs_interval,
     log_expm1_abs_interval,
     log_pair,
     make_ctx,
     run_escalating,
-    straddles_zero,
 )
 from .reduction import knapsack_basis, lll_reduce
 from .tuples import RealTuple
@@ -133,7 +131,7 @@ def _near_pairs(head, tail, zero_head: int, zero_tail: int, slack: float):
     principal axis, u = exp(-i arg(sum t^2) / 2): the direction of largest
     spread, and exactly 1 for real tails.  Each head's two neighbours in that
     order give a nonzero pair, so the least of their values bounds the
-    minimum from above (for real tuples it is the minimum).  A projection
+    minimum from above (for real values it is the minimum).  A projection
     never exceeds the value, |<h + t, u>| <= |h + t|, so a window search over
     the sorted projections gathers every pair within the bound plus 2*slack,
     and the pairs within 2*slack of the least value among them are kept."""
@@ -165,17 +163,18 @@ def _screen_box(theta_float: list[complex], D: int) -> list[tuple[int, ...]]:
 
     Meet in the middle (Horowitz-Sahni): l splits into a head of mu // 2
     coordinates and a tail, the value of l is |head + tail|, and each
-    half-box is enumerated once, as complex values (imaginary part 0 for
-    real tuples).  A nearest-negation search over the tail values sorted
-    along their principal axis (_near_pairs) gathers every pair within
-    2*slack of the least value.  Those pairs are re-evaluated in the
-    full-box summation order (last coordinate first), and the survivors are
-    the pairs within slack of the least re-evaluated value.  Rounding moves
-    a value by far less than slack, so the window holds every survivor and
-    the least value of the full box: the survivors, and every record
-    certified from them, are those of a walk over the whole box.  The work
-    is O(B^ceil(mu/2) log B) for B = 2D + 1 on real tuples, but callers
-    still test the enumeration budget against the full box B^mu."""
+    half-box is enumerated once, as complex values (imaginary part 0 but
+    for the pi*i a relation search may append).  A nearest-negation search
+    over the tail values sorted along their principal axis (_near_pairs)
+    gathers every pair within 2*slack of the least value.  Those pairs are
+    re-evaluated in the full-box summation order (last coordinate first),
+    and the survivors are the pairs within slack of the least re-evaluated
+    value.  Rounding moves a value by far less than slack, so the window
+    holds every survivor and the least value of the full box: the
+    survivors, and every record certified from them, are those of a walk
+    over the whole box.  The work is O(B^ceil(mu/2) log B) for B = 2D + 1
+    on real values, but callers still test the enumeration budget against
+    the full box B^mu."""
     mu = len(theta_float)
     base = 2 * D + 1
     theta = np.array(theta_float, dtype=complex)
@@ -238,23 +237,11 @@ def _signed_sum(ctx, entries, l: Sequence[int]):
     return total
 
 
-def _abs_low_high(value):
-    if isinstance(value, ComplexIV):
-        a2 = value.abs2()
-        return a2.a, a2.b
-    a = abs(value)
-    return a.a, a.b
-
-
 def _log_parts(ctx, value, bits: int):
     """(log_value pair, log_exp pair) for a signed enclosure; NeedsBits on
     straddles or over-wide results."""
-    if isinstance(value, ComplexIV):
-        lv = complex_log_abs(ctx, value)
-        le = complex_log_expm1_abs(ctx, value, bits)
-    else:
-        lv = log_abs_interval(ctx, value)
-        le = log_expm1_abs_interval(ctx, value, bits)
+    lv = log_abs_interval(ctx, value)
+    le = log_expm1_abs_interval(ctx, value, bits)
     if lv is None or le is None:
         return NEG_PAIR, NEG_PAIR
     return log_pair(lv), log_pair(le)
@@ -262,14 +249,15 @@ def _log_parts(ctx, value, bits: int):
 
 class _Form:
     """One linear form over one subset at one precision: its signed
-    enclosure, the bounds on its |.| (|.|^2 for complex tuples) and, once
-    certified, its (log_value, log_exp) pairs.  Memoised on the tuple."""
+    enclosure, the bounds on its |.| and, once certified, its
+    (log_value, log_exp) pairs.  Memoised on the tuple."""
 
     __slots__ = ("signed", "low", "high", "logs")
 
     def __init__(self, signed):
         self.signed = signed
-        self.low, self.high = _abs_low_high(signed)
+        a = abs(signed)
+        self.low, self.high = a.a, a.b
         self.logs = None
 
     def log_parts(self, ctx, bits: int):
@@ -332,9 +320,7 @@ def _min_record(
     tie_cap = 4 * screen_bits
 
     def compute(bits: int) -> LinearFormRecord:
-        ctx, encl = theta.complex_enclosures(bits)
-        if not theta.is_complex:
-            encl = [z.re for z in encl]
+        ctx, encl = theta.real_enclosures(bits)
         entries = [encl[i] for i in subset]
         forms = [
             (_form(theta, subset, l, bits, partial(_signed_sum, ctx, entries, l)), l)
@@ -493,13 +479,10 @@ def apply_matrix(theta: RealTuple, A) -> RealTuple:
             out.append(to_string(node if node is not None else Num(Fraction(0))))
         return tuple(out)
 
-    re_exprs = combine(theta._nodes)
-    im_exprs = combine(theta._imag_nodes) if theta.is_complex else None
     return RealTuple(
-        re_exprs,
+        combine(theta._nodes),
         precision_bits=theta.precision_bits,
         label=f"{theta.label}*A" if theta.label else "A*theta",
-        imag_expressions=im_exprs,
     )
 
 
@@ -535,7 +518,7 @@ def genericity_probe(
         theta = apply_matrix(theta, A)
     verdicts = []
     for D in ds:
-        scale = float(D) ** eta
+        scale = height_power(D, eta)
         thr = -c * scale
 
         def per_height(bits: int, D=D, thr=thr, scale=scale) -> HeightVerdict:
@@ -590,10 +573,10 @@ class BitupleReport:
 
 
 def _abs_product_interval(ctx, theta, rec_l, kappa, rec_r, bits):
-    _, encl_t = theta.complex_enclosures(bits)
-    _, encl_k = kappa.complex_enclosures(bits)
-    st = _signed_sum(ctx, [encl_t[i].re for i in rec_l.subset], rec_l.l)
-    sk = _signed_sum(ctx, [encl_k[i].re for i in rec_r.subset], rec_r.l)
+    _, encl_t = theta.real_enclosures(bits)
+    _, encl_k = kappa.real_enclosures(bits)
+    st = _signed_sum(ctx, [encl_t[i] for i in rec_l.subset], rec_l.l)
+    sk = _signed_sum(ctx, [encl_k[i] for i in rec_r.subset], rec_r.l)
     return abs(st) * abs(sk)
 
 
@@ -611,15 +594,13 @@ def bituple_probe(
 ) -> BitupleReport:
     """Product forms (sum l theta)(sum r kappa) against -c(L^eta + R^eta).
 
-    For real tuples the minimum of |product| over pairs factors exactly
-    into (min over l)(min over r), so the sides are searched separately.
+    The minimum of |product| over pairs factors exactly into
+    (min over l)(min over r), so the sides are searched separately.
     The verdict evaluates log|e^s - 1| at the least favourable sign of
     the product (s = -|product|), so a pass covers every signed pair.
-    Complex inputs are evaluated directly over all pairs (no shortcut).
     """
     ls = _validate_probe_args(theta, mu, eta, c, L_set)
     rs = _validate_probe_args(kappa, nu, eta, c, R_set)
-    complex_mode = theta.is_complex or kappa.is_complex
 
     def best_records(t: RealTuple, k: int, heights) -> dict[int, LinearFormRecord]:
         return {
@@ -630,17 +611,14 @@ def bituple_probe(
             for H in heights
         }
 
-    theta_best = {} if complex_mode else best_records(theta, mu, ls)
-    kappa_best = {} if complex_mode else best_records(kappa, nu, rs)
+    theta_best = best_records(theta, mu, ls)
+    kappa_best = best_records(kappa, nu, rs)
     verdicts = []
     base_bits = max(theta.precision_bits, kappa.precision_bits)
     for L in ls:
         for R in rs:
-            scale = float(L) ** eta + float(R) ** eta
-            if complex_mode:
-                pair = partial(_bituple_complex, theta, kappa, mu, nu, L, R, c, scale, budget)
-            else:
-                pair = partial(_bituple_real, theta, kappa, theta_best[L], kappa_best[R], c, scale)
+            scale = height_power(L, eta) + height_power(R, eta)
+            pair = partial(_bituple_pair, theta, kappa, theta_best[L], kappa_best[R], c, scale)
             verdicts.append(run_escalating(pair, base_bits))
     return BitupleReport(
         eta=eta, mu=mu, nu=nu, c=c, verdicts=tuple(verdicts), overall=_overall(verdicts),
@@ -649,8 +627,8 @@ def bituple_probe(
     )
 
 
-def _bituple_real(theta, kappa, rec_l, rec_r, c, scale, bits: int) -> BitupleVerdict:
-    """One (L, R) pair of real tuples from the minimal records of each side."""
+def _bituple_pair(theta, kappa, rec_l, rec_r, c, scale, bits: int) -> BitupleVerdict:
+    """One (L, R) pair from the minimal records of each side."""
     if NEG_PAIR in (rec_l.log_value, rec_r.log_value):
         log_value = log_exp = NEG_PAIR
     else:
@@ -665,46 +643,6 @@ def _bituple_real(theta, kappa, rec_l, rec_r, c, scale, bits: int) -> BitupleVer
     return BitupleVerdict(
         rec_l.D, rec_r.D, rec_l.subset, rec_r.subset, rec_l.l, rec_r.l,
         log_value, log_exp, thr, *_verdict(log_exp, thr, scale),
-    )
-
-
-def _nonzero_box(dim: int, H: int):
-    for l in itertools.product(range(-H, H + 1), repeat=dim):
-        if any(l):
-            yield l
-
-
-def _bituple_complex(theta, kappa, mu, nu, L, R, c, scale, budget, bits: int) -> BitupleVerdict:
-    """One (L, R) pair of complex tuples, by direct enumeration of all pairs."""
-    pair_count = ((2 * L + 1) ** mu) * ((2 * R + 1) ** nu)
-    if pair_count > min(budget, 50_000):
-        raise BudgetExceeded(
-            f"complex bituple enumeration of {pair_count} pairs exceeds the budget"
-        )
-    ctx, encl_t = theta.complex_enclosures(bits)
-    _, encl_k = kappa.complex_enclosures(bits)
-    best = None  # (log_exp pair, key, payload)
-    for sub_t in itertools.combinations(range(len(theta)), mu):
-        for sub_k in itertools.combinations(range(len(kappa)), nu):
-            worst = None
-            for l in _nonzero_box(mu, L):
-                sl = _signed_sum(ctx, [encl_t[i] for i in sub_t], l)
-                for r in _nonzero_box(nu, R):
-                    sk = _signed_sum(ctx, [encl_k[i] for i in sub_k], r)
-                    w = sl * sk
-                    cand = (log_pair(complex_log_expm1_abs(ctx, w, bits)), (l, r), w)
-                    if worst is None or cand[0][1] < worst[0][0] or (
-                        not (cand[0][0] > worst[0][1]) and cand[1] < worst[1]
-                    ):
-                        worst = cand
-            entry = (worst, (sub_t, sub_k))
-            if best is None or entry[0][0][0] > best[0][0][1]:
-                best = entry
-    (log_exp, (l, r), w), (sub_t, sub_k) = best
-    log_value = log_pair(complex_log_abs(ctx, w))
-    thr = -c * scale
-    return BitupleVerdict(
-        L, R, sub_t, sub_k, l, r, log_value, log_exp, thr, *_verdict(log_exp, thr, scale)
     )
 
 
@@ -729,10 +667,7 @@ def _relation_holds(ctx, entries, l, exact_entries) -> tuple[bool, bool]:
     if exact_entries is not None:
         total = sum(Fraction(c) * q for c, q in zip(l, exact_entries))
         return total == 0, total == 0
-    s = _signed_sum(ctx, entries, l)
-    if isinstance(s, ComplexIV):
-        return s.straddles_zero(), False
-    return straddles_zero(s), False
+    return _signed_sum(ctx, entries, l).straddles_zero(), False
 
 
 def regularity_probe(
@@ -743,8 +678,8 @@ def regularity_probe(
     *,
     budget: int = ENUM_BUDGET,
 ) -> RegularityResult:
-    """Hunt for an integer relation among the entries (pi*i appended for
-    complex tuples, and for real ones when the flag is set).
+    """Hunt for an integer relation among the entries (pi*i appended when
+    the flag is set).
 
     A found relation is verified: its enclosure straddles zero at full
     precision, and exactly when all entries are rational.  Absence of a
@@ -754,17 +689,14 @@ def regularity_probe(
     if height_bound < 1:
         raise InvalidConfig("height_bound must be >= 1")
     bits = max(128, precision_bits if precision_bits is not None else theta.precision_bits)
-    append_pi = include_pi_i or theta.is_complex
 
     ctx, encl = theta.complex_enclosures(bits)
     entries = list(encl)
-    if append_pi:
+    if include_pi_i:
         entries.append(ComplexIV(ctx.pi * 0, +ctx.pi))
     n = len(entries)
 
-    exact_entries = None
-    if not append_pi:
-        exact_entries = theta.exact_values()
+    exact_entries = None if include_pi_i else theta.exact_values()
 
     def first_holding(vectors):
         """(l, exact) for the first plausible relation in (max-norm, l) order."""
@@ -777,7 +709,7 @@ def regularity_probe(
     found = first_holding(_relation_rows(entries, bits, height_bound))
     if found is None:
         return RegularityResult(
-            "no_relation_found", None, append_pi, height_bound, bits, False, None
+            "no_relation_found", None, include_pi_i, height_bound, bits, False, None
         )
     h0 = max(abs(x) for x in found[0])
     minimal = None
@@ -789,5 +721,5 @@ def regularity_probe(
         minimal = True
     l0, exact0 = found
     return RegularityResult(
-        "relation_found", tuple(l0), append_pi, height_bound, bits, exact0, minimal
+        "relation_found", tuple(l0), include_pi_i, height_bound, bits, exact0, minimal
     )

@@ -17,7 +17,7 @@ from typing import Callable, TypeVar
 import mpmath
 from mpmath import libmp
 
-from .errors import PrecisionExhausted
+from .errors import InvalidConfig, PrecisionExhausted
 
 HARD_CAP_BITS = 16384
 NEG_INF = float("-inf")
@@ -55,6 +55,15 @@ def run_escalating(fn: Callable[[int], T], requested_bits: int, *, cap: int = HA
                 raise PrecisionExhausted(
                     f"verdict undecidable below {cap} bits", required_bits=bits
                 ) from None
+
+
+def height_power(D: int, eta: float) -> float:
+    """D^eta, the height scale of the thresholds -c*D^eta; InvalidConfig
+    when it overflows the float range."""
+    try:
+        return float(D) ** eta
+    except OverflowError:
+        raise InvalidConfig(f"D^eta overflows the float range at D = {D}, eta = {eta}") from None
 
 
 def straddles_zero(x) -> bool:
@@ -147,35 +156,15 @@ class ComplexIV:
     re: object
     im: object
 
-    @staticmethod
-    def from_real(x) -> "ComplexIV":
-        zero = x * 0
-        return ComplexIV(x, zero)
-
     def __add__(self, other: "ComplexIV") -> "ComplexIV":
         return ComplexIV(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "ComplexIV") -> "ComplexIV":
-        return ComplexIV(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other: "ComplexIV") -> "ComplexIV":
-        return ComplexIV(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
 
     def scale(self, k: int) -> "ComplexIV":
         return ComplexIV(self.re * k, self.im * k)
 
-    def abs2(self):
-        return self.re * self.re + self.im * self.im
-
     def midpoint(self) -> complex:
         """The float nearest each part's midpoint."""
         return complex(float(mpmath.mpf(self.re.mid)), float(mpmath.mpf(self.im.mid)))
-
-    def is_exact_zero(self) -> bool:
-        return is_exact_zero(self.re) and is_exact_zero(self.im)
 
     def straddles_zero(self) -> bool:
         return straddles_zero(self.re) and straddles_zero(self.im)
@@ -193,40 +182,3 @@ def complex_exp(ctx, z: ComplexIV) -> ComplexIV:
     mag = ctx.exp(z.re)
     cos, sin = cos_sin(ctx, z.im)
     return ComplexIV(mag * cos, mag * sin)
-
-
-def complex_log_abs(ctx, z: ComplexIV):
-    """Enclosure of log|z|; None for exact zero; NeedsBits if undecidable."""
-    if z.is_exact_zero():
-        return None
-    a2 = z.abs2()
-    if is_exact_zero(a2):
-        return None
-    if straddles_zero(a2):
-        raise NeedsBits
-    return ctx.log(a2) / 2
-
-
-def complex_log_expm1_abs(ctx, z: ComplexIV, precision_bits: int):
-    """Enclosure of log|e^z - 1|, with the same near-zero series as the real case."""
-    if z.is_exact_zero():
-        return None
-    bound2 = z.abs2().b
-    threshold = mpmath.mpf(2) ** (-(precision_bits // 4))
-    if bound2 <= threshold * threshold:
-        one = ComplexIV.from_real(ctx.mpf(1))
-        half = ComplexIV.from_real(ctx.mpf(1) / 2)
-        sixth = ComplexIV.from_real(ctx.mpf(1) / 6)
-        t24 = ComplexIV.from_real(ctx.mpf(1) / 24)
-        series = one + z * half + (z * z) * sixth + (z * z * z) * t24
-        r = mpmath.sqrt(bound2)
-        tail_hi = mpmath.mpf(r) ** 4 / 120 * 2
-        tail = ctx.mpf([-tail_hi, tail_hi])
-        series = ComplexIV(series.re + tail, series.im + tail)
-        la = complex_log_abs(ctx, z)
-        ls = complex_log_abs(ctx, series)
-        if la is None or ls is None:
-            return None
-        return la + ls
-    w = complex_exp(ctx, z) - ComplexIV.from_real(ctx.mpf(1))
-    return complex_log_abs(ctx, w)

@@ -1,4 +1,4 @@
-"""Tuples of real (or complex) numbers given by exact expressions.
+"""Tuples of real numbers given by exact expressions.
 
 A tuple is the basic input object for the diophantine probes: entries
 are expression strings (see expr), carried with a working precision and
@@ -20,17 +20,21 @@ from typing import Optional
 
 from .errors import InvalidConfig
 from .expr import Node, eval_interval, exact_rational, parse_expression
-from .numeric import ComplexIV, NeedsBits, make_ctx, run_escalating
+from .numeric import (
+    ComplexIV,
+    NeedsBits,
+    is_exact_zero,
+    make_ctx,
+    run_escalating,
+    straddles_zero,
+)
 
 MIN_PRECISION_BITS = 64
 
 
 @dataclass(frozen=True)
 class RealTuple:
-    """An ordered tuple of numbers defined by expressions.
-
-    imag_expressions, when present, makes the tuple complex: entry j is
-    expressions[j] + i*imag_expressions[j].
+    """An ordered tuple of real numbers defined by expressions.
 
     Three memos ride on the instance, none of them part of its value:
     _enclosures (bits -> ctx and enclosures), _midpoints (bits -> float
@@ -44,9 +48,7 @@ class RealTuple:
     expressions: tuple[str, ...]
     precision_bits: int = 128
     label: str = ""
-    imag_expressions: Optional[tuple[str, ...]] = None
     _nodes: tuple[Node, ...] = field(init=False, repr=False, compare=False)
-    _imag_nodes: Optional[tuple[Node, ...]] = field(init=False, repr=False, compare=False)
     _enclosures: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _midpoints: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _forms: dict = field(init=False, repr=False, compare=False, default_factory=dict)
@@ -64,32 +66,12 @@ class RealTuple:
         object.__setattr__(
             self, "_nodes", tuple(parse_expression(s) for s in self.expressions)
         )
-        if self.imag_expressions is not None:
-            imag = tuple(str(s) for s in self.imag_expressions)
-            if len(imag) != len(self.expressions):
-                raise InvalidConfig("imaginary part list must match the tuple length")
-            object.__setattr__(self, "imag_expressions", imag)
-            object.__setattr__(
-                self, "_imag_nodes", tuple(parse_expression(s) for s in imag)
-            )
-        else:
-            object.__setattr__(self, "_imag_nodes", None)
 
     def __len__(self) -> int:
         return len(self.expressions)
 
-    @property
-    def is_complex(self) -> bool:
-        return self._imag_nodes is not None
-
     def exact_values(self) -> Optional[tuple[Fraction, ...]]:
-        """All entries as exact rationals, or None if any entry is irrational
-        or has a not-identically-zero imaginary part."""
-        if self._imag_nodes is not None:
-            for node in self._imag_nodes:
-                v = exact_rational(node)
-                if v is None or v != 0:
-                    return None
+        """All entries as exact rationals, or None if any entry is irrational."""
         values = []
         for node in self._nodes:
             v = exact_rational(node)
@@ -99,32 +81,28 @@ class RealTuple:
         return tuple(values)
 
     def real_enclosures(self, bits: int):
-        """Interval enclosures of the real parts at the given precision."""
+        """(ctx, tuple of interval enclosures) at the given precision."""
         ctx, encl = self.complex_enclosures(bits)
         return ctx, tuple(z.re for z in encl)
 
     def complex_enclosures(self, bits: int):
-        """(ctx, tuple of ComplexIV enclosures) at the given precision (imag
-        0 if real).  Evaluated once per precision; later calls return the
+        """(ctx, tuple of ComplexIV enclosures, imaginary parts 0) at the
+        given precision, the entries of the relation lattice, which may
+        append pi*i.  Evaluated once per precision; later calls return the
         same objects."""
         memo = self._enclosures.get(bits)
         if memo is None:
             ctx = make_ctx(bits)
             out = []
-            for j, node in enumerate(self._nodes):
+            for node in self._nodes:
                 re = eval_interval(ctx, node)
-                if self._imag_nodes is None:
-                    im = re * 0
-                else:
-                    im = eval_interval(ctx, self._imag_nodes[j])
-                out.append(ComplexIV(re, im))
+                out.append(ComplexIV(re, re * 0))
             memo = self._enclosures[bits] = (ctx, tuple(out))
         return memo
 
     def midpoints(self, bits: int) -> tuple[complex, ...]:
-        """Float midpoints of the enclosures at the given precision (imag 0
-        if real), the input of the float box screen.  Computed once per
-        precision."""
+        """Float midpoints of the enclosures at the given precision (imag 0),
+        the input of the float box screen.  Computed once per precision."""
         mids = self._midpoints.get(bits)
         if mids is None:
             _, encl = self.complex_enclosures(bits)
@@ -141,11 +119,11 @@ class RealTuple:
             return
 
         def attempt(bits: int) -> None:
-            _, encl = self.complex_enclosures(bits)
-            for j, z in enumerate(encl):
-                if z.is_exact_zero():
+            _, encl = self.real_enclosures(bits)
+            for j, x in enumerate(encl):
+                if is_exact_zero(x):
                     raise InvalidConfig(f"tuple entry {j} is zero")
-                if z.straddles_zero():
+                if straddles_zero(x):
                     raise NeedsBits
 
         run_escalating(attempt, self.precision_bits)

@@ -207,7 +207,7 @@ def grid_sup_reference(ctx, encl, coeffs, radius, grid):
                 x = alpha * rho
                 term = complex_exp(ctx, ComplexIV(x * cos_a, x * sin_a))
                 acc = acc + term.scale(c)
-            abs2_hi = to_float_pair(acc.abs2())[1]
+            abs2_hi = to_float_pair(acc.re * acc.re + acc.im * acc.im)[1]
             hi = math.nextafter(math.sqrt(max(0.0, abs2_hi)), math.inf)
             worst = max(worst, hi)
     return worst

@@ -263,6 +263,45 @@ def test_non_finite_float_option_exits_2(tup, capsys, op, option, value):
     assert f"argument {option}: not a finite number: '{value}'" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, D",
+    [
+        (["gen", "--tuple", "{golden}", "--D", "2..5", "--mu", "2", "--c", "0.045"], 3),
+        (["bigen", "--tuple", "{logs}", "--kappa", "{kappa}", "--L", "2", "--R", "3",
+          "--mu", "2", "--nu", "2", "--c", "0.045"], 3),
+        (["dist-audit", "--z", "theta", "--tuple", "{logs}", "--kappa", "{kappa}",
+          "--I", "0,1", "--J", "0,1", "--D", "12"], 12),
+        (["phil-audit", "--family", "{fam}", "--tuple", "{logs}", "--D", "8"], 8),
+    ],
+    ids=["gen", "bigen", "dist-audit", "phil-audit"],
+)
+def test_overflowing_height_power_exits_2(tup, capsys, argv, D):
+    # a finite --eta whose threshold scale D^eta leaves the float range
+    files = {
+        "golden": tup("golden.tup", ["1", "(1 + sqrt(5))/2"]),
+        "logs": tup("logs.tup", ["log(2)", "log(3)"]),
+        "kappa": tup("kappa.tup", ["log(5)", "log(7)"]),
+        "fam": tup("fam.poly", ["1,1:1; 0,0:-1"]),
+    }
+    code = run([a.format(**files) for a in argv] + ["--eta", "1000"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"error: D^eta overflows the float range at D = {D}, eta = 1000.0" in captured.err
+
+
+def test_zero_distance_log_nan_exits_2(tup, capsys):
+    # -inf, the log of a zero distance, stays valid (pinned below)
+    fam = tup("fam.poly", ["1,1:1; 0,0:-1"])
+    point = tup("logs.tup", ["log(2)", "log(3)"])
+    code = run(["phil-audit", "--family", fam, "--tuple", point, "--D", "8",
+                "--zero-distance-log=nan"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "argument --zero-distance-log: not a number: 'nan'" in captured.err
+
+
 @pytest.mark.parametrize("radius", ["abc", "1/0", "inf"])
 def test_auxpoly_unparsable_radius_exits_2(tup, capsys, radius):
     path = tup("logs.tup", ["log(2)", "log(3)"])
@@ -386,7 +425,7 @@ def test_phil_audit_smoke(tup, capsys):
 def test_phil_audit_imports_no_scipy(tup):
     # importing scipy costs about half a second and 40 MB on every cold run;
     # neither the CLI, the zero-distance search nor the box screen of a
-    # complex tuple (here through --pi-i and a complex gen probe) may need it
+    # complex entry (here the pi*i that --pi-i appends) may need it
     fam = tup("fam.tup", ["1,0:1; 0,0:-1"])
     point = tup("pt.tup", ["exp(1)", "2"])
     rel = tup("rel.tup", ["5", "-1", "1", "1"])
@@ -400,13 +439,6 @@ def test_phil_audit_imports_no_scipy(tup):
         "assert genlab.cli.run(argv) == 0\n"
         "assert scipy() == [], scipy()[:3]\n"
         "assert genlab.cli.run(['relation', '--tuple', sys.argv[3], '--pi-i']) == 0\n"
-        "assert scipy() == [], scipy()[:3]\n"
-        "from genlab.dioph import genericity_probe\n"
-        "from genlab.tuples import RealTuple\n"
-        "theta = RealTuple(('1', 'log(2)', 'exp(1/3)'),"
-        " imag_expressions=('0', 'log(3)', 'pi/7'))\n"
-        "rep = genericity_probe(theta, 3, 2.0, 0.045, [2, 3])\n"
-        "assert not any(v.record.approximate for v in rep.verdicts)\n"
         "assert scipy() == [], scipy()[:3]\n"
     )
     src = Path(__file__).resolve().parent.parent / "src"
@@ -686,6 +718,7 @@ PINNED_INPUTS = {
     "third_log2.tup": ["1/3", "log(2)"],
     "half_fifth.tup": ["1/2", "1/5"],
     "generic.cyc": ["2,3", "5,7"],
+    "rel.tup": ["5", "-1", "1", "1"],
 }
 
 
@@ -755,6 +788,11 @@ PINNED_INPUTS = {
             "phil-audit --family fam.poly --tuple logs.tup --D 8",
             "03a080e1e81f210dfce2470014a86ef17d46a632147ab9021047b0eb2962dd52",
             id="readme-phil-audit",
+        ),
+        pytest.param(
+            "phil-audit --family fam.poly --tuple logs.tup --D 8 --zero-distance-log=-inf",
+            "4a4601069e7bdaeb62fc3b1cc4e25780ccea5ecae61641e355661d78e8068979",
+            id="phil-audit-zero-distance-neg-inf",
         ),
         pytest.param(
             "dist-audit --z z_far.tup --tuple ones.tup --kappa ones.tup --I 0,1 --J 0,1"
@@ -850,6 +888,17 @@ PINNED_INPUTS = {
             "gen --tuple rational.tup --mu 3 --eta 2.0 --c 0.045 --D 2..6",
             "b5a521bca68f3dd942496e03e40693aebeb8138863974d744984e8cdb956cc12",
             id="gen-rational-exact",
+        ),
+        pytest.param(
+            # the one complex entry a command creates: pi*i appended
+            "relation --tuple rel.tup --pi-i",
+            "65baf44323bc65d38a5f2ccb5c584c20ab0a3c1b29e9ab71a775e84ae78a9402",
+            id="relation-pi-i-found",
+        ),
+        pytest.param(
+            "relation --tuple logs4.tup --pi-i",
+            "a0c93bab8df8db6ac4f49038ee93b577759a93930d8610ecb320b5fe14f83791",
+            id="relation-pi-i-logs",
         ),
     ],
 )

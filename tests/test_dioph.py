@@ -1,6 +1,5 @@
 """Linear-form minima, genericity probes, and relation detection."""
 
-import hashlib
 import itertools
 import math
 import tracemalloc
@@ -23,7 +22,7 @@ from genlab.dioph import (
     log_expm1_abs,
     regularity_probe,
 )
-from genlab.errors import BudgetExceeded, InvalidConfig
+from genlab.errors import InvalidConfig
 from genlab.numeric import ComplexIV
 from genlab.tuples import RealTuple
 
@@ -230,32 +229,13 @@ def test_bituple_pass_follows_componentwise_pass():
     assert rep.all_passed
 
 
-def test_bituple_complex_direct():
-    ztuple = RealTuple(("0",), imag_expressions=("1",))
-    one = RealTuple(("1",))
-    rep = bituple_probe(ztuple, one, 1, 1, 1.0, 3.0, [1], [1])
-    v = rep.verdicts[0]
-    # |e^(±i) - 1| = 2|sin(1/2)|
-    assert abs(math.exp(v.log_exp_value[0]) - 2 * abs(math.sin(0.5))) < 1e-9
-    assert v.passed
-
-
 def test_bituple_modes_agree_on_real_values():
-    # a complex-typed tuple with zero imaginary parts must reproduce the
-    # real factorized result (least favourable sign of the product)
-    rep_c = bituple_probe(
-        RealTuple(("2",), imag_expressions=("0",)), RealTuple(("3",)),
-        1, 1, 1.0, 3.0, [1], [1],
-    )
-    rep_r = bituple_probe(RealTuple(("2",)), RealTuple(("3",)), 1, 1, 1.0, 3.0, [1], [1])
-    assert abs(rep_c.verdicts[0].log_exp_value[0] - rep_r.verdicts[0].log_exp_value[0]) < 1e-9
-    assert abs(rep_r.verdicts[0].log_exp_value[0] - math.log(1 - math.exp(-6))) < 1e-9
-
-
-def test_bituple_complex_budget_guard():
-    ztuple = RealTuple(("0", "1"), imag_expressions=("1", "1"))
-    with pytest.raises(BudgetExceeded):
-        bituple_probe(ztuple, ztuple, 2, 2, 1.0, 3.0, [40], [40])
+    # the factorized result takes the least favourable sign of the product,
+    # so flipping the sign of one side leaves the verdict unchanged
+    rep_n = bituple_probe(RealTuple(("-2",)), RealTuple(("3",)), 1, 1, 1.0, 3.0, [1], [1])
+    rep_p = bituple_probe(RealTuple(("2",)), RealTuple(("3",)), 1, 1, 1.0, 3.0, [1], [1])
+    assert rep_n.verdicts[0].log_exp_value == rep_p.verdicts[0].log_exp_value
+    assert abs(rep_p.verdicts[0].log_exp_value[0] - math.log(1 - math.exp(-6))) < 1e-9
 
 
 def test_regularity_small_integers():
@@ -287,15 +267,6 @@ def test_regularity_real_with_pi_appended():
     res = regularity_probe(RealTuple(("1", "pi"), precision_bits=256), include_pi_i=True)
     assert res.includes_pi
     assert res.status == "no_relation_found"
-
-
-def test_regularity_complex_appends_pi_i():
-    # theta_1 = pi*i; with pi*i appended the relation (1, -1) must surface
-    t = RealTuple(("0",), imag_expressions=("pi",))
-    res = regularity_probe(t)
-    assert res.includes_pi
-    assert res.status == "relation_found"
-    assert res.relation == (1, -1)
 
 
 def test_log_expm1_abs_public():
@@ -439,12 +410,13 @@ def _brute_relation(theta, include_pi_i, h):
     bits = max(128, theta.precision_bits)
     ctx, encl = theta.complex_enclosures(bits)
     entries = list(encl)
-    append_pi = include_pi_i or theta.is_complex
-    if append_pi:
+    if include_pi_i:
         entries.append(ComplexIV(ctx.pi * 0, +ctx.pi))
-    exact_entries = None if append_pi else theta.exact_values()
+    exact_entries = None if include_pi_i else theta.exact_values()
     best = None
-    for l in dioph._nonzero_box(len(entries), h):
+    for l in itertools.product(range(-h, h + 1), repeat=len(entries)):
+        if not any(l):
+            continue
         l = canonical_form(l)
         plausible, exact = dioph._relation_holds(ctx, entries, l, exact_entries)
         key = (max(abs(x) for x in l), l)
@@ -460,18 +432,9 @@ _entry = st.one_of(
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    st.integers(1, 3).flatmap(
-        lambda n: st.tuples(
-            st.lists(_entry, min_size=n, max_size=n),
-            st.one_of(st.none(), st.lists(_entry, min_size=n, max_size=n)),
-        )
-    ),
-    st.booleans(),
-)
-def test_regularity_minimal_matches_box_walk(parts, include_pi_i):
-    re, im = parts
-    theta = RealTuple(tuple(re), imag_expressions=None if im is None else tuple(im))
+@given(st.lists(_entry, min_size=1, max_size=3), st.booleans())
+def test_regularity_minimal_matches_box_walk(entries, include_pi_i):
+    theta = RealTuple(tuple(entries))
     res = regularity_probe(theta, include_pi_i, height_bound=6)
     if res.status == "no_relation_found":
         assert res.relation is None and res.minimal is None
@@ -500,16 +463,13 @@ _RATIONAL = ["1/2", "-3/4", "5/3", "2", "-7/5"]
 
 @st.composite
 def _probe_tuples(draw):
-    kind = draw(st.sampled_from(["mixed", "rational", "complex"]))
     m = draw(st.integers(2, 4))
-    if kind == "rational":
-        return RealTuple(tuple(draw(st.lists(st.sampled_from(_RATIONAL), min_size=m, max_size=m))))
-    pool = [DEEP, *_IRRATIONAL, draw(st.sampled_from(_RATIONAL))]
-    re = draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m, unique=True))
-    if kind == "mixed":
-        return RealTuple(tuple(re))
-    im = draw(st.lists(st.sampled_from(["0", *_IRRATIONAL, *_RATIONAL]), min_size=m, max_size=m))
-    return RealTuple(tuple(re), imag_expressions=tuple(im))
+    if draw(st.booleans()):  # every entry rational: the exact branch
+        entries = st.lists(st.sampled_from(_RATIONAL), min_size=m, max_size=m)
+    else:
+        pool = [DEEP, *_IRRATIONAL, draw(st.sampled_from(_RATIONAL))]
+        entries = st.lists(st.sampled_from(pool), min_size=m, max_size=m, unique=True)
+    return RealTuple(tuple(draw(entries)))
 
 
 @settings(max_examples=50, deadline=None)
@@ -531,7 +491,7 @@ def test_probe_sweep_records_equal_fresh_linear_form_min(theta, data):
         rep = genericity_probe(theta, mu, 2.0, 0.045, range(2, hi + 1))
 
     def fresh():
-        return RealTuple(theta.expressions, imag_expressions=theta.imag_expressions)
+        return RealTuple(theta.expressions)
 
     assert {v.record for v in rep.verdicts} <= {rec for rec, _ in computed}
     for rec, bits in computed:
@@ -582,21 +542,8 @@ def test_cli_runs_share_no_memo(tmp_path, monkeypatch, capsys):
 
 
 def test_midpoints_memoised_per_precision():
-    theta = RealTuple(("log(2)", "sqrt(3)"), imag_expressions=("1/3", "0"))
+    theta = RealTuple(("log(2)", "sqrt(3)"))
     mids = theta.midpoints(128)
     assert mids is theta.midpoints(128)
-    assert mids == (complex(math.log(2), 1 / 3), complex(math.sqrt(3), 0.0))
+    assert mids == (complex(math.log(2), 0.0), complex(math.sqrt(3), 0.0))
 
-
-def test_pinned_complex_sweep():
-    # sha256 of the canonical JSON of a complex-tuple sweep (the CLI reads
-    # real tuples only), pinned from the code before the form memo
-    from genlab.cli import canonical_json
-
-    theta = RealTuple(
-        ("log(2)", "log(3)", "1/2", "sqrt(2)"),
-        imag_expressions=("1/3", "0", "sqrt(2)", "log(5)"),
-    )
-    rep = genericity_probe(theta, 3, 2.0, 0.01, range(2, 7))
-    digest = hashlib.sha256(canonical_json(rep).encode()).hexdigest()
-    assert digest == "09f8607282295b9bd505acf9b23a43e39a3326b85c1be110b5dbdbdfe610656b"
