@@ -61,7 +61,7 @@ from .numeric import (
     NeedsBits,
     complex_exp,
     cos_sin,
-    height_power,
+    height_threshold,
     iv_from_fraction,
     log_abs_interval,
     log_expm1_abs_interval,
@@ -784,7 +784,7 @@ def distance_audit(
         count_ok=sigma_count > l_power,
         sigma_count=sigma_count,
         l_power=l_power,
-        threshold=-c * height_power(D, eta),
+        threshold=height_threshold(c, eta, D)[1],
         binding="count_check",
     )
 
@@ -1024,7 +1024,8 @@ def philippon_audit(
         tuple(ht_details),
     )
 
-    small_bound = -C * height_power(D, eta)
+    small_bound = height_threshold(C, eta, D)[1]
+    dist_bound = height_threshold(3.0 * C, eta, D)[1]
     exact_coords = theta_point.exact_values()
     small_details = []
     for idx, poly in enumerate(polys):
@@ -1047,7 +1048,6 @@ def philippon_audit(
         tuple(small_details),
     )
 
-    dist_bound = -3.0 * C * height_power(D, eta)
     h4 = _distance_hypothesis(
         polys,
         theta_point,

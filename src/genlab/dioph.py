@@ -6,9 +6,8 @@ Exhaustive mode screens the box in floats, then certifies the survivors
 (the vectors within a slack of the least float value) with interval
 arithmetic.  The screen meets in the middle: l splits into a head of
 mu // 2 coordinates and a tail, each half-box is enumerated once, and a
-search for each head value's nearest negation among the tail values, sorted
-along their principal axis (the real axis, unless a relation search appends
-pi*i), finds the least value.  Every pair within twice the slack of it is
+search for each head value's nearest negation among the sorted tail values
+finds the least value.  Every pair within twice the slack of it is
 re-evaluated in the full-box summation order, so the survivors are exactly
 those of a walk over the whole box: rounding moves a value by far less than
 the slack.  The enumeration budget still counts the whole box, (2D+1)^mu.
@@ -36,14 +35,16 @@ Integer relations come from one relation lattice (_relation_rows: scaled
 midpoints, knapsack basis, LLL).  A found relation is confirmed minimal by
 the same box screen at its height: every plausible relation survives the
 screen, so the first survivor in (max-norm, l) order that holds is the
-minimal one.
+minimal one.  The pi*i that a relation search may append takes part in no
+relation of a real tuple: the imaginary part of sum l_j theta_j + l' pi*i
+is l' pi, zero only for l' = 0.  So the search runs on the real entries
+alone and reports the coefficient of pi*i as 0.
 
 Index subsets are 0-based throughout.
 """
 
 from __future__ import annotations
 
-import cmath
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,15 +59,15 @@ from .expr import BinOp, Num, exact_rational, eval_interval, to_string
 from .intmat import rank_rational
 from .numeric import (
     NEG_PAIR,
-    ComplexIV,
     NeedsBits,
-    height_power,
+    height_threshold,
     iv_from_fraction,
     log_abs_interval,
     log_expm1_abs_interval,
     log_pair,
     make_ctx,
     run_escalating,
+    straddles_zero,
 )
 from .reduction import knapsack_basis, lll_reduce
 from .tuples import RealTuple
@@ -109,13 +110,11 @@ def _decode(flat: int, mu: int, base: int, D: int) -> tuple[int, ...]:
 
 
 def _box_values(flat, theta, D: int):
-    """Complex values l.theta for flat indices of the box over the complex
-    coordinates theta (first coordinate most significant), summed from the
-    last coordinate to the first.  An integer times a complex number is
-    rounded part by part like the two real products, so the parts equal
-    those of separate real sums."""
+    """Values l.theta for flat indices of the box over the coordinates theta
+    (first coordinate most significant), summed from the last coordinate to
+    the first."""
     base = 2 * D + 1
-    vals = np.zeros(len(flat), dtype=complex)
+    vals = np.zeros(len(flat))
     rem = flat
     for pos in range(len(theta) - 1, -1, -1):
         rem, dig = np.divmod(rem, base)
@@ -127,25 +126,19 @@ def _near_pairs(head, tail, zero_head: int, zero_tail: int, slack: float):
     """(head, tail) index arrays of the nonzero pairs whose value
     |head + tail| lies within 2*slack of the least one.
 
-    The complex tail values are sorted by their projection onto the tails'
-    principal axis, u = exp(-i arg(sum t^2) / 2): the direction of largest
-    spread, and exactly 1 for real tails.  Each head's two neighbours in that
-    order give a nonzero pair, so the least of their values bounds the
-    minimum from above (for real values it is the minimum).  A projection
-    never exceeds the value, |<h + t, u>| <= |h + t|, so a window search over
-    the sorted projections gathers every pair within the bound plus 2*slack,
-    and the pairs within 2*slack of the least value among them are kept."""
-    u = cmath.exp(-0.5j * cmath.phase(np.dot(tail, tail)))
-    tkey, hkey = (tail * u).real, (head * u).real
-    order = np.argsort(tkey, kind="stable")
-    ts, tz = tkey[order], tail[order]
-    pos = np.searchsorted(ts, -hkey)
+    The tail values are sorted, and each head's two neighbours of its
+    negation in that order give the least value of a nonzero pair (the zero
+    head takes the least nonzero tail).  A window search over the sorted
+    tails then gathers every pair within 2*slack of that least value."""
+    order = np.argsort(tail, kind="stable")
+    ts = tail[order]
+    pos = np.searchsorted(ts, -head)
     lo, hi = np.clip(pos - 1, 0, len(ts) - 1), np.clip(pos, 0, len(ts) - 1)
-    near = np.minimum(np.abs(head + tz[lo]), np.abs(head + tz[hi]))
+    near = np.minimum(np.abs(head + ts[lo]), np.abs(head + ts[hi]))
     near[zero_head] = np.abs(np.delete(tail, zero_tail)).min()
     window = float(near.min()) + 2 * slack
-    first = np.searchsorted(ts, -hkey - window, side="left")
-    counts = np.searchsorted(ts, -hkey + window, side="right") - first
+    first = np.searchsorted(ts, -head - window, side="left")
+    counts = np.searchsorted(ts, -head + window, side="right") - first
     starts = np.cumsum(counts) - counts
     tails = order[np.repeat(first - starts, counts) + np.arange(int(counts.sum()))]
     heads = np.repeat(np.arange(len(head)), counts)
@@ -156,29 +149,29 @@ def _near_pairs(head, tail, zero_head: int, zero_tail: int, slack: float):
     return heads[keep], tails[keep]
 
 
-def _screen_box(theta_float: list[complex], D: int) -> list[tuple[int, ...]]:
+def _screen_box(theta_float: list[float], D: int) -> list[tuple[int, ...]]:
     """Float screening of the full box: the canonical vectors l whose value
     |l.theta| is within slack of the least nonzero one, a set guaranteed to
     contain every true minimizer.
 
     Meet in the middle (Horowitz-Sahni): l splits into a head of mu // 2
     coordinates and a tail, the value of l is |head + tail|, and each
-    half-box is enumerated once, as complex values (imaginary part 0 but
-    for the pi*i a relation search may append).  A nearest-negation search
-    over the tail values sorted along their principal axis (_near_pairs)
-    gathers every pair within 2*slack of the least value.  Those pairs are
-    re-evaluated in the full-box summation order (last coordinate first),
-    and the survivors are the pairs within slack of the least re-evaluated
-    value.  Rounding moves a value by far less than slack, so the window
-    holds every survivor and the least value of the full box: the
-    survivors, and every record certified from them, are those of a walk
-    over the whole box.  The work is O(B^ceil(mu/2) log B) for B = 2D + 1
-    on real values, but callers still test the enumeration budget against
-    the full box B^mu."""
+    half-box is enumerated once.  A nearest-negation search over the sorted
+    tail values (_near_pairs) gathers every pair within 2*slack of the least
+    value.  Those pairs are re-evaluated in the full-box summation order
+    (last coordinate first), and the survivors are the pairs within slack of
+    the least re-evaluated value.  Rounding moves a value by far less than
+    slack, so the window holds every survivor and the least value of the
+    full box: the survivors, and every record certified from them, are
+    those of a walk over the whole box.  The work is O(B^ceil(mu/2) log B)
+    for B = 2D + 1, but callers still test the enumeration budget against
+    the full box B^mu.  Every entry times mu*D must be a finite float."""
     mu = len(theta_float)
     base = 2 * D + 1
-    theta = np.array(theta_float, dtype=complex)
-    scale = mu * D * max(1.0, float(np.max(np.abs(theta.real)) + np.max(np.abs(theta.imag))))
+    theta = np.array(theta_float, dtype=float)
+    scale = mu * D * max(1.0, float(np.max(np.abs(theta))))  # bounds every |l.theta|
+    if not np.isfinite(scale):
+        raise InvalidConfig(f"a tuple entry is too large for the float box screen at D = {D}")
     slack = scale * 2.0**-46 + 1e-10
 
     h = mu // 2
@@ -191,8 +184,7 @@ def _screen_box(theta_float: list[complex], D: int) -> list[tuple[int, ...]]:
     heads, tails = _near_pairs(head, tail, zero_head, zero_tail, slack)
 
     flat = heads * len(tail) + tails
-    v = _box_values(flat, theta, D)
-    vals = np.hypot(v.real, v.imag)
+    vals = np.abs(_box_values(flat, theta, D))
     keep = flat[vals <= float(vals.min()) + slack]
     return sorted({canonical_form(_decode(int(f), mu, base, D)) for f in keep})
 
@@ -205,10 +197,10 @@ def _scaled_mid(x, shift: int) -> int:
 
 def _relation_rows(entries, bits: int, bound: int) -> list[tuple[int, ...]]:
     """Canonical nonzero coefficient parts, max-norm <= bound, of the
-    LLL-reduced relation lattice of the enclosures (midpoints scaled by
+    LLL-reduced relation lattice of the real enclosures (midpoints scaled by
     2^(bits/2))."""
     n = len(entries)
-    scaled = [tuple(_scaled_mid(part, bits // 2) for part in (z.re, z.im)) for z in entries]
+    scaled = [_scaled_mid(x, bits // 2) for x in entries]
     rows = (canonical_form(row[:n]) for row in lll_reduce(knapsack_basis(scaled)))
     return [l for l in rows if any(l) and max(abs(x) for x in l) <= bound]
 
@@ -218,7 +210,7 @@ def _lattice_candidates(
 ) -> list[tuple[int, ...]]:
     """Reduced relation-lattice rows that fit the height box, plus the unit
     vectors (which always fit and guarantee a nonempty candidate set)."""
-    _, encl = theta.complex_enclosures(bits)
+    _, encl = theta.real_enclosures(bits)
     units = [tuple(int(i == j) for i in range(len(subset))) for j in range(len(subset))]
     return sorted({*_relation_rows([encl[i] for i in subset], bits, D), *units})
 
@@ -227,12 +219,12 @@ def _lattice_candidates(
 # certified selection
 
 
-def _signed_sum(ctx, entries, l: Sequence[int]):
+def _signed_sum(entries, l: Sequence[int]):
     total = None
-    for coeff, z in zip(l, entries):
+    for coeff, x in zip(l, entries):
         if coeff == 0:
             continue
-        term = z.scale(coeff) if isinstance(z, ComplexIV) else z * coeff
+        term = x * coeff
         total = term if total is None else total + term
     return total
 
@@ -323,7 +315,7 @@ def _min_record(
         ctx, encl = theta.real_enclosures(bits)
         entries = [encl[i] for i in subset]
         forms = [
-            (_form(theta, subset, l, bits, partial(_signed_sum, ctx, entries, l)), l)
+            (_form(theta, subset, l, bits, partial(_signed_sum, entries, l)), l)
             for l in candidates
         ]
         contenders = forms  # a lone survivor is the minimizer
@@ -516,11 +508,9 @@ def genericity_probe(
     ds = _validate_probe_args(theta, mu, eta, c, D_set)
     if A is not None:
         theta = apply_matrix(theta, A)
+    thresholds = [height_threshold(c, eta, D) for D in ds]
     verdicts = []
-    for D in ds:
-        scale = height_power(D, eta)
-        thr = -c * scale
-
+    for D, (scale, thr) in zip(ds, thresholds):
         def per_height(bits: int, D=D, thr=thr, scale=scale) -> HeightVerdict:
             rec = _best_subset_record(theta, mu, D, bits_floor=bits, budget=budget)
             return HeightVerdict(D, rec, thr, *_verdict(rec.log_exp_value, thr, scale))
@@ -572,11 +562,11 @@ class BitupleReport:
         return self.overall == "generic-up-to-budget"
 
 
-def _abs_product_interval(ctx, theta, rec_l, kappa, rec_r, bits):
+def _abs_product_interval(theta, rec_l, kappa, rec_r, bits):
     _, encl_t = theta.real_enclosures(bits)
     _, encl_k = kappa.real_enclosures(bits)
-    st = _signed_sum(ctx, [encl_t[i] for i in rec_l.subset], rec_l.l)
-    sk = _signed_sum(ctx, [encl_k[i] for i in rec_r.subset], rec_r.l)
+    st = _signed_sum([encl_t[i] for i in rec_l.subset], rec_l.l)
+    sk = _signed_sum([encl_k[i] for i in rec_r.subset], rec_r.l)
     return abs(st) * abs(sk)
 
 
@@ -601,6 +591,7 @@ def bituple_probe(
     """
     ls = _validate_probe_args(theta, mu, eta, c, L_set)
     rs = _validate_probe_args(kappa, nu, eta, c, R_set)
+    thresholds = {(L, R): height_threshold(c, eta, L, R) for L in ls for R in rs}
 
     def best_records(t: RealTuple, k: int, heights) -> dict[int, LinearFormRecord]:
         return {
@@ -615,11 +606,9 @@ def bituple_probe(
     kappa_best = best_records(kappa, nu, rs)
     verdicts = []
     base_bits = max(theta.precision_bits, kappa.precision_bits)
-    for L in ls:
-        for R in rs:
-            scale = height_power(L, eta) + height_power(R, eta)
-            pair = partial(_bituple_pair, theta, kappa, theta_best[L], kappa_best[R], c, scale)
-            verdicts.append(run_escalating(pair, base_bits))
+    for (L, R), (scale, thr) in thresholds.items():
+        pair = partial(_bituple_pair, theta, kappa, theta_best[L], kappa_best[R], scale, thr)
+        verdicts.append(run_escalating(pair, base_bits))
     return BitupleReport(
         eta=eta, mu=mu, nu=nu, c=c, verdicts=tuple(verdicts), overall=_overall(verdicts),
         c_required_max=max(v.c_required for v in verdicts),
@@ -627,7 +616,7 @@ def bituple_probe(
     )
 
 
-def _bituple_pair(theta, kappa, rec_l, rec_r, c, scale, bits: int) -> BitupleVerdict:
+def _bituple_pair(theta, kappa, rec_l, rec_r, scale, thr, bits: int) -> BitupleVerdict:
     """One (L, R) pair from the minimal records of each side."""
     if NEG_PAIR in (rec_l.log_value, rec_r.log_value):
         log_value = log_exp = NEG_PAIR
@@ -637,9 +626,8 @@ def _bituple_pair(theta, kappa, rec_l, rec_r, c, scale, bits: int) -> BitupleVer
             rec_l.log_value[1] + rec_r.log_value[1],
         )
         ctx = make_ctx(bits)
-        t = _abs_product_interval(ctx, theta, rec_l, kappa, rec_r, bits)
+        t = _abs_product_interval(theta, rec_l, kappa, rec_r, bits)
         log_exp = log_pair(log_expm1_abs_interval(ctx, -t, bits))
-    thr = -c * scale
     return BitupleVerdict(
         rec_l.D, rec_r.D, rec_l.subset, rec_r.subset, rec_l.l, rec_r.l,
         log_value, log_exp, thr, *_verdict(log_exp, thr, scale),
@@ -654,20 +642,20 @@ def _bituple_pair(theta, kappa, rec_l, rec_r, c, scale, bits: int) -> BitupleVer
 class RegularityResult:
     status: str  # "relation_found" | "no_relation_found"
     relation: Optional[tuple[int, ...]]
-    includes_pi: bool  # last coordinate multiplies pi*i when set
+    includes_pi: bool  # last coordinate multiplies pi*i when set; it is always 0
     height_bound: int
     precision_bits: int
     verified_exact: bool  # relation proven by exact rational arithmetic
     minimal: Optional[bool]  # smallest max-norm confirmed by enumeration
 
 
-def _relation_holds(ctx, entries, l, exact_entries) -> tuple[bool, bool]:
+def _relation_holds(entries, l, exact_entries) -> tuple[bool, bool]:
     """(plausible, exact): enclosure of the combination straddles zero /
     the combination is exactly zero in rational arithmetic."""
     if exact_entries is not None:
         total = sum(Fraction(c) * q for c, q in zip(l, exact_entries))
         return total == 0, total == 0
-    return _signed_sum(ctx, entries, l).straddles_zero(), False
+    return straddles_zero(_signed_sum(entries, l)), False
 
 
 def regularity_probe(
@@ -681,6 +669,11 @@ def regularity_probe(
     """Hunt for an integer relation among the entries (pi*i appended when
     the flag is set).
 
+    A real tuple's relation never involves pi*i, so the search runs on the
+    entries alone and a found relation gets a 0 appended for pi*i.  The
+    appended coordinate still counts toward the minimality budget, and a
+    relation found with it is never reported as verified exactly.
+
     A found relation is verified: its enclosure straddles zero at full
     precision, and exactly when all entries are rational.  Absence of a
     relation is only a no-witness-up-to-budget verdict, never a
@@ -690,18 +683,13 @@ def regularity_probe(
         raise InvalidConfig("height_bound must be >= 1")
     bits = max(128, precision_bits if precision_bits is not None else theta.precision_bits)
 
-    ctx, encl = theta.complex_enclosures(bits)
-    entries = list(encl)
-    if include_pi_i:
-        entries.append(ComplexIV(ctx.pi * 0, +ctx.pi))
-    n = len(entries)
-
+    _, entries = theta.real_enclosures(bits)
     exact_entries = None if include_pi_i else theta.exact_values()
 
     def first_holding(vectors):
         """(l, exact) for the first plausible relation in (max-norm, l) order."""
         for l in sorted(vectors, key=lambda l: (max(abs(x) for x in l), l)):
-            plausible, exact = _relation_holds(ctx, entries, l, exact_entries)
+            plausible, exact = _relation_holds(entries, l, exact_entries)
             if plausible:
                 return l, exact
         return None
@@ -713,13 +701,15 @@ def regularity_probe(
         )
     h0 = max(abs(x) for x in found[0])
     minimal = None
+    n = len(entries) + include_pi_i  # the budget counts the pi*i coordinate
     if (2 * h0 + 1) ** n <= budget:
         # a plausible relation's value lies within its enclosure's width of
         # zero, far inside the screen's slack, so every one survives the screen
-        mids = [*theta.midpoints(bits), *(z.midpoint() for z in entries[len(theta):])]
-        found = first_holding(_screen_box(mids, h0))
+        found = first_holding(_screen_box(theta.midpoints(bits), h0))
         minimal = True
     l0, exact0 = found
+    if include_pi_i:
+        l0 += (0,)
     return RegularityResult(
-        "relation_found", tuple(l0), include_pi_i, height_bound, bits, exact0, minimal
+        "relation_found", l0, include_pi_i, height_bound, bits, exact0, minimal
     )

@@ -66,6 +66,21 @@ def height_power(D: int, eta: float) -> float:
         raise InvalidConfig(f"D^eta overflows the float range at D = {D}, eta = {eta}") from None
 
 
+def height_threshold(c: float, eta: float, *heights: int) -> tuple[float, float]:
+    """(scale, -c*scale) for scale the sum of D^eta over the heights: the
+    threshold -c*D^eta of one height, or -c*(L^eta + R^eta) of a bituple
+    pair.  InvalidConfig when the threshold is not a finite float, so no
+    verdict is ever taken against -inf."""
+    scale = height_power(heights[0], eta)
+    for D in heights[1:]:
+        scale += height_power(D, eta)
+    thr = -c * scale
+    if not math.isfinite(thr):
+        at = " + ".join(f"{D}^{eta}" for D in heights)
+        raise InvalidConfig(f"the threshold -{c}*({at}) is not a finite float")
+    return scale, thr
+
+
 def straddles_zero(x) -> bool:
     return x.a <= 0 <= x.b
 
@@ -151,23 +166,11 @@ def log_expm1_abs_interval(ctx, x, precision_bits: int):
 
 @dataclass(frozen=True)
 class ComplexIV:
-    """A rectangular complex enclosure built from two real intervals."""
+    """A rectangular complex enclosure built from two real intervals: the
+    argument and value of complex_exp on the Siegel grid."""
 
     re: object
     im: object
-
-    def __add__(self, other: "ComplexIV") -> "ComplexIV":
-        return ComplexIV(self.re + other.re, self.im + other.im)
-
-    def scale(self, k: int) -> "ComplexIV":
-        return ComplexIV(self.re * k, self.im * k)
-
-    def midpoint(self) -> complex:
-        """The float nearest each part's midpoint."""
-        return complex(float(mpmath.mpf(self.re.mid)), float(mpmath.mpf(self.im.mid)))
-
-    def straddles_zero(self) -> bool:
-        return straddles_zero(self.re) and straddles_zero(self.im)
 
 
 def cos_sin(ctx, x):

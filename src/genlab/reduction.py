@@ -110,10 +110,9 @@ def gram_schmidt_data(basis: list[list[int]]):
     return mu, norms2
 
 
-def knapsack_basis(scaled: list[tuple[int, ...]]) -> list[list[int]]:
-    """Rows [e_i | scaled_i...]: the standard basis for hunting an integer
-    relation among reals or complex numbers whose scaled approximations are
-    given, one integer tuple per entry (e.g. (re,) or (re, im)); all tuples
-    must have the same length.  A short row's tail holds the combination."""
+def knapsack_basis(scaled: list[int]) -> list[list[int]]:
+    """Rows [e_i | scaled_i]: the standard basis for hunting an integer
+    relation among reals whose scaled approximations are given, one integer
+    per entry.  A short row's last column holds the combination."""
     n = len(scaled)
-    return [[int(i == j) for j in range(n)] + list(entry) for i, entry in enumerate(scaled)]
+    return [[int(i == j) for j in range(n)] + [entry] for i, entry in enumerate(scaled)]

@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
+import mpmath
+
 from .errors import InvalidConfig
 from .expr import Node, eval_interval, exact_rational, parse_expression
 from .numeric import (
@@ -87,9 +89,10 @@ class RealTuple:
 
     def complex_enclosures(self, bits: int):
         """(ctx, tuple of ComplexIV enclosures, imaginary parts 0) at the
-        given precision, the entries of the relation lattice, which may
-        append pi*i.  Evaluated once per precision; later calls return the
-        same objects."""
+        given precision, read through real_enclosures.  Evaluated once per
+        precision; later calls return the same objects.  The benchmark's
+        tracer wraps this method by name, so it keeps the name until the
+        tracer learns a new one (ROADMAP item 4 step A)."""
         memo = self._enclosures.get(bits)
         if memo is None:
             ctx = make_ctx(bits)
@@ -100,13 +103,14 @@ class RealTuple:
             memo = self._enclosures[bits] = (ctx, tuple(out))
         return memo
 
-    def midpoints(self, bits: int) -> tuple[complex, ...]:
-        """Float midpoints of the enclosures at the given precision (imag 0),
-        the input of the float box screen.  Computed once per precision."""
+    def midpoints(self, bits: int) -> tuple[float, ...]:
+        """The floats nearest the enclosures' midpoints at the given
+        precision, the input of the float box screen.  Computed once per
+        precision."""
         mids = self._midpoints.get(bits)
         if mids is None:
-            _, encl = self.complex_enclosures(bits)
-            mids = self._midpoints[bits] = tuple(z.midpoint() for z in encl)
+            _, encl = self.real_enclosures(bits)
+            mids = self._midpoints[bits] = tuple(float(mpmath.mpf(x.mid)) for x in encl)
         return mids
 
     def validate_nonzero(self) -> None:

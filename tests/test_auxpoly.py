@@ -200,14 +200,14 @@ def grid_sup_reference(ctx, encl, coeffs, radius, grid):
         cos_a, sin_a = ctx.cos(ang), ctx.sin(ang)
         for j in range(grid.rings):
             rho = iv_from_fraction(ctx, radius * Fraction(j + 1, grid.rings))
-            acc = ComplexIV(ctx.mpf(0), ctx.mpf(0))
+            re, im = ctx.mpf(0), ctx.mpf(0)
             for c, alpha in zip(coeffs, encl):
                 if not c:
                     continue
                 x = alpha * rho
                 term = complex_exp(ctx, ComplexIV(x * cos_a, x * sin_a))
-                acc = acc + term.scale(c)
-            abs2_hi = to_float_pair(acc.re * acc.re + acc.im * acc.im)[1]
+                re, im = re + term.re * c, im + term.im * c
+            abs2_hi = to_float_pair(re * re + im * im)[1]
             hi = math.nextafter(math.sqrt(max(0.0, abs2_hi)), math.inf)
             worst = max(worst, hi)
     return worst

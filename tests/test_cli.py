@@ -290,6 +290,59 @@ def test_overflowing_height_power_exits_2(tup, capsys, argv, D):
     assert f"error: D^eta overflows the float range at D = {D}, eta = 1000.0" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, threshold",
+    [
+        # 2^1023.9 is finite, but the sum L^eta + R^eta overflows
+        (["bigen", "--tuple", "{logs}", "--kappa", "{kappa}", "--L", "2", "--R", "2",
+          "--mu", "2", "--nu", "2", "--eta", "1023.9", "--c", "0.045"],
+         "-0.045*(2^1023.9 + 2^1023.9)"),
+        # a finite D^eta times a large --c
+        (["gen", "--tuple", "{logs}", "--mu", "2", "--D", "2", "--eta", "2", "--c", "1e308"],
+         "-1e+308*(2^2.0)"),
+        (["dist-audit", "--z", "theta", "--tuple", "{logs}", "--kappa", "{kappa}",
+          "--I", "0,1", "--J", "0,1", "--D", "12", "--c", "1e308"], "-1e+308*(12^2.0)"),
+        (["phil-audit", "--family", "{fam}", "--tuple", "{logs}", "--D", "8", "--C", "1e308"],
+         "-1e+308*(8^2.0)"),
+        # H3's bound -C*D^eta is finite, H4's -3*C*D^eta is not
+        (["phil-audit", "--family", "{fam}", "--tuple", "{logs}", "--D", "8", "--C", "2e306"],
+         "-6e+306*(8^2.0)"),
+    ],
+    ids=["bigen", "gen", "dist-audit", "phil-audit-H3", "phil-audit-H4"],
+)
+def test_infinite_threshold_exits_2(tup, capsys, argv, threshold):
+    # no verdict may be taken against a threshold of -inf
+    files = {
+        "logs": tup("logs.tup", ["log(2)", "log(3)"]),
+        "kappa": tup("kappa.tup", ["log(5)", "log(7)"]),
+        "fam": tup("fam.poly", ["1,1:1; 0,0:-1"]),
+    }
+    code = run([a.format(**files) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"error: the threshold {threshold} is not a finite float" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, entries, D",
+    [
+        (["gen", "--mu", "2", "--D", "2..3", "--eta", "2", "--c", "0.045"], ["10^400", "1"], 2),
+        # the lattice finds the relation (1, 1, 0); its minimality screen cannot run
+        (["relation", "--pi-i"], ["10^400", "-10^400", "3"], 1),
+    ],
+    ids=["gen", "relation"],
+)
+def test_entry_beyond_the_float_screen_exits_2(tup, capsys, argv, entries, D):
+    # the box screen reads float midpoints; an infinite one would make every
+    # box value nan or infinite, and the screen would keep a wrong survivor
+    code = run([argv[0], "--tuple", tup("big.tup", entries), *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"error: a tuple entry is too large for the float box screen at D = {D}" in captured.err
+
+
 def test_zero_distance_log_nan_exits_2(tup, capsys):
     # -inf, the log of a zero distance, stays valid (pinned below)
     fam = tup("fam.poly", ["1,1:1; 0,0:-1"])
@@ -424,8 +477,8 @@ def test_phil_audit_smoke(tup, capsys):
 
 def test_phil_audit_imports_no_scipy(tup):
     # importing scipy costs about half a second and 40 MB on every cold run;
-    # neither the CLI, the zero-distance search nor the box screen of a
-    # complex entry (here the pi*i that --pi-i appends) may need it
+    # neither the CLI, the zero-distance search nor a relation search with
+    # the pi*i that --pi-i appends may need it
     fam = tup("fam.tup", ["1,0:1; 0,0:-1"])
     point = tup("pt.tup", ["exp(1)", "2"])
     rel = tup("rel.tup", ["5", "-1", "1", "1"])

@@ -13,6 +13,7 @@ from genlab.numeric import (
     ComplexIV,
     complex_exp,
     cos_sin,
+    height_threshold,
     log_expm1_abs_interval,
     make_ctx,
     run_escalating,
@@ -179,6 +180,28 @@ def test_cos_sin_matches_ctx_cos_and_sin(lo, width, quarter_turns, bits):
     cos, sin = cos_sin(ctx, x)
     assert cos._mpi_ == ctx.cos(x)._mpi_
     assert sin._mpi_ == ctx.sin(x)._mpi_
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(1e-300, 1e308),
+    st.floats(1, 1100),
+    st.lists(st.integers(1, 10**6), min_size=1, max_size=2),
+)
+def test_height_threshold_is_the_plain_float_formula_or_refused(c, eta, heights):
+    # the same float operations in the same order as -c*D^eta and
+    # -c*(L^eta + R^eta), refused exactly when that value is not finite
+    try:
+        terms = [float(D) ** eta for D in heights]
+        scale = terms[0] if len(terms) == 1 else terms[0] + terms[1]
+        expected = (scale, -c * scale)
+    except OverflowError:
+        expected = None
+    if expected is None or not math.isfinite(expected[1]):
+        with pytest.raises(InvalidConfig):
+            height_threshold(c, eta, *heights)
+    else:
+        assert height_threshold(c, eta, *heights) == expected
 
 
 def test_real_tuple_validation():

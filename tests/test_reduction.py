@@ -93,7 +93,7 @@ def test_golden_ratio_relation_hunt():
     # scaled approximations of (1, phi): a short vector encodes m + n*phi ~ 0
     scale = 2**40
     phi = (1 + math.sqrt(5)) / 2
-    rows = knapsack_basis([(scale,), (round(phi * scale),)])
+    rows = knapsack_basis([scale, round(phi * scale)])
     out = lll_reduce(rows)
     m, n, resid = out[0]
     assert (m, n) != (0, 0)
@@ -102,18 +102,21 @@ def test_golden_ratio_relation_hunt():
     assert resid == m * scale + n * round(phi * scale)
 
 
-def test_knapsack_basis_two_columns():
-    # (re, im) pairs: rows are [e_i | re_i, im_i]
-    assert knapsack_basis([(3, -1), (5, 7), (0, 2)]) == [
-        [1, 0, 0, 3, -1],
-        [0, 1, 0, 5, 7],
-        [0, 0, 1, 0, 2],
+def test_knapsack_basis_one_column_per_entry():
+    # rows are [e_i | scaled_i]
+    assert knapsack_basis([3, 5, 0]) == [
+        [1, 0, 0, 3],
+        [0, 1, 0, 5],
+        [0, 0, 1, 0],
     ]
-    # i and 2i + 1 scaled by 2^30: the short vector is the relation 2*(i) - (2i + 1) + 1 = 0
+    # sqrt(2), 2*sqrt(2) + 1 and 1 scaled by 2^30: the short vector is the
+    # relation 2*sqrt(2) - (2*sqrt(2) + 1) + 1 = 0, up to rounding in the last column
     scale = 2**30
-    rows = knapsack_basis([(0, scale), (scale, 2 * scale), (scale, 0)])
+    r2 = math.sqrt(2)
+    rows = knapsack_basis([round(r2 * scale), round((2 * r2 + 1) * scale), scale])
     out = lll_reduce(rows)
-    assert [2, -1, 1, 0, 0] in out or [-2, 1, -1, 0, 0] in out
+    assert out[0][:3] in ([2, -1, 1], [-2, 1, -1])
+    assert abs(out[0][3]) <= 2
 
 
 @settings(max_examples=40, deadline=None)
