@@ -9,27 +9,29 @@ Three layers, bottom to top:
   * a Siegel-style coefficient search: integer coefficients making an
     exponential polynomial small on a disc, found by lattice reduction on
     scaled Taylor columns and certified a posteriori on a grid with a
-    Lipschitz slack plus an independent Taylor-tail bound; the grid takes
-    one interval exp per generator and angle, because every exponent is an
-    integer combination a_d = sum_lambda d_lambda theta_lambda of generators
+    Lipschitz slack plus an independent Taylor-tail bound; the grid runs
+    in numeric's complex balls (midpoint-radius discs of Python ints at
+    scale 2^-prec) and takes one point exp per generator and angle, because
+    every exponent is an integer combination
+    a_d = sum_lambda d_lambda theta_lambda of generators
     (exp(a_d w) = prod_lambda exp(theta_lambda w)^(d_lambda); a plain family
     is its own generators) and ring points are integer multiples of the
     first ring (exp(a w_j) = exp(a w_1)^(j+1)); with real exponents and
     integer coefficients h_d, |phi(conj w)| = |phi(w)| lets the upper
-    half-plane angles stand for their conjugates; the products and the sums
-    run in ball arithmetic on Python ints (midpoint-radius discs at scale
-    2^-prec), certified by |ab - a~b~| <= |a~| r_b + |b~| r_a + r_a r_b with
-    every radius rounded up, and the largest squared bound on the grid is
-    rounded to a float once, which the monotone rounding makes the same
-    float as the largest rounded bound;
+    half-plane angles stand for their conjugates; the largest squared bound
+    on the grid is rounded to a float once, which the monotone rounding
+    makes the same float as the largest rounded bound; the Taylor bounds
+    run on libmp's interval primitives, the bits of the mpmath.iv operators;
   * two audits: the pigeonhole distance audit (count check, zero estimate,
     coset collision, contradiction bound) and the hypothesis checklist for
     the effective-distance proposition, which checks hypotheses only and
     never asserts the conclusion.
 
-Everything reported as certified here is backed by interval arithmetic or
-exact integer/rational computation; the single exception is the optimizer
-leg of the hypothesis checklist, which is labelled empirical in its output.
+Everything reported as certified here is backed by interval or ball
+arithmetic (under numeric's one trust assumption on libmp's point values)
+or exact integer/rational computation; the single exception is the
+optimizer leg of the hypothesis checklist, which is labelled empirical in
+its output.
 """
 
 from __future__ import annotations
@@ -52,18 +54,19 @@ from .cyclo import (
     normalize_point_set,
     require_torus,
 )
-from .dioph import log_expm1_abs
 from .errors import BudgetExceeded, HypothesisNotMet, InvalidConfig
 from .expr import eval_interval, exact_rational, parse_expression, to_string
 from .numeric import (
     NEG_PAIR,
-    ComplexIV,
     NeedsBits,
+    ball,
+    ball_mul,
     complex_exp,
-    cos_sin,
+    expj,
     height_threshold,
     iv_from_fraction,
     log_abs_interval,
+    log_expm1_abs,
     log_expm1_abs_interval,
     log_pair,
     make_ctx,
@@ -316,7 +319,8 @@ def _symbolically_zero(keys, coeffs) -> bool:
 
 @dataclass(frozen=True)
 class _TaylorTable:
-    """The candidate-independent factors of the series bounds on |w| <= radius.
+    """The candidate-independent factors of the series bounds on |w| <= radius,
+    as libmp interval pairs at the context's precision.
 
     coeff_pow[t][d] is a_d^t / t! as a Fraction when every exponent is exact
     (all_exact), else the interval a_d^t; rad_pow[t] is rad^t; tails[d] is
@@ -325,18 +329,33 @@ class _TaylorTable:
 
     terms: int
     all_exact: bool
-    rad: object
+    rad: tuple
     coeff_pow: tuple
     rad_pow: tuple
     tails: tuple
 
 
+def _mpi_int(n: int, prec: int) -> tuple:
+    """The interval ctx_iv makes of the int n at prec bits."""
+    return (
+        libmp.from_int(n, prec, libmp.round_floor),
+        libmp.from_int(n, prec, libmp.round_ceiling),
+    )
+
+
+def _mpi_fraction(q: Fraction, prec: int) -> tuple:
+    """iv_from_fraction(ctx, q)._mpi_ at ctx.prec = prec."""
+    return libmp.mpi_div(_mpi_int(q.numerator, prec), _mpi_int(q.denominator, prec), prec)
+
+
 def _taylor_table(ctx, encl, exact, radius: Fraction, terms: int) -> _TaylorTable:
-    """Build the factors of _taylor_bounds once per siegel_construct call."""
-    rad = iv_from_fraction(ctx, radius)
+    """Build the factors of _taylor_bounds once per siegel_construct call,
+    with the libmp interval operations that ctx_iv's operators run."""
+    prec = ctx.prec
+    rad = _mpi_fraction(radius, prec)
     all_exact = all(q is not None for q in exact)
     bases = [
-        iv_from_fraction(ctx, q) if q is not None else iv
+        _mpi_fraction(q, prec) if q is not None else iv._mpi_
         for q, iv in zip(exact, encl)
     ]
     if all_exact:
@@ -345,13 +364,20 @@ def _taylor_table(ctx, encl, exact, radius: Fraction, terms: int) -> _TaylorTabl
             for t in range(terms)
         )
     else:
-        coeff_pow = tuple(tuple(b**t for b in bases) for t in range(terms))
+        coeff_pow = tuple(
+            tuple(libmp.mpi_pow_int(b, t, prec) for b in bases) for t in range(terms)
+        )
     tails = []
     for base in bases:
-        a_abs = abs(base)
-        ar = a_abs * rad
-        tails.append((a_abs, ar**terms, ar ** (terms - 1), ctx.exp(ar)))
-    rad_pow = tuple(rad**t for t in range(terms))
+        a_abs = libmp.mpi_abs(base, prec)
+        ar = libmp.mpi_mul(a_abs, rad, prec)
+        tails.append((
+            a_abs,
+            libmp.mpi_pow_int(ar, terms, prec),
+            libmp.mpi_pow_int(ar, terms - 1, prec),
+            libmp.mpi_exp(ar, prec),
+        ))
+    rad_pow = tuple(libmp.mpi_pow_int(rad, t, prec) for t in range(terms))
     return _TaylorTable(terms, all_exact, rad, coeff_pow, rad_pow, tuple(tails))
 
 
@@ -361,52 +387,43 @@ def _taylor_bounds(ctx, table: _TaylorTable, coeffs):
     sup  <= sum_{t<T} |c_t| rad^t + sum_d |h_d| (|a_d| rad)^T / T! e^{|a_d| rad}
     sup' <= sum_{1<=t<T} t |c_t| rad^(t-1)
             + sum_d |h_d| |a_d| (|a_d| rad)^(T-1) / (T-1)! e^{|a_d| rad}
+
+    The sums run on libmp.mpi_add/mpi_mul/mpi_div/mpi_abs at ctx.prec, in
+    the operation order and with the int conversions that the ctx_iv
+    operators would run, so the bounds are the same bits without the
+    operators' dispatch.
     """
+    prec = ctx.prec
+    add, mul, div = libmp.mpi_add, libmp.mpi_mul, libmp.mpi_div
     terms = table.terms
-    sup = ctx.mpf(0)
-    dsup = ctx.mpf(0)
+    zero = _mpi_int(0, prec)
+    sup = dsup = zero
+    ivs = [_mpi_int(c, prec) for c in coeffs]
     for t in range(terms):
         if table.all_exact:
             c_t = sum(Fraction(c) * w for c, w in zip(coeffs, table.coeff_pow[t]))
-            c_abs = iv_from_fraction(ctx, abs(c_t))
+            c_abs = _mpi_fraction(abs(c_t), prec)
         else:
-            acc = ctx.mpf(0)
-            for c, power in zip(coeffs, table.coeff_pow[t]):
-                acc += c * power
-            acc = acc / math.factorial(t)
-            c_abs = abs(acc)
-        sup += c_abs * table.rad_pow[t]
+            acc = zero
+            for c, power in zip(ivs, table.coeff_pow[t]):
+                acc = add(acc, mul(c, power, prec), prec)
+            acc = div(acc, _mpi_int(math.factorial(t), prec), prec)
+            c_abs = libmp.mpi_abs(acc, prec)
+        sup = add(sup, mul(c_abs, table.rad_pow[t], prec), prec)
         if t >= 1:
-            dsup += t * c_abs * table.rad_pow[t - 1]
-    fact_t = math.factorial(terms)
-    fact_t1 = math.factorial(terms - 1)
+            t_c = mul(_mpi_int(t, prec), c_abs, prec)
+            dsup = add(dsup, mul(t_c, table.rad_pow[t - 1], prec), prec)
+    fact_t = _mpi_int(math.factorial(terms), prec)
+    fact_t1 = _mpi_int(math.factorial(terms - 1), prec)
     for c, (a_abs, ar_t, ar_t1, growth) in zip(coeffs, table.tails):
-        sup += abs(c) * ar_t / fact_t * growth
-        dsup += abs(c) * a_abs * ar_t1 / fact_t1 * growth
-    return sup, dsup
-
-
-def _ball(x, prec: int) -> tuple[int, int]:
-    """(mid, rad) with [mid - rad, mid + rad] * 2^-prec containing the finite
-    interval x: its endpoints floored to fixed point and widened by one unit
-    on each side; rad is at least mid's distance to either end."""
-    a, b = x._mpi_
-    lo = libmp.to_fixed(a, prec) - 1
-    hi = libmp.to_fixed(b, prec) + 1
-    mid = (lo + hi) >> 1
-    return mid, hi - mid
-
-
-def _ball_mul(a, b, prec: int) -> tuple[int, int, int]:
-    """The product of two balls (x, y, r) at scale 2^-prec."""
-    ax, ay, ra = a
-    bx, by, rb = b
-    return (
-        (ax * bx - ay * by) >> prec,
-        (ax * by + ay * bx) >> prec,
-        (((abs(ax) + abs(ay) + 1) * rb + (abs(bx) + abs(by) + 1) * ra + ra * rb) >> prec)
-        + 3,
-    )
+        c_abs = _mpi_int(abs(c), prec)
+        sup = add(sup, mul(div(mul(c_abs, ar_t, prec), fact_t, prec), growth, prec), prec)
+        dsup = add(
+            dsup,
+            mul(div(mul(mul(c_abs, a_abs, prec), ar_t1, prec), fact_t1, prec), growth, prec),
+            prec,
+        )
+    return ctx.make_mpf(sup), ctx.make_mpf(dsup)
 
 
 def _product_plan(rows) -> list[tuple[tuple[int, ...], tuple[int, ...] | None, int]]:
@@ -438,8 +455,15 @@ def _grid_sup(ctx, encl, coeffs, radius: Fraction, grid: GridSpec, rows=None) ->
     theta_lambda; rows None is the identity, so that encl holds the
     exponents themselves.
 
+    Balls end to end: everything runs on numeric's complex balls at scale
+    2^-p, p = ctx.prec.  Angle g's unit e^(2 pi i g/angles) is one point
+    evaluation widened into a ball (expj), each generator argument
+    theta_lambda (radius/rings) e^(2 pi i g/angles) is the ball product of
+    the real ball of theta_lambda * radius/rings with it, and its exp is one
+    more point evaluation (complex_exp).
+
     Generators: exp(a_d w) = prod_lambda exp(theta_lambda w)^(d_lambda), so
-    one interval exp per angle for each generator that occurs in a term with
+    one complex_exp per angle for each generator that occurs in a term with
     a nonzero coefficient gives every term's ring-1 base as a ball product
     of generator balls, one product per distinct sub-monomial of the rows
     (_product_plan); the zero row is the exact ball 1.
@@ -448,15 +472,8 @@ def _grid_sup(ctx, encl, coeffs, radius: Fraction, grid: GridSpec, rows=None) ->
     w_1 = (radius/rings) e^(2 pi i g/angles), so exp(a w_j) = exp(a w_1)^(j+1):
     each further ring is the previous ring's value times the base.
 
-    Balls: the products and the sums run on midpoint-radius discs of Python
-    ints at scale 2^-p, p = ctx.prec.  A generator's rectangle becomes the
-    disc (mx + i my, rx + ry) of its widened fixed-point endpoints.  A
-    product keeps the truncated midpoint product and the radius
-    |ab - a~b~| <= |a~| r_b + |b~| r_a + r_a r_b, with |a~| <= |ax| + |ay| + 1,
-    shifted down and plus 3 units for that floor and the midpoint's
-    truncation; every radius is rounded up.  The sum over terms is exact on
-    the midpoints with radius sum_d |h_d| r_d, and |phi|^2 is bounded by the
-    integer (|sx| + sr)^2 + (|sy| + sr)^2 at scale 2^-2p.
+    Sums: exact on the midpoints with radius sum_d |h_d| r_d, and |phi|^2 is
+    bounded by the integer (|sx| + sr)^2 + (|sy| + sr)^2 at scale 2^-2p.
 
     Rounding once: ceiling to p bits, the float upper end, sqrt and
     nextafter are each monotone, so the integer maximum over the grid is
@@ -474,25 +491,22 @@ def _grid_sup(ctx, encl, coeffs, radius: Fraction, grid: GridSpec, rows=None) ->
     step = iv_from_fraction(ctx, radius / grid.rings)
     terms = [(c, abs(c), tuple(row)) for c, row in zip(coeffs, rows) if c]
     plan = _product_plan(row for _, _, row in terms)
-    steps = {lam: encl[lam] * step for _, _, lam in plan}
+    steps = {}
+    for _, _, lam in plan:
+        mid, rad = ball(encl[lam] * step, p)
+        steps[lam] = (mid, 0, rad)
     top = 0
     for g in range(grid.angles // 2 + 1):
-        ang = 2 * ctx.pi * g / grid.angles
-        cos_a, sin_a = cos_sin(ctx, ang)
-        gens = {}
-        for lam, x in steps.items():
-            z = complex_exp(ctx, ComplexIV(x * cos_a, x * sin_a))
-            mx, rx = _ball(z.re, p)
-            my, ry = _ball(z.im, p)
-            gens[lam] = (mx, my, rx + ry)
+        turn = expj(ctx, 2 * ctx.pi * g / grid.angles)
+        gens = {lam: complex_exp(ctx, ball_mul(x, turn, p)) for lam, x in steps.items()}
         balls = {}
         for row, prev, lam in plan:
-            balls[row] = gens[lam] if prev is None else _ball_mul(balls[prev], gens[lam], p)
+            balls[row] = gens[lam] if prev is None else ball_mul(balls[prev], gens[lam], p)
         bases = [balls.get(row, (1 << p, 0, 0)) for _, _, row in terms]
         powers = bases
         for j in range(grid.rings):
             if j:
-                powers = [_ball_mul(a, b, p) for a, b in zip(powers, bases)]
+                powers = [ball_mul(a, b, p) for a, b in zip(powers, bases)]
             sx = sy = sr = 0
             for (c, c_abs, _), (mx, my, r) in zip(terms, powers):
                 sx += c * mx
@@ -590,7 +604,7 @@ def siegel_construct(
     height_ok = log_height <= delta + 1e-12
 
     zero = _symbolically_zero(keys, best)
-    rad = table.rad
+    rad = ctx.make_mpf(table.rad)
     if zero:
         grid_max, slack_hi, taylor_hi = 0.0, 0.0, 0.0
         achieved = float("-inf")
@@ -608,7 +622,7 @@ def siegel_construct(
     e_rad = rad * ctx.exp(1)
     norm_sum = ctx.mpf(0)
     for a_abs, _, _, _ in table.tails:
-        norm_sum += ctx.exp(a_abs * e_rad)
+        norm_sum += ctx.exp(ctx.make_mpf(a_abs) * e_rad)
     norm_ok = to_float_pair(norm_sum)[1] <= math.exp(u_target)
 
     best_effort = (not height_ok) or (u_achieved <= 0 and not zero)

@@ -55,7 +55,7 @@ import numpy as np
 from mpmath import libmp
 
 from .errors import InvalidConfig
-from .expr import BinOp, Num, exact_rational, eval_interval, to_string
+from .expr import BinOp, Num, to_string
 from .intmat import rank_rational
 from .numeric import (
     NEG_PAIR,
@@ -149,6 +149,12 @@ def _near_pairs(head, tail, zero_head: int, zero_tail: int, slack: float):
     return heads[keep], tails[keep]
 
 
+def _screen_scale(theta_float: Sequence[float], D: int) -> float:
+    """mu * D * max(1, max |theta_i|), a bound on every |l.theta| of the box;
+    not finite when an entry is too large for the float box screen."""
+    return len(theta_float) * D * max(1.0, *map(abs, theta_float))
+
+
 def _screen_box(theta_float: list[float], D: int) -> list[tuple[int, ...]]:
     """Float screening of the full box: the canonical vectors l whose value
     |l.theta| is within slack of the least nonzero one, a set guaranteed to
@@ -169,7 +175,7 @@ def _screen_box(theta_float: list[float], D: int) -> list[tuple[int, ...]]:
     mu = len(theta_float)
     base = 2 * D + 1
     theta = np.array(theta_float, dtype=float)
-    scale = mu * D * max(1.0, float(np.max(np.abs(theta))))  # bounds every |l.theta|
+    scale = _screen_scale(theta_float, D)
     if not np.isfinite(scale):
         raise InvalidConfig(f"a tuple entry is too large for the float box screen at D = {D}")
     slack = scale * 2.0**-46 + 1e-10
@@ -355,33 +361,6 @@ def linear_form_min(
         raise InvalidConfig("height bound D must be >= 1")
     bits = precision_bits if precision_bits is not None else theta.precision_bits
     return _min_record(theta, subset, D, bits_floor=bits, budget=budget)
-
-
-def log_expm1_abs(x, precision_bits: int = 128) -> tuple[float, float]:
-    """Certified enclosure of log|e^x - 1| as a float pair.
-
-    x may be an expression string, an int, or a Fraction.  Returns the
-    (-inf, -inf) sentinel for x = 0.
-    """
-    from .expr import parse_expression
-
-    if isinstance(x, str):
-        node = parse_expression(x)
-        exact = exact_rational(node)
-    elif isinstance(x, (int, Fraction)):
-        node, exact = None, Fraction(x)
-    else:
-        raise InvalidConfig(f"unsupported input for log_expm1_abs: {x!r}")
-
-    def attempt(bits: int) -> tuple[float, float]:
-        ctx = make_ctx(bits)
-        if exact is not None:
-            xi = iv_from_fraction(ctx, exact)
-        else:
-            xi = eval_interval(ctx, node)
-        return log_pair(log_expm1_abs_interval(ctx, xi, bits))
-
-    return run_escalating(attempt, precision_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -675,8 +654,10 @@ def regularity_probe(
     relation found with it is never reported as verified exactly.
 
     A found relation is verified: its enclosure straddles zero at full
-    precision, and exactly when all entries are rational.  Absence of a
-    relation is only a no-witness-up-to-budget verdict, never a
+    precision, and exactly when all entries are rational.  The box screen
+    confirms it minimal when the box is within the budget and every entry
+    is within the screen's float range; otherwise minimal is None.  Absence
+    of a relation is only a no-witness-up-to-budget verdict, never a
     regularity claim.
     """
     if height_bound < 1:
@@ -703,10 +684,14 @@ def regularity_probe(
     minimal = None
     n = len(entries) + include_pi_i  # the budget counts the pi*i coordinate
     if (2 * h0 + 1) ** n <= budget:
-        # a plausible relation's value lies within its enclosure's width of
-        # zero, far inside the screen's slack, so every one survives the screen
-        found = first_holding(_screen_box(theta.midpoints(bits), h0))
-        minimal = True
+        mids = theta.midpoints(bits)
+        # an entry beyond the screen's float range leaves the relation
+        # unconfirmed, as a box over the budget does
+        if np.isfinite(_screen_scale(mids, h0)):
+            # a plausible relation's value lies within its enclosure's width
+            # of zero, far inside the screen's slack, so every one survives
+            found = first_holding(_screen_box(mids, h0))
+            minimal = True
     l0, exact0 = found
     if include_pi_i:
         l0 += (0,)

@@ -1,9 +1,23 @@
-"""Interval-arithmetic plumbing: contexts, precision escalation, log helpers.
+"""Certified numerics: interval contexts, precision escalation, log helpers
+and one complex ball type.
 
-All certified numerics in the workbench run on mpmath interval contexts.
-Policy: start at max(128, requested) bits, double whenever a verdict
-interval straddles its threshold, give up at a hard cap.  Functions here
-either return honest enclosures or raise NeedsBits to request escalation.
+Real enclosures run on mpmath interval contexts.  Policy: start at
+max(128, requested) bits, double whenever a verdict interval straddles its
+threshold, give up at a hard cap.  Functions here either return honest
+enclosures or raise NeedsBits to request escalation.
+
+A ball is a midpoint-radius complex disc on Python ints (Johansson 2017,
+"Arb: efficient arbitrary-precision midpoint-radius interval arithmetic",
+IEEE Trans. Comput. 66(8)): the triple (mx, my, r) stands for the disc of
+centre (mx + i my) 2^-p and radius r 2^-p, for p the precision of the
+context it was made at.  ball turns a real interval into a centre and a
+radius, ball_mul multiplies two balls, and complex_exp and expj evaluate
+exp at the centre only, once, and widen the point value into a ball.  The
+point values come from libmp's mpf_exp and mpf_cos_sin at p + 20 bits,
+trusted to a relative error of 2^-(p + 10): the same trust that mpmath's
+own interval cos and sin (libmp.mpi_cos_sin) place in mpf_cos_sin at that
+precision.  Every other error of a ball is bounded in the code that makes
+it, with every radius rounded up.
 """
 
 from __future__ import annotations
@@ -164,24 +178,107 @@ def log_expm1_abs_interval(ctx, x, precision_bits: int):
     return ctx.log(abs(y))
 
 
+def log_expm1_abs(x, precision_bits: int = 128) -> tuple[float, float]:
+    """Certified enclosure of log|e^x - 1| as a float pair.
+
+    x may be an expression string, an int, or a Fraction.  Returns the
+    (-inf, -inf) sentinel for x = 0.
+    """
+    from .expr import eval_interval, exact_rational, parse_expression  # expr imports numeric
+
+    if isinstance(x, str):
+        node = parse_expression(x)
+        exact = exact_rational(node)
+    elif isinstance(x, (int, Fraction)):
+        node, exact = None, Fraction(x)
+    else:
+        raise InvalidConfig(f"unsupported input for log_expm1_abs: {x!r}")
+
+    def attempt(bits: int) -> tuple[float, float]:
+        ctx = make_ctx(bits)
+        if exact is not None:
+            xi = iv_from_fraction(ctx, exact)
+        else:
+            xi = eval_interval(ctx, node)
+        return log_pair(log_expm1_abs_interval(ctx, xi, bits))
+
+    return run_escalating(attempt, precision_bits)
+
+
 @dataclass(frozen=True)
 class ComplexIV:
-    """A rectangular complex enclosure built from two real intervals: the
-    argument and value of complex_exp on the Siegel grid."""
+    """A rectangular complex enclosure built from two real intervals: what
+    RealTuple.complex_enclosures returns, a real part and a zero imaginary
+    part per entry."""
 
     re: object
     im: object
 
 
-def cos_sin(ctx, x):
-    """Enclosures of cos x and sin x for an interval x, from one
-    libmp.mpi_cos_sin call; ctx.cos and ctx.sin each run that call and keep
-    half of it, so the enclosures are the same bits at half the cost."""
-    c, s = libmp.mpi_cos_sin(x._mpi_, ctx.prec)
-    return ctx.make_mpf(c), ctx.make_mpf(s)
+def ball(x, prec: int) -> tuple[int, int]:
+    """(mid, rad) with [mid - rad, mid + rad] * 2^-prec containing the finite
+    interval x: its endpoints floored to fixed point and widened by one unit
+    on each side; rad is at least mid's distance to either end."""
+    a, b = x._mpi_
+    lo = libmp.to_fixed(a, prec) - 1
+    hi = libmp.to_fixed(b, prec) + 1
+    mid = (lo + hi) >> 1
+    return mid, hi - mid
 
 
-def complex_exp(ctx, z: ComplexIV) -> ComplexIV:
-    mag = ctx.exp(z.re)
-    cos, sin = cos_sin(ctx, z.im)
-    return ComplexIV(mag * cos, mag * sin)
+def ball_mul(a, b, prec: int) -> tuple[int, int, int]:
+    """The product of two balls (x, y, r) at scale 2^-prec: the truncated
+    midpoint product, and the radius |ab - a~b~| <= |a~| r_b + |b~| r_a + r_a r_b
+    with |a~| <= |ax| + |ay| + 1, shifted down and plus 3 units for that
+    floor and the midpoint's truncation."""
+    ax, ay, ra = a
+    bx, by, rb = b
+    return (
+        (ax * bx - ay * by) >> prec,
+        (ax * by + ay * bx) >> prec,
+        (((abs(ax) + abs(ay) + 1) * rb + (abs(bx) + abs(by) + 1) * ra + ra * rb) >> prec)
+        + 3,
+    )
+
+
+def _exp_ball(mx: int, my: int, r: int, p: int) -> tuple[int, int, int]:
+    """The ball of e^z over the ball z = (mx, my, r) at scale 2^-p, r <= 2^p.
+
+    One mpf_exp and one mpf_cos_sin at the centre c, at wp = p + 20 bits,
+    give e^Re(c) and cos, sin of Im(c) within the relative d = 2^(10-wp)
+    (the module's trust assumption), and floored to wp-bit fixed point E,
+    C and S they are each within one unit 2^-wp more.  The real part
+    E C 2^-2wp, floored to 2^-p, is then within
+    |e^c|(4d + 2^-wp) + 2^-wp(1 + 2d) + 2^-p <= m 2^(13-wp) + 2 units of
+    Re e^c, for m = floor(E 2^(p-wp)) + 1 >= |e^c| 2^p / (1 + 2d), and so is
+    the imaginary part.  Over the disc, |e^z - e^c| = |e^c||e^(z-c) - 1|
+    <= |e^c|(rho + rho^2) for rho = r 2^-p <= 1, with |e^c| at most
+    m + m 2^(11-wp) + 1 units.  The radius is the sum of the three."""
+    if r > 1 << p:
+        raise ValueError("the exp ball needs an input radius of at most 1")
+    wp = p + 20
+    mag = libmp.to_fixed(libmp.mpf_exp(libmp.from_man_exp(mx, -p), wp), wp)
+    cos, sin = libmp.mpf_cos_sin(libmp.from_man_exp(my, -p), wp)
+    cos = libmp.to_fixed(cos, wp)
+    sin = libmp.to_fixed(sin, wp)
+    shift = 2 * wp - p
+    m = (mag >> (wp - p)) + 1
+    err = 2 * ((m >> (wp - 13)) + 3)
+    if r:
+        top = m + (m >> (wp - 11)) + 1
+        err += ((top * r) >> p) + ((top * r * r) >> (2 * p)) + 2
+    return (mag * cos) >> shift, (mag * sin) >> shift, err
+
+
+def complex_exp(ctx, z: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The ball of e^z over the ball z at scale 2^-ctx.prec: one point
+    evaluation at its centre, widened as _exp_ball says."""
+    return _exp_ball(*z, ctx.prec)
+
+
+def expj(ctx, x) -> tuple[int, int, int]:
+    """The ball of e^(i x) over the real interval x at scale 2^-ctx.prec:
+    ball(x) and one point mpf_cos_sin at its centre, widened in the same
+    way as complex_exp."""
+    mid, rad = ball(x, ctx.prec)
+    return _exp_ball(0, mid, rad, ctx.prec)

@@ -328,10 +328,8 @@ def test_infinite_threshold_exits_2(tup, capsys, argv, threshold):
     "argv, entries, D",
     [
         (["gen", "--mu", "2", "--D", "2..3", "--eta", "2", "--c", "0.045"], ["10^400", "1"], 2),
-        # the lattice finds the relation (1, 1, 0); its minimality screen cannot run
-        (["relation", "--pi-i"], ["10^400", "-10^400", "3"], 1),
     ],
-    ids=["gen", "relation"],
+    ids=["gen"],
 )
 def test_entry_beyond_the_float_screen_exits_2(tup, capsys, argv, entries, D):
     # the box screen reads float midpoints; an infinite one would make every
@@ -341,6 +339,28 @@ def test_entry_beyond_the_float_screen_exits_2(tup, capsys, argv, entries, D):
     assert code == 2
     assert captured.out == ""
     assert f"error: a tuple entry is too large for the float box screen at D = {D}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "flags, relation, exact",
+    [([], [1, 1, 0], True), (["--pi-i"], [1, 1, 0, 0], False)],
+    ids=["plain", "pi-i"],
+)
+def test_relation_beyond_the_float_screen_is_reported_unconfirmed(
+    tup, capsys, flags, relation, exact
+):
+    # the lattice finds the relation; the minimality screen cannot read the
+    # entries as floats, so the relation is reported with minimal null, as a
+    # box over the budget is
+    code = run(["relation", "--tuple", tup("big.tup", ["10^400", "-10^400", "3"]), *flags])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    (rec,) = records_of(captured.out)
+    assert rec["payload"]["status"] == "relation_found"
+    assert rec["payload"]["relation"] == relation
+    assert rec["payload"]["verified_exact"] is exact
+    assert rec["payload"]["minimal"] is None
 
 
 def test_zero_distance_log_nan_exits_2(tup, capsys):

@@ -18,10 +18,10 @@ from genlab.dioph import (
     canonical_form,
     genericity_probe,
     linear_form_min,
-    log_expm1_abs,
     regularity_probe,
 )
 from genlab.errors import InvalidConfig
+from genlab.numeric import log_expm1_abs
 from genlab.tuples import RealTuple
 
 GOLDEN = RealTuple(("1", "phi"))

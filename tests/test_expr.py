@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,9 +11,9 @@ from hypothesis import strategies as st
 from genlab.errors import InvalidConfig, PrecisionExhausted
 from genlab.expr import eval_interval, exact_rational, parse_expression, to_string
 from genlab.numeric import (
-    ComplexIV,
+    ball,
     complex_exp,
-    cos_sin,
+    expj,
     height_threshold,
     log_expm1_abs_interval,
     make_ctx,
@@ -158,28 +159,75 @@ def test_unknowable_zero_exhausts_precision():
 
 def test_complex_exp_of_i_pi():
     ctx = make_ctx(128)
-    z = ComplexIV(ctx.mpf(0), +ctx.pi)
-    w = complex_exp(ctx, z)
-    assert w.re.a < -1 < w.re.b or w.re.a <= -1 <= w.re.b
-    assert w.im.a <= 0 <= w.im.b
+    mid, rad = ball(+ctx.pi, 128)
+    x, y, r = complex_exp(ctx, (0, mid, rad))
+    # the ball holds -1
+    assert (x + (1 << 128)) ** 2 + y**2 <= r**2
 
 
-@given(
-    lo=st.one_of(st.just(0.0), st.floats(-1.0, 1.0)),
-    width=st.sampled_from((0.0, 1e-30, 1e-6, 0.5, 2.0, 7.0, 40.0)),
-    quarter_turns=st.one_of(st.none(), st.integers(-9, 9)),
-    bits=st.sampled_from((128, 256, 512)),
-)
-@settings(max_examples=120, deadline=None)
-def test_cos_sin_matches_ctx_cos_and_sin(lo, width, quarter_turns, bits):
-    # zero-width, narrow and wide intervals, some around a multiple of pi/2
-    ctx = make_ctx(bits)
-    x = ctx.mpf([lo, lo + width])
-    if quarter_turns is not None:
-        x = x + quarter_turns * ctx.pi / 2
-    cos, sin = cos_sin(ctx, x)
-    assert cos._mpi_ == ctx.cos(x)._mpi_
-    assert sin._mpi_ == ctx.sin(x)._mpi_
+def assert_ball_holds(w, p, value):
+    # the ball w at scale 2^-p holds the mpmath complex value
+    x, y, r = w
+    dx = value.real * 2**p - x
+    dy = value.imag * 2**p - y
+    assert dx * dx + dy * dy <= r * r
+
+
+def disc_offsets(r, frac_x, frac_y):
+    # exact integer offsets inside the disc of radius r: its four extreme
+    # points and one drawn point
+    dx = int(r * Fraction(frac_x))
+    dy = int(math.isqrt(r * r - dx * dx) * Fraction(frac_y))
+    return [(0, 0), (r, 0), (-r, 0), (0, r), (0, -r), (dx, dy)]
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_complex_exp_ball_holds_exp_at_double_bits(data):
+    # |Re| <= 40, |Im| <= 20, radii from 0 to 2^(p-20) units
+    p = data.draw(st.sampled_from((128, 256, 512)))
+    mx = data.draw(st.integers(-40 << p, 40 << p))
+    my = data.draw(st.integers(-20 << p, 20 << p))
+    r = data.draw(
+        st.one_of(
+            st.just(0),
+            st.integers(0, p - 20).map(lambda k: 1 << k),
+            st.integers(0, 1 << (p - 20)),
+        )
+    )
+    frac_x = data.draw(st.floats(-1, 1))
+    frac_y = data.draw(st.floats(-1, 1))
+    ctx = make_ctx(p)
+    w = complex_exp(ctx, (mx, my, r))
+    with mpmath.workprec(2 * p):
+        for dx, dy in disc_offsets(r, frac_x, frac_y):
+            z = mpmath.mpc(mpmath.ldexp(mx + dx, -p), mpmath.ldexp(my + dy, -p))
+            assert_ball_holds(w, p, mpmath.exp(z))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_expj_ball_holds_the_unit_at_double_bits(data):
+    # |x| <= 20, widths from 0 to 2^-20, and the grid's angles 2 pi g / n
+    p = data.draw(st.sampled_from((128, 256, 512)))
+    ctx = make_ctx(p)
+    if data.draw(st.booleans()):
+        n = data.draw(st.integers(8, 200))
+        x = 2 * ctx.pi * data.draw(st.integers(0, n // 2)) / n
+    else:
+        lo = data.draw(st.integers(-20 << p, 20 << p))
+        width = data.draw(st.one_of(st.just(0), st.integers(0, 1 << (p - 20))))
+        x = ctx.make_mpf(
+            (mpmath.libmp.from_man_exp(lo, -p), mpmath.libmp.from_man_exp(lo + width, -p))
+        )
+    w = expj(ctx, x)
+    mid, rad = ball(x, p)
+    frac = data.draw(st.floats(-1, 1))
+    with mpmath.workprec(2 * p):
+        points = [mpmath.mp.make_mpf(end) for end in x._mpi_]
+        points += [mpmath.ldexp(mid + d, -p) for d in (0, rad, -rad, int(rad * Fraction(frac)))]
+        for t in points:
+            assert_ball_holds(w, p, mpmath.expj(t))
 
 
 @settings(max_examples=200, deadline=None)
