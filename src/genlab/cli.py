@@ -123,6 +123,15 @@ def finite_float(text: str) -> float:
     return value
 
 
+def budget_count(text: str) -> int:
+    """The type of --budget: a negative budget is a usage error (exit 2);
+    0 is valid."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"not a nonnegative integer: {text!r}")
+    return value
+
+
 def log_distance(text: str) -> float:
     """The type of --zero-distance-log: nan is a usage error (exit 2); -inf
     is valid, the log of a zero distance."""
@@ -692,7 +701,7 @@ def run_phil_audit(args, sink: list[dict]) -> None:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--prec", type=int, default=128, help="precision in bits")
     sub.add_argument(
-        "--budget", type=int, default=DEFAULT_BUDGET, help="enumeration budget"
+        "--budget", type=budget_count, default=DEFAULT_BUDGET, help="enumeration budget"
     )
     sub.add_argument("--seed", type=int, default=0, help="seed for randomized grids")
     sub.add_argument("--cache-dir", dest="cache_dir", default=None)

@@ -5,31 +5,38 @@ with max-norm at most D, minimize |l_1 θ_{i_1} + ... + l_mu θ_{i_mu}|.
 Exhaustive mode screens the box in floats, then certifies the survivors
 (the vectors within a slack of the least float value) with interval
 arithmetic.  The screen meets in the middle: l splits into a head of
-mu // 2 coordinates and a tail, each half-box is enumerated once, and a
-search for each head value's nearest negation among the sorted tail values
-finds the least value.  Every pair within twice the slack of it is
-re-evaluated in the full-box summation order, so the survivors are exactly
-those of a walk over the whole box: rounding moves a value by far less than
-the slack.  The enumeration budget still counts the whole box, (2D+1)^mu.
-Above it a lattice-reduction mode returns a certified upper-bound record
-flagged approximate.  The probes aggregate these records over heights and
-subsets with the existential subset quantifier (max over subsets of the
-min over forms) and compare against thresholds -c*D^eta, all through one
+mu // 2 coordinates and a tail, each half box is enumerated once, and the
+pairs near the least value |head + tail| are found by searching the sorted
+tail values.  Those pairs are re-evaluated in the full-box summation order,
+so the survivors are exactly those of a walk over the whole box: rounding
+moves a value by far less than the slack.  A probe screens each subset once
+per height sweep (_screen_sweep): the half boxes of the sweep's top height,
+each half vector tagged with the first height whose box holds it, give
+every height's survivors, each set the one a screen of that height's box
+alone would keep.  The enumeration budget still counts the whole box,
+(2D+1)^mu, and the sweep covers the heights within it.  Above it a
+lattice-reduction mode returns a certified upper-bound record flagged
+approximate.  The probes aggregate these records over heights and subsets
+with the existential subset quantifier (max over subsets of the min over
+forms) and compare against thresholds -c*D^eta, all through one
 pass / fail / escalate rule.
 
 A sweep meets the same forms again and again: the minimizer over a subset
 usually stays put for several heights, and every height starts its
 escalation at the tuple's precision, so it meets earlier heights' forms at
-the same precisions.  So each form is certified once per tuple and
-precision.  The tuple memoises its float midpoints per precision
-(RealTuple.midpoints, the screen's input) and, keyed by (subset, l, bits),
-each form's signed enclosure, its |.| bounds and its certified log pairs
-(_Form, read by both the interval and the exact-rational branch of
-_min_record; a tuple always takes the same branch).  A record is the same
-deterministic function of the same inputs either way, so outputs are
-byte-identical to certifying afresh.  The memo lives exactly as long as the
-tuple object, which the CLI builds once per run: it is never module-level,
-so no run reuses another's work.
+the same precisions.  So each screen is run once per tuple and each form
+certified once per tuple and precision.  The tuple memoises its float
+midpoints per precision (RealTuple.midpoints, the screen's input), each
+sweep's screen keyed by the screened floats and the sweep's exhaustive
+heights (an escalated precision whose midpoints round to the same floats
+reuses it), and, keyed by (subset, l, bits), each form's signed enclosure,
+its |.| bounds and its certified log pairs (_Form, read by both the
+interval and the exact-rational branch of _min_record; a tuple always takes
+the same branch).  A record is the same deterministic function of the same
+inputs either way, so outputs are byte-identical to screening and
+certifying afresh.  The memo lives exactly as long as the tuple object,
+which the CLI builds once per run: it is never module-level, so no run
+reuses another's work.
 
 Integer relations come from one relation lattice (_relation_rows: scaled
 midpoints, knapsack basis, LLL).  A found relation is confirmed minimal by
@@ -46,6 +53,7 @@ Index subsets are 0-based throughout.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -109,90 +117,146 @@ def _decode(flat: int, mu: int, base: int, D: int) -> tuple[int, ...]:
     return tuple(l)
 
 
-def _box_values(flat, theta, D: int):
-    """Values l.theta for flat indices of the box over the coordinates theta
-    (first coordinate most significant), summed from the last coordinate to
-    the first."""
-    base = 2 * D + 1
-    vals = np.zeros(len(flat))
-    rem = flat
-    for pos in range(len(theta) - 1, -1, -1):
-        rem, dig = np.divmod(rem, base)
-        vals += (dig - D) * theta[pos]
-    return vals
+def _half_box(terms, levels):
+    """(values, levels) of every vector of a box, in flat-index order (first
+    coordinate most significant), from each coordinate's terms l_i theta_i
+    and levels over the digits l_i = -D..D.  A value is summed from the last
+    coordinate to the first, and a vector's level is the largest of its
+    coordinates'."""
+    vals, level = np.zeros(1), np.zeros(1, dtype=np.int64)
+    for term in reversed(terms):
+        vals = np.add.outer(term, vals).ravel()
+        level = np.maximum.outer(levels, level).ravel()
+    return vals, level
 
 
-def _near_pairs(head, tail, zero_head: int, zero_tail: int, slack: float):
-    """(head, tail) index arrays of the nonzero pairs whose value
-    |head + tail| lies within 2*slack of the least one.
+def _least_value(head, ts, tail) -> float:
+    """The least nonzero value |h + t| of a box from its head values, its
+    sorted tail values ts and its tail values in flat order: each head's two
+    neighbours of its negation in ts, and for the zero head (the centre of
+    the head box) the least tail other than the zero tail (the centre of the
+    tail box)."""
+    at = np.searchsorted(ts, -head)
+    lo, hi = np.maximum(at - 1, 0), np.minimum(at, len(ts) - 1)
+    near = np.minimum(np.abs(head + ts[lo]), np.abs(head + ts[hi]))
+    tail = np.abs(tail)
+    tail[len(tail) // 2] = np.inf
+    near[len(head) // 2] = tail.min()
+    return float(near.min())
 
-    The tail values are sorted, and each head's two neighbours of its
-    negation in that order give the least value of a nonzero pair (the zero
-    head takes the least nonzero tail).  A window search over the sorted
-    tails then gathers every pair within 2*slack of that least value."""
+
+def _screen_sweep(
+    theta_float: Sequence[float], heights: Sequence[int]
+) -> dict[int, list[tuple[int, ...]]]:
+    """Float screening of the height-D box for every D of a sweep (heights
+    strictly increasing): the canonical vectors l whose value |l.theta| is
+    within slack(D) of the least nonzero one, a set guaranteed to contain
+    every true minimizer.
+
+    Meet in the middle (Horowitz-Sahni): l splits into a head of mu // 2
+    coordinates and a tail, the value of l is |head + tail|, and each half
+    box is enumerated once, at the top height.  Each half vector carries its
+    level, the first height whose box holds it, and a pair's level is the
+    larger of its halves'.  The least value of the first box (a search for
+    each head's nearest negation among its sorted tails) bounds every
+    height's least value, so one window search over the sorted top tails
+    gathers every pair any height needs, and a height's least value is a
+    prefix minimum over the gathered pairs' levels.  Per height, the pairs of
+    its box within its window and within 2*slack of its least value are
+    re-evaluated in the full-box summation order (last coordinate first),
+    and the survivors are those within slack of the least re-evaluated
+    value.  Those are the float operations of a screen of that box alone,
+    and rounding moves a value by far less than slack, so the survivors are
+    those of a walk over the whole box.  The work is O(B^ceil(mu/2) log B)
+    for B = 2 max(heights) + 1, and no array is sized by heights times a
+    half box; callers still test the enumeration budget against the full
+    box B^mu.  A height at which an entry times mu*D is not a finite float
+    is left out of the result: its box values may leave the float range."""
+    mu = len(theta_float)
+    theta = np.array(theta_float, dtype=float)
+    # mu * D * max(1, max |theta_i|) bounds every |l.theta| of the height-D box
+    bound = max(1.0, *map(abs, theta_float))
+    heights = [D for D in heights if math.isfinite(mu * D * bound)]
+    if not heights:
+        return {}
+    slack = mu * np.array(heights) * bound * 2.0**-46 + 1e-10
+    top = heights[-1]
+    base = 2 * top + 1
+
+    h = mu // 2
+    digits = np.arange(-top, top + 1)
+    # a digit's level is the index of the first height whose box holds it
+    digit_level = np.searchsorted(np.array(heights), np.abs(digits))
+    terms = [digits * x for x in theta]
+    (head, head_level), (tail, tail_level) = (
+        _half_box(terms[lo:hi], digit_level) for lo, hi in ((0, h), (h, mu))
+    )
     order = np.argsort(tail, kind="stable")
     ts = tail[order]
-    pos = np.searchsorted(ts, -head)
-    lo, hi = np.clip(pos - 1, 0, len(ts) - 1), np.clip(pos, 0, len(ts) - 1)
-    near = np.minimum(np.abs(head + ts[lo]), np.abs(head + ts[hi]))
-    near[zero_head] = np.abs(np.delete(tail, zero_tail)).min()
-    window = float(near.min()) + 2 * slack
-    first = np.searchsorted(ts, -head - window, side="left")
-    counts = np.searchsorted(ts, -head + window, side="right") - first
+
+    # no height's window reaches beyond the first box's least value plus
+    # twice the top height's slack
+    if len(heights) == 1:  # the first box is the top box
+        first_least = _least_value(head, ts, tail)
+    else:
+        first_least = _least_value(
+            head[head_level == 0], ts[tail_level[order] == 0], tail[tail_level == 0]
+        )
+    reach = first_least + 2 * slack[-1]
+
+    first = np.searchsorted(ts, -head - reach, side="left")
+    counts = np.searchsorted(ts, -head + reach, side="right") - first
     starts = np.cumsum(counts) - counts
     tails = order[np.repeat(first - starts, counts) + np.arange(int(counts.sum()))]
     heads = np.repeat(np.arange(len(head)), counts)
-    nonzero = (heads != zero_head) | (tails != zero_tail)
+    # the zero vector of a half box is its centre: every digit equals top
+    nonzero = (heads != (base**h - 1) // 2) | (tails != (base ** (mu - h) - 1) // 2)
     heads, tails = heads[nonzero], tails[nonzero]
     vals = np.abs(head[heads] + tail[tails])
-    keep = vals <= float(vals.min()) + 2 * slack
-    return heads[keep], tails[keep]
+    level = np.maximum(head_level[heads], tail_level[tails])
 
+    # every height's least value (a running minimum over the pairs in level
+    # order) and window, as a screen of its box computes them
+    by_level = np.argsort(level, kind="stable")
+    least = np.minimum.accumulate(vals[by_level])
+    upto = np.searchsorted(level[by_level], np.arange(len(heights)), side="right") - 1
+    window = least[upto] + 2 * slack
+    # a pair can fall in the windows of the heights from its level up to the
+    # last one whose window, or a later one's, reaches its value
+    later = np.maximum.accumulate(window[::-1])[::-1]
+    span = np.maximum(np.searchsorted(-later, -vals, side="right") - level, 0)
+    pair = np.repeat(np.arange(len(vals)), span)
+    k = level[pair] + np.arange(len(pair)) - np.repeat(np.cumsum(span) - span, span)
+    w, hv, tv = window[k], head[heads[pair]], tail[tails[pair]]
+    held = (vals[pair] <= w) & (tv >= -hv - w) & (tv <= -hv + w)
+    heads, tails, k = heads[pair[held]], tails[pair[held]], k[held]
 
-def _screen_scale(theta_float: Sequence[float], D: int) -> float:
-    """mu * D * max(1, max |theta_i|), a bound on every |l.theta| of the box;
-    not finite when an entry is too large for the float box screen."""
-    return len(theta_float) * D * max(1.0, *map(abs, theta_float))
+    # the full-box order sums the tail first, then the head coordinates
+    full, rem = tail[tails], heads
+    for pos in range(h - 1, -1, -1):
+        rem, dig = np.divmod(rem, base)
+        full += (dig - top) * theta[pos]
+    full = np.abs(full)
+    # each height's least re-evaluated value leads its run in (height, value) order
+    by_height = np.lexsort((full, k))
+    low = full[by_height][np.searchsorted(k[by_height], np.arange(len(heights)))]
+    keep = full <= low[k] + slack[k]
 
-
-def _screen_box(theta_float: list[float], D: int) -> list[tuple[int, ...]]:
-    """Float screening of the full box: the canonical vectors l whose value
-    |l.theta| is within slack of the least nonzero one, a set guaranteed to
-    contain every true minimizer.
-
-    Meet in the middle (Horowitz-Sahni): l splits into a head of mu // 2
-    coordinates and a tail, the value of l is |head + tail|, and each
-    half-box is enumerated once.  A nearest-negation search over the sorted
-    tail values (_near_pairs) gathers every pair within 2*slack of the least
-    value.  Those pairs are re-evaluated in the full-box summation order
-    (last coordinate first), and the survivors are the pairs within slack of
-    the least re-evaluated value.  Rounding moves a value by far less than
-    slack, so the window holds every survivor and the least value of the
-    full box: the survivors, and every record certified from them, are
-    those of a walk over the whole box.  The work is O(B^ceil(mu/2) log B)
-    for B = 2D + 1, but callers still test the enumeration budget against
-    the full box B^mu.  Every entry times mu*D must be a finite float."""
-    mu = len(theta_float)
-    base = 2 * D + 1
-    theta = np.array(theta_float, dtype=float)
-    scale = _screen_scale(theta_float, D)
-    if not np.isfinite(scale):
-        raise InvalidConfig(f"a tuple entry is too large for the float box screen at D = {D}")
-    slack = scale * 2.0**-46 + 1e-10
-
-    h = mu // 2
-    head, tail = (
-        _box_values(np.arange(base ** (hi - lo), dtype=np.int64), theta[lo:hi], D)
-        for lo, hi in ((0, h), (h, mu))
-    )
-    # the zero vector of a half box is its centre: every digit equals D
-    zero_head, zero_tail = (base**h - 1) // 2, (base ** (mu - h) - 1) // 2
-    heads, tails = _near_pairs(head, tail, zero_head, zero_tail, slack)
-
+    forms: dict[int, tuple[int, ...]] = {}
+    survivors = [set() for _ in heights]
     flat = heads * len(tail) + tails
-    vals = np.abs(_box_values(flat, theta, D))
-    keep = flat[vals <= float(vals.min()) + slack]
-    return sorted({canonical_form(_decode(int(f), mu, base, D)) for f in keep})
+    for kk, f in zip(k[keep].tolist(), flat[keep].tolist()):
+        l = forms.get(f)
+        if l is None:
+            l = forms[f] = canonical_form(_decode(f, mu, base, top))
+        survivors[kk].add(l)
+    return {D: sorted(s) for D, s in zip(heights, survivors)}
+
+
+def _screen_box(theta_float: Sequence[float], D: int) -> Optional[list[tuple[int, ...]]]:
+    """The screen of the single height-D box (_screen_sweep); None when an
+    entry is too large for it."""
+    return _screen_sweep(theta_float, (D,)).get(D)
 
 
 def _scaled_mid(x, shift: int) -> int:
@@ -274,6 +338,17 @@ def _form(theta: RealTuple, subset, l, bits: int, signed_sum) -> _Form:
     return form
 
 
+def _screened(theta: RealTuple, theta_float: tuple[float, ...], heights: tuple[int, ...]):
+    """The memoised _screen_sweep of theta_float over heights.  The screen
+    reads nothing but its floats and heights, so an escalated precision
+    whose midpoints round to the same floats reuses it."""
+    key = (theta_float, heights)
+    screened = theta._screens.get(key)
+    if screened is None:
+        screened = theta._screens[key] = _screen_sweep(theta_float, heights)
+    return screened
+
+
 def _min_record(
     theta: RealTuple,
     subset: tuple[int, ...],
@@ -281,14 +356,21 @@ def _min_record(
     *,
     bits_floor: int,
     budget: int,
+    heights: tuple[int, ...],
 ) -> LinearFormRecord:
+    """The record of subset at height D.  heights are the exhaustive heights
+    of the sweep D belongs to (D alone outside a sweep); an exhaustive D is
+    one of them, and its candidates come from the sweep's screen."""
     mu = len(subset)
     exact_entries = theta.exact_values()
     exhaustive = (2 * D + 1) ** mu <= budget
     screen_bits = max(128, bits_floor)
     if exhaustive:
         mids = theta.midpoints(screen_bits)
-        candidates = _screen_box([mids[i] for i in subset], D)
+        screened = _screened(theta, tuple(mids[i] for i in subset), heights)
+        if D not in screened:
+            raise InvalidConfig(f"a tuple entry is too large for the float box screen at D = {D}")
+        candidates = screened[D]
     else:
         candidates = _lattice_candidates(theta, subset, D, screen_bits)
 
@@ -360,7 +442,7 @@ def linear_form_min(
     if D < 1:
         raise InvalidConfig("height bound D must be >= 1")
     bits = precision_bits if precision_bits is not None else theta.precision_bits
-    return _min_record(theta, subset, D, bits_floor=bits, budget=budget)
+    return _min_record(theta, subset, D, bits_floor=bits, budget=budget, heights=(D,))
 
 
 # ---------------------------------------------------------------------------
@@ -413,12 +495,20 @@ def _better(a: LinearFormRecord, b: LinearFormRecord) -> bool:
     return a.log_value[0] > b.log_value[1]
 
 
+def _exhaustive_heights(heights: Sequence[int], mu: int, budget: int) -> tuple[int, ...]:
+    """The heights whose box of mu coordinates is within the budget; the
+    sweep screen covers them, and the heights above take the lattice path."""
+    return tuple(D for D in heights if (2 * D + 1) ** mu <= budget)
+
+
 def _best_subset_record(
-    theta: RealTuple, mu: int, D: int, *, bits_floor: int, budget: int
+    theta: RealTuple, mu: int, D: int, *, bits_floor: int, budget: int, heights: tuple[int, ...]
 ) -> LinearFormRecord:
     best = None
     for subset in itertools.combinations(range(len(theta)), mu):
-        rec = _min_record(theta, subset, D, bits_floor=bits_floor, budget=budget)
+        rec = _min_record(
+            theta, subset, D, bits_floor=bits_floor, budget=budget, heights=heights
+        )
         if best is None or _better(rec, best):
             best = rec  # overlap keeps the earlier (lex smaller) subset
     return best
@@ -488,10 +578,13 @@ def genericity_probe(
     if A is not None:
         theta = apply_matrix(theta, A)
     thresholds = [height_threshold(c, eta, D) for D in ds]
+    sweep = _exhaustive_heights(ds, mu, budget)
     verdicts = []
     for D, (scale, thr) in zip(ds, thresholds):
         def per_height(bits: int, D=D, thr=thr, scale=scale) -> HeightVerdict:
-            rec = _best_subset_record(theta, mu, D, bits_floor=bits, budget=budget)
+            rec = _best_subset_record(
+                theta, mu, D, bits_floor=bits, budget=budget, heights=sweep
+            )
             return HeightVerdict(D, rec, thr, *_verdict(rec.log_exp_value, thr, scale))
 
         verdicts.append(run_escalating(per_height, theta.precision_bits))
@@ -573,9 +666,12 @@ def bituple_probe(
     thresholds = {(L, R): height_threshold(c, eta, L, R) for L in ls for R in rs}
 
     def best_records(t: RealTuple, k: int, heights) -> dict[int, LinearFormRecord]:
+        sweep = _exhaustive_heights(heights, k, budget)
         return {
             H: run_escalating(
-                lambda bits, H=H: _best_subset_record(t, k, H, bits_floor=bits, budget=budget),
+                lambda bits, H=H: _best_subset_record(
+                    t, k, H, bits_floor=bits, budget=budget, heights=sweep
+                ),
                 t.precision_bits,
             )
             for H in heights
@@ -687,10 +783,11 @@ def regularity_probe(
         mids = theta.midpoints(bits)
         # an entry beyond the screen's float range leaves the relation
         # unconfirmed, as a box over the budget does
-        if np.isfinite(_screen_scale(mids, h0)):
+        screened = _screen_box(mids, h0)
+        if screened is not None:
             # a plausible relation's value lies within its enclosure's width
             # of zero, far inside the screen's slack, so every one survives
-            found = first_holding(_screen_box(mids, h0))
+            found = first_holding(screened)
             minimal = True
     l0, exact0 = found
     if include_pi_i:

@@ -7,9 +7,10 @@ precision a computation needs, once per precision, so nothing is ever
 rounded at parse time.
 
 A tuple also carries the memos its consumers fill: the float midpoints of
-its enclosures (once per precision), and the dioph probes' certified linear
-forms.  Every memo lives exactly as long as the tuple object, which the CLI
-builds once per run, so no run ever reads another run's work.
+its enclosures (once per precision), and the dioph probes' float screens
+and certified linear forms.  Every memo lives exactly as long as the tuple
+object, which the CLI builds once per run, so no run ever reads another
+run's work.
 """
 
 from __future__ import annotations
@@ -38,13 +39,16 @@ MIN_PRECISION_BITS = 64
 class RealTuple:
     """An ordered tuple of real numbers defined by expressions.
 
-    Three memos ride on the instance, none of them part of its value:
+    Four memos ride on the instance, none of them part of its value:
     _enclosures (bits -> ctx and enclosures), _midpoints (bits -> float
-    midpoints) and _forms, which dioph keys by (subset, l, bits) and fills
+    midpoints), _screens, which dioph keys by (screened floats, exhaustive
+    heights of a sweep) and fills with every height's float-screen
+    survivors, and _forms, which dioph keys by (subset, l, bits) and fills
     with each linear form's signed enclosure, its |.| bounds and its
-    certified log pairs.  A sweep over heights and subsets certifies each
-    form once per precision this way.  They live as long as the tuple, one
-    CLI run; a new tuple (apply_matrix builds one) starts empty.
+    certified log pairs.  A sweep over heights and subsets screens each
+    subset once and certifies each form once per precision this way.  They
+    live as long as the tuple, one CLI run; a new tuple (apply_matrix builds
+    one) starts empty.
     """
 
     expressions: tuple[str, ...]
@@ -54,6 +58,7 @@ class RealTuple:
     _enclosures: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _midpoints: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _forms: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _screens: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         if not self.expressions:

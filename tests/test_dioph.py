@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from genlab import dioph
@@ -342,6 +344,122 @@ def test_screen_box_matches_two_pass_fixed(theta_float, D):
     assert dioph._screen_box(theta_float, D) == _two_pass_screen(theta_float, D)
 
 
+# the largest height per mu that keeps the whole-box references quick
+_SWEEP_TOP = {1: 40, 2: 15, 3: 5, 4: 3, 5: 2}
+
+
+@st.composite
+def _sweeps(draw):
+    mu = draw(st.integers(1, 5))
+    part = st.one_of(
+        _part,
+        st.sampled_from([1e-13, -1e-13, 3e-13, -2.5e-13]),
+        # near-equal large entries: their forms differ by about 1e-10, where
+        # the slack grows with the height
+        st.integers(-4, 4).map(lambda n: 1024.0 + n * 2.0**-33),
+        st.integers(-4, 4).map(lambda n: -1536.0 + n * 2.0**-33),
+    )
+    theta = draw(st.lists(part, min_size=mu, max_size=mu))
+    heights = draw(
+        st.lists(st.integers(1, _SWEEP_TOP[mu]), min_size=1, max_size=6, unique=True)
+    )
+    return theta, tuple(sorted(heights))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_sweeps())
+# rational entries with many zero-valued ties, heights with gaps
+@example(([1.0, 0.5, -0.25, 0.75, -1.5], (1, 2)))
+@example(([2.0, -1.0, 0.5, 3.0], (1, 3)))
+@example(([1.0, 1.0, -2.0], (2, 3, 5)))
+# entries near 1e-13 beside entries near 1: the slack swamps the small ones
+@example(([1e-13, 0.6931471805599453, -3e-13], (2, 4, 5)))
+@example(([1e-13, -1e-13], (3, 7, 15)))
+# near-equal large entries: a height's survivors reach past the first box's
+# window, and the windows grow with the height
+@example(([1024.0 + 2.0**-33, 1024.0 - 2.0**-33], (2, 3, 4, 6, 14)))
+@example(([-1536.0 - 2.0**-33, -1536.0 + 2.0**-33], (3, 6, 7, 13)))
+# singletons, and sweeps that start above 1
+@example(([-2.718281828459045], (40,)))
+@example(([1.0, 1.618033988749895], (4, 9, 10, 15)))
+def test_screen_sweep_matches_two_pass_at_every_height(sweep):
+    theta_float, heights = sweep
+    got = dioph._screen_sweep(theta_float, heights)
+    assert list(got) == list(heights)
+    for D in heights:
+        assert got[D] == _two_pass_screen(theta_float, D)
+        assert _exact_minimizers(theta_float, D) <= set(got[D])
+
+
+def _peak_bytes(f, *args):
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_screen_sweep_memory_is_that_of_one_screen():
+    # 121^3 boxes at D = 60: a table of heights times the 121^2 tail half box
+    # would take about 7 MB, against under 1 MB for one screen
+    theta = [math.log(2), math.log(3), math.log(5)]
+    single = _peak_bytes(dioph._screen_box, theta, 60)
+    swept = _peak_bytes(dioph._screen_sweep, theta, tuple(range(2, 61)))
+    assert swept <= 2 * single
+
+
+# Lagrange's best-approximation theorem (Khinchin, Continued Fractions, sec. 6):
+# for |theta_1| >= |theta_2| and irrational alpha = theta_2/theta_1, the least
+# |l_1 theta_1 + l_2 theta_2| over the height-D box is
+# |theta_1| min(1, |q_k alpha - p_k|), p_k/q_k the last convergent with q_k <= D.
+_BEST_APPROXIMATION_PAIRS = {
+    "sqrt2": (("sqrt(2)", "1"), lambda: (mpmath.sqrt(2), mpmath.mpf(1))),
+    "golden": (("(1 + sqrt(5))/2", "1"), lambda: ((1 + mpmath.sqrt(5)) / 2, mpmath.mpf(1))),
+    "logs": (("log(3)", "log(2)"), lambda: (mpmath.log(3), mpmath.log(2))),
+    "pi-exp": (("pi", "exp(1/3)"), lambda: (mpmath.pi, mpmath.exp(mpmath.mpf(1) / 3))),
+}
+
+
+def _partial_quotients(entries, bits, q_max):
+    """Partial quotients of alpha = theta_2/theta_1 at the given precision,
+    up to the first convergent denominator above q_max."""
+    with mpmath.workprec(bits):
+        theta_1, theta_2 = entries()
+        x = theta_2 / theta_1
+        quotients, q_prev, q = [], 1, 0  # q_-2, q_-1
+        while q <= q_max:
+            a = int(mpmath.floor(x))
+            quotients.append(a)
+            x = 1 / (x - a)
+            q_prev, q = q, a * q + q_prev
+        return quotients
+
+
+@pytest.mark.parametrize("name", list(_BEST_APPROXIMATION_PAIRS))
+def test_mu2_sweep_minimum_is_the_best_approximation(name):
+    expressions, entries = _BEST_APPROXIMATION_PAIRS[name]
+    top = 1000
+    quotients = _partial_quotients(entries, 512, top)
+    assert quotients == _partial_quotients(entries, 1024, top)
+    with mpmath.workprec(512):
+        theta_1, theta_2 = entries()
+        alpha = theta_2 / theta_1
+        # every convergent (p_k, q_k) with q_k <= top: the last quotient's
+        # denominator is above top
+        convergents, (p_prev, q_prev), (p, q) = [], (1, 0), (quotients[0], 1)
+        for a in quotients[1:]:
+            convergents.append((p, q))
+            p_prev, q_prev, p, q = p, q, a * p + p_prev, a * q + q_prev
+        rep = genericity_probe(RealTuple(expressions), 2, 2.0, 0.045, range(1, top + 1))
+        assert not rep.approximate
+        for v in rep.verdicts:
+            p_k, q_k = [pq for pq in convergents if pq[1] <= v.D][-1]
+            value = abs(theta_1) * min(1, abs(q_k * alpha - p_k))
+            lo, hi = v.record.log_value
+            assert lo <= mpmath.log(value) <= hi, (v.D, p_k, q_k)
+
+
 def test_relation_lattice_scales_the_full_precision_midpoint():
     _, (x,) = RealTuple(("sqrt(2)",)).real_enclosures(256)
     scaled = dioph._scaled_mid(x, 128)
@@ -455,8 +573,8 @@ def test_probe_sweep_records_equal_fresh_linear_form_min(theta, data):
     computed = []
     min_record = dioph._min_record
 
-    def recording(theta, subset, D, *, bits_floor, budget):
-        rec = min_record(theta, subset, D, bits_floor=bits_floor, budget=budget)
+    def recording(theta, subset, D, *, bits_floor, budget, heights):
+        rec = min_record(theta, subset, D, bits_floor=bits_floor, budget=budget, heights=heights)
         computed.append((rec, bits_floor))
         return rec
 
