@@ -21,7 +21,7 @@ Three layers, bottom to top:
     half-plane angles stand for their conjugates; the largest squared bound
     on the grid is rounded to a float once, which the monotone rounding
     makes the same float as the largest rounded bound; the Taylor bounds
-    run on libmp's interval primitives, the bits of the mpmath.iv operators;
+    run on numeric's interval pairs;
   * two audits: the pigeonhole distance audit (count check, zero estimate,
     coset collision, contradiction bound) and the hypothesis checklist for
     the effective-distance proposition, which checks hypotheses only and
@@ -58,18 +58,20 @@ from .errors import BudgetExceeded, HypothesisNotMet, InvalidConfig
 from .expr import eval_interval, exact_rational, parse_expression, to_string
 from .numeric import (
     NEG_PAIR,
+    ZERO,
     NeedsBits,
     ball,
     ball_mul,
     complex_exp,
+    exact_pair,
     expj,
     height_threshold,
-    iv_from_fraction,
     log_abs_interval,
     log_expm1_abs,
     log_expm1_abs_interval,
     log_pair,
     make_ctx,
+    pi_pair,
     run_escalating,
     straddles_zero,
     to_float_pair,
@@ -110,9 +112,8 @@ def _root_lower_float(value: int, n: int, bits: int = 128) -> float:
     # lower endpoint of an interval enclosure of value**(1/n)
     if value == 0:
         return 0.0
-    ctx = make_ctx(bits)
-    iv = ctx.exp(ctx.log(ctx.mpf(value)) / n)
-    return to_float_pair(iv)[0]
+    log = libmp.mpi_log(exact_pair(value, bits), bits)
+    return to_float_pair(libmp.mpi_exp(libmp.mpi_div(log, exact_pair(n, bits), bits), bits))[0]
 
 
 def _log_upper(ctx, x: float) -> float:
@@ -121,7 +122,8 @@ def _log_upper(ctx, x: float) -> float:
     below the bound it certifies."""
     if x <= 0:
         return float("-inf")
-    return to_float_pair(ctx.log(ctx.mpf(x)))[1]
+    v = libmp.from_float(x)
+    return to_float_pair(libmp.mpi_log((v, v), ctx.prec))[1]
 
 
 @dataclass(frozen=True)
@@ -320,7 +322,7 @@ def _symbolically_zero(keys, coeffs) -> bool:
 @dataclass(frozen=True)
 class _TaylorTable:
     """The candidate-independent factors of the series bounds on |w| <= radius,
-    as libmp interval pairs at the context's precision.
+    as interval pairs at the context's precision.
 
     coeff_pow[t][d] is a_d^t / t! as a Fraction when every exponent is exact
     (all_exact), else the interval a_d^t; rad_pow[t] is rad^t; tails[d] is
@@ -335,29 +337,12 @@ class _TaylorTable:
     tails: tuple
 
 
-def _mpi_int(n: int, prec: int) -> tuple:
-    """The interval ctx_iv makes of the int n at prec bits."""
-    return (
-        libmp.from_int(n, prec, libmp.round_floor),
-        libmp.from_int(n, prec, libmp.round_ceiling),
-    )
-
-
-def _mpi_fraction(q: Fraction, prec: int) -> tuple:
-    """iv_from_fraction(ctx, q)._mpi_ at ctx.prec = prec."""
-    return libmp.mpi_div(_mpi_int(q.numerator, prec), _mpi_int(q.denominator, prec), prec)
-
-
 def _taylor_table(ctx, encl, exact, radius: Fraction, terms: int) -> _TaylorTable:
-    """Build the factors of _taylor_bounds once per siegel_construct call,
-    with the libmp interval operations that ctx_iv's operators run."""
+    """Build the factors of _taylor_bounds once per siegel_construct call."""
     prec = ctx.prec
-    rad = _mpi_fraction(radius, prec)
+    rad = exact_pair(radius, prec)
     all_exact = all(q is not None for q in exact)
-    bases = [
-        _mpi_fraction(q, prec) if q is not None else iv._mpi_
-        for q, iv in zip(exact, encl)
-    ]
+    bases = [exact_pair(q, prec) if q is not None else iv for q, iv in zip(exact, encl)]
     if all_exact:
         coeff_pow = tuple(
             tuple(Fraction(q) ** t / math.factorial(t) for q in exact)
@@ -388,42 +373,38 @@ def _taylor_bounds(ctx, table: _TaylorTable, coeffs):
     sup' <= sum_{1<=t<T} t |c_t| rad^(t-1)
             + sum_d |h_d| |a_d| (|a_d| rad)^(T-1) / (T-1)! e^{|a_d| rad}
 
-    The sums run on libmp.mpi_add/mpi_mul/mpi_div/mpi_abs at ctx.prec, in
-    the operation order and with the int conversions that the ctx_iv
-    operators would run, so the bounds are the same bits without the
-    operators' dispatch.
+    The sums run on interval pairs at ctx.prec.
     """
     prec = ctx.prec
     add, mul, div = libmp.mpi_add, libmp.mpi_mul, libmp.mpi_div
     terms = table.terms
-    zero = _mpi_int(0, prec)
-    sup = dsup = zero
-    ivs = [_mpi_int(c, prec) for c in coeffs]
+    sup = dsup = ZERO
+    ivs = [exact_pair(c, prec) for c in coeffs]
     for t in range(terms):
         if table.all_exact:
             c_t = sum(Fraction(c) * w for c, w in zip(coeffs, table.coeff_pow[t]))
-            c_abs = _mpi_fraction(abs(c_t), prec)
+            c_abs = exact_pair(abs(c_t), prec)
         else:
-            acc = zero
+            acc = ZERO
             for c, power in zip(ivs, table.coeff_pow[t]):
                 acc = add(acc, mul(c, power, prec), prec)
-            acc = div(acc, _mpi_int(math.factorial(t), prec), prec)
+            acc = div(acc, exact_pair(math.factorial(t), prec), prec)
             c_abs = libmp.mpi_abs(acc, prec)
         sup = add(sup, mul(c_abs, table.rad_pow[t], prec), prec)
         if t >= 1:
-            t_c = mul(_mpi_int(t, prec), c_abs, prec)
+            t_c = mul(exact_pair(t, prec), c_abs, prec)
             dsup = add(dsup, mul(t_c, table.rad_pow[t - 1], prec), prec)
-    fact_t = _mpi_int(math.factorial(terms), prec)
-    fact_t1 = _mpi_int(math.factorial(terms - 1), prec)
+    fact_t = exact_pair(math.factorial(terms), prec)
+    fact_t1 = exact_pair(math.factorial(terms - 1), prec)
     for c, (a_abs, ar_t, ar_t1, growth) in zip(coeffs, table.tails):
-        c_abs = _mpi_int(abs(c), prec)
+        c_abs = exact_pair(abs(c), prec)
         sup = add(sup, mul(div(mul(c_abs, ar_t, prec), fact_t, prec), growth, prec), prec)
         dsup = add(
             dsup,
             mul(div(mul(mul(c_abs, a_abs, prec), ar_t1, prec), fact_t1, prec), growth, prec),
             prec,
         )
-    return ctx.make_mpf(sup), ctx.make_mpf(dsup)
+    return sup, dsup
 
 
 def _product_plan(rows) -> list[tuple[tuple[int, ...], tuple[int, ...] | None, int]]:
@@ -488,16 +469,18 @@ def _grid_sup(ctx, encl, coeffs, radius: Fraction, grid: GridSpec, rows=None) ->
     p = ctx.prec
     if rows is None:
         rows = [tuple(int(i == d) for i in range(len(encl))) for d in range(len(encl))]
-    step = iv_from_fraction(ctx, radius / grid.rings)
+    step = exact_pair(radius / grid.rings, p)
     terms = [(c, abs(c), tuple(row)) for c, row in zip(coeffs, rows) if c]
     plan = _product_plan(row for _, _, row in terms)
     steps = {}
     for _, _, lam in plan:
-        mid, rad = ball(encl[lam] * step, p)
+        mid, rad = ball(libmp.mpi_mul(encl[lam], step, p), p)
         steps[lam] = (mid, 0, rad)
+    two_pi = libmp.mpi_mul(exact_pair(2, p), pi_pair(p), p)
+    angles = exact_pair(grid.angles, p)
     top = 0
     for g in range(grid.angles // 2 + 1):
-        turn = expj(ctx, 2 * ctx.pi * g / grid.angles)
+        turn = expj(ctx, libmp.mpi_div(libmp.mpi_mul(two_pi, exact_pair(g, p), p), angles, p))
         gens = {lam: complex_exp(ctx, ball_mul(x, turn, p)) for lam, x in steps.items()}
         balls = {}
         for row, prev, lam in plan:
@@ -514,7 +497,7 @@ def _grid_sup(ctx, encl, coeffs, radius: Fraction, grid: GridSpec, rows=None) ->
                 sr += c_abs * r
             top = max(top, (abs(sx) + sr) ** 2 + (abs(sy) + sr) ** 2)
     abs2 = libmp.from_man_exp(top, -2 * p, p, libmp.round_ceiling)
-    abs2_hi = to_float_pair(ctx.make_mpf((abs2, abs2)))[1]
+    abs2_hi = to_float_pair((abs2, abs2))[1]
     return math.nextafter(math.sqrt(abs2_hi), math.inf)
 
 
@@ -604,7 +587,8 @@ def siegel_construct(
     height_ok = log_height <= delta + 1e-12
 
     zero = _symbolically_zero(keys, best)
-    rad = ctx.make_mpf(table.rad)
+    p, rad = ctx.prec, table.rad
+    add, mul, div = libmp.mpi_add, libmp.mpi_mul, libmp.mpi_div
     if zero:
         grid_max, slack_hi, taylor_hi = 0.0, 0.0, 0.0
         achieved = float("-inf")
@@ -612,17 +596,18 @@ def siegel_construct(
         taylor_hi = to_float_pair(sup_iv)[1]
         gen_encl = [encl[i] for i in units]
         grid_max = _grid_sup(ctx, gen_encl, best, radius, grid, exponent_rows)
-        mesh = rad / grid.rings + ctx.pi * rad / grid.angles
-        slack_hi = to_float_pair(mesh * dsup_iv)[1]
+        arc = div(mul(pi_pair(p), rad, p), exact_pair(grid.angles, p), p)
+        mesh = add(div(rad, exact_pair(grid.rings, p), p), arc, p)
+        slack_hi = to_float_pair(mul(mesh, dsup_iv, p))[1]
         total = min(math.nextafter(grid_max + slack_hi, math.inf), taylor_hi)
         achieved = _log_upper(ctx, total)
     taylor_log = _log_upper(ctx, taylor_hi)
     u_achieved = -achieved
 
-    e_rad = rad * ctx.exp(1)
-    norm_sum = ctx.mpf(0)
+    e_rad = mul(rad, libmp.mpi_exp(exact_pair(1, p), p), p)
+    norm_sum = ZERO
     for a_abs, _, _, _ in table.tails:
-        norm_sum += ctx.exp(ctx.make_mpf(a_abs) * e_rad)
+        norm_sum = add(norm_sum, libmp.mpi_exp(mul(a_abs, e_rad, p), p), p)
     norm_ok = to_float_pair(norm_sum)[1] <= math.exp(u_target)
 
     best_effort = (not height_ok) or (u_achieved <= 0 and not zero)
@@ -711,16 +696,17 @@ def _log_sup_distance(ctx, pairs) -> tuple[float, float]:
     zero contributes only its upper end, so one far coordinate settles the
     sup; NeedsBits only while no difference is bounded away from zero.
     NEG_PAIR when every difference is exactly zero."""
-    lo = hi = ctx.mpf(0)
+    p = ctx.prec
+    lo = hi = libmp.fzero
     for z, y in pairs:
-        diff = abs(z - y)
-        lo = max(lo, diff.a)
-        hi = max(hi, diff.b)
-    if hi == 0:
+        a, b = libmp.mpi_abs(libmp.mpi_sub(z, y, p), p)
+        lo = a if libmp.mpf_lt(lo, a) else lo
+        hi = b if libmp.mpf_lt(hi, b) else hi
+    if hi == libmp.fzero:
         return NEG_PAIR
-    if lo == 0:
+    if lo == libmp.fzero:
         raise NeedsBits
-    return log_pair(ctx.log(ctx.mpf([lo, hi])))
+    return log_pair(ctx, libmp.mpi_log((lo, hi), p))
 
 
 def _log_expm1_product(
@@ -738,11 +724,17 @@ def _log_expm1_product(
     if None not in (*theta_q.values(), *kappa_q.values()):
         return log_expm1_abs(dot(u_terms, theta_q) * dot(v_terms, kappa_q), precision_bits)
 
+    def dot_iv(terms, values, p):
+        total = ZERO
+        for c, i in terms:
+            total = libmp.mpi_add(total, libmp.mpi_mul(exact_pair(c, p), values[i], p), p)
+        return total
+
     def attempt(bits: int) -> tuple[float, float]:
         ctx, theta_iv = theta.real_enclosures(bits)
         _, kappa_iv = kappa.real_enclosures(bits)
-        x = dot(u_terms, theta_iv) * dot(v_terms, kappa_iv)
-        return log_pair(log_expm1_abs_interval(ctx, x, bits))
+        x = libmp.mpi_mul(dot_iv(u_terms, theta_iv, bits), dot_iv(v_terms, kappa_iv, bits), bits)
+        return log_pair(ctx, log_expm1_abs_interval(ctx, x, bits))
 
     return run_escalating(attempt, precision_bits)
 
@@ -821,7 +813,9 @@ def distance_audit(
             ctx, theta_iv = theta.real_enclosures(bits)
             _, kappa_iv = kappa.real_enclosures(bits)
             zs = [eval_interval(ctx, node) for node in z_nodes]
-            images = [ctx.exp(theta_iv[i] * kappa_iv[j]) for i in I for j in J]
+            images = [
+                libmp.mpi_exp(libmp.mpi_mul(theta_iv[i], kappa_iv[j], bits), bits) for i in I for j in J
+            ]
             return _log_sup_distance(ctx, zip(zs, images))
 
         dist = run_escalating(attempt, precision_bits)
@@ -966,16 +960,17 @@ def _poly_eval_exact(poly, coords) -> Fraction:
 
 
 def _poly_eval_iv(ctx, poly, coords):
-    total = ctx.mpf(0)
+    p = ctx.prec
+    total = ZERO
     for mono, coeff in sorted(poly.items()):
-        term = ctx.mpf(1)
+        term = exact_pair(1, p)
         for e, x in zip(mono, coords):
             if e == 0:
                 continue
             if e < 0 and straddles_zero(x):
                 raise NeedsBits
-            term *= x**e
-        total += coeff * term
+            term = libmp.mpi_mul(term, libmp.mpi_pow_int(x, e, p), p)
+        total = libmp.mpi_add(total, libmp.mpi_mul(exact_pair(coeff, p), term, p), p)
     return total
 
 
@@ -1051,8 +1046,8 @@ def philippon_audit(
                 value = _poly_eval_iv(ctx, p, coords)
             else:
                 ctx = make_ctx(bits)
-                value = iv_from_fraction(ctx, q)
-            return log_pair(log_abs_interval(ctx, value))
+                value = exact_pair(q, bits)
+            return log_pair(ctx, log_abs_interval(ctx, value))
 
         pair = run_escalating(attempt, precision_bits)
         small_details.append((idx, pair, pair[1] <= small_bound))
@@ -1283,7 +1278,7 @@ def _distance_hypothesis(
 
         def attempt(bits: int) -> tuple[float, float]:
             ctx, coords = theta_point.real_enclosures(bits)
-            zs = [ctx.exp(iv_from_fraction(ctx, u_j)) for u_j in u]
+            zs = [libmp.mpi_exp(exact_pair(u_j, bits), bits) for u_j in u]
             return _log_sup_distance(ctx, zip(zs, coords))
 
         pair = run_escalating(attempt, precision_bits)

@@ -52,6 +52,7 @@ Index subsets are 0-based throughout.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -67,9 +68,10 @@ from .expr import BinOp, Num, to_string
 from .intmat import rank_rational
 from .numeric import (
     NEG_PAIR,
+    ZERO,
     NeedsBits,
+    exact_pair,
     height_threshold,
-    iv_from_fraction,
     log_abs_interval,
     log_expm1_abs_interval,
     log_pair,
@@ -259,10 +261,10 @@ def _screen_box(theta_float: Sequence[float], D: int) -> Optional[list[tuple[int
     return _screen_sweep(theta_float, (D,)).get(D)
 
 
-def _scaled_mid(x, shift: int) -> int:
-    """The midpoint of interval x times 2^shift, rounded to the nearest
-    integer, at the full precision of x."""
-    return libmp.to_int(libmp.mpf_shift(x.mid._mpi_[0], shift), libmp.round_nearest)
+def _scaled_mid(x, shift: int, prec: int) -> int:
+    """The midpoint of the interval pair x at prec bits times 2^shift,
+    rounded to the nearest integer."""
+    return libmp.to_int(libmp.mpf_shift(libmp.mpi_mid(x, prec), shift), libmp.round_nearest)
 
 
 def _relation_rows(entries, bits: int, bound: int) -> list[tuple[int, ...]]:
@@ -270,7 +272,7 @@ def _relation_rows(entries, bits: int, bound: int) -> list[tuple[int, ...]]:
     LLL-reduced relation lattice of the real enclosures (midpoints scaled by
     2^(bits/2))."""
     n = len(entries)
-    scaled = [_scaled_mid(x, bits // 2) for x in entries]
+    scaled = [_scaled_mid(x, bits // 2, bits) for x in entries]
     rows = (canonical_form(row[:n]) for row in lll_reduce(knapsack_basis(scaled)))
     return [l for l in rows if any(l) and max(abs(x) for x in l) <= bound]
 
@@ -289,13 +291,14 @@ def _lattice_candidates(
 # certified selection
 
 
-def _signed_sum(entries, l: Sequence[int]):
+def _signed_sum(entries, l: Sequence[int], prec: int):
+    """The pair of sum l_i x_i over the nonzero l_i, at prec bits."""
     total = None
     for coeff, x in zip(l, entries):
         if coeff == 0:
             continue
-        term = x * coeff
-        total = term if total is None else total + term
+        term = libmp.mpi_mul(x, exact_pair(coeff, prec), prec)
+        total = term if total is None else libmp.mpi_add(total, term, prec)
     return total
 
 
@@ -306,20 +309,19 @@ def _log_parts(ctx, value, bits: int):
     le = log_expm1_abs_interval(ctx, value, bits)
     if lv is None or le is None:
         return NEG_PAIR, NEG_PAIR
-    return log_pair(lv), log_pair(le)
+    return log_pair(ctx, lv), log_pair(ctx, le)
 
 
 class _Form:
     """One linear form over one subset at one precision: its signed
-    enclosure, the bounds on its |.| and, once certified, its
+    enclosure, the endpoints of its |.| and, once certified, its
     (log_value, log_exp) pairs.  Memoised on the tuple."""
 
     __slots__ = ("signed", "low", "high", "logs")
 
-    def __init__(self, signed):
+    def __init__(self, signed, prec: int):
         self.signed = signed
-        a = abs(signed)
-        self.low, self.high = a.a, a.b
+        self.low, self.high = libmp.mpi_abs(signed, prec)
         self.logs = None
 
     def log_parts(self, ctx, bits: int):
@@ -334,7 +336,7 @@ def _form(theta: RealTuple, subset, l, bits: int, signed_sum) -> _Form:
     key = (subset, l, bits)
     form = theta._forms.get(key)
     if form is None:
-        form = theta._forms[key] = _Form(signed_sum())
+        form = theta._forms[key] = _Form(signed_sum(), bits)
     return form
 
 
@@ -386,13 +388,11 @@ def _min_record(
         def assemble(bits: int) -> LinearFormRecord:
             if q == 0:
                 return LinearFormRecord(subset, best_l, D, NEG_PAIR, NEG_PAIR, Fraction(0), not exhaustive)
-            ctx = make_ctx(bits)
-            form = _form(theta, subset, best_l, bits, lambda: sum(
-                iv_from_fraction(ctx, Fraction(c) * exact_entries[i])
-                for c, i in zip(best_l, subset)
-                if c != 0
+            terms = [Fraction(c) * exact_entries[i] for c, i in zip(best_l, subset) if c]
+            form = _form(theta, subset, best_l, bits, lambda: functools.reduce(
+                partial(libmp.mpi_add, prec=bits), (exact_pair(q, bits) for q in terms), ZERO
             ))
-            log_value, log_exp = form.log_parts(ctx, bits)
+            log_value, log_exp = form.log_parts(make_ctx(bits), bits)
             return LinearFormRecord(subset, best_l, D, log_value, log_exp, q, not exhaustive)
 
         return run_escalating(assemble, bits_floor)
@@ -403,13 +403,16 @@ def _min_record(
         ctx, encl = theta.real_enclosures(bits)
         entries = [encl[i] for i in subset]
         forms = [
-            (_form(theta, subset, l, bits, partial(_signed_sum, entries, l)), l)
+            (_form(theta, subset, l, bits, partial(_signed_sum, entries, l, bits)), l)
             for l in candidates
         ]
         contenders = forms  # a lone survivor is the minimizer
         if len(forms) > 1:
-            min_upper = min(f.high for f, _ in forms)
-            contenders = [(f, l) for f, l in forms if f.low <= min_upper]
+            min_upper = forms[0][0].high
+            for f, _ in forms[1:]:
+                if libmp.mpf_lt(f.high, min_upper):
+                    min_upper = f.high
+            contenders = [(f, l) for f, l in forms if libmp.mpf_le(f.low, min_upper)]
             if len(contenders) > 1 and bits < tie_cap:
                 raise NeedsBits
         form, best_l = min(contenders, key=lambda t: t[1])
@@ -637,9 +640,9 @@ class BitupleReport:
 def _abs_product_interval(theta, rec_l, kappa, rec_r, bits):
     _, encl_t = theta.real_enclosures(bits)
     _, encl_k = kappa.real_enclosures(bits)
-    st = _signed_sum([encl_t[i] for i in rec_l.subset], rec_l.l)
-    sk = _signed_sum([encl_k[i] for i in rec_r.subset], rec_r.l)
-    return abs(st) * abs(sk)
+    st = _signed_sum([encl_t[i] for i in rec_l.subset], rec_l.l, bits)
+    sk = _signed_sum([encl_k[i] for i in rec_r.subset], rec_r.l, bits)
+    return libmp.mpi_mul(libmp.mpi_abs(st, bits), libmp.mpi_abs(sk, bits), bits)
 
 
 def bituple_probe(
@@ -702,7 +705,7 @@ def _bituple_pair(theta, kappa, rec_l, rec_r, scale, thr, bits: int) -> BitupleV
         )
         ctx = make_ctx(bits)
         t = _abs_product_interval(theta, rec_l, kappa, rec_r, bits)
-        log_exp = log_pair(log_expm1_abs_interval(ctx, -t, bits))
+        log_exp = log_pair(ctx, log_expm1_abs_interval(ctx, libmp.mpi_neg(t, bits), bits))
     return BitupleVerdict(
         rec_l.D, rec_r.D, rec_l.subset, rec_r.subset, rec_l.l, rec_r.l,
         log_value, log_exp, thr, *_verdict(log_exp, thr, scale),
@@ -724,13 +727,13 @@ class RegularityResult:
     minimal: Optional[bool]  # smallest max-norm confirmed by enumeration
 
 
-def _relation_holds(entries, l, exact_entries) -> tuple[bool, bool]:
+def _relation_holds(entries, l, exact_entries, prec: int) -> tuple[bool, bool]:
     """(plausible, exact): enclosure of the combination straddles zero /
     the combination is exactly zero in rational arithmetic."""
     if exact_entries is not None:
         total = sum(Fraction(c) * q for c, q in zip(l, exact_entries))
         return total == 0, total == 0
-    return straddles_zero(_signed_sum(entries, l)), False
+    return straddles_zero(_signed_sum(entries, l, prec)), False
 
 
 def regularity_probe(
@@ -766,7 +769,7 @@ def regularity_probe(
     def first_holding(vectors):
         """(l, exact) for the first plausible relation in (max-norm, l) order."""
         for l in sorted(vectors, key=lambda l: (max(abs(x) for x in l), l)):
-            plausible, exact = _relation_holds(entries, l, exact_entries)
+            plausible, exact = _relation_holds(entries, l, exact_entries, bits)
             if plausible:
                 return l, exact
         return None

@@ -13,8 +13,8 @@ Grammar (whitespace-insensitive):
 Decimal literals are exact rationals ("0.1" means 1/10).  phi is the
 golden ratio (1+sqrt(5))/2.  Exponents are integer literals, not
 subexpressions.  Parsed trees evaluate either to an exact Fraction
-(when no irrational leaf occurs) or to an interval enclosure at any
-requested precision.
+(when no irrational leaf occurs) or to an interval enclosure, a pair of
+libmp endpoints, at any requested precision.
 """
 
 from __future__ import annotations
@@ -24,8 +24,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
+from mpmath import libmp
+
 from .errors import InvalidConfig
-from .numeric import NeedsBits, straddles_zero
+from .numeric import NeedsBits, exact_pair, pi_pair, straddles_zero
 
 Node = Union["Num", "Const", "Call", "BinOp", "Neg", "Pow"]
 
@@ -217,58 +219,59 @@ def exact_rational(node: Node) -> Optional[Fraction]:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def eval_interval(ctx, node: Node):
-    """Evaluate to an interval in ctx.  Raises NeedsBits when a log or
-    division cannot be certified at the current precision."""
+def eval_interval(ctx, node: Node) -> tuple:
+    """Evaluate to an interval pair at ctx.prec bits.  Raises NeedsBits when
+    a log or division cannot be certified at the current precision."""
+    p = ctx.prec
     if isinstance(node, Num):
-        q = node.value
-        return ctx.mpf(q.numerator) / ctx.mpf(q.denominator)
+        return exact_pair(node.value, p)
     if isinstance(node, Const):
         if node.name == "pi":
-            return +ctx.pi
+            return pi_pair(p)
         if node.name == "e":
-            return ctx.exp(1)
-        return (1 + ctx.sqrt(5)) / 2
+            return libmp.mpi_exp(exact_pair(1, p), p)
+        root5 = libmp.mpi_sqrt(exact_pair(5, p), p)
+        return libmp.mpi_div(libmp.mpi_add(exact_pair(1, p), root5, p), exact_pair(2, p), p)
     if isinstance(node, Neg):
-        return -eval_interval(ctx, node.arg)
+        return libmp.mpi_neg(eval_interval(ctx, node.arg), p)
     if isinstance(node, Pow):
         base = eval_interval(ctx, node.base)
         k = node.exponent
         if k >= 0:
-            return base ** k
+            return libmp.mpi_pow_int(base, k, p)
         if straddles_zero(base):
             raise NeedsBits
-        return 1 / base ** (-k)
+        return libmp.mpi_div(exact_pair(1, p), libmp.mpi_pow_int(base, -k, p), p)
     if isinstance(node, Call):
-        arg = eval_interval(ctx, node.arg)
+        lo, hi = arg = eval_interval(ctx, node.arg)
         if node.fn == "exp":
-            return ctx.exp(arg)
+            return libmp.mpi_exp(arg, p)
         if node.fn == "sqrt":
-            if arg.b < 0:
+            if libmp.mpf_lt(hi, libmp.fzero):
                 raise InvalidConfig("sqrt of a negative quantity")
-            if arg.a < 0:
+            if libmp.mpf_lt(lo, libmp.fzero):
                 raise NeedsBits
-            return ctx.sqrt(arg)
-        if arg.b <= 0:
+            return libmp.mpi_sqrt(arg, p)
+        if libmp.mpf_le(hi, libmp.fzero):
             raise InvalidConfig("log of a non-positive quantity")
-        if arg.a <= 0:
+        if libmp.mpf_le(lo, libmp.fzero):
             raise NeedsBits
-        return ctx.log(arg)
+        return libmp.mpi_log(arg, p)
     if isinstance(node, BinOp):
         a = eval_interval(ctx, node.left)
         b = eval_interval(ctx, node.right)
         if node.op == "+":
-            return a + b
+            return libmp.mpi_add(a, b, p)
         if node.op == "-":
-            return a - b
+            return libmp.mpi_sub(a, b, p)
         if node.op == "*":
-            return a * b
+            return libmp.mpi_mul(a, b, p)
         if straddles_zero(b):
             exact = exact_rational(node.right)
             if exact is not None and exact == 0:
                 raise InvalidConfig("division by zero in expression")
             raise NeedsBits
-        return a / b
+        return libmp.mpi_div(a, b, p)
     raise TypeError(f"not an expression node: {node!r}")
 
 

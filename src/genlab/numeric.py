@@ -1,10 +1,12 @@
-"""Certified numerics: interval contexts, precision escalation, log helpers
+"""Certified numerics: interval pairs, precision escalation, log helpers
 and one complex ball type.
 
-Real enclosures run on mpmath interval contexts.  Policy: start at
-max(128, requested) bits, double whenever a verdict interval straddles its
-threshold, give up at a hard cap.  Functions here either return honest
-enclosures or raise NeedsBits to request escalation.
+A real enclosure is a pair (a, b) of libmp endpoints, and every operation
+on pairs is one libmp.mpi_* call at the precision of a context from
+make_ctx.  Policy: start at max(128, requested) bits, double whenever a
+verdict interval straddles its threshold, give up at a hard cap.  Functions
+here either return honest enclosures or raise NeedsBits to request
+escalation.
 
 A ball is a midpoint-radius complex disc on Python ints (Johansson 2017,
 "Arb: efficient arbitrary-precision midpoint-radius interval arithmetic",
@@ -24,12 +26,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Callable, TypeVar
 
-import mpmath
 from mpmath import libmp
+from mpmath.libmp import fzero, round_ceiling, round_floor
 
 from .errors import InvalidConfig, PrecisionExhausted
 
@@ -37,6 +39,7 @@ HARD_CAP_BITS = 16384
 NEG_INF = float("-inf")
 NEG_PAIR = (NEG_INF, NEG_INF)  # the float pair of log 0
 LOG_PAIR_WIDTH = 2.0**-32  # widest log enclosure a float pair may come from
+ZERO = (fzero, fzero)  # the pair of the exact 0
 
 T = TypeVar("T")
 
@@ -46,15 +49,10 @@ class NeedsBits(Exception):
 
 
 @functools.lru_cache(maxsize=None)
-def make_ctx(bits: int) -> "mpmath.ctx_iv.MPIntervalContext":
-    """The shared interval context at the given precision.
-
-    One context per precision serves every caller, so no code may set
-    ctx.prec on a context it gets from here (mpmath's own functions raise
-    and restore it internally, which is safe)."""
-    ctx = mpmath.ctx_iv.MPIntervalContext()
-    ctx.prec = bits
-    return ctx
+def make_ctx(bits: int) -> SimpleNamespace:
+    """The shared precision handle: the pair operations of every function
+    given this context run at ctx.prec = bits."""
+    return SimpleNamespace(prec=bits)
 
 
 def run_escalating(fn: Callable[[int], T], requested_bits: int, *, cap: int = HARD_CAP_BITS) -> T:
@@ -96,21 +94,33 @@ def height_threshold(c: float, eta: float, *heights: int) -> tuple[float, float]
 
 
 def straddles_zero(x) -> bool:
-    return x.a <= 0 <= x.b
+    """a <= 0 <= b for the pair x = (a, b); False when an endpoint is NaN."""
+    return libmp.mpf_le(x[0], fzero) and libmp.mpf_ge(x[1], fzero)
 
 
 def is_exact_zero(x) -> bool:
-    return x.a == 0 and x.b == 0
+    return x == ZERO
 
 
-def iv_from_fraction(ctx, q: Fraction):
-    return ctx.mpf(q.numerator) / ctx.mpf(q.denominator)
+def exact_pair(q: int | Fraction, prec: int) -> tuple:
+    """The pair of an int (its floor and ceiling at prec bits) or of a
+    Fraction (the quotient of its numerator's and denominator's pairs)."""
+    if isinstance(q, Fraction) and q.denominator != 1:
+        num, den = exact_pair(q.numerator, prec), exact_pair(q.denominator, prec)
+        return libmp.mpi_div(num, den, prec)
+    q = int(q)
+    return libmp.from_int(q, prec, round_floor), libmp.from_int(q, prec, round_ceiling)
+
+
+def pi_pair(prec: int) -> tuple:
+    """The pair of pi at prec bits."""
+    return libmp.mpf_pi(prec, round_floor), libmp.mpf_pi(prec, round_ceiling)
 
 
 def to_float_pair(x) -> tuple[float, float]:
-    """Outward-rounded float endpoints of an interval."""
-    lo = float(mpmath.mpf(x.a.a))
-    hi = float(mpmath.mpf(x.b.b))
+    """Outward-rounded float endpoints of the pair x."""
+    lo = libmp.to_float(x[0], rnd=libmp.round_nearest)
+    hi = libmp.to_float(x[1], rnd=libmp.round_nearest)
     if lo > NEG_INF:
         lo = math.nextafter(lo, NEG_INF)
     if hi < -NEG_INF:
@@ -118,15 +128,17 @@ def to_float_pair(x) -> tuple[float, float]:
     return lo, hi
 
 
-def log_pair(interval) -> tuple[float, float]:
+def log_pair(ctx, interval) -> tuple[float, float]:
     """Float pair of a log enclosure: NEG_PAIR for the exact-zero sentinel
-    None, NeedsBits while the enclosure is wider than LOG_PAIR_WIDTH.
+    None, NeedsBits while the enclosure (its width rounded up at ctx.prec,
+    then down to a float) is wider than LOG_PAIR_WIDTH.
 
     Every reported log|.| goes through here, so all of them are certified
     to the same width."""
     if interval is None:
         return NEG_PAIR
-    if float(interval.delta) > LOG_PAIR_WIDTH:
+    width = libmp.mpi_delta(interval, ctx.prec)
+    if libmp.to_float(width, rnd=libmp.round_down) > LOG_PAIR_WIDTH:
         raise NeedsBits
     return to_float_pair(interval)
 
@@ -140,7 +152,8 @@ def log_abs_interval(ctx, x):
         return None
     if straddles_zero(x):
         raise NeedsBits
-    return ctx.log(abs(x))
+    p = ctx.prec
+    return libmp.mpi_log(libmp.mpi_abs(x, p), p)
 
 
 def log_expm1_abs_interval(ctx, x, precision_bits: int):
@@ -149,33 +162,35 @@ def log_expm1_abs_interval(ctx, x, precision_bits: int):
     Near zero the direct formula cancels catastrophically, so for
     |x| <= 2^(-precision_bits/4) it switches to
     log|x| + log(1 + x/2 + x^2/6 + x^3/24 + tail), with the tail bounded
-    rigorously.
+    rigorously: sum_{n>=4} |x|^n/(n+1)! <= 2 |x|^4/120 for |x| <= 1/2, with
+    room to spare for the 53-bit rounding of that bound.
     """
     if is_exact_zero(x):
         return None
     if straddles_zero(x):
         # sign of x unknown: e^x - 1 straddles zero as well
         raise NeedsBits
-    bound = abs(x).b
-    threshold = mpmath.mpf(2) ** (-(precision_bits // 4))
-    if bound <= threshold:
-        one = ctx.mpf(1)
-        series = one + x / 2 + (x * x) / 6 + (x * x * x) / 24
-        # remainder of sum_{n>=4} x^n/(n+1)!; for |x| <= 1/2 dominated by
-        # |x|^4/120 * 2
-        r = abs(x).b
-        tail_hi = mpmath.mpf(r) ** 4 / 120 * 2
-        tail = ctx.mpf([-tail_hi, tail_hi])
-        series = series + tail
+    p = ctx.prec
+    add, mul, div, log = libmp.mpi_add, libmp.mpi_mul, libmp.mpi_div, libmp.mpi_log
+    x_abs = libmp.mpi_abs(x, p)
+    if libmp.mpf_le(x_abs[1], libmp.mpf_shift(libmp.fone, -(precision_bits // 4))):
+        xx = mul(x, x, p)
+        series = add(exact_pair(1, p), div(x, exact_pair(2, p), p), p)
+        series = add(series, div(xx, exact_pair(6, p), p), p)
+        series = add(series, div(mul(xx, x, p), exact_pair(24, p), p), p)
+        near = libmp.round_nearest
+        tail = libmp.mpf_pow_int(libmp.mpf_pos(x_abs[1], 53, near), 4, 53, near)
+        tail = libmp.mpf_mul_int(libmp.mpf_div(tail, libmp.from_int(120), 53, near), 2, 53, near)
+        series = add(series, (libmp.mpf_neg(tail), tail), p)
         if straddles_zero(series):
             raise NeedsBits
-        return ctx.log(abs(x)) + ctx.log(abs(series))
-    y = ctx.exp(x) - 1
+        return add(log(x_abs, p), log(libmp.mpi_abs(series, p), p), p)
+    y = libmp.mpi_sub(libmp.mpi_exp(x, p), exact_pair(1, p), p)
     if is_exact_zero(y):
         return None
     if straddles_zero(y):
         raise NeedsBits
-    return ctx.log(abs(y))
+    return log(libmp.mpi_abs(y, p), p)
 
 
 def log_expm1_abs(x, precision_bits: int = 128) -> tuple[float, float]:
@@ -197,29 +212,19 @@ def log_expm1_abs(x, precision_bits: int = 128) -> tuple[float, float]:
     def attempt(bits: int) -> tuple[float, float]:
         ctx = make_ctx(bits)
         if exact is not None:
-            xi = iv_from_fraction(ctx, exact)
+            xi = exact_pair(exact, bits)
         else:
             xi = eval_interval(ctx, node)
-        return log_pair(log_expm1_abs_interval(ctx, xi, bits))
+        return log_pair(ctx, log_expm1_abs_interval(ctx, xi, bits))
 
     return run_escalating(attempt, precision_bits)
 
 
-@dataclass(frozen=True)
-class ComplexIV:
-    """A rectangular complex enclosure built from two real intervals: what
-    RealTuple.complex_enclosures returns, a real part and a zero imaginary
-    part per entry."""
-
-    re: object
-    im: object
-
-
 def ball(x, prec: int) -> tuple[int, int]:
     """(mid, rad) with [mid - rad, mid + rad] * 2^-prec containing the finite
-    interval x: its endpoints floored to fixed point and widened by one unit
-    on each side; rad is at least mid's distance to either end."""
-    a, b = x._mpi_
+    interval x = (a, b): its endpoints floored to fixed point and widened by
+    one unit on each side; rad is at least mid's distance to either end."""
+    a, b = x
     lo = libmp.to_fixed(a, prec) - 1
     hi = libmp.to_fixed(b, prec) + 1
     mid = (lo + hi) >> 1

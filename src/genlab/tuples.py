@@ -2,9 +2,9 @@
 
 A tuple is the basic input object for the diophantine probes: entries
 are expression strings (see expr), carried with a working precision and
-an optional label.  Entries are evaluated to intervals at whatever
-precision a computation needs, once per precision, so nothing is ever
-rounded at parse time.
+an optional label.  Entries are evaluated to interval pairs (a, b) of libmp
+endpoints at whatever precision a computation needs, once per precision,
+so nothing is ever rounded at parse time.
 
 A tuple also carries the memos its consumers fill: the float midpoints of
 its enclosures (once per precision), and the dioph probes' float screens
@@ -19,18 +19,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-import mpmath
+from mpmath import libmp
 
 from .errors import InvalidConfig
 from .expr import Node, eval_interval, exact_rational, parse_expression
-from .numeric import (
-    ComplexIV,
-    NeedsBits,
-    is_exact_zero,
-    make_ctx,
-    run_escalating,
-    straddles_zero,
-)
+from .numeric import NeedsBits, is_exact_zero, make_ctx, run_escalating, straddles_zero
 
 MIN_PRECISION_BITS = 64
 
@@ -40,15 +33,15 @@ class RealTuple:
     """An ordered tuple of real numbers defined by expressions.
 
     Four memos ride on the instance, none of them part of its value:
-    _enclosures (bits -> ctx and enclosures), _midpoints (bits -> float
-    midpoints), _screens, which dioph keys by (screened floats, exhaustive
-    heights of a sweep) and fills with every height's float-screen
-    survivors, and _forms, which dioph keys by (subset, l, bits) and fills
-    with each linear form's signed enclosure, its |.| bounds and its
-    certified log pairs.  A sweep over heights and subsets screens each
-    subset once and certifies each form once per precision this way.  They
-    live as long as the tuple, one CLI run; a new tuple (apply_matrix builds
-    one) starts empty.
+    _enclosures (bits -> ctx and the entries' interval pairs), _midpoints
+    (bits -> float midpoints), _screens, which dioph keys by (screened
+    floats, exhaustive heights of a sweep) and fills with every height's
+    float-screen survivors, and _forms, which dioph keys by (subset, l,
+    bits) and fills with each linear form's signed enclosure, its |.|
+    bounds and its certified log pairs.  A sweep over heights and subsets
+    screens each subset once and certifies each form once per precision
+    this way.  They live as long as the tuple, one CLI run; a new tuple
+    (apply_matrix builds one) starts empty.
     """
 
     expressions: tuple[str, ...]
@@ -88,24 +81,20 @@ class RealTuple:
         return tuple(values)
 
     def real_enclosures(self, bits: int):
-        """(ctx, tuple of interval enclosures) at the given precision."""
-        ctx, encl = self.complex_enclosures(bits)
-        return ctx, tuple(z.re for z in encl)
+        """(ctx, tuple of interval pairs) at the given precision."""
+        return self.complex_enclosures(bits)
 
     def complex_enclosures(self, bits: int):
-        """(ctx, tuple of ComplexIV enclosures, imaginary parts 0) at the
-        given precision, read through real_enclosures.  Evaluated once per
-        precision; later calls return the same objects.  The benchmark's
-        tracer wraps this method by name, so it keeps the name until the
-        tracer learns a new one (ROADMAP item 4 step A)."""
+        """(ctx, tuple of interval pairs) at the given precision, read
+        through real_enclosures.  Evaluated once per precision; later calls
+        return the same objects.  The benchmark's tracer wraps this method
+        by name, so it keeps the name until the tracer learns a new one
+        (ROADMAP item 5 step A)."""
         memo = self._enclosures.get(bits)
         if memo is None:
             ctx = make_ctx(bits)
-            out = []
-            for node in self._nodes:
-                re = eval_interval(ctx, node)
-                out.append(ComplexIV(re, re * 0))
-            memo = self._enclosures[bits] = (ctx, tuple(out))
+            encl = tuple(eval_interval(ctx, node) for node in self._nodes)
+            memo = self._enclosures[bits] = (ctx, encl)
         return memo
 
     def midpoints(self, bits: int) -> tuple[float, ...]:
@@ -115,7 +104,10 @@ class RealTuple:
         mids = self._midpoints.get(bits)
         if mids is None:
             _, encl = self.real_enclosures(bits)
-            mids = self._midpoints[bits] = tuple(float(mpmath.mpf(x.mid)) for x in encl)
+            mids = self._midpoints[bits] = tuple(
+                libmp.to_float(libmp.mpi_mid(x, bits), rnd=libmp.round_nearest)
+                for x in encl
+            )
         return mids
 
     def validate_nonzero(self) -> None:

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import genlab.auxpoly as auxpoly_mod
+import iv_oracle as oracle
 from genlab.auxpoly import (
     AuxSchedule,
     GridSpec,
@@ -36,14 +37,7 @@ from genlab.errors import (
     InvalidConfig,
     PrecisionExhausted,
 )
-from genlab.numeric import (
-    NEG_PAIR,
-    ball,
-    complex_exp,
-    iv_from_fraction,
-    log_expm1_abs,
-    to_float_pair,
-)
+from genlab.numeric import NEG_PAIR, ball, complex_exp, log_expm1_abs
 from genlab.tuples import RealTuple
 
 NEG_INF = float("-inf")
@@ -206,7 +200,7 @@ def grid_sup_reference(ctx, encl, coeffs, radius, grid):
         ang = 2 * ctx.pi * g / grid.angles
         cos_a, sin_a = ctx.cos(ang), ctx.sin(ang)
         for j in range(grid.rings):
-            rho = iv_from_fraction(ctx, radius * Fraction(j + 1, grid.rings))
+            rho = oracle.iv_from_fraction(ctx, radius * Fraction(j + 1, grid.rings))
             re, im = ctx.mpf(0), ctx.mpf(0)
             for c, alpha in zip(coeffs, encl):
                 if not c:
@@ -214,7 +208,7 @@ def grid_sup_reference(ctx, encl, coeffs, radius, grid):
                 x = alpha * rho
                 mag, arg = ctx.exp(x * cos_a), x * sin_a
                 re, im = re + mag * ctx.cos(arg) * c, im + mag * ctx.sin(arg) * c
-            abs2_hi = to_float_pair(re * re + im * im)[1]
+            abs2_hi = oracle.to_float_pair(re * re + im * im)[1]
             hi = math.nextafter(math.sqrt(max(0.0, abs2_hi)), math.inf)
             worst = max(worst, hi)
     return worst
@@ -255,7 +249,8 @@ def test_grid_sup_matches_pointwise_loop_and_encloses_phi(data):
     bits = data.draw(st.sampled_from((128, 256)))
     ctx, encl, _, _ = auxpoly_mod._alpha_data([exponent_text(e) for e in exps], bits)
     got = auxpoly_mod._grid_sup(ctx, encl, coeffs, radius, grid)
-    assert got == grid_sup_reference(ctx, encl, coeffs, radius, grid)
+    ivc = oracle.iv_ctx(bits)
+    assert got == grid_sup_reference(ivc, [oracle.to_iv(ivc, x) for x in encl], coeffs, radius, grid)
     with mpmath.workprec(2 * bits):
         alphas = [exponent_mp(e) for e in exps]
         rad = mpmath.mpf(radius.numerator) / radius.denominator
@@ -456,10 +451,10 @@ def test_siegel_rejects_mismatched_monomials():
     assert siegel_construct(alphas, 1.0, 8.0, monomials=mons).monomials == mons
 
 
-def fixed_point_interval(ctx, lo_man, lo_exp, width_man, width_exp):
+def fixed_point_interval(lo_man, lo_exp, width_man, width_exp):
     lo = mpmath.libmp.from_man_exp(lo_man, lo_exp)
     hi = mpmath.libmp.mpf_add(lo, mpmath.libmp.from_man_exp(width_man, width_exp))
-    return ctx.make_mpf((lo, hi))
+    return lo, hi
 
 
 @given(
@@ -473,48 +468,12 @@ def fixed_point_interval(ctx, lo_man, lo_exp, width_man, width_exp):
 def test_ball_contains_both_endpoints(lo_man, lo_exp, width_man, width_exp, bits):
     # negative, zero-width and sign-straddling intervals, with endpoints finer
     # and coarser than the fixed-point unit 2^-bits
-    ctx = auxpoly_mod.make_ctx(bits)
-    x = fixed_point_interval(ctx, lo_man, lo_exp, width_man, width_exp)
+    x = fixed_point_interval(lo_man, lo_exp, width_man, width_exp)
     mid, rad = ball(x, bits)
     assert rad >= 1
-    a, b = (Fraction(*mpmath.libmp.to_rational(e)) for e in x._mpi_)
+    a, b = (Fraction(*mpmath.libmp.to_rational(e)) for e in x)
     unit = Fraction(1, 2**bits)
     assert (mid - rad) * unit <= a <= b <= (mid + rad) * unit
-
-
-def taylor_bounds_reference(ctx, encl, exact, coeffs, radius, terms):
-    # every factor recomputed per candidate: the per-call form of the bound
-    rad = iv_from_fraction(ctx, radius)
-    all_exact = all(q is not None for q in exact)
-    sup = ctx.mpf(0)
-    dsup = ctx.mpf(0)
-    for t in range(terms):
-        if all_exact:
-            c_t = sum(
-                Fraction(c) * q**t / math.factorial(t) for c, q in zip(coeffs, exact)
-            )
-            c_abs = iv_from_fraction(ctx, abs(c_t))
-        else:
-            acc = ctx.mpf(0)
-            for c, q, iv in zip(coeffs, exact, encl):
-                base = iv_from_fraction(ctx, q) if q is not None else iv
-                acc += c * base**t
-            acc = acc / math.factorial(t)
-            c_abs = abs(acc)
-        sup += c_abs * rad**t
-        if t >= 1:
-            dsup += t * c_abs * rad ** (t - 1)
-    fact_t = math.factorial(terms)
-    for c, q, iv in zip(coeffs, exact, encl):
-        base = iv_from_fraction(ctx, q) if q is not None else iv
-        a_abs = abs(base)
-        growth = ctx.exp(a_abs * rad)
-        sup += abs(c) * (a_abs * rad) ** terms / fact_t * growth
-        dsup += (
-            abs(c) * a_abs * (a_abs * rad) ** (terms - 1)
-            / math.factorial(terms - 1) * growth
-        )
-    return sup, dsup
 
 
 @given(st.data())
@@ -535,10 +494,12 @@ def test_taylor_bounds_from_shared_table_equal_fresh_bounds(data):
             max_size=4,
         )
     )
+    ivc = oracle.iv_ctx(bits)
+    iv_encl = [oracle.to_iv(ivc, x) for x in encl]
     for h in candidates:
         got = auxpoly_mod._taylor_bounds(ctx, table, h)
-        want = taylor_bounds_reference(ctx, encl, exact, h, radius, terms)
-        assert [iv._mpi_ for iv in got] == [iv._mpi_ for iv in want]
+        want = oracle.taylor_bounds(ivc, iv_encl, exact, h, radius, terms)
+        assert list(got) == [iv._mpi_ for iv in want]
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import iv_oracle as oracle
 from genlab import dioph
 from genlab.dioph import (
     GenericityReport,
@@ -462,7 +463,7 @@ def test_mu2_sweep_minimum_is_the_best_approximation(name):
 
 def test_relation_lattice_scales_the_full_precision_midpoint():
     _, (x,) = RealTuple(("sqrt(2)",)).real_enclosures(256)
-    scaled = dioph._scaled_mid(x, 128)
+    scaled = dioph._scaled_mid(x, 128, 256)
     n = 2 << 256  # (sqrt(2) * 2^128)^2
     root = math.isqrt(n)
     assert scaled == (root + 1 if n - root * root > root else root)
@@ -495,7 +496,9 @@ def _brute_relation(theta, include_pi_i, h):
     coordinate l' multiplies pi*i: the real sum and the imaginary part
     l' pi must both straddle zero."""
     bits = max(128, theta.precision_bits)
-    ctx, encl = theta.real_enclosures(bits)
+    _, encl = theta.real_enclosures(bits)
+    ctx = oracle.iv_ctx(bits)
+    encl = [oracle.to_iv(ctx, x) for x in encl]
     n = len(encl)
     exact_entries = None if include_pi_i else theta.exact_values()
     best = None
@@ -594,7 +597,7 @@ def test_sweep_certifies_each_form_once(monkeypatch):
     log_parts = dioph._log_parts
 
     def counting(ctx, value, bits):
-        calls.append((value.a, value.b, bits))
+        calls.append((value, bits))
         return log_parts(ctx, value, bits)
 
     monkeypatch.setattr(dioph, "_log_parts", counting)
