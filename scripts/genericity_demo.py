@@ -21,7 +21,7 @@ def show(name: str, theta: RealTuple, eta: float, c: float, heights) -> None:
     print(f"{name}: {report.overall} (c_required_max = {report.c_required_max:.4f})")
     for v in report.verdicts:
         lo, hi = v.record.log_exp_value
-        flag = "pass" if v.passed else "FAIL"
+        flag = {True: "pass", False: "FAIL", None: "undecided"}[v.passed]
         print(
             f"  D={v.D:3d}  l={v.record.l!s:>12}  "
             f"log|e^s - 1| in [{lo:9.4f}, {hi:9.4f}]  vs {v.threshold:9.4f}  {flag}"

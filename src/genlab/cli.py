@@ -519,6 +519,7 @@ def run_bigen(args, sink: list[dict]) -> None:
                 "passed": v.passed,
                 "c_required": v.c_required,
                 "overall": report_.overall,
+                "approximate": v.approximate,
             }
         )
 

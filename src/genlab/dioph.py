@@ -19,7 +19,8 @@ lattice-reduction mode returns a certified upper-bound record flagged
 approximate.  The probes aggregate these records over heights and subsets
 with the existential subset quantifier (max over subsets of the min over
 forms) and compare against thresholds -c*D^eta, all through one
-pass / fail / escalate rule.
+pass / fail / undecided / escalate rule: an approximate record can fail a
+height but never pass it.
 
 A sweep meets the same forms again and again: the minimizer over a subset
 usually stays put for several heights, and every height starts its
@@ -457,7 +458,7 @@ class HeightVerdict:
     D: int
     record: LinearFormRecord
     threshold: float
-    passed: bool
+    passed: Optional[bool]  # None: undecided (_verdict)
     c_required: float
 
 
@@ -467,7 +468,7 @@ class GenericityReport:
     mu: int
     c: float
     verdicts: tuple[HeightVerdict, ...]
-    overall: str  # "generic-up-to-budget" | "special-witnesses"
+    overall: str  # "generic-up-to-budget" | "special-witnesses" | "undecided"
     c_required_max: float
     approximate: bool
 
@@ -476,12 +477,17 @@ class GenericityReport:
         return self.overall == "generic-up-to-budget"
 
 
-def _verdict(log_exp: tuple[float, float], thr: float, scale: float) -> tuple[bool, float]:
+def _verdict(
+    log_exp: tuple[float, float], thr: float, scale: float, approximate: bool
+) -> tuple[Optional[bool], float]:
     """(passed, c_required) of log|e^s - 1| against thr = -c*scale;
-    NeedsBits while the enclosure straddles the threshold."""
+    NeedsBits while the enclosure straddles the threshold.  An approximate
+    (lattice-mode) record is a form in the box, so its value bounds the
+    minimum from above: it certifies FAIL, never PASS, and where it would
+    pass, passed is None (undecided)."""
     lo, hi = log_exp
     if lo >= thr:
-        passed = True
+        passed = None if approximate else True
     elif hi < thr:
         passed = False
     else:
@@ -490,7 +496,10 @@ def _verdict(log_exp: tuple[float, float], thr: float, scale: float) -> tuple[bo
 
 
 def _overall(verdicts) -> str:
-    return "generic-up-to-budget" if all(v.passed for v in verdicts) else "special-witnesses"
+    passed = [v.passed for v in verdicts]
+    if False in passed:
+        return "special-witnesses"
+    return "undecided" if None in passed else "generic-up-to-budget"
 
 
 def _better(a: LinearFormRecord, b: LinearFormRecord) -> bool:
@@ -588,7 +597,9 @@ def genericity_probe(
             rec = _best_subset_record(
                 theta, mu, D, bits_floor=bits, budget=budget, heights=sweep
             )
-            return HeightVerdict(D, rec, thr, *_verdict(rec.log_exp_value, thr, scale))
+            return HeightVerdict(
+                D, rec, thr, *_verdict(rec.log_exp_value, thr, scale, rec.approximate)
+            )
 
         verdicts.append(run_escalating(per_height, theta.precision_bits))
     return GenericityReport(
@@ -617,7 +628,8 @@ class BitupleVerdict:
     log_value: tuple[float, float]
     log_exp_value: tuple[float, float]
     threshold: float
-    passed: bool
+    approximate: bool  # either side's record is approximate
+    passed: Optional[bool]
     c_required: float
 
 
@@ -695,7 +707,8 @@ def bituple_probe(
 
 
 def _bituple_pair(theta, kappa, rec_l, rec_r, scale, thr, bits: int) -> BitupleVerdict:
-    """One (L, R) pair from the minimal records of each side."""
+    """One (L, R) pair from the minimal records of each side; approximate
+    when either record is, under _verdict's rule."""
     if NEG_PAIR in (rec_l.log_value, rec_r.log_value):
         log_value = log_exp = NEG_PAIR
     else:
@@ -706,9 +719,10 @@ def _bituple_pair(theta, kappa, rec_l, rec_r, scale, thr, bits: int) -> BitupleV
         ctx = make_ctx(bits)
         t = _abs_product_interval(theta, rec_l, kappa, rec_r, bits)
         log_exp = log_pair(ctx, log_expm1_abs_interval(ctx, libmp.mpi_neg(t, bits), bits))
+    approximate = rec_l.approximate or rec_r.approximate
     return BitupleVerdict(
         rec_l.D, rec_r.D, rec_l.subset, rec_r.subset, rec_l.l, rec_r.l,
-        log_value, log_exp, thr, *_verdict(log_exp, thr, scale),
+        log_value, log_exp, thr, approximate, *_verdict(log_exp, thr, scale, approximate),
     )
 
 

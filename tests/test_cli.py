@@ -438,11 +438,30 @@ def test_gen_sweep_across_the_budget_equals_single_heights(tup, capsys):
         assert code == 0
         single += _without_overall(records_of(out))
     assert swept == single
+    # lattice mode's upper bound can fail a height, never pass it
     assert [(r["D"], r["approximate"], r["passed"]) for r in swept] == [
         (27, False, False),
-        # lattice mode's upper bound still passes: a known defect, pinned here
-        (28, True, True),
+        (28, True, None),
     ]
+
+
+def test_gen_lattice_mode_never_certifies_pass(tup, capsys):
+    # the D = 28 box holds the D = 27 box, whose certified minimum is below
+    # the D = 28 threshold too; lattice mode at D = 28 cannot pass, so it
+    # reports undecided, and the sweep that holds the failing height is
+    # special
+    path = tup("logs.tup", ["log(2)", "log(3)", "log(5)", "log(7)"])
+    argv = ["gen", "--tuple", path, "--mu", "4", "--eta", "2", "--c", "0.01"]
+    code, out = run_capture(capsys, argv + ["--D", "28"])
+    assert code == 0
+    (rec,) = [r["payload"] for r in records_of(out)]
+    assert (rec["approximate"], rec["passed"], rec["overall"]) == (True, None, "undecided")
+    code, out = run_capture(capsys, argv + ["--D", "27..28"])
+    assert code == 0
+    low, high = [r["payload"] for r in records_of(out)]
+    assert low["log_exp_value"][1] < high["threshold"]
+    assert (low["passed"], high["passed"]) == (False, None)
+    assert {low["overall"], high["overall"]} == {"special-witnesses"}
 
 
 def test_bigen_sweep_across_the_budget_equals_single_heights(tup, capsys):
@@ -461,6 +480,11 @@ def test_bigen_sweep_across_the_budget_equals_single_heights(tup, capsys):
         single += _without_overall(records_of(out))
     assert sorted(swept, key=lambda r: (r["L"], r["R"])) == single
     assert len(single) == 8
+    # a pair is approximate when either side is, and then never passes
+    assert [(r["L"], r["approximate"]) for r in single] == [
+        (L, L > 4) for L in (3, 3, 4, 4, 5, 5, 6, 6)
+    ]
+    assert not any(r["passed"] for r in single if r["approximate"])
 
 
 def test_schedule_csv(tup, capsys):
@@ -876,7 +900,7 @@ PINNED_INPUTS = {
         pytest.param(
             "bigen --tuple theta.tup --kappa kappa.tup --L 4 --R 12 --mu 2 --nu 2"
             " --eta 2.0 --c 0.045",
-            "a85ea23ad25b3354df6dca40f01a13e0097d909756fdd2001f77dee6cf266270",
+            "8fba51f56514c8628465a0652ebc483bc39ff854713920bd914b6cd348a84c58",
             id="readme-bigen",
         ),
         pytest.param(

@@ -100,6 +100,50 @@ def test_lattice_mode_is_flagged_upper_bound():
     assert rec.log_value[1] >= exact.log_value[0] - 1e-12
 
 
+def test_verdict_of_an_approximate_record_fails_or_stays_undecided():
+    # an approximate record's value bounds the minimum from above
+    assert dioph._verdict((-3.0, -2.9), -5.0, 1.0, True) == (None, 3.0)
+    assert dioph._verdict((-3.0, -2.9), -5.0, 1.0, False) == (True, 3.0)
+    assert dioph._verdict((-6.0, -5.9), -5.0, 1.0, True) == (False, 6.0)
+    with pytest.raises(dioph.NeedsBits):
+        dioph._verdict((-5.1, -4.9), -5.0, 1.0, True)
+
+
+def test_overall_outcome_of_the_three_verdicts():
+    def verdicts(*passed):
+        return [mock.Mock(passed=p) for p in passed]
+
+    assert dioph._overall(verdicts(True, True)) == "generic-up-to-budget"
+    assert dioph._overall(verdicts(True, None)) == "undecided"
+    assert dioph._overall(verdicts(None, False, True)) == "special-witnesses"
+
+
+_MONOTONE_ENTRIES = ("log(2)", "log(3)", "log(5)", "log(7)", "sqrt(2)", "sqrt(3)", "pi")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_a_failed_height_never_passes_above_it(data):
+    # the height-D box holds the height-D' box for D' <= D, so the max-min
+    # over subsets only falls with D: a lower height whose certified value
+    # is below the threshold of D rules out a pass at D.  The budget holds
+    # the lower heights only, so the upper ones run in lattice mode, whose
+    # records bound the minimum from above and so never pass.
+    mu = data.draw(st.integers(2, 4))
+    entries = data.draw(
+        st.lists(st.sampled_from(_MONOTONE_ENTRIES), min_size=mu, max_size=mu, unique=True)
+    )
+    top = data.draw(st.integers(3, 10))
+    budget = (2 * data.draw(st.integers(1, top - 1)) + 1) ** mu
+    c = data.draw(st.floats(0.001, 0.5))
+    rep = genericity_probe(RealTuple(tuple(entries)), mu, 2.0, c, range(1, top + 1), budget=budget)
+    assert any(v.record.approximate for v in rep.verdicts)
+    for low in rep.verdicts:
+        for high in rep.verdicts:
+            if high.D >= low.D and low.record.log_exp_value[1] < high.threshold:
+                assert high.passed is not True, (low.D, high.D)
+
+
 def test_scaling_invariance_exact():
     base = RealTuple(("1", "3/7"))
     scaled = RealTuple(("2/3", "(2/3)*(3/7)"))
