@@ -84,6 +84,9 @@ from .reduction import knapsack_basis, lll_reduce
 from .tuples import RealTuple
 
 ENUM_BUDGET = 10**7
+# a sweep whose window gathers more pairs than this many per tail vector
+# (a half box of ceil(mu/2) coordinates at the top height) is split
+SWEEP_PAIRS_PER_HALF_BOX = 4
 
 
 @dataclass(frozen=True)
@@ -173,7 +176,11 @@ def _screen_sweep(
     those of a walk over the whole box.  The work is O(B^ceil(mu/2) log B)
     for B = 2 max(heights) + 1, and no array is sized by heights times a
     half box; callers still test the enumeration budget against the full
-    box B^mu.  A height at which an entry times mu*D is not a finite float
+    box B^mu.  A sweep that starts far below its top height would gather
+    most of the top box under the first box's window, so when the window
+    holds more than SWEEP_PAIRS_PER_HALF_BOX pairs per top tail vector, the
+    lower and the upper half of the heights are screened apart; each part
+    is a sweep of its own, so every height keeps the same survivors.  A height at which an entry times mu*D is not a finite float
     is left out of the result: its box values may leave the float range."""
     mu = len(theta_float)
     theta = np.array(theta_float, dtype=float)
@@ -209,6 +216,14 @@ def _screen_sweep(
 
     first = np.searchsorted(ts, -head - reach, side="left")
     counts = np.searchsorted(ts, -head + reach, side="right") - first
+    if len(heights) > 1 and counts.sum() > SWEEP_PAIRS_PER_HALF_BOX * len(tail):
+        # the first box's window gathers too much of the top box: screen the
+        # lower and the upper heights apart, each under its own first box
+        mid = len(heights) // 2
+        return {
+            **_screen_sweep(theta_float, heights[:mid]),
+            **_screen_sweep(theta_float, heights[mid:]),
+        }
     starts = np.cumsum(counts) - counts
     tails = order[np.repeat(first - starts, counts) + np.arange(int(counts.sum()))]
     heads = np.repeat(np.arange(len(head)), counts)

@@ -454,6 +454,38 @@ def test_screen_sweep_memory_is_that_of_one_screen():
     assert swept <= 2 * single
 
 
+def test_wide_sweep_memory_is_that_of_one_top_screen():
+    # mu = 4 over D = 2..300: the D = 2 window gathers about 11 pairs per tail
+    # vector of the top box in one pass, so the sweep splits
+    theta = [math.log(2), math.log(3), math.log(5), math.log(7)]
+    single = _peak_bytes(dioph._screen_box, theta, 300)
+    swept = _peak_bytes(dioph._screen_sweep, theta, tuple(range(2, 301)))
+    assert swept <= 2 * single
+
+
+_LOG_PRIMES = [math.log(p) for p in (2, 3, 5, 7, 11, 13)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_split_sweeps_keep_every_height_of_one_screen(data):
+    # wide sweeps that split, at the bound and below it (a bound of 0 splits
+    # every sweep down to single heights): each height keeps what a screen
+    # of its box alone keeps
+    mu = data.draw(st.integers(3, 4))
+    theta = data.draw(st.permutations(_LOG_PRIMES))[:mu]
+    top = data.draw(st.integers(20, 60 if mu == 4 else 120))
+    heights = tuple(sorted(data.draw(
+        st.sets(st.integers(1, top - 1), min_size=1, max_size=40)
+    ) | {top}))
+    bound = data.draw(st.sampled_from([0, 0.01, 0.1, dioph.SWEEP_PAIRS_PER_HALF_BOX]))
+    with mock.patch.object(dioph, "SWEEP_PAIRS_PER_HALF_BOX", bound):
+        got = dioph._screen_sweep(theta, heights)
+    assert list(got) == list(heights)
+    for D in data.draw(st.lists(st.sampled_from(heights), min_size=1, max_size=4)):
+        assert got[D] == dioph._screen_box(theta, D)
+
+
 # Lagrange's best-approximation theorem (Khinchin, Continued Fractions, sec. 6):
 # for |theta_1| >= |theta_2| and irrational alpha = theta_2/theta_1, the least
 # |l_1 theta_1 + l_2 theta_2| over the height-D box is
