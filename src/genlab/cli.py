@@ -265,6 +265,7 @@ def make_records(
     precision_bits: int,
     seed: int,
 ) -> list[dict]:
+    """One record per payload; the payloads are already in jsonable form."""
     experiment_id = _sha256(f"{config_hash}:{inputs_dig}".encode())[:16]
     return [
         {
@@ -275,7 +276,7 @@ def make_records(
             "op": op,
             "precision_bits": precision_bits,
             "seed": seed,
-            "payload": jsonable(payload),
+            "payload": payload,
         }
         for payload in payloads
     ]
@@ -335,6 +336,7 @@ def cache_store(
     payloads: Sequence[dict],
     wall_ms: float,
 ) -> None:
+    """Write the entry of payloads already in jsonable form."""
     if cache_dir is None:
         return
     os.makedirs(cache_dir, exist_ok=True)
@@ -345,11 +347,13 @@ def cache_store(
         "inputs_digest": inputs_dig,
         "code_digest": code_digest(),
         "wall_ms": wall_ms,
-        "payloads": jsonable(list(payloads)),
+        "payloads": list(payloads),
     }
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(entry, fh, sort_keys=True)
+        # json.dumps runs the C encoder; json.dump's streaming encoder gives
+        # the same bytes more slowly
+        fh.write(json.dumps(entry, sort_keys=True))
     os.replace(tmp, path)
 
 
@@ -866,8 +870,13 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             payloads = cached
         else:
             start = time.monotonic()
-            args.func(args, payloads)
-            wall_ms = (time.monotonic() - start) * 1000.0
+            try:
+                args.func(args, payloads)
+            finally:
+                wall_ms = (time.monotonic() - start) * 1000.0
+                # one conversion serves the cache entry and the records, and
+                # the partial payloads of a failing run as well
+                payloads = jsonable(payloads)
             cache_store(args.cache_dir, config_hash, inputs_dig, payloads, wall_ms)
     except InvalidConfig as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,6 +1,7 @@
 """End-to-end harness tests: exit codes, determinism, caching, reports."""
 
 import hashlib
+import io
 import json
 import os
 import shlex
@@ -16,7 +17,9 @@ from genlab import auxpoly
 from genlab.cli import (
     SCHEMA_VERSION,
     build_parser,
+    cache_lookup,
     cache_path,
+    cache_store,
     code_digest,
     config_digest,
     inputs_digest,
@@ -73,6 +76,25 @@ def test_parse_cyclo_coordinate():
     ) * CycloNum.from_rational(Fraction(1, 2))
     with pytest.raises(InvalidConfig):
         parse_cyclo_coordinate("zeta(five)")
+
+
+def test_cache_entry_bytes_are_those_of_json_dump(tmp_path):
+    # the entry is written with json.dumps; json.dump gives the same bytes
+    payloads = jsonable([
+        {"inf": float("inf"), "ninf": float("-inf"), "nan": float("nan"),
+         "q": Fraction(-7, 3), "nested": (1, (2.5, (Fraction(1, 2), None)), [True])},
+        {"pair": (float("-inf"), -1.25e-300), "text": "\u00e9\n"},
+    ])
+    cache_store(str(tmp_path), "c" * 64, "i" * 64, payloads, 12.5)
+    (path,) = tmp_path.iterdir()
+    entry = {
+        "schema_version": SCHEMA_VERSION, "config_hash": "c" * 64, "inputs_digest": "i" * 64,
+        "code_digest": code_digest(), "wall_ms": 12.5, "payloads": payloads,
+    }
+    want = io.StringIO()
+    json.dump(entry, want, sort_keys=True)
+    assert path.read_text(encoding="utf-8") == want.getvalue()
+    assert cache_lookup(str(tmp_path), "c" * 64, "i" * 64) == payloads
 
 
 def test_jsonable_sentinels():
