@@ -813,9 +813,8 @@ def distance_audit(
             ctx, theta_iv = theta.real_enclosures(bits)
             _, kappa_iv = kappa.real_enclosures(bits)
             zs = [eval_interval(ctx, node) for node in z_nodes]
-            images = [
-                libmp.mpi_exp(libmp.mpi_mul(theta_iv[i], kappa_iv[j], bits), bits) for i in I for j in J
-            ]
+            mul, exp = libmp.mpi_mul, libmp.mpi_exp
+            images = [exp(mul(theta_iv[i], kappa_iv[j], bits), bits) for i in I for j in J]
             return _log_sup_distance(ctx, zip(zs, images))
 
         dist = run_escalating(attempt, precision_bits)

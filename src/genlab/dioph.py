@@ -180,8 +180,9 @@ def _screen_sweep(
     most of the top box under the first box's window, so when the window
     holds more than SWEEP_PAIRS_PER_HALF_BOX pairs per top tail vector, the
     lower and the upper half of the heights are screened apart; each part
-    is a sweep of its own, so every height keeps the same survivors.  A height at which an entry times mu*D is not a finite float
-    is left out of the result: its box values may leave the float range."""
+    is a sweep of its own, so every height keeps the same survivors.  A
+    height at which an entry times mu*D is not a finite float is left out
+    of the result: its box values may leave the float range."""
     mu = len(theta_float)
     theta = np.array(theta_float, dtype=float)
     # mu * D * max(1, max |theta_i|) bounds every |l.theta| of the height-D box
@@ -406,7 +407,7 @@ def _min_record(
                 return LinearFormRecord(subset, best_l, D, NEG_PAIR, NEG_PAIR, Fraction(0), not exhaustive)
             terms = [Fraction(c) * exact_entries[i] for c, i in zip(best_l, subset) if c]
             form = _form(theta, subset, best_l, bits, lambda: functools.reduce(
-                partial(libmp.mpi_add, prec=bits), (exact_pair(q, bits) for q in terms), ZERO
+                partial(libmp.mpi_add, prec=bits), (exact_pair(t, bits) for t in terms), ZERO
             ))
             log_value, log_exp = form.log_parts(make_ctx(bits), bits)
             return LinearFormRecord(subset, best_l, D, log_value, log_exp, q, not exhaustive)

@@ -27,8 +27,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from types import SimpleNamespace
-from typing import Callable, TypeVar
+from typing import Callable, NamedTuple, TypeVar
 
 from mpmath import libmp
 from mpmath.libmp import fzero, round_ceiling, round_floor
@@ -48,11 +47,17 @@ class NeedsBits(Exception):
     """Internal signal: the current working precision cannot decide."""
 
 
+class Ctx(NamedTuple):
+    """A precision handle: the pair operations of every function given it
+    run at prec bits."""
+
+    prec: int
+
+
 @functools.lru_cache(maxsize=None)
-def make_ctx(bits: int) -> SimpleNamespace:
-    """The shared precision handle: the pair operations of every function
-    given this context run at ctx.prec = bits."""
-    return SimpleNamespace(prec=bits)
+def make_ctx(bits: int) -> Ctx:
+    """The one handle of the given precision."""
+    return Ctx(bits)
 
 
 def run_escalating(fn: Callable[[int], T], requested_bits: int, *, cap: int = HARD_CAP_BITS) -> T:
