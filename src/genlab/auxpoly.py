@@ -52,7 +52,9 @@ from .cyclo import (
     min_vanishing_degree,
     monomials_up_to,
     normalize_point_set,
+    power_tables,
     require_torus,
+    table_product,
 )
 from .errors import BudgetExceeded, HypothesisNotMet, InvalidConfig
 from .expr import eval_interval, exact_rational, parse_expression, to_string
@@ -761,13 +763,17 @@ def distance_audit(
     expression strings for a numeric distance check only.
 
     Exact pipeline: count check floor(R/(2 mu))^nu > L^mu; the box points
-    prod_rho z[., rho]^{r_rho}, one char_value per coordinate column; their
-    vanishing degree <= L; the zero-estimate character of
-    zero_estimate_search; a coset collision by pigeonhole, re-checked as an
-    exact relation; and the contradiction bound
+    P(r) with P(r)_lambda = prod_rho z[lambda, rho]^{r_rho}, 0 <= r_rho <= S,
+    each a product of table entries (cyclo.power_tables: one table of
+    powers per distinct coordinate value); their vanishing degree <= L; the
+    zero-estimate character l of zero_estimate_search; a coset collision by
+    pigeonhole, re-checked as an exact relation; and the contradiction bound
     log|exp((l . theta_I)((r - rbar) . kappa_J)) - 1| < -c D^eta, exact when
     every entry it uses is rational and from the tuples' enclosures
-    otherwise.
+    otherwise.  The collision search reads l pulled back to the box
+    exponents: chi_l(P(r)) = prod_rho w_rho^{r_rho} with
+    w_rho = prod_lambda z[lambda, rho]^{l_lambda}, so each value is a
+    product of nu entries of the w_rho's power tables.
     """
     I = tuple(int(i) for i in I)
     J = tuple(int(j) for j in J)
@@ -831,8 +837,9 @@ def distance_audit(
     if (S + 1) ** nu > 4096:
         raise BudgetExceeded("pigeonhole box exceeds desk scale")
     columns = [coords[lam * nu : (lam + 1) * nu] for lam in range(mu)]
+    column_tables = power_tables(columns)
     powers = {
-        r_vec: tuple(char_value(r_vec, col) for col in columns)
+        r_vec: tuple(table_product(r_vec, tables) for tables in column_tables)
         for r_vec in product(range(S + 1), repeat=nu)
     }
 
@@ -859,9 +866,10 @@ def distance_audit(
         return replace(reached, binding="no_obstruction_character")
 
     # powers iterates the box in lexicographic order
+    (pulled,) = power_tables([[char_value(zres.character, z_rho) for z_rho in zip(*columns)]])
     seen: dict = {}
     for r_vec, pt in powers.items():
-        val = char_value(zres.character, pt)
+        val = table_product(r_vec, pulled)
         if val in seen:
             break
         seen[val] = r_vec

@@ -57,7 +57,8 @@ def theorem2_best_t(
         nu_cap = min(n, (n - t) // d_kappa)
         for mu in range(1, mu_cap + 1):
             for nu in range(1, nu_cap + 1):
-                if Fraction(mu * nu, mu + nu) > t:
+                # mu*nu/(mu+nu) > t, cleared of its positive denominator
+                if mu * nu > t * (mu + nu):
                     return (t, mu, nu)
     return None
 
@@ -132,7 +133,7 @@ def bound_report(m: int, n: int, *, variant: str = CONSISTENT) -> BoundReport:
         witness = (mu, nu)
         d_theta = max(t - 1, 1)
         d_kappa = d_theta if variant == CONSISTENT else max(t - 1, t)
-        assert Fraction(mu * nu, mu + nu) > t
+        assert mu * nu > t * (mu + nu)
         assert mu * d_theta <= m - t and nu * d_kappa <= n - t
     conj = conjecture_bound(m, n)
     return BoundReport(m, n, t, witness, corollary_bound(m, n), conj, conj - t)

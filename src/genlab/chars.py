@@ -15,7 +15,13 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Mapping, Sequence
 
-from .cyclo import char_value, min_vanishing_degree, normalize_point_set, product_point_set
+from .cyclo import (
+    min_vanishing_degree,
+    normalize_point_set,
+    power_tables,
+    product_point_set,
+    table_product,
+)
 from .errors import BudgetExceeded, InvalidConfig
 from .intmat import insert_row, invert_unimodular, smith_normal_form
 
@@ -247,6 +253,10 @@ def zero_estimate_search(
     count card(Sigma*H/H) is the number of distinct character values on the
     set.  The kernel of one nonzero character has dim H = mu - 1, so the
     scan compares counts only and builds the subgroup of the hit alone.
+    Character values come from power tables (cyclo.power_tables): each
+    distinct coordinate value of the set is raised to each exponent in
+    -L..L at most once, with at most one inverse, and a value at a point is
+    the product of its mu table entries.
     """
     base = normalize_point_set(points)
     if not base:
@@ -274,12 +284,13 @@ def zero_estimate_search(
         vanishing_degree=w,
         checked=0,
     )
+    point_tables = power_tables(sigma)
     checked = 0
     for cand in product(range(-L, L + 1), repeat=mu):
         if not any(cand) or next(c for c in cand if c) < 0:
             continue
         checked += 1
-        cosets = len({char_value(cand, p) for p in sigma})
+        cosets = len({table_product(cand, tables) for tables in point_tables})
         if cosets * L ** (mu - 1) <= hilbert_ambient:
             sub = kernel_subgroup(CharacterModule([cand]))
             return replace(

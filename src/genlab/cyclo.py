@@ -263,15 +263,20 @@ class CycloNum:
     def __pow__(self, k: int):
         if not isinstance(k, int):
             return NotImplemented
-        base = self if k >= 0 else self.inverse()
+        if k == 0:
+            return ONE.promote(self.order)
+        base = self if k > 0 else self.inverse()
         k = abs(k)
-        acc = ONE.promote(base.order)
-        while k:
+        # square-and-multiply from the low bit: the first set bit takes the
+        # base itself, and the base is not squared past the top bit
+        acc = None
+        while True:
             if k & 1:
-                acc = acc * base
-            base = base * base
+                acc = base if acc is None else acc * base
             k >>= 1
-        return acc
+            if not k:
+                return acc
+            base = base * base
 
     def is_zero(self) -> bool:
         return not any(self.nums)
@@ -363,6 +368,60 @@ def char_value(exponents: Sequence[int], p: Point) -> CycloNum:
     return acc
 
 
+class PowerTable(dict):
+    """{e: c^e} for one CycloNum c, each entry made on its first lookup.
+
+    Entries fill outward from c^0 and c^1, one product each, and c^-1 is
+    the one inverse of c, so reading powers with |e| <= K costs at most K
+    products in each direction.  Every entry is the CycloNum c ** e gives.
+    """
+
+    def __init__(self, c: CycloNum):
+        super().__init__({0: ONE.promote(c.order), 1: c})
+        self.base = c
+
+    def __missing__(self, e: int) -> CycloNum:
+        if e == -1:
+            self[-1] = self.base.inverse()
+            return self[-1]
+        step = 1 if e > 0 else -1
+        unit = self[step]
+        k = e
+        while k - step not in self:
+            k -= step
+        for k in range(k, e + step, step):
+            self[k] = self[k - step] * unit
+        return self[e]
+
+
+def power_tables(points: Iterable[Sequence[CycloNum]]) -> list[list[PowerTable]]:
+    """The PowerTable of every coordinate of every point.  Coordinates with
+    the same exact (order, nums, den) share one table, so each distinct
+    value is raised to each power at most once."""
+    shared: dict[tuple, PowerTable] = {}
+    out = []
+    for p in points:
+        row = []
+        for c in p:
+            key = (c.order, c.nums, c.den)
+            if key not in shared:
+                shared[key] = PowerTable(c)
+            row.append(shared[key])
+        out.append(row)
+    return out
+
+
+def table_product(exponents: Sequence[int], tables: Sequence[PowerTable]) -> CycloNum:
+    """prod_i tables[i][e_i] over the nonzero exponents: char_value(exponents, p)
+    when tables[i] holds the powers of p[i], one product per nonzero
+    exponent after the first."""
+    acc = None
+    for e, table in zip(exponents, tables):
+        if e:
+            acc = table[e] if acc is None else acc * table[e]
+    return ONE if acc is None else acc
+
+
 def require_torus(points: Iterable[Point]) -> None:
     """Raise InvalidConfig unless every coordinate of every point is nonzero."""
     if any(c.is_zero() for p in points for c in p):
@@ -370,7 +429,13 @@ def require_torus(points: Iterable[Point]) -> None:
 
 
 def product_point_set(points: Sequence[Sequence], depth: int) -> list[Point]:
-    """All products of `depth` factors drawn (with repetition) from the set."""
+    """All products of `depth` factors drawn (with repetition) from the set.
+
+    The set X_k of k-fold products is X_{k-1} times the base set, so once
+    X_k = X_{k-1} every later X equals it too, and the rounds stop there:
+    a base of roots of unity with the identity saturates after at most as
+    many rounds as the group it generates has elements.
+    """
     if depth < 1:
         raise InvalidConfig("depth must be >= 1")
     base = normalize_point_set(points)
@@ -382,6 +447,8 @@ def product_point_set(points: Sequence[Sequence], depth: int) -> list[Point]:
             for q in base:
                 r = point_mul(p, q)
                 nxt.setdefault(_point_key(r), r)
+        if nxt.keys() == current.keys():
+            break
         current = nxt
     # deterministic order: sort by the Fraction coefficients
     return sorted(current.values(), key=lambda p: tuple(c.coeffs for c in p))

@@ -30,7 +30,16 @@ from genlab.auxpoly import (
     philippon_audit,
     siegel_construct,
 )
-from genlab.cyclo import CycloNum
+from itertools import product
+
+from genlab.chars import zero_estimate_search
+from genlab.cyclo import (
+    CycloNum,
+    char_value,
+    make_point,
+    min_vanishing_degree,
+    normalize_point_set,
+)
 from genlab.errors import (
     BudgetExceeded,
     HypothesisNotMet,
@@ -610,6 +619,84 @@ def test_distance_audit_rational_relation_closes_exactly():
     assert rep.zero_estimate.character == (1, -1)
     assert rep.contradiction_log == NEG_PAIR
     assert rep.verdict == "contradiction"
+
+
+def _exact_audit_reference(z, I, J, D):
+    # the exact pipeline up to the relation re-check, with one char_value
+    # per box point and column, and one per box point for the collision
+    mu, nu = len(I), len(J)
+    sched = make_schedule(D, 1, mu, nu)
+    S = sched.R // (2 * mu)
+    if S**nu <= sched.L**mu:
+        return "count_check"
+    columns = [make_point(z[lam * nu : (lam + 1) * nu]) for lam in range(mu)]
+    box = {
+        r_vec: tuple(char_value(r_vec, col) for col in columns)
+        for r_vec in product(range(S + 1), repeat=nu)
+    }
+    try:
+        omega_deg = min_vanishing_degree(normalize_point_set(box.values()), max_degree=sched.L)
+    except HypothesisNotMet:
+        return "no_low_degree_vanishing"
+    try:
+        zres = zero_estimate_search(
+            [make_point([1] * mu), *zip(*columns)], S * nu, sched.L
+        )
+    except HypothesisNotMet:
+        return "zero_estimate_hypothesis", omega_deg
+    if not zres.found:
+        return "no_obstruction_character", omega_deg
+    seen = {}
+    for r_vec, pt in box.items():
+        val = char_value(zres.character, pt)
+        if val in seen:
+            rbar = seen[val]
+            diff = tuple(a / b for a, b in zip(pt, box[rbar]))
+            relation = char_value(zres.character, diff) == 1
+            return omega_deg, zres.character, (rbar, r_vec), relation
+        seen[val] = r_vec
+    return "no_coset_collision", omega_deg, zres.character
+
+
+def _audit_outcome(rep):
+    if not rep.count_ok:
+        return "count_check"
+    if rep.omega_degree is None:
+        return rep.binding
+    if rep.zero_estimate is None or not rep.zero_estimate.found:
+        return rep.binding, rep.omega_degree
+    if rep.collision is None:
+        return rep.binding, rep.omega_degree, rep.zero_estimate.character
+    return rep.omega_degree, rep.zero_estimate.character, rep.collision, rep.relation_exact
+
+
+def _audit_coords(order):
+    # mostly powers of one root of unity, which make collisions; a fourth
+    # root of unity or a rational makes the box larger and the pipeline stop
+    # earlier.  A second order is kept to 4: the elimination's cost grows
+    # with phi(lcm of the orders), which reaches 48 for zeta3, zeta5, zeta7
+    root = st.integers(0, order - 1).map(lambda k: CycloNum.root_of_unity(order, k))
+    other = st.one_of(
+        st.integers(1, 3).map(lambda k: CycloNum.root_of_unity(4, k)),
+        st.sampled_from([Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-2, 3)]),
+    )
+    return st.one_of(root, root, root, other)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 2), st.integers(1, 2), st.integers(3, 12), st.integers(3, 8), st.data()
+)
+def test_distance_audit_exact_pipeline_matches_char_value_loops(mu, nu, D, order, data):
+    # the box read from power tables and the collision from the pulled-back
+    # character against one char_value per point and column
+    z = data.draw(
+        st.lists(_audit_coords(order), min_size=mu * nu, max_size=mu * nu)
+    )
+    theta, kappa = RealTuple(("1", "2")), RealTuple(("1", "3"))
+    I, J = tuple(range(mu)), tuple(range(nu))
+    rep = distance_audit(z, theta, kappa, I, J, D)
+    assert _audit_outcome(rep) == _exact_audit_reference(z, I, J, D)
 
 
 _BOUND_ENTRIES = ("log(2)", "log(3)", "1/3", "-5/2", "pi", "sqrt(2)", "exp(1/5)", "7")

@@ -78,6 +78,28 @@ def test_theorem2_literal_variant():
         theorem2_best_t(7, 6, variant="oops")
 
 
+def fraction_best_t(m, n, variant):
+    # the search as it read with Fractions: same loops, ratio compared whole
+    for t in range(min(m, n), 0, -1):
+        d_theta = max(t - 1, 1)
+        d_kappa = d_theta if variant == "consistent" else max(t - 1, t)
+        for mu in range(1, min(m, (m - t) // d_theta) + 1):
+            for nu in range(1, min(n, (n - t) // d_kappa) + 1):
+                if Fraction(mu * nu, mu + nu) > t:
+                    return (t, mu, nu)
+    return None
+
+
+@pytest.mark.parametrize("variant", ["consistent", "literal"])
+def test_theorem2_integer_test_matches_fraction_form(variant):
+    for m in range(1, 61):
+        for n in range(1, 61):
+            expected = fraction_best_t(m, n, variant)
+            assert theorem2_best_t(m, n, variant=variant) == expected
+            report = bound_report(m, n, variant=variant)
+            assert report.theorem_t == (expected[0] if expected else 0)
+
+
 @given(
     st.integers(min_value=1, max_value=25),
     st.integers(min_value=1, max_value=25),

@@ -258,6 +258,39 @@ def test_zero_estimate_builds_the_subgroup_of_the_hit_only(monkeypatch):
     assert calls == []
 
 
+def test_zero_estimate_inverts_each_coordinate_value_at_most_once(monkeypatch):
+    # the zero estimate of the benchmark's dist-audit (four zeta5^p
+    # coordinates, D = 16: L = 4, depth S*nu = 10); the inverses the
+    # vanishing-degree elimination takes for its pivots are not counted
+    for p in (1, 3):
+        z = CycloNum.root_of_unity(5, p)
+        points = [(1, 1), (z, z), (z, z)]
+        inverted, counting = [], [True]
+        inverse, vanishing = CycloNum.inverse, chars.min_vanishing_degree
+
+        def counted(self):
+            if counting[0]:
+                inverted.append(self)
+            return inverse(self)
+
+        def uncounted(*args, **kwargs):
+            counting[0] = False
+            try:
+                return vanishing(*args, **kwargs)
+            finally:
+                counting[0] = True
+
+        monkeypatch.setattr(CycloNum, "inverse", counted)
+        monkeypatch.setattr(chars, "min_vanishing_degree", uncounted)
+        res = zero_estimate_search(points, 10, 4)
+        monkeypatch.undo()
+        assert res.found and res.character == (1, -1) and res.sigma_size == 5
+        distinct = {c for pt in product_point_set(points, 10) for c in pt}
+        assert len(distinct) == 5
+        assert len(inverted) <= len(distinct)
+        assert len(set(inverted)) == len(inverted)
+
+
 def _greedy_rank_reference(n, nu, choices):
     # reference: one full rank per trial subset, then one for the family
     expected = list(combinations(range(n), n - nu))

@@ -892,6 +892,7 @@ PINNED_INPUTS = {
         for b in ("zeta(8)", "zeta(8)^3", "-1")
     ],
     "z5.cyc": ["zeta(5)^3"] * 4,
+    "z5_first.cyc": ["zeta(5)^1"] * 4,
     "one_two.tup": ["1", "2"],
     "logs4.tup": ["log(2)", "log(3)", "log(5)", "log(7)"],
     "logs4b.tup": ["log(13)", "log(3)", "log(11)", "log(5)"],
@@ -1019,6 +1020,13 @@ PINNED_INPUTS = {
             " --D 16",
             "f186ed6ce563e1eb9aff1cfb33f4cf771490d50254816ab9e524dd4ccd051620",
             id="dist-audit-exact-zeta5-cubed",
+        ),
+        pytest.param(
+            # the benchmark's other exact instance: four zeta(5)^1 lines
+            "dist-audit --z z5_first.cyc --tuple ones.tup --kappa one_two.tup --I 0,1"
+            " --J 0,1 --D 16",
+            "19df32f693b2b224cd7381cc80b1c5667b3bc6c912fe8ecfeac4491d8be768ef",
+            id="dist-audit-exact-zeta5",
         ),
         pytest.param(
             # irrational entries: the contradiction bound runs on intervals

@@ -18,8 +18,11 @@ from genlab.cyclo import (
     min_vanishing_degree,
     monomials_up_to,
     normalize_point_set,
+    point_mul,
+    power_tables,
     product_point_set,
     rank_field,
+    table_product,
 )
 from genlab.errors import HypothesisNotMet, InvalidConfig
 from genlab.intmat import rank_rational
@@ -422,3 +425,156 @@ def test_equal_values_hash_alike(e, widen, r, q):
     for order in (1, n, m):
         assert hash(rational.promote(order)) == hash(rational)
         assert rational.promote(order) == q
+
+
+# ---------------------------------------------------------------------------
+# powers: square-and-multiply, power tables, and saturating product sets
+
+
+def _counting_mul_mod(monkeypatch):
+    calls = []
+    mul_mod = cyclo._mul_mod
+
+    def counted(*args):
+        calls.append(args)
+        return mul_mod(*args)
+
+    monkeypatch.setattr(cyclo, "_mul_mod", counted)
+    return calls
+
+
+def test_pow_spends_no_wasted_products(monkeypatch):
+    # k = 1 needs no product, 2 one square, 5 = 101b two squares and one
+    # product, -3 one inverse, then one square and one product
+    x = CycloNum(5, [1, Fraction(1, 2), 0, 3])
+    calls = _counting_mul_mod(monkeypatch)
+    x.inverse()
+    inverse_cost = len(calls)
+    for k, products in ((1, 0), (2, 1), (5, 3), (-3, inverse_cost + 2)):
+        calls.clear()
+        value = x**k
+        assert len(calls) == products, k
+        ref = CycloNum.from_rational(1)
+        for _ in range(abs(k)):
+            ref = ref * (x if k > 0 else x.inverse())
+        assert value == ref and value.order == x.order
+    assert x**0 == 1 and (x**0).order == x.order
+
+
+_coordinate = st.one_of(
+    st.tuples(st.integers(3, 8), st.integers(0, 7)).map(
+        lambda nk: CycloNum.root_of_unity(*nk)
+    ),
+    st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    .filter(bool)
+    .map(CycloNum.from_rational),
+    _cyclonum.filter(bool),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(_coordinate, min_size=1, max_size=3),
+    st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3), min_size=1, max_size=4),
+)
+def test_power_tables_match_pow_and_char_value(point, exponent_lists):
+    # lookups in any order: each entry is c ** e, and the table holds only
+    # the run of exponents between 0 and the farthest one read
+    (tables,) = power_tables([point])
+    for exponents in exponent_lists:
+        exponents = exponents[: len(point)]
+        value, ref = table_product(exponents, tables), char_value(exponents, point)
+        assert value == ref and value.order == ref.order
+    for c, table in zip(point, tables):
+        # equal coordinates share one table
+        key = (c.order, c.nums, c.den)
+        same = [j for j, o in enumerate(point) if (o.order, o.nums, o.den) == key]
+        read = [ex[j] for ex in exponent_lists for j in same if ex[j]]
+        lo, hi = min(read + [0]), max(read + [1])
+        assert sorted(table) == list(range(lo, hi + 1))
+        for e, value in table.items():
+            ref = c**e
+            assert value == ref and value.order == ref.order
+
+
+def test_power_table_costs_one_product_per_entry(monkeypatch):
+    # c^5 from c^0 and c^1 takes 4 products; c^-3 one inverse and 2
+    # products; entries already made cost nothing
+    x = CycloNum(5, [1, Fraction(1, 2), 0, 3])
+    calls = _counting_mul_mod(monkeypatch)
+    x.inverse()
+    inverse_cost = len(calls)
+    ((table,),) = power_tables([[x]])
+    for e, products in ((5, 4), (3, 0), (-3, inverse_cost + 2), (-1, 0), (6, 1)):
+        calls.clear()
+        value = table[e]
+        assert len(calls) == products, e
+        assert value == x**e
+
+
+def test_power_tables_share_one_table_per_value(monkeypatch):
+    w = CycloNum.root_of_unity(5, 2)
+    inverses = []
+    inverse = CycloNum.inverse
+
+    def counted(self):
+        inverses.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(CycloNum, "inverse", counted)
+    tables, (other,) = power_tables(
+        [(w, w * 1, CycloNum.root_of_unity(5, 2), w * w), (w.promote(10),)]
+    )
+    assert tables[0] is tables[1] is tables[2] and tables[3] is not tables[0]
+    for table in tables:
+        table[-4]
+    assert inverses == [w, w * w]
+    # the key holds the order: w promoted to Q(zeta10) has a table of its own
+    assert other is not tables[0] and other[-4] == tables[0][-4]
+
+
+def _all_rounds(points, depth):
+    # reference: every one of the depth - 1 rounds, with no early stop
+    base = normalize_point_set(points)
+    current = {cyclo._point_key(p): p for p in base}
+    for _ in range(depth - 1):
+        nxt = {}
+        for p in current.values():
+            for q in base:
+                r = point_mul(p, q)
+                nxt.setdefault(cyclo._point_key(r), r)
+        current = nxt
+    return sorted(current.values(), key=lambda p: tuple(c.coeffs for c in p))
+
+
+@st.composite
+def _saturating_sets(draw):
+    # roots of unity saturate, with or without the identity; a rational
+    # coordinate keeps the set growing
+    dim = draw(st.integers(1, 2))
+    order = draw(st.integers(3, 8))
+    coord = st.one_of(
+        st.integers(0, order - 1).map(lambda k: CycloNum.root_of_unity(order, k)),
+        st.sampled_from([CycloNum.from_rational(q) for q in (-1, 2, Fraction(1, 3))]),
+    )
+    points = draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        points.append((1,) * dim)
+    return points
+
+
+@settings(max_examples=60, deadline=None)
+@given(_saturating_sets(), st.integers(1, 9))
+def test_product_point_set_stops_only_at_a_fixed_point(points, depth):
+    assert product_point_set(points, depth) == _all_rounds(points, depth)
+
+
+def test_product_point_set_stops_once_saturated(monkeypatch):
+    # the identity and zeta5 on the diagonal: 2, 3, 4, 5 points after 0..3
+    # rounds, and the fourth round finds nothing new, so depth 10 costs 4
+    # rounds of (points) x (2 generators) x (2 coordinates) products, not 9
+    z = CycloNum.root_of_unity(5)
+    calls = _counting_mul_mod(monkeypatch)
+    pts = product_point_set([(1, 1), (z, z)], 10)
+    assert len(pts) == 5
+    assert len(calls) == 2 * 2 * (2 + 3 + 4 + 5)
