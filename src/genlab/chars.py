@@ -13,9 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 from typing import Mapping, Sequence
 
 from .cyclo import (
+    insert_row,
     min_vanishing_degree,
     normalize_point_set,
     power_tables,
@@ -23,7 +25,7 @@ from .cyclo import (
     table_product,
 )
 from .errors import BudgetExceeded, InvalidConfig
-from .intmat import insert_row, invert_unimodular, smith_normal_form
+from .intmat import invert_unimodular, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -153,32 +155,40 @@ def wI_family_rank(n: int, nu: int, choices: Mapping[Sequence[int], Sequence]) -
     """Rank of a family of vectors indexed by the size-(n-nu) subsets.
 
     Input: for every subset I of {0..n-1} with |I| = n - nu, a nonzero
-    rational vector supported on I.  The span always has dimension at least
-    nu + 1; the witnesses are found greedily in lexicographic subset order,
-    each one verified to increase the exact rank.
+    rational vector supported on I, under one key that lists I's elements
+    in any order; any other key, or a second key for the same I, raises
+    InvalidConfig.  The span always has dimension at least nu + 1; the
+    witnesses are found greedily in lexicographic subset order, each one
+    verified to increase the exact rank.  Each vector is cleared to
+    integers by the lcm of its denominators, which keeps the spans, and
+    inserted by cyclo.insert_row.
     """
     if not (1 <= nu < n):
         raise InvalidConfig("need 1 <= nu < n")
-    size = n - nu
-    normalized: dict[tuple[int, ...], list[Fraction]] = {}
+    expected = list(combinations(range(n), n - nu))
+    subsets = set(expected)
+    rows: dict[tuple[int, ...], list[int]] = {}
     for key, vec in choices.items():
         k = tuple(sorted(int(i) for i in key))
-        normalized[k] = [Fraction(x) for x in vec]
-    expected = list(combinations(range(n), size))
+        if k not in subsets:
+            raise InvalidConfig(f"key {tuple(key)} is not a {n - nu}-subset of 0..{n - 1}")
+        if k in rows:
+            raise InvalidConfig(f"two keys name the subset {k}")
+        rows[k] = _integer_vector(vec)
     for subset in expected:
-        if subset not in normalized:
+        if subset not in rows:
             raise InvalidConfig(f"missing subset {subset}")
-        vec = normalized[subset]
+        vec = rows[subset]
         if len(vec) != n:
             raise InvalidConfig(f"vector for {subset} has wrong length")
-        if all(x == 0 for x in vec):
+        if not any(vec):
             raise InvalidConfig(f"vector for {subset} is zero")
         for i, x in enumerate(vec):
-            if x != 0 and i not in subset:
+            if x and i not in subset:
                 raise InvalidConfig(f"vector for {subset} has support outside it")
     # greedy independent set in lexicographic order; it spans the family
     basis: list = []
-    witnesses = [s for s in expected if insert_row(basis, normalized[s])]
+    witnesses = [s for s in expected if insert_row(basis, rows[s])]
     total_rank = len(basis)
     if total_rank < nu + 1:
         # unreachable when the preconditions really hold; returned as a
@@ -211,8 +221,19 @@ def product_character_codim(l_vec: Sequence[int], relation_lattice: CharacterMod
         chis.append(row)
     basis: list = []
     for row in relation_lattice.matrix():
-        insert_row(basis, [Fraction(x) for x in row])
-    return sum(insert_row(basis, [Fraction(x) for x in row]) for row in chis)
+        insert_row(basis, row)
+    return sum(insert_row(basis, row) for row in chis)
+
+
+def _integer_vector(vec: Sequence) -> list[int]:
+    """A rational vector times the lcm of its denominators: the integer row
+    insert_row takes, with the same span."""
+    pairs = [
+        (q.numerator, q.denominator)
+        for q in (x if type(x) in (int, Fraction) else Fraction(x) for x in vec)
+    ]
+    den = lcm(*(b for _, b in pairs))
+    return [a * (den // b) for a, b in pairs]
 
 
 def hilbert_function(subgroup: SubgroupDescriptor, L: int) -> int:

@@ -12,18 +12,22 @@ test exact.
 The head-line operation is min_vanishing_degree: the smallest total degree
 of a nonzero polynomial vanishing on a finite set.  The monomials' value
 columns are inserted in graded order into one exact echelon basis, and the
-first column that reduces to zero has that degree.
+first column that reduces to zero has that degree.  That insertion,
+insert_row, runs on integer rows over Z[zeta_n] (plain ints over Q): each
+step scales a row by a nonzero field element and divides out its integer
+content, so it makes no Fraction and no CycloNum.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import HypothesisNotMet, InvalidConfig
-from .intmat import echelon, insert_row
+from .intmat import echelon
 
 IntPoly = list[int]
 
@@ -95,7 +99,12 @@ def _reduce(order: int, poly: IntPoly) -> IntPoly:
 
 
 def _mul_mod(a: Sequence[int], b: Sequence[int], order: int) -> IntPoly:
-    """Product of two integer residues mod Phi_order."""
+    """Product of two integer residues mod Phi_order; a rational factor
+    just scales the other."""
+    if not any(a[1:]):
+        return [a[0] * y for y in b]
+    if not any(b[1:]):
+        return [x * b[0] for x in a]
     prod = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -103,6 +112,94 @@ def _mul_mod(a: Sequence[int], b: Sequence[int], order: int) -> IntPoly:
                 if y:
                     prod[j] += x * y
     return _reduce(order, prod)
+
+
+def _single_term(a: Sequence[int]) -> int | None:
+    """k when the residue a is c x^k with c != 0, else None."""
+    nonzero = [i for i, c in enumerate(a) if c]
+    return nonzero[0] if len(nonzero) == 1 else None
+
+
+def _conjugate_product(a: Sequence[int], order: int) -> IntPoly:
+    """prod_{u != 1} sigma_u(a) over the units u mod order, where sigma_u
+    maps zeta to zeta^u: a times it is the norm N(a), a rational integer,
+    nonzero when a is."""
+    conj = [1] + [0] * (len(a) - 1)
+    for u in range(2, order):
+        if gcd(u, order) == 1:
+            image = [0] * order
+            for i, c in enumerate(a):
+                image[i * u % order] += c
+            conj = _mul_mod(conj, _reduce(order, image), order)
+    return conj
+
+
+def _normalise_pivot(row: list, piv: int, order: int) -> list:
+    """The row times a nonzero element of Q(zeta_order) that makes row[piv]
+    a positive rational integer.
+
+    A residue pivot a is multiplied by its conjugate product, so it becomes
+    N(a); a single term c x^k needs only a rotation by x^(order - k).
+    Over Q (int entries) only the sign changes.
+    """
+    a = row[piv]
+    if type(a) is int:
+        return [-x for x in row] if a < 0 else row
+    k = _single_term(a)
+    if k is None:
+        conj = _conjugate_product(a, order)
+        row = [_mul_mod(x, conj, order) if any(x) else x for x in row]
+    elif k:
+        shift = [0] * (order - k)
+        row = [_reduce(order, shift + x) if any(x) else x for x in row]
+    if row[piv][0] < 0:
+        row = [[-c for c in x] for x in row]
+    return row
+
+
+def insert_row(basis: list[tuple[int, int, list]], row: list, order: int = 1) -> bool:
+    """Reduce an integer row against a growing echelon basis over
+    Q(zeta_order); append it if independent.
+
+    Over Q (phi(order) = 1) each entry is an int; otherwise it is the list
+    of phi(order) integer coefficients of a residue in Z[zeta_order].
+    basis holds (pivot, d, row) triples in insertion order: row[pivot] is
+    the positive integer d (the residue [d, 0, ...]) and row is 0 at every
+    earlier pivot.  Each basis row with f = row[pivot] != 0 replaces the
+    row by d x - f y entrywise, and every result is divided by the integer
+    content of its entries, so no quotient is inexact and no Fraction or
+    CycloNum is made.  Every step scales the row by a nonzero field
+    element, so a row is kept exactly when field elimination keeps it.  A
+    row that reduces to zero leaves the basis as it is and returns False;
+    otherwise the remainder, its first nonzero entry made a positive
+    integer (_normalise_pivot), is appended and True returned.
+    """
+    rational = len(cyclotomic_polynomial(order)) == 2
+    for piv, d, y in basis:
+        f = row[piv]
+        if rational and f:
+            row = _primitive([d * x - f * b for x, b in zip(row, y)], True)
+        elif not rational and any(f):
+            row = _primitive([
+                [d * c - p for c, p in zip(x, _mul_mod(f, b, order))] if any(b)
+                else [d * c for c in x]
+                for x, b in zip(row, y)
+            ], False)
+    piv = next((i for i, x in enumerate(row) if (x if rational else any(x))), None)
+    if piv is None:
+        return False
+    row = _primitive(_normalise_pivot(row, piv, order), rational)
+    basis.append((piv, row[piv] if rational else row[piv][0], row))
+    return True
+
+
+def _primitive(row: list, rational: bool) -> list:
+    """An integer row (int entries if rational, else coefficient lists)
+    divided by the gcd of all its integers."""
+    g = gcd(*row) if rational else gcd(*chain.from_iterable(row))
+    if g <= 1:
+        return row
+    return [x // g for x in row] if rational else [[c // g for c in x] for x in row]
 
 
 @lru_cache(maxsize=None)
@@ -233,20 +330,17 @@ class CycloNum:
 
     def inverse(self) -> "CycloNum":
         """1 / self, in integers: with self = a / den,
-        1 / self = den * prod_{u != 1} sigma_u(a) / N(a), where sigma_u maps
-        zeta to zeta^u (u a unit mod the order) and N(a) = a * prod sigma_u(a)
-        is a nonzero integer."""
+        1 / self = den * prod_{u != 1} sigma_u(a) / N(a) (_conjugate_product).
+        A single term a = c zeta^k needs no product: its inverse is
+        den zeta^(order - k) / c."""
         a, n = self.nums, self.order
+        k = _single_term(a)
+        if k is not None:
+            sign = -1 if a[k] < 0 else 1
+            return _make(n, _reduce(n, [0] * ((n - k) % n) + [sign * self.den]), sign * a[k])
         if not any(a):
             raise ZeroDivisionError("inverse of zero")
-        conj = [1] + [0] * (len(a) - 1)
-        if any(a[1:]):
-            for u in range(2, n):
-                if gcd(u, n) == 1:
-                    image = [0] * n
-                    for i, c in enumerate(a):
-                        image[i * u % n] += c
-                    conj = _mul_mod(conj, _reduce(n, image), n)
+        conj = _conjugate_product(a, n)
         norm = _mul_mod(a, conj, n)[0]
         sign = -1 if norm < 0 else 1
         return _make(n, [sign * self.den * c for c in conj], sign * norm)
@@ -477,21 +571,33 @@ def evaluation_matrix(points: Sequence[Point], degree: int) -> tuple[list[list],
 
 
 def _graded_columns(pts: Sequence[Point]):
-    """(monomial, values at the points) in graded order, without end.
+    """(monomial, values at the points as an integer row) in graded order,
+    without end.
 
-    x^a is extended by x_i, pointwise, only for i >= the index that last
-    extended it, so every monomial comes once.
+    Each value is kept as integer numerators over a denominator, and a
+    column goes to insert_row times the lcm of its denominators
+    (_integer_row).  x^a is extended by x_i, pointwise, only for i >= the
+    index that last extended it, so every monomial comes once; each column
+    is made just before it is yielded.
     """
+    order = pts[0][0].order
     # monomials_up_to rejects points without coordinates
-    layer = [(mon, [ONE.promote(pts[0][0].order)] * len(pts), 0)
-             for mon in monomials_up_to(len(pts[0]), 0)]
+    (start,) = monomials_up_to(len(pts[0]), 0)
+    ones = [(ONE.promote(order).nums, 1)] * len(pts)
+    yield start, _integer_row(ones)
+    factors = [[(p[i].nums, p[i].den) for p in pts] for i in range(len(start))]
+    layer = [(start, ones, 0)]
     while True:
-        yield from (entry[:2] for entry in layer)
-        layer = [
-            (mon[:i] + (mon[i] + 1,) + mon[i + 1:], [x * p[i] for x, p in zip(col, pts)], i)
-            for mon, col, last in layer
-            for i in range(last, len(mon))
-        ]
+        nxt = []
+        for mon, col, last in layer:
+            for i in range(last, len(mon)):
+                child = [
+                    (_mul_mod(a, b, order), da * db) for (a, da), (b, db) in zip(col, factors[i])
+                ]
+                mon_i = mon[:i] + (mon[i] + 1,) + mon[i + 1:]
+                yield mon_i, _integer_row(child)
+                nxt.append((mon_i, child, i))
+        layer = nxt
 
 
 def min_vanishing_degree(points: Sequence[Sequence], max_degree: int | None = None) -> int:
@@ -508,6 +614,7 @@ def min_vanishing_degree(points: Sequence[Sequence], max_degree: int | None = No
     pts = normalize_point_set(points)
     if not pts:
         raise InvalidConfig("empty point set")
+    order = pts[0][0].order
     basis: list = []
     for mon, col in _graded_columns(pts):
         degree = sum(mon)
@@ -515,5 +622,15 @@ def min_vanishing_degree(points: Sequence[Sequence], max_degree: int | None = No
             raise HypothesisNotMet(
                 f"no nonzero polynomial of degree <= {max_degree} vanishes on the set"
             )
-        if not insert_row(basis, col):
+        if not insert_row(basis, col, order):
             return degree
+
+
+def _integer_row(values: Sequence[tuple[Sequence[int], int]]) -> list:
+    """(numerators, denominator) values times the lcm of their denominators,
+    as the integer entries insert_row takes: ints over Q, coefficient lists
+    otherwise.  Scaling a column leaves its dependencies unchanged."""
+    den = lcm(*(d for _, d in values))
+    if len(values[0][0]) == 1:
+        return [a[0] * (den // d) for a, d in values]
+    return [[c * (den // d) for c in a] for a, d in values]

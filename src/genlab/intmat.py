@@ -1,13 +1,12 @@
 """Exact integer and rational matrix algebra.
 
 Integer routines (det, Smith normal form) run on plain Python ints, so there
-is no overflow and no rounding.  Two exact eliminations run over any field
-whose elements are immutable, support + - * and 1 / x exactly, and whose
-truthiness means "nonzero": fractions.Fraction, or cyclo.CycloNum, whose
-canonical integer form (numerators over one denominator, in lowest terms)
-makes both exact.  `echelon` reduces a whole matrix, and rank and inverse
-are read off its result; `insert_row` extends a basis in place by one
-vector, for ranks and first dependencies found row by row.
+is no overflow and no rounding.  `echelon` is the field-generic reference
+elimination: it runs over any field whose elements are immutable, support
++ - * and 1 / x exactly, and whose truthiness means "nonzero"
+(fractions.Fraction, or cyclo.CycloNum), and rank and inverse are read off
+its result.  Ranks and first dependencies found row by row use
+cyclo.insert_row, which runs on integer rows.
 Matrices are lists of lists in row-major order; no other input is mutated.
 """
 
@@ -105,27 +104,6 @@ def echelon(rows: Sequence[Sequence]) -> tuple[int, list[int], list[list]]:
         pivots.append(col)
         rank += 1
     return rank, pivots, w
-
-
-def insert_row(basis: list[tuple[int, list]], vec: Sequence) -> bool:
-    """Reduce vec against a growing echelon basis; append it if independent.
-
-    basis holds (pivot, row) pairs in insertion order, each row 1 at its
-    pivot and 0 at every earlier pivot.  A vec that reduces to zero leaves
-    the basis as it is and returns False; otherwise the remainder, scaled to
-    1 at its first nonzero entry, is appended and True returned.
-    """
-    rest = list(vec)
-    for piv, row in basis:
-        f = rest[piv]
-        if f:
-            rest = [x - f * y if y else x for x, y in zip(rest, row)]
-    piv = next((i for i, x in enumerate(rest) if x), None)
-    if piv is None:
-        return False
-    scale = 1 / rest[piv]
-    basis.append((piv, [x * scale if x else x for x in rest]))
-    return True
 
 
 def rank_rational(a: Sequence[Sequence[int | Fraction]]) -> int:

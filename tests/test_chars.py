@@ -106,6 +106,22 @@ def test_wI_family_rank_rejects_bad_input():
         wI_family_rank(3, 1, {(0, 1): (1, 1, 0)})
 
 
+def test_wI_family_rank_rejects_bad_keys():
+    full = {(0,): (1, 0), (1,): (0, 1)}
+    # two keys that name one subset: the later would overwrite the earlier
+    with pytest.raises(InvalidConfig, match="two keys"):
+        wI_family_rank(3, 1, {(0, 1): (1, 1, 0), (1, 0): (2, 1, 0), (0, 2): (1, 0, 1), (1, 2): (0, 1, 1)})
+    # a key of the wrong size, and one out of range
+    with pytest.raises(InvalidConfig, match="not a 1-subset"):
+        wI_family_rank(2, 1, {**full, (0, 1): (1, 1)})
+    with pytest.raises(InvalidConfig, match="not a 1-subset"):
+        wI_family_rank(2, 1, {**full, (5,): (1, 1)})
+    with pytest.raises(InvalidConfig, match="not a 2-subset"):
+        wI_family_rank(3, 1, {(0, 1): (1, 1, 0), (0, 5): (1, 0, 0), (0, 2): (1, 0, 1), (1, 2): (0, 1, 1)})
+    with pytest.raises(InvalidConfig, match="not a 2-subset"):
+        wI_family_rank(3, 1, {(0, 1): (1, 1, 0), (1, 1): (0, 1, 0), (0, 2): (1, 0, 1), (1, 2): (0, 1, 1)})
+
+
 def test_product_character_codim_examples():
     zero22 = CharacterModule([], ambient_dim=4)
     assert product_character_codim((1, -1), zero22) == 2
@@ -310,7 +326,12 @@ def _greedy_rank_reference(n, nu, choices):
 def _families(draw):
     n = draw(st.integers(2, 6))
     nu = draw(st.integers(1, n - 1))
-    entry = st.one_of(st.just(Fraction(0)), st.fractions(-3, 3, max_denominator=3))
+    entry = st.one_of(
+        st.just(Fraction(0)),
+        st.fractions(-3, 3, max_denominator=3),
+        # large denominators: primes near 2^30 and 2^61
+        st.builds(Fraction, st.integers(-9, 9), st.sampled_from([2**30 - 35, 2**61 - 1])),
+    )
     choices = {}
     for subset in combinations(range(n), n - nu):
         on = draw(
@@ -329,6 +350,25 @@ def test_wI_family_rank_matches_greedy_full_ranks(family):
     n, nu, choices = family
     res = wI_family_rank(n, nu, choices)
     assert (res.rank, res.witnesses, res.counterexample) == _greedy_rank_reference(n, nu, choices)
+
+
+def test_wI_family_rank_matches_greedy_echelon_on_generated_families():
+    # families drawn as the benchmark draws them, entries a/b with
+    # |a| <= 5 and 1 <= b <= 3, against the greedy reference, whose ranks
+    # are intmat.echelon's on Fractions
+    rng = random.Random(2024)
+    for _ in range(200):
+        n = rng.randint(2, 6)
+        nu = rng.randint(1, n - 1)
+        choices = {}
+        for subset in combinations(range(n), n - nu):
+            vec = [Fraction(0)] * n
+            while not any(vec):
+                for i in subset:
+                    vec[i] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+            choices[subset] = vec
+        res = wI_family_rank(n, nu, choices)
+        assert (res.rank, res.witnesses, res.counterexample) == _greedy_rank_reference(n, nu, choices)
 
 
 @settings(max_examples=80, deadline=None)

@@ -904,6 +904,22 @@ PINNED_INPUTS = {
     "half_fifth.tup": ["1/2", "1/5"],
     "generic.cyc": ["2,3", "5,7"],
     "rel.tup": ["5", "-1", "1", "1"],
+    "z30.cyc": [
+        f"{a},{b}"
+        for a in ("zeta(5)", "zeta(5)^3", "2")
+        for b in (
+            "zeta(6),1/2", "zeta(6)^5,-1", "zeta(3),3",
+            "-2,zeta(6)^2", "1/3,zeta(3)^2", "zeta(6),-1",
+        )
+    ],
+    "z40.cyc": [
+        f"{a},{b}"
+        for a in (
+            "zeta(8),2", "zeta(8)^3,-1/3", "1,zeta(8)^5",
+            "-1,zeta(8)^2", "zeta(8)^6,1/2", "3,zeta(8)",
+        )
+        for b in ("zeta(5)", "zeta(5)^2", "-1/2", "zeta(5)^4")
+    ],
 }
 
 
@@ -1009,6 +1025,18 @@ PINNED_INPUTS = {
             "omega --points mixed.cyc --max-degree 4",
             "858bccf70d638dcec788e4135868933957534b0323dcbaa556506df92e28e73b",
             id="omega-mixed-order-product",
+        ),
+        pytest.param(
+            # an 18-point product set over Q(zeta30): omega 3
+            "omega --points z30.cyc --max-degree 4",
+            "710c33fa7d153c21cc49d67b0f529ce61d21c7e94e61c83d549c551c3084e5f8",
+            id="omega-product-zeta30",
+        ),
+        pytest.param(
+            # a 24-point product set over Q(zeta40): omega 3
+            "omega --points z40.cyc --max-degree 4",
+            "717f3a0f47584811724693f4fcf24ae080caabcc824a029bedd4c9b377b4d828",
+            id="omega-product-zeta40",
         ),
         pytest.param(
             "zeroest --points pts.cyc --depth 3 --L 3",

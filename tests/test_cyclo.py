@@ -25,7 +25,7 @@ from genlab.cyclo import (
     table_product,
 )
 from genlab.errors import HypothesisNotMet, InvalidConfig
-from genlab.intmat import rank_rational
+from genlab.intmat import echelon, rank_rational
 
 
 def test_cyclotomic_polynomials():
@@ -263,21 +263,21 @@ def test_graded_insertion_matches_full_elimination(points, max_degree):
 
 def test_min_vanishing_degree_inserts_each_column_once(monkeypatch):
     # no evaluation matrix is rebuilt or re-eliminated, and each kept
-    # column costs one inverse: every column below the answer's degree is
-    # kept, and no more columns than points can be
+    # column has its pivot normalised once: every column below the answer's
+    # degree is kept, and no more columns than points can be
     def refuse(*args, **kwargs):
         raise AssertionError("full evaluation matrix rebuilt")
 
     monkeypatch.setattr(cyclo, "evaluation_matrix", refuse)
     monkeypatch.setattr(cyclo, "rank_field", refuse)
     calls = []
-    inverse = CycloNum.inverse
+    normalise = cyclo._normalise_pivot
 
-    def counted(self):
-        calls.append(self)
-        return inverse(self)
+    def counted(*args):
+        calls.append(args)
+        return normalise(*args)
 
-    monkeypatch.setattr(CycloNum, "inverse", counted)
+    monkeypatch.setattr(cyclo, "_normalise_pivot", counted)
     i = CycloNum.root_of_unity(4)
     w = CycloNum.root_of_unity(3)
     cases = [
@@ -578,3 +578,116 @@ def test_product_point_set_stops_once_saturated(monkeypatch):
     pts = product_point_set([(1, 1), (z, z)], 10)
     assert len(pts) == 5
     assert len(calls) == 2 * 2 * (2 + 3 + 4 + 5)
+
+
+# ---------------------------------------------------------------------------
+# exact insertion on integer rows, against field elimination
+
+
+_INSERT_ORDERS = (1, 3, 4, 5, 8, 12, 20, 30, 40)
+# small denominators, and primes near 2^30 and 2^61
+_denominator = st.sampled_from([1, 1, 2, 3, 7, 2**30 - 35, 2**61 - 1])
+_scalar = st.builds(Fraction, st.integers(-9, 9), _denominator)
+
+
+@st.composite
+def _insert_cases(draw):
+    # a row sequence over Q(zeta_order): fresh rows (zero, single-term and
+    # general entries), zero rows, repeats and combinations of earlier rows
+    order = draw(st.sampled_from(_INSERT_ORDERS))
+    phi = len(cyclotomic_polynomial(order)) - 1
+    width = draw(st.integers(1, 5))
+
+    def entry():
+        kind = draw(st.sampled_from(["zero", "zero", "single", "general"]))
+        coeffs = [Fraction(0)] * phi
+        if kind == "single":
+            coeffs[draw(st.integers(0, phi - 1))] = draw(_scalar.filter(bool))
+        elif kind == "general":
+            coeffs = draw(st.lists(_scalar, min_size=phi, max_size=phi))
+        return CycloNum(order, coeffs)
+
+    rows = []
+    for _ in range(draw(st.integers(1, 7))):
+        how = draw(st.sampled_from(["fresh", "fresh", "zero", "repeat", "combination"]))
+        if how == "fresh" or not rows:
+            rows.append([entry() for _ in range(width)])
+        elif how == "zero":
+            rows.append([CycloNum(order, [0])] * width)
+        elif how == "repeat":
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = entry(), entry()
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+    return order, rows
+
+
+def _field_rows(order, rows):
+    # Fraction rows over Q, CycloNum rows otherwise: echelon's input
+    return [[x.as_rational() for x in row] for row in rows] if order == 1 else rows
+
+
+def _field_decisions(order, rows):
+    # reference: a row is kept when it raises the rank of the rows before it
+    field = _field_rows(order, rows)
+    ranks = [0] + [echelon(field[: k + 1])[0] for k in range(len(field))]
+    return [b > a for a, b in zip(ranks, ranks[1:])]
+
+
+@settings(max_examples=120, deadline=None)
+@given(_insert_cases())
+def test_insert_row_matches_field_elimination(case):
+    order, rows = case
+    basis = []
+    decisions = []
+    for row in rows:
+        integer = cyclo._integer_row([(x.nums, x.den) for x in row])
+        decisions.append(cyclo.insert_row(basis, integer, order))
+    assert decisions == _field_decisions(order, rows)
+    # every kept row lies in the span of the input rows
+    kept = [[CycloNum(order, [x] if order == 1 else x) for x in row] for _, _, row in basis]
+    field = _field_rows(order, rows)
+    assert echelon(field + _field_rows(order, kept))[0] == echelon(field)[0]
+    pivots = []
+    for piv, d, row in basis:
+        entries = row if order == 1 else [x for e in row for x in e]
+        assert type(d) is int and d > 0
+        assert row[piv] == (d if order == 1 else [d] + [0] * (len(row[piv]) - 1))
+        assert all(not (row[p] if order == 1 else any(row[p])) for p in pivots)
+        assert all(not (x if order == 1 else any(x)) for x in row[:piv])
+        assert gcd(*entries) == 1
+        pivots.append(piv)
+
+
+def test_single_term_inverse_makes_no_product(monkeypatch):
+    # c zeta^k / den inverts to den zeta^(n - k) / c, read off without a
+    # product; a rational (k = 0) needs none either
+    calls = _counting_mul_mod(monkeypatch)
+    for order, k, q in ((5, 3, Fraction(-2, 3)), (8, 0, Fraction(7)), (12, 2, Fraction(1, 5)),
+                        (40, 15, Fraction(9, 2**61 - 1)), (1, 0, Fraction(-4, 9))):
+        coeffs = [Fraction(0)] * (len(cyclotomic_polynomial(order)) - 1)
+        coeffs[k] = q
+        x = CycloNum(order, coeffs)
+        calls.clear()
+        inv = x.inverse()
+        assert calls == []
+        _assert_canonical(inv, order, _ref_inverse(x.coeffs, order))
+
+
+def test_single_term_pivot_takes_one_rotation(monkeypatch):
+    # a pivot -3 zeta8^2 becomes 3 by one rotation, with no product; the
+    # whole row is scaled by the same field element
+    row = [[0, 0, 0, 0], [0, 0, -3, 0], [1, 2, 0, 1], [0, 5, 0, 0]]
+    calls = _counting_mul_mod(monkeypatch)
+    out = cyclo._normalise_pivot(row, 1, 8)
+    assert calls == []
+    assert out[1] == [3, 0, 0, 0]
+    monkeypatch.undo()
+    scale = CycloNum(8, out[1]) / CycloNum(8, row[1])
+    assert [CycloNum(8, x) for x in out] == [CycloNum(8, x) * scale for x in row]
+    # a general pivot becomes its norm, a positive integer
+    out = cyclo._normalise_pivot(row, 2, 8)
+    norm = CycloNum(8, out[2])
+    assert norm.is_rational() and norm.as_rational() > 0
+    assert norm == CycloNum(8, row[2]) * (CycloNum(8, out[3]) / CycloNum(8, row[3]))
