@@ -148,15 +148,12 @@ class AuxSchedule:
     delta: int
     U: float
     feasible: bool
-    L_overridden: bool
 
     def siegel_inequality_holds(self) -> bool:
         return (8.0 * self.U) ** (self.k + 1) <= float(self.M * self.delta)
 
 
-def make_schedule(
-    D: int, k: int, mu: int, nu: int, *, L_override: int | None = None
-) -> AuxSchedule:
+def make_schedule(D: int, k: int, mu: int, nu: int) -> AuxSchedule:
     """Schedule at height D: L = floor(D^(nu/(mu+nu))),
     R = floor((2*mu+1) * D^(mu/(mu+nu))), M = C(L + mu*k, mu*k), Delta = D,
     U = (M*Delta)^(1/(k+1)) / 8.
@@ -169,12 +166,6 @@ def make_schedule(
     if k < 1 or mu < 1 or nu < 1:
         raise InvalidConfig("shape parameters k, mu, nu must be >= 1")
     L = nth_root_floor(D**nu, mu + nu)
-    overridden = False
-    if L_override is not None:
-        if L_override < 1:
-            raise InvalidConfig("L_override must be >= 1")
-        overridden = L_override != L
-        L = L_override
     R = nth_root_floor((2 * mu + 1) ** (mu + nu) * D**mu, mu + nu)
     nvars = mu * k
     M = math.comb(L + nvars, nvars)
@@ -182,7 +173,7 @@ def make_schedule(
     delta = D
     U = _root_lower_float(M * delta, k + 1) / 8.0
     feasible = 8 ** (k + 1) * delta**k <= M
-    return AuxSchedule(D, k, mu, nu, L, R, M, M_low, delta, U, feasible, overridden)
+    return AuxSchedule(D, k, mu, nu, L, R, M, M_low, delta, U, feasible)
 
 
 def monomial_set(mu: int, k: int, L: int) -> tuple[tuple[int, ...], ...]:
@@ -844,9 +835,7 @@ def distance_audit(
     }
 
     try:
-        omega_deg = min_vanishing_degree(
-            normalize_point_set(powers.values()), max_degree=sched.L
-        )
+        omega_deg = min_vanishing_degree(powers.values(), max_degree=sched.L)
     except HypothesisNotMet:
         return replace(base, binding="no_low_degree_vanishing")
 

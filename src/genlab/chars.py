@@ -4,8 +4,9 @@ A character of the l-dimensional split torus is the monomial map
 x -> prod x_i^{e_i}, identified with its integer exponent vector.  A
 finitely generated group of characters cuts out the subgroup on which all
 of them equal 1; its dimension, saturation, and torsion all fall out of the
-Smith normal form of the generator matrix.  Everything in this module is
-exact integer/rational arithmetic.
+Smith normal form U*A*V = S of the generator matrix A (the saturation as
+rows of U*A divided by the invariant factors, so no matrix is inverted).
+Everything in this module is exact integer/rational arithmetic.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .cyclo import (
     table_product,
 )
 from .errors import BudgetExceeded, InvalidConfig
-from .intmat import invert_unimodular, smith_normal_form
+from .intmat import matmul, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -42,10 +43,6 @@ class Character:
     @property
     def ambient_dim(self) -> int:
         return len(self.exponents)
-
-    @property
-    def degree(self) -> int:
-        return sum(abs(e) for e in self.exponents)
 
 
 class CharacterModule:
@@ -101,15 +98,15 @@ class CharacterModule:
     def saturation_basis(self) -> list[list[int]]:
         """Basis of the saturation {x : k*x in module for some k != 0}.
 
-        With U*A*V = S and W = V^{-1}, the rows of U*A are d_i * w_i, so the
-        first rank rows of W span the saturation.
+        With U*A*V = S and W = V^{-1}, the rows of U*A = S*W are d_i * w_i,
+        so the first rank rows of W span the saturation: each is a row of
+        U*A divided exactly by its invariant factor.
         """
         if not self.generators:
             return []
-        _, s, v = self.snf()
-        w = invert_unimodular(v)
-        r = self.rank
-        return [list(w[i]) for i in range(r)]
+        u, s, _ = self.snf()
+        ua = matmul(u[: self.rank], self.matrix())
+        return [[x // s[i][i] for x in row] for i, row in enumerate(ua)]
 
     def __repr__(self):
         return f"CharacterModule({[g.exponents for g in self.generators]}, ambient_dim={self.ambient_dim})"

@@ -165,7 +165,11 @@ def parse_cyclo_coordinate(text: str) -> CycloNum:
             raise InvalidConfig(f"root order must be >= 1 in {text!r}")
         value = CycloNum.root_of_unity(order, power % order)
         if scale_s is not None:
-            value = value * CycloNum.from_rational(Fraction(scale_s))
+            try:
+                scale = Fraction(scale_s)
+            except ZeroDivisionError as exc:
+                raise InvalidConfig(f"zero denominator in {text!r}") from exc
+            value = value * CycloNum.from_rational(scale)
         if neg:
             value = value * CycloNum.from_rational(-1)
         return value

@@ -600,7 +600,7 @@ def _graded_columns(pts: Sequence[Point]):
         layer = nxt
 
 
-def min_vanishing_degree(points: Sequence[Sequence], max_degree: int | None = None) -> int:
+def min_vanishing_degree(points: Iterable[Sequence], max_degree: int | None = None) -> int:
     """Smallest degree of a nonzero polynomial vanishing on the whole set.
 
     The monomial columns (values at the points) go into one echelon basis

@@ -65,8 +65,6 @@ import numpy as np
 from mpmath import libmp
 
 from .errors import InvalidConfig
-from .expr import BinOp, Num, to_string
-from .intmat import rank_rational
 from .numeric import (
     NEG_PAIR,
     ZERO,
@@ -488,10 +486,6 @@ class GenericityReport:
     c_required_max: float
     approximate: bool
 
-    @property
-    def all_passed(self) -> bool:
-        return self.overall == "generic-up-to-budget"
-
 
 def _verdict(
     log_exp: tuple[float, float], thr: float, scale: float, approximate: bool
@@ -542,39 +536,6 @@ def _best_subset_record(
     return best
 
 
-def _check_rational_matrix(A, m: int) -> list[list[Fraction]]:
-    rows = [[Fraction(x) for x in row] for row in A]
-    if len(rows) != m or any(len(r) != m for r in rows):
-        raise InvalidConfig(f"matrix must be {m}x{m}")
-    if rank_rational(rows) != m:
-        raise InvalidConfig("matrix must be nonsingular")
-    return rows
-
-
-def apply_matrix(theta: RealTuple, A) -> RealTuple:
-    """The tuple A*theta, entries rebuilt as exact expression trees."""
-    m = len(theta)
-    rows = _check_rational_matrix(A, m)
-
-    def combine(nodes):
-        out = []
-        for row in rows:
-            node = None
-            for a, base in zip(row, nodes):
-                if a == 0:
-                    continue
-                term = BinOp("*", Num(a), base)
-                node = term if node is None else BinOp("+", node, term)
-            out.append(to_string(node if node is not None else Num(Fraction(0))))
-        return tuple(out)
-
-    return RealTuple(
-        combine(theta._nodes),
-        precision_bits=theta.precision_bits,
-        label=f"{theta.label}*A" if theta.label else "A*theta",
-    )
-
-
 def _validate_probe_args(theta, mu, eta, c, D_set):
     if not 1 <= mu <= len(theta):
         raise InvalidConfig(f"mu must be in [1, {len(theta)}]")
@@ -596,15 +557,12 @@ def genericity_probe(
     eta: float,
     c: float,
     D_set: Sequence[int],
-    A=None,
     *,
     budget: int = ENUM_BUDGET,
 ) -> GenericityReport:
     """For each height D, find the subset of size mu maximizing the minimal
     form value, and test log|e^(form) - 1| >= -c*D^eta."""
     ds = _validate_probe_args(theta, mu, eta, c, D_set)
-    if A is not None:
-        theta = apply_matrix(theta, A)
     thresholds = [height_threshold(c, eta, D) for D in ds]
     sweep = _exhaustive_heights(ds, mu, budget)
     verdicts = []
@@ -659,10 +617,6 @@ class BitupleReport:
     overall: str
     c_required_max: float
     approximate: bool
-
-    @property
-    def all_passed(self) -> bool:
-        return self.overall == "generic-up-to-budget"
 
 
 def _abs_product_interval(theta, rec_l, kappa, rec_r, bits):

@@ -4,16 +4,16 @@ Integer routines (det, Smith normal form) run on plain Python ints, so there
 is no overflow and no rounding.  `echelon` is the field-generic reference
 elimination: it runs over any field whose elements are immutable, support
 + - * and 1 / x exactly, and whose truthiness means "nonzero"
-(fractions.Fraction, or cyclo.CycloNum), and rank and inverse are read off
-its result.  Ranks and first dependencies found row by row use
-cyclo.insert_row, which runs on integer rows.
+(fractions.Fraction, or cyclo.CycloNum).  It is the reference behind
+rank_rational and cyclo.rank_field, and no CLI command runs it: ranks and
+first dependencies found row by row use cyclo.insert_row, which runs on
+integer rows, and saturations come from the Smith normal form.
 Matrices are lists of lists in row-major order; no other input is mutated.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import Sequence
 
 Matrix = list[list[int]]
@@ -25,10 +25,6 @@ def copy_matrix(a: Sequence[Sequence[int]]) -> Matrix:
 
 def identity(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def zeros(m: int, n: int) -> Matrix:
-    return [[0] * n for _ in range(m)]
 
 
 def matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
@@ -109,26 +105,6 @@ def echelon(rows: Sequence[Sequence]) -> tuple[int, list[int], list[list]]:
 def rank_rational(a: Sequence[Sequence[int | Fraction]]) -> int:
     """Rank over the rationals by exact Gaussian elimination."""
     return echelon([[Fraction(x) for x in row] for row in a])[0]
-
-
-def invert_unimodular(a: Sequence[Sequence[int]]) -> Matrix:
-    """Inverse of an integer matrix with determinant +-1.
-
-    Gauss-Jordan on [a | I] over Fraction; the result is integral by
-    unimodularity and is returned as an int matrix.
-    """
-    m, n = dims(a)
-    if m != n:
-        raise ValueError("invert_unimodular: matrix not square")
-    _, pivots, w = echelon(
-        [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(a)]
-    )
-    if pivots[:n] != list(range(n)):
-        raise ValueError("invert_unimodular: matrix is singular")
-    if any(v.denominator != 1 for row in w for v in row[n:]):
-        raise ValueError("invert_unimodular: inverse is not integral")
-    return [[int(v) for v in row[n:]] for row in w]
 
 
 def _min_abs_pivot(w: Matrix, t: int, m: int, n: int) -> tuple[int, int] | None:
@@ -221,63 +197,13 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matri
         if fixed:
             continue
         t += 1
-    # Normalize signs, then enforce the divisibility chain on the diagonal.
-    r = min(m, n)
-    for i in range(r):
+    # Normalize signs.  The chain needs no repair: t advances only once the
+    # pivot divides every entry of w[t+1:, t+1:], and everything after that
+    # combines entries of that block, so s[t][t] divides s[t+1][t+1]; the
+    # loop stops at the first all-zero block, so the zeros trail.
+    for i in range(min(m, n)):
         if w[i][i] < 0:
             for j in range(n):
                 v[j][i] = -v[j][i]
             w[i][i] = -w[i][i]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(r - 1):
-            a1, a2 = w[i][i], w[i + 1][i + 1]
-            if a2 == 0 and a1 != 0:
-                continue
-            if a1 == 0 and a2 != 0:
-                # Move the nonzero entry forward.
-                w[i][i], w[i + 1][i + 1] = a2, 0
-                u[i], u[i + 1] = u[i + 1], u[i]
-                for row in v:
-                    row[i], row[i + 1] = row[i + 1], row[i]
-                changed = True
-                continue
-            if a1 != 0 and a2 % a1 != 0:
-                g = gcd(a1, a2)
-                lc = a1 // g * a2
-                # 2x2 block surgery: diag(a1, a2) -> diag(g, lcm).
-                # With a1 = g*p, a2 = g*q, gcd(p, q) = 1, pick x, y with
-                # x*p + y*q = 1; the transforms below are unimodular.
-                p, q = a1 // g, a2 // g
-                x, y = _bezout(p, q)
-                # Row ops on (u, w), col ops on (w, v), realized directly on
-                # the 2x2 diagonal block and the transform matrices.
-                # New block: [[g, 0], [0, lc]]
-                # U' rows: r_i' = x*r_i + y*r_{i+1}; r_{i+1}' = -q*r_i + p*r_{i+1}
-                for jj in range(m):
-                    ui, ui1 = u[i][jj], u[i + 1][jj]
-                    u[i][jj] = x * ui + y * ui1
-                    u[i + 1][jj] = -q * ui + p * ui1
-                # V' cols: c_i' = c_i + y*q*c_{i+1} ... derived from
-                # [[x, y],[-q, p]] * diag(a1,a2) * [[1, -y*a2/g],[1, x*a1/g]]
-                for row in v:
-                    vi, vi1 = row[i], row[i + 1]
-                    row[i] = vi + vi1
-                    row[i + 1] = -y * q * vi + x * p * vi1
-                w[i][i], w[i + 1][i + 1] = g, lc
-                changed = True
     return u, w, v
-
-
-def _bezout(p: int, q: int) -> tuple[int, int]:
-    """x, y with x*p + y*q == gcd(p, q)."""
-    old_r, r = p, q
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        quo = old_r // r
-        old_r, r = r, old_r - quo * r
-        old_s, s = s, old_s - quo * s
-        old_t, t = t, old_t - quo * t
-    return old_s, old_t

@@ -60,17 +60,17 @@ def make_ctx(bits: int) -> Ctx:
     return Ctx(bits)
 
 
-def run_escalating(fn: Callable[[int], T], requested_bits: int, *, cap: int = HARD_CAP_BITS) -> T:
-    """Run fn(bits), doubling bits on NeedsBits until the hard cap."""
+def run_escalating(fn: Callable[[int], T], requested_bits: int) -> T:
+    """Run fn(bits), doubling bits on NeedsBits until HARD_CAP_BITS."""
     bits = max(128, requested_bits)
     while True:
         try:
             return fn(bits)
         except NeedsBits:
             bits *= 2
-            if bits > cap:
+            if bits > HARD_CAP_BITS:
                 raise PrecisionExhausted(
-                    f"verdict undecidable below {cap} bits", required_bits=bits
+                    f"verdict undecidable below {HARD_CAP_BITS} bits", required_bits=bits
                 ) from None
 
 

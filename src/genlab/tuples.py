@@ -1,10 +1,10 @@
 """Tuples of real numbers given by exact expressions.
 
 A tuple is the basic input object for the diophantine probes: entries
-are expression strings (see expr), carried with a working precision and
-an optional label.  Entries are evaluated to interval pairs (a, b) of libmp
-endpoints at whatever precision a computation needs, once per precision,
-so nothing is ever rounded at parse time.
+are expression strings (see expr), carried with a working precision.
+Entries are evaluated to interval pairs (a, b) of libmp endpoints at
+whatever precision a computation needs, once per precision, so nothing is
+ever rounded at parse time.
 
 A tuple also carries the memos its consumers fill: the float midpoints of
 its enclosures (once per precision), and the dioph probes' float screens
@@ -41,12 +41,11 @@ class RealTuple:
     bounds and its certified log pairs.  A sweep over heights and subsets
     screens each subset once and certifies each form once per precision
     this way.  They live as long as the tuple, one CLI run; a new tuple
-    (apply_matrix builds one) starts empty.
+    starts empty.
     """
 
     expressions: tuple[str, ...]
     precision_bits: int = 128
-    label: str = ""
     _nodes: tuple[Node, ...] = field(init=False, repr=False, compare=False)
     _enclosures: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _midpoints: dict = field(init=False, repr=False, compare=False, default_factory=dict)

@@ -85,14 +85,6 @@ def test_schedule_height_one():
         assert s.R == 2 * mu + 1
 
 
-def test_schedule_override_flag():
-    s = make_schedule(32, 1, 2, 2, L_override=4)
-    assert s.L == 4 and s.L_overridden
-    # natural value is floor(sqrt(32)) = 5
-    assert make_schedule(32, 1, 2, 2).L == 5
-    assert not make_schedule(32, 1, 2, 2, L_override=5).L_overridden
-
-
 def test_schedule_feasibility_frontier_cell():
     # mu = nu = 3, k = 1: M = C(L+3, 3); the exact test is 64 * D <= M
     hi = make_schedule(2**18, 1, 3, 3)
@@ -126,8 +118,6 @@ def test_schedule_rejects_bad_input():
         make_schedule(0, 1, 1, 1)
     with pytest.raises(InvalidConfig):
         make_schedule(4, 1, 0, 1)
-    with pytest.raises(InvalidConfig):
-        make_schedule(4, 1, 1, 1, L_override=0)
 
 
 def test_monomial_set_lex_and_count():

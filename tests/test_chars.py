@@ -26,12 +26,12 @@ from genlab.cyclo import (
     product_point_set,
 )
 from genlab.errors import HypothesisNotMet, InvalidConfig
-from genlab.intmat import rank_rational
+from genlab.intmat import echelon, rank_rational
 
 
 def test_character_basics():
     c = Character((1, -2, 0))
-    assert c.degree == 3
+    assert c.exponents == (1, -2, 0) and c.ambient_dim == 3
     with pytest.raises(InvalidConfig):
         Character(())
 
@@ -55,6 +55,29 @@ def test_kernel_subgroup_torsion():
     # saturated annihilator: the SNF diagonal of it must be all ones
     ann = CharacterModule(list(sub.annihilator))
     assert ann.invariant_factors() == [1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=1, max_size=4
+        )
+    )
+)
+def test_saturation_basis_is_leading_rows_of_inverse_transform(gens):
+    # reference: V^{-1} by Gauss-Jordan on [V | I] over Q
+    module = CharacterModule(gens)
+    _, _, v = module.snf()
+    n = len(v)
+    _, pivots, w = echelon(
+        [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(v)]
+    )
+    assert pivots[:n] == list(range(n))
+    inverse = [row[n:] for row in w]
+    assert all(x.denominator == 1 for row in inverse for x in row)
+    assert module.saturation_basis() == inverse[: module.rank]
 
 
 def test_kernel_dim_plus_rank_is_ambient():

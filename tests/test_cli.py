@@ -13,7 +13,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from genlab import auxpoly
+from genlab import auxpoly, cyclo, intmat
 from genlab.cli import (
     SCHEMA_VERSION,
     build_parser,
@@ -224,6 +224,28 @@ def test_zero_tuple_entry_exits_2(tup, capsys, argv, entry):
             {"fam": ["1,x:1"], "pt": ["2", "3"]},
             "bad polynomial term '1,x:1'",
             id="phil-audit-bad-exponent",
+        ),
+        pytest.param(
+            ["omega", "--points", "{pts}"],
+            {"pts": ["2/0*zeta(3),zeta(3)", "zeta(3)^2,zeta(3)"]},
+            "zero denominator in '2/0*zeta(3)'",
+            id="omega-zero-denominator",
+        ),
+        pytest.param(
+            ["zeroest", "--points", "{pts}", "--depth", "2", "--L", "2"],
+            {"pts": ["2/0*zeta(3),zeta(3)", "zeta(3)^2,zeta(3)"]},
+            "zero denominator in '2/0*zeta(3)'",
+            id="zeroest-zero-denominator",
+        ),
+        pytest.param(
+            # not an exact coordinate, so the file is read as expressions,
+            # which have no zeta
+            ["dist-audit", "--z", "{z}", "--tuple", "{th}", "--kappa", "{ka}",
+             "--I", "0,1", "--J", "0,1", "--D", "16"],
+            {"z": ["2/0*zeta(5)", "zeta(5)", "zeta(5)", "zeta(5)"], "th": ["1", "1"],
+             "ka": ["1", "2"]},
+            "'2/0*zeta(5)'",
+            id="dist-audit-zero-denominator",
         ),
     ],
 )
@@ -549,6 +571,33 @@ def test_omega_and_zeroest(tup, capsys):
     payload = records_of(out)[0]["payload"]
     assert payload["found"] is True
     assert payload["cosets"] * payload["hilbert_sub"] <= payload["hilbert_ambient"]
+
+
+def test_commands_run_no_reference_elimination(tup, capsys, monkeypatch):
+    # saturations come from the Smith form and ranks from cyclo.insert_row,
+    # so no command needs the Fraction/CycloNum Gauss-Jordan reference
+    pts = tup("pts.tup", ["zeta(5),zeta(5)^2", "zeta(5)^2,zeta(5)^4"])
+    z = tup("z.tup", ["zeta(5)"] * 4)
+    th = tup("th.tup", ["1", "1"])
+    ka = tup("ka.tup", ["1", "2"])
+    fam = tup("fam.tup", ["1,0:1; 0,0:-1"])
+    point = tup("pt.tup", ["exp(1)", "2"])
+    runs = [
+        ["zeroest", "--points", pts, "--depth", "2", "--L", "2"],
+        ["dist-audit", "--z", z, "--tuple", th, "--kappa", ka,
+         "--I", "0,1", "--J", "0,1", "--D", "16"],
+        ["phil-audit", "--family", fam, "--tuple", point, "--D", "3", "--starts", "4"],
+    ]
+    expected = [run_capture(capsys, argv) for argv in runs]
+    assert records_of(expected[0][1])[0]["payload"]["found"] is True
+    assert records_of(expected[1][1])[0]["payload"]["verdict"] == "contradiction"
+
+    def refuse(rows):
+        raise AssertionError("a command ran the reference elimination")
+
+    monkeypatch.setattr(intmat, "echelon", refuse)
+    monkeypatch.setattr(cyclo, "echelon", refuse)
+    assert [run_capture(capsys, argv) for argv in runs] == expected
 
 
 def test_dist_audit_inf_sentinel(tup, capsys):

@@ -16,7 +16,6 @@ import iv_oracle as oracle
 from genlab import dioph
 from genlab.dioph import (
     GenericityReport,
-    apply_matrix,
     bituple_probe,
     canonical_form,
     genericity_probe,
@@ -154,15 +153,6 @@ def test_scaling_invariance_exact():
         assert r2.exact_value == Fraction(2, 3) * r1.exact_value
 
 
-def test_signed_permutation_invariance():
-    A = [[0, 1], [-1, 0]]
-    rep = genericity_probe(GOLDEN, 2, 1.0, 3.0, [3, 5, 8])
-    rep_a = genericity_probe(GOLDEN, 2, 1.0, 3.0, [3, 5, 8], A=A)
-    for v, va in zip(rep.verdicts, rep_a.verdicts):
-        assert v.passed == va.passed
-        assert abs(v.record.log_value[0] - va.record.log_value[0]) < 1e-9
-
-
 def test_invalid_inputs():
     with pytest.raises(InvalidConfig):
         linear_form_min(GOLDEN, (), 3)
@@ -178,28 +168,10 @@ def test_invalid_inputs():
         genericity_probe(GOLDEN, 2, 0.5, 1.0, [2])
     with pytest.raises(InvalidConfig):
         genericity_probe(GOLDEN, 2, 1.0, 1.0, [])
-    with pytest.raises(InvalidConfig):
-        genericity_probe(GOLDEN, 2, 1.0, 1.0, [2], A=[[1, 1], [1, 1]])
-
-
-def test_apply_matrix_requires_square_nonsingular():
-    theta = RealTuple(("1", "sqrt(2)", "sqrt(3)"))
-    with pytest.raises(InvalidConfig, match="nonsingular"):
-        apply_matrix(theta, [[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-    with pytest.raises(InvalidConfig, match="nonsingular"):
-        apply_matrix(theta, [[0, 1, 0], [0, 0, 1], [0, 0, 2]])
-    with pytest.raises(InvalidConfig, match="3x3"):
-        apply_matrix(theta, [[1, 0], [0, 1]])
-    out = apply_matrix(
-        RealTuple(("1", "2", "3")),
-        [[0, 1, 0], [Fraction(1, 2), 0, 0], [0, 0, -1]],
-    )
-    assert out.exact_values() == (2, Fraction(1, 2), -3)
 
 
 def test_golden_generic_at_small_heights():
     rep = genericity_probe(GOLDEN, 2, 1.0, 3.0, range(2, 13))
-    assert rep.all_passed
     assert rep.overall == "generic-up-to-budget"
     assert len(rep.verdicts) == 11
     assert rep.c_required_max < 3.0
@@ -241,8 +213,8 @@ def test_pass_monotone_in_mu(D):
     t = RealTuple(("1", "phi", "sqrt(2)"))
     rep2 = genericity_probe(t, 2, 1.0, 2.0, [D])
     rep1 = genericity_probe(t, 1, 1.0, 2.0, [D])
-    if rep2.all_passed:
-        assert rep1.all_passed
+    if rep2.overall == "generic-up-to-budget":
+        assert rep1.overall == "generic-up-to-budget"
 
 
 def test_bituple_product_of_minima():
@@ -269,9 +241,9 @@ def test_bituple_pass_follows_componentwise_pass():
     heights = [2, 3, 5]
     rep_t = genericity_probe(GOLDEN, 2, eta, c, heights)
     rep_k = genericity_probe(SQRT2, 2, eta, c, heights)
-    assert rep_t.all_passed and rep_k.all_passed
+    assert rep_t.overall == rep_k.overall == "generic-up-to-budget"
     rep = bituple_probe(GOLDEN, SQRT2, 2, 2, eta, c, heights, heights)
-    assert rep.all_passed
+    assert rep.overall == "generic-up-to-budget"
 
 
 def test_bituple_modes_agree_on_real_values():

@@ -269,7 +269,7 @@ def test_height_threshold_is_the_plain_float_formula_or_refused(c, eta, heights)
 
 
 def test_real_tuple_validation():
-    t = RealTuple(("1", "phi", "sqrt(2)"), precision_bits=128, label="demo")
+    t = RealTuple(("1", "phi", "sqrt(2)"), precision_bits=128)
     t.validate_nonzero()
     assert len(t) == 3
     assert t.exact_values() is None

@@ -11,7 +11,6 @@ from genlab.intmat import (
     det,
     echelon,
     identity,
-    invert_unimodular,
     matmul,
     rank_rational,
     smith_normal_form,
@@ -113,33 +112,6 @@ def test_snf_matches_minor_oracle_small():
 )
 def test_snf_invariants_property(a):
     check_snf(a)
-
-
-def test_invert_unimodular_roundtrip():
-    rng = random.Random(3)
-    for _ in range(20):
-        n = rng.randint(1, 5)
-        # random unimodular: product of elementary matrices
-        v = identity(n)
-        for _ in range(12):
-            i, j = rng.randrange(n), rng.randrange(n)
-            if i != j:
-                c = rng.randint(-3, 3)
-                for k in range(n):
-                    v[i][k] += c * v[j][k]
-        w = invert_unimodular(v)
-        assert matmul(v, w) == identity(n)
-
-
-def test_invert_unimodular_rejects_singular_and_non_integral():
-    with pytest.raises(ValueError, match="singular"):
-        invert_unimodular([[1, 2], [2, 4]])
-    with pytest.raises(ValueError, match="singular"):
-        invert_unimodular([[0, 0, 1], [0, 1, 0], [0, 1, 0]])
-    with pytest.raises(ValueError, match="not integral"):
-        invert_unimodular([[2, 0], [0, 1]])
-    with pytest.raises(ValueError, match="not square"):
-        invert_unimodular([[1, 0, 0], [0, 1, 0]])
 
 
 def test_rank_rational():
