@@ -8,20 +8,16 @@ Three layers, bottom to top:
     checked in exact integers;
   * a Siegel-style coefficient search: integer coefficients making an
     exponential polynomial small on a disc, found by lattice reduction on
-    scaled Taylor columns and certified a posteriori on a grid with a
-    Lipschitz slack plus an independent Taylor-tail bound; the grid runs
-    in numeric's complex balls (midpoint-radius discs of Python ints at
-    scale 2^-prec) and takes one point exp per generator and angle, because
-    every exponent is an integer combination
-    a_d = sum_lambda d_lambda theta_lambda of generators
-    (exp(a_d w) = prod_lambda exp(theta_lambda w)^(d_lambda); a plain family
-    is its own generators) and ring points are integer multiples of the
-    first ring (exp(a w_j) = exp(a w_1)^(j+1)); with real exponents and
-    integer coefficients h_d, |phi(conj w)| = |phi(w)| lets the upper
-    half-plane angles stand for their conjugates; the largest squared bound
-    on the grid is rounded to a float once, which the monotone rounding
-    makes the same float as the largest rounded bound; the Taylor bounds
-    run on numeric's interval pairs;
+    scaled Taylor columns and certified a posteriori twice: by a Taylor
+    series bound, summed exactly on fixed-point Python ints, and by a grid
+    of rings * angles points on the circle |w| = radius (phi is entire, so
+    by the maximum modulus principle its sup on the disc is its sup there)
+    plus a Lipschitz slack for the arcs between them.  The grid runs in
+    numeric's complex balls with one point exp per generator and point:
+    every exponent is an integer combination a_d = sum d_lambda theta_lambda
+    of generators (a plain family is its own generators), and with real
+    exponents and integer coefficients |phi(conj w)| = |phi(w)| lets the
+    upper half-plane points stand for their conjugates;
   * two audits: the pigeonhole distance audit (count check, zero estimate,
     coset collision, contradiction bound) and the hypothesis checklist for
     the effective-distance proposition, which checks hypotheses only and
@@ -192,9 +188,11 @@ def monomial_set(mu: int, k: int, L: int) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Verification grid: rings * angles points on the closed disc."""
+    """Verification grid: rings * angles equally spaced points on the circle
+    |w| = radius, which by the maximum modulus principle carries the sup of
+    the entire phi over the closed disc; by default 100 points."""
 
-    rings: int = 10
+    rings: int = 1
     angles: int = 100
 
     def __post_init__(self):
@@ -315,88 +313,97 @@ def _symbolically_zero(keys, coeffs) -> bool:
 @dataclass(frozen=True)
 class _TaylorTable:
     """The candidate-independent factors of the series bounds on |w| <= radius,
-    as interval pairs at the context's precision.
+    as Python ints at scale 2^-prec, prec the context's precision plus 64
+    guard bits (the fixed-point roundings stay 2^-64 below the intervals').
 
-    coeff_pow[t][d] is a_d^t / t! as a Fraction when every exponent is exact
-    (all_exact), else the interval a_d^t; rad_pow[t] is rad^t; tails[d] is
-    (|a_d|, (|a_d| rad)^T, (|a_d| rad)^(T-1), e^{|a_d| rad}).
+    powers[t][d] is (m, e) with |a_d^t - m 2^-prec| <= e 2^-prec: the
+    interval a_d^t, its ends rounded outward to fixed point.  So
+    A = |sum_d h_d m_d| + sum_d |h_d| e_d bounds |t! c_t| 2^prec, and with
+    scales[t] = (rad^t numerator, its denominator times t!),
+    |c_t| rad^t <= A scales[t] and t |c_t| rad^(t-1) <= A scales[t-1].
+    tails[d] holds the upper ends of (|a_d| rad)^T / T! e^{|a_d| rad} and
+    |a_d| (|a_d| rad)^(T-1) / (T-1)! e^{|a_d| rad}; abs_alphas[d] is the
+    interval |a_d|.
     """
 
-    terms: int
-    all_exact: bool
-    rad: tuple
-    coeff_pow: tuple
-    rad_pow: tuple
+    prec: int
+    powers: tuple
+    scales: tuple
     tails: tuple
+    abs_alphas: tuple
+
+
+def _ceil_fixed(x, prec: int) -> int:
+    """The least integer at or above the mpf x times 2^prec."""
+    return -libmp.to_fixed(libmp.mpf_neg(x), prec)
+
+
+def _fixed_ball(x, prec: int) -> tuple[int, int]:
+    """(m, e) with [m - e, m + e] * 2^-prec containing the interval x, its
+    ends rounded outward to fixed point; e is 0 for a point on that grid."""
+    lo, hi = libmp.to_fixed(x[0], prec), _ceil_fixed(x[1], prec)
+    m = (lo + hi) >> 1
+    return m, hi - m
+
+
+def _upper_float(n: int, prec: int) -> float:
+    """A float at or above n * 2^-prec."""
+    x = libmp.from_man_exp(n, -prec)
+    return to_float_pair((x, x))[1]
 
 
 def _taylor_table(ctx, encl, exact, radius: Fraction, terms: int) -> _TaylorTable:
     """Build the factors of _taylor_bounds once per siegel_construct call."""
-    prec = ctx.prec
-    rad = exact_pair(radius, prec)
-    all_exact = all(q is not None for q in exact)
-    bases = [exact_pair(q, prec) if q is not None else iv for q, iv in zip(exact, encl)]
-    if all_exact:
-        coeff_pow = tuple(
-            tuple(Fraction(q) ** t / math.factorial(t) for q in exact)
-            for t in range(terms)
-        )
-    else:
-        coeff_pow = tuple(
-            tuple(libmp.mpi_pow_int(b, t, prec) for b in bases) for t in range(terms)
-        )
+    p = ctx.prec
+    q = p + 64
+    bases = [exact_pair(v, p) if v is not None else iv for v, iv in zip(exact, encl)]
+    powers = [
+        tuple(_fixed_ball(libmp.mpi_pow_int(b, t, p), q) for b in bases) for t in range(terms)
+    ]
+    scales = [
+        (radius.numerator**t, radius.denominator**t * math.factorial(t)) for t in range(terms)
+    ]
+    mul, div, pow_int = libmp.mpi_mul, libmp.mpi_div, libmp.mpi_pow_int
+    rad = exact_pair(radius, p)
+    fact_t = exact_pair(math.factorial(terms), p)
+    fact_t1 = exact_pair(math.factorial(terms - 1), p)
+    abs_alphas = [libmp.mpi_abs(base, p) for base in bases]
     tails = []
-    for base in bases:
-        a_abs = libmp.mpi_abs(base, prec)
-        ar = libmp.mpi_mul(a_abs, rad, prec)
-        tails.append((
-            a_abs,
-            libmp.mpi_pow_int(ar, terms, prec),
-            libmp.mpi_pow_int(ar, terms - 1, prec),
-            libmp.mpi_exp(ar, prec),
-        ))
-    rad_pow = tuple(libmp.mpi_pow_int(rad, t, prec) for t in range(terms))
-    return _TaylorTable(terms, all_exact, rad, coeff_pow, rad_pow, tuple(tails))
+    for a_abs in abs_alphas:
+        ar = mul(a_abs, rad, p)
+        tail = div(pow_int(ar, terms, p), fact_t, p)
+        dtail = div(mul(a_abs, pow_int(ar, terms - 1, p), p), fact_t1, p)
+        growth = libmp.mpi_exp(ar, p)
+        tails.append(tuple(_ceil_fixed(mul(x, growth, p)[1], q) for x in (tail, dtail)))
+    return _TaylorTable(q, tuple(powers), tuple(scales), tuple(tails), tuple(abs_alphas))
 
 
-def _taylor_bounds(ctx, table: _TaylorTable, coeffs):
-    """Certified (sup, derivative-sup) bounds on |w| <= radius via the series.
+def _taylor_bounds(table: _TaylorTable, coeffs) -> tuple[int, int]:
+    """Certified (sup, derivative-sup) upper bounds on |w| <= radius via the
+    series, as integers at the table's scale 2^-prec.
 
     sup  <= sum_{t<T} |c_t| rad^t + sum_d |h_d| (|a_d| rad)^T / T! e^{|a_d| rad}
     sup' <= sum_{1<=t<T} t |c_t| rad^(t-1)
             + sum_d |h_d| |a_d| (|a_d| rad)^(T-1) / (T-1)! e^{|a_d| rad}
 
-    The sums run on interval pairs at ctx.prec.
+    with c_t = sum_d h_d a_d^t / t!.  The sums are exact on the table's
+    integers, sum h m plus sum |h| e, and each quotient is rounded up.
     """
-    prec = ctx.prec
-    add, mul, div = libmp.mpi_add, libmp.mpi_mul, libmp.mpi_div
-    terms = table.terms
-    sup = dsup = ZERO
-    ivs = [exact_pair(c, prec) for c in coeffs]
-    for t in range(terms):
-        if table.all_exact:
-            c_t = sum(Fraction(c) * w for c, w in zip(coeffs, table.coeff_pow[t]))
-            c_abs = exact_pair(abs(c_t), prec)
-        else:
-            acc = ZERO
-            for c, power in zip(ivs, table.coeff_pow[t]):
-                acc = add(acc, mul(c, power, prec), prec)
-            acc = div(acc, exact_pair(math.factorial(t), prec), prec)
-            c_abs = libmp.mpi_abs(acc, prec)
-        sup = add(sup, mul(c_abs, table.rad_pow[t], prec), prec)
-        if t >= 1:
-            t_c = mul(exact_pair(t, prec), c_abs, prec)
-            dsup = add(dsup, mul(t_c, table.rad_pow[t - 1], prec), prec)
-    fact_t = exact_pair(math.factorial(terms), prec)
-    fact_t1 = exact_pair(math.factorial(terms - 1), prec)
-    for c, (a_abs, ar_t, ar_t1, growth) in zip(coeffs, table.tails):
-        c_abs = exact_pair(abs(c), prec)
-        sup = add(sup, mul(div(mul(c_abs, ar_t, prec), fact_t, prec), growth, prec), prec)
-        dsup = add(
-            dsup,
-            mul(div(mul(mul(c_abs, a_abs, prec), ar_t1, prec), fact_t1, prec), growth, prec),
-            prec,
-        )
+    sup = dsup = 0
+    for t, row in enumerate(table.powers):
+        acc = err = 0
+        for c, (m, e) in zip(coeffs, row):
+            acc += c * m
+            err += abs(c) * e
+        bound = abs(acc) + err
+        num, den = table.scales[t]
+        sup += -(-bound * num // den)
+        if t:
+            num, den = table.scales[t - 1]
+            dsup += -(-bound * num // den)
+    for c, (tail, dtail) in zip(coeffs, table.tails):
+        sup += abs(c) * tail
+        dsup += abs(c) * dtail
     return sup, dsup
 
 
@@ -422,7 +429,10 @@ def _product_plan(rows) -> list[tuple[tuple[int, ...], tuple[int, ...] | None, i
 
 
 def _grid_sup(ctx, encl, coeffs, radius: Fraction, grid: GridSpec, rows=None) -> float:
-    """Max over the rings x angles grid of a certified upper bound on |phi(w)|.
+    """Max over the grid's N = rings * angles points w_g = radius e^(2 pi i g/N)
+    on the circle |w| = radius of a certified upper bound on |phi(w)|; by the
+    maximum modulus principle the sup of the entire phi on the disc is its
+    sup on that circle.
 
     phi(w) = sum_d h_d exp(a_d w) with a_d = sum_lambda rows[d][lambda] *
     theta_lambda, where encl holds the enclosures of the generators
@@ -430,65 +440,54 @@ def _grid_sup(ctx, encl, coeffs, radius: Fraction, grid: GridSpec, rows=None) ->
     exponents themselves.
 
     Balls end to end: everything runs on numeric's complex balls at scale
-    2^-p, p = ctx.prec.  Angle g's unit e^(2 pi i g/angles) is one point
+    2^-p, p = ctx.prec.  Point g's unit e^(2 pi i g/N) is one point
     evaluation widened into a ball (expj), each generator argument
-    theta_lambda (radius/rings) e^(2 pi i g/angles) is the ball product of
-    the real ball of theta_lambda * radius/rings with it, and its exp is one
-    more point evaluation (complex_exp).
-
-    Generators: exp(a_d w) = prod_lambda exp(theta_lambda w)^(d_lambda), so
-    one complex_exp per angle for each generator that occurs in a term with
-    a nonzero coefficient gives every term's ring-1 base as a ball product
-    of generator balls, one product per distinct sub-monomial of the rows
+    theta_lambda w_g is the ball product of the real ball of
+    theta_lambda * radius with it, and its exp is one more point evaluation
+    (complex_exp).  exp(a_d w) = prod_lambda exp(theta_lambda w)^(d_lambda),
+    so one complex_exp per point for each generator that occurs in a term
+    with a nonzero coefficient gives every term as a ball product of
+    generator balls, one product per distinct sub-monomial of the rows
     (_product_plan); the zero row is the exact ball 1.
-
-    Ring powers: angle g's ring points are w_j = (j+1) w_1 with
-    w_1 = (radius/rings) e^(2 pi i g/angles), so exp(a w_j) = exp(a w_1)^(j+1):
-    each further ring is the previous ring's value times the base.
 
     Sums: exact on the midpoints with radius sum_d |h_d| r_d, and |phi|^2 is
     bounded by the integer (|sx| + sr)^2 + (|sy| + sr)^2 at scale 2^-2p.
-
-    Rounding once: ceiling to p bits, the float upper end, sqrt and
-    nextafter are each monotone, so the integer maximum over the grid is
-    rounded once and gives the same float as the maximum of the rounded
-    bounds.
+    Ceiling to p bits, the float upper end, sqrt and nextafter are each
+    monotone, so the integer maximum over the grid is rounded once and gives
+    the same float as the maximum of the rounded bounds.
 
     Conjugate symmetry: every a_d is real and every h_d an integer, so
-    phi(conj w) = conj phi(w), and angle angles - g carries the same |phi|
-    as angle g.  The angles g = 0 .. angles // 2 therefore cover the grid,
-    and each bound holds at its conjugate point as well.
+    phi(conj w) = conj phi(w), and point N - g carries the same |phi| as
+    point g.  The points g = 0 .. N // 2 therefore cover the grid, and each
+    bound holds at its conjugate point as well.
     """
     p = ctx.prec
     if rows is None:
         rows = [tuple(int(i == d) for i in range(len(encl))) for d in range(len(encl))]
-    step = exact_pair(radius / grid.rings, p)
+    points = grid.rings * grid.angles
+    rad = exact_pair(radius, p)
     terms = [(c, abs(c), tuple(row)) for c, row in zip(coeffs, rows) if c]
     plan = _product_plan(row for _, _, row in terms)
     steps = {}
     for _, _, lam in plan:
-        mid, rad = ball(libmp.mpi_mul(encl[lam], step, p), p)
-        steps[lam] = (mid, 0, rad)
+        mid, r = ball(libmp.mpi_mul(encl[lam], rad, p), p)
+        steps[lam] = (mid, 0, r)
     two_pi = libmp.mpi_mul(exact_pair(2, p), pi_pair(p), p)
-    angles = exact_pair(grid.angles, p)
+    count = exact_pair(points, p)
     top = 0
-    for g in range(grid.angles // 2 + 1):
-        turn = expj(ctx, libmp.mpi_div(libmp.mpi_mul(two_pi, exact_pair(g, p), p), angles, p))
+    for g in range(points // 2 + 1):
+        turn = expj(ctx, libmp.mpi_div(libmp.mpi_mul(two_pi, exact_pair(g, p), p), count, p))
         gens = {lam: complex_exp(ctx, ball_mul(x, turn, p)) for lam, x in steps.items()}
         balls = {}
         for row, prev, lam in plan:
             balls[row] = gens[lam] if prev is None else ball_mul(balls[prev], gens[lam], p)
-        bases = [balls.get(row, (1 << p, 0, 0)) for _, _, row in terms]
-        powers = bases
-        for j in range(grid.rings):
-            if j:
-                powers = [ball_mul(a, b, p) for a, b in zip(powers, bases)]
-            sx = sy = sr = 0
-            for (c, c_abs, _), (mx, my, r) in zip(terms, powers):
-                sx += c * mx
-                sy += c * my
-                sr += c_abs * r
-            top = max(top, (abs(sx) + sr) ** 2 + (abs(sy) + sr) ** 2)
+        sx = sy = sr = 0
+        for c, c_abs, row in terms:
+            mx, my, r = balls.get(row, (1 << p, 0, 0))
+            sx += c * mx
+            sy += c * my
+            sr += c_abs * r
+        top = max(top, (abs(sx) + sr) ** 2 + (abs(sy) + sr) ** 2)
     abs2 = libmp.from_man_exp(top, -2 * p, p, libmp.round_ceiling)
     abs2_hi = to_float_pair((abs2, abs2))[1]
     return math.nextafter(math.sqrt(abs2_hi), math.inf)
@@ -569,37 +568,37 @@ def siegel_construct(
         candidates = [tuple(1 if i == 0 else 0 for i in range(m))]
 
     table = _taylor_table(ctx, encl, exact, radius, terms)
+    q = table.prec
     scored = []
     for h in candidates:
         height = math.log(max(abs(v) for v in h))
-        bounds = _taylor_bounds(ctx, table, h)
-        sup_hi = to_float_pair(bounds[0])[1]
-        scored.append((height > delta + 1e-12, sup_hi, height, h, bounds))
+        bounds = _taylor_bounds(table, h)
+        scored.append((height > delta + 1e-12, _upper_float(bounds[0], q), height, h, bounds))
     scored.sort(key=lambda rec: (rec[0], rec[1], rec[3]))
-    _, _, log_height, best, (sup_iv, dsup_iv) = scored[0]
+    _, taylor_hi, log_height, best, (_, dsup) = scored[0]
     height_ok = log_height <= delta + 1e-12
 
     zero = _symbolically_zero(keys, best)
-    p, rad = ctx.prec, table.rad
-    add, mul, div = libmp.mpi_add, libmp.mpi_mul, libmp.mpi_div
     if zero:
         grid_max, slack_hi, taylor_hi = 0.0, 0.0, 0.0
         achieved = float("-inf")
     else:
-        taylor_hi = to_float_pair(sup_iv)[1]
         gen_encl = [encl[i] for i in units]
         grid_max = _grid_sup(ctx, gen_encl, best, radius, grid, exponent_rows)
-        arc = div(mul(pi_pair(p), rad, p), exact_pair(grid.angles, p), p)
-        mesh = add(div(rad, exact_pair(grid.rings, p), p), arc, p)
-        slack_hi = to_float_pair(mul(mesh, dsup_iv, p))[1]
+        # every point of the circle is within arc length pi radius / N of one
+        # of the N grid points
+        arc = _ceil_fixed(pi_pair(q)[1], q) * radius.numerator * dsup
+        slack = -(-arc // (radius.denominator * grid.rings * grid.angles << q))
+        slack_hi = _upper_float(slack, q)
         total = min(math.nextafter(grid_max + slack_hi, math.inf), taylor_hi)
         achieved = _log_upper(ctx, total)
     taylor_log = _log_upper(ctx, taylor_hi)
     u_achieved = -achieved
 
-    e_rad = mul(rad, libmp.mpi_exp(exact_pair(1, p), p), p)
+    p, add, mul = ctx.prec, libmp.mpi_add, libmp.mpi_mul
+    e_rad = mul(exact_pair(radius, p), libmp.mpi_exp(exact_pair(1, p), p), p)
     norm_sum = ZERO
-    for a_abs, _, _, _ in table.tails:
+    for a_abs in table.abs_alphas:
         norm_sum = add(norm_sum, libmp.mpi_exp(mul(a_abs, e_rad, p), p), p)
     norm_ok = to_float_pair(norm_sum)[1] <= math.exp(u_target)
 

@@ -214,17 +214,31 @@ def load_poly_family(path: str) -> list[dict[tuple[int, ...], int]]:
     return family
 
 
+def _exact_form(text: str) -> bool:
+    """True when text has the form of an exact coordinate: the zeta form of
+    _ZETA_RE or a rational, a zero denominator included."""
+    text = text.strip()
+    if _ZETA_RE.match(text):
+        return True
+    try:
+        Fraction(text)
+    except ZeroDivisionError:
+        return True
+    except ValueError:
+        return False
+    return True
+
+
 def load_distance_point(spec: str):
     """The audited point: the literal marker "theta", or a file holding one
-    flat coordinate per line (exact grammar when every line parses, raw
-    expression strings otherwise)."""
+    flat coordinate per line (exact grammar when every line has its form,
+    whose errors are reported; raw expression strings otherwise)."""
     if spec == "theta":
         return "theta"
     lines = load_expressions(spec)
-    try:
+    if all(_exact_form(line) for line in lines):
         return [parse_cyclo_coordinate(line) for line in lines]
-    except InvalidConfig:
-        return list(lines)
+    return list(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -774,8 +788,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=finite_float, required=True)
     p.add_argument("--u-target", dest="u_target", type=finite_float, default=None)
     p.add_argument("--radius", default="1/4")
-    p.add_argument("--rings", type=int, default=10)
-    p.add_argument("--angles", type=int, default=100)
+    p.add_argument(
+        "--rings", type=int, default=1,
+        help="the grid has rings * angles points on |w| = radius "
+        "(maximum modulus principle)",
+    )
+    p.add_argument("--angles", type=int, default=100, help="see --rings")
     p.add_argument("--taylor-terms", dest="taylor_terms", type=int, default=None)
     p.add_argument("--strict", action="store_true")
     _add_common(p)

@@ -423,14 +423,21 @@ def _point_key(p: Point) -> tuple:
     return tuple((c.nums, c.den) for c in p)
 
 
-def normalize_point_set(points: Iterable[Sequence]) -> list[Point]:
+class PointSet(list):
+    """A list of points in the form normalize_point_set returns: CycloNum
+    tuples over one common order, without repeats.  product_point_set and
+    min_vanishing_degree take a PointSet as it is and normalise any other
+    iterable of points first, so a set is normalised once per job."""
+
+
+def normalize_point_set(points: Iterable[Sequence]) -> PointSet:
     """Points as CycloNum tuples over one common order, deduplicated.
 
     Order of first appearance is kept, so the result is deterministic.
     """
     pts = [make_point(p) for p in points]
     if not pts:
-        return []
+        return PointSet()
     dim = len(pts[0])
     if any(len(p) != dim for p in pts):
         raise InvalidConfig("points have mixed dimensions")
@@ -442,7 +449,7 @@ def normalize_point_set(points: Iterable[Sequence]) -> list[Point]:
     for p in pts:
         p = tuple(c.promote(common) for c in p)
         out.setdefault(_point_key(p), p)
-    return list(out.values())
+    return PointSet(out.values())
 
 
 def point_mul(p: Point, q: Point) -> Point:
@@ -522,7 +529,7 @@ def require_torus(points: Iterable[Point]) -> None:
         raise InvalidConfig("points must lie in the torus (no zero coordinate)")
 
 
-def product_point_set(points: Sequence[Sequence], depth: int) -> list[Point]:
+def product_point_set(points: Sequence[Sequence], depth: int) -> PointSet:
     """All products of `depth` factors drawn (with repetition) from the set.
 
     The set X_k of k-fold products is X_{k-1} times the base set, so once
@@ -532,7 +539,7 @@ def product_point_set(points: Sequence[Sequence], depth: int) -> list[Point]:
     """
     if depth < 1:
         raise InvalidConfig("depth must be >= 1")
-    base = normalize_point_set(points)
+    base = points if isinstance(points, PointSet) else normalize_point_set(points)
     require_torus(base)
     current = {_point_key(p): p for p in base}
     for _ in range(depth - 1):
@@ -545,7 +552,7 @@ def product_point_set(points: Sequence[Sequence], depth: int) -> list[Point]:
             break
         current = nxt
     # deterministic order: sort by the Fraction coefficients
-    return sorted(current.values(), key=lambda p: tuple(c.coeffs for c in p))
+    return PointSet(sorted(current.values(), key=lambda p: tuple(c.coeffs for c in p)))
 
 
 def monomials_up_to(nvars: int, degree: int) -> list[tuple[int, ...]]:
@@ -611,7 +618,7 @@ def min_vanishing_degree(points: Iterable[Sequence], max_degree: int | None = No
     Raises InvalidConfig on an empty set and HypothesisNotMet when no
     degree <= max_degree works.
     """
-    pts = normalize_point_set(points)
+    pts = points if isinstance(points, PointSet) else normalize_point_set(points)
     if not pts:
         raise InvalidConfig("empty point set")
     order = pts[0][0].order

@@ -156,9 +156,20 @@ def eval_interval(ctx, node):
     raise TypeError(f"not an expression node: {node!r}")
 
 
+def check_upper_end(n: int, scale: int, x, bits: int) -> None:
+    """Assert that n 2^-scale, an upper end computed on fixed-point
+    integers, is at least the lower end of the interval x of the given
+    precision and within 2^-(bits - 16) of its upper end, relatively."""
+    lo, hi = (Fraction(*mpmath.libmp.to_rational(e)) for e in x._mpi_)
+    value = Fraction(n, 1 << scale)
+    assert lo <= value <= hi + abs(hi) / (1 << (bits - 16))
+
+
 def taylor_bounds(ctx, encl, exact, coeffs, radius, terms):
     """The series bounds of auxpoly._taylor_bounds with every factor
-    recomputed per candidate; encl holds mpmath.iv enclosures."""
+    recomputed per candidate; encl holds mpmath.iv enclosures.  The package
+    sums on fixed-point integers instead, so its upper ends are compared
+    with these intervals by check_upper_end, not endpoint for endpoint."""
     rad = iv_from_fraction(ctx, radius)
     all_exact = all(q is not None for q in exact)
     sup = ctx.mpf(0)

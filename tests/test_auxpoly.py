@@ -194,23 +194,31 @@ def test_siegel_rejects_bad_input():
 def grid_sup_reference(ctx, encl, coeffs, radius, grid):
     # one interval exp, cos and sin per term at every grid point: the
     # straightforward loop on the context's own functions
+    points = grid.rings * grid.angles
+    rho = oracle.iv_from_fraction(ctx, radius)
     worst = 0.0
-    for g in range(grid.angles):
-        ang = 2 * ctx.pi * g / grid.angles
+    for g in range(points):
+        ang = 2 * ctx.pi * g / points
         cos_a, sin_a = ctx.cos(ang), ctx.sin(ang)
-        for j in range(grid.rings):
-            rho = oracle.iv_from_fraction(ctx, radius * Fraction(j + 1, grid.rings))
-            re, im = ctx.mpf(0), ctx.mpf(0)
-            for c, alpha in zip(coeffs, encl):
-                if not c:
-                    continue
-                x = alpha * rho
-                mag, arg = ctx.exp(x * cos_a), x * sin_a
-                re, im = re + mag * ctx.cos(arg) * c, im + mag * ctx.sin(arg) * c
-            abs2_hi = oracle.to_float_pair(re * re + im * im)[1]
-            hi = math.nextafter(math.sqrt(max(0.0, abs2_hi)), math.inf)
-            worst = max(worst, hi)
+        re, im = ctx.mpf(0), ctx.mpf(0)
+        for c, alpha in zip(coeffs, encl):
+            if not c:
+                continue
+            x = alpha * rho
+            mag, arg = ctx.exp(x * cos_a), x * sin_a
+            re, im = re + mag * ctx.cos(arg) * c, im + mag * ctx.sin(arg) * c
+        abs2_hi = oracle.to_float_pair(re * re + im * im)[1]
+        hi = math.nextafter(math.sqrt(max(0.0, abs2_hi)), math.inf)
+        worst = max(worst, hi)
     return worst
+
+
+def circle_points(radius, grid):
+    # the rings * angles grid points on |w| = radius, in the current mpmath
+    # precision
+    points = grid.rings * grid.angles
+    rad = mpmath.mpf(radius.numerator) / radius.denominator
+    return [rad * mpmath.expj(2 * mpmath.pi * g / points) for g in range(points)]
 
 
 # exponents with pairwise distinct values: rationals, log(p), sqrt(q) with q
@@ -252,15 +260,11 @@ def test_grid_sup_matches_pointwise_loop_and_encloses_phi(data):
     assert got == grid_sup_reference(ivc, [oracle.to_iv(ivc, x) for x in encl], coeffs, radius, grid)
     with mpmath.workprec(2 * bits):
         alphas = [exponent_mp(e) for e in exps]
-        rad = mpmath.mpf(radius.numerator) / radius.denominator
         true_max = mpmath.mpf(0)
-        for g in range(grid.angles):
-            turn = mpmath.expj(2 * mpmath.pi * g / grid.angles)
-            for j in range(grid.rings):
-                w = rad * (j + 1) / grid.rings * turn
-                val = abs(mpmath.fsum(c * mpmath.exp(a * w) for c, a in zip(coeffs, alphas)))
-                assert got >= val
-                true_max = max(true_max, val)
+        for w in circle_points(radius, grid):
+            val = abs(mpmath.fsum(c * mpmath.exp(a * w) for c, a in zip(coeffs, alphas)))
+            assert got >= val
+            true_max = max(true_max, val)
         assert got <= true_max * (1 + mpmath.mpf(1e-12))
 
 
@@ -276,7 +280,7 @@ def test_grid_sup_takes_one_exp_per_term_per_half_plane_angle(monkeypatch, rings
 
     monkeypatch.setattr(auxpoly_mod, "complex_exp", counting_exp)
     auxpoly_mod._grid_sup(ctx, encl, coeffs, Fraction(1, 4), GridSpec(rings, angles))
-    assert len(calls) == (angles // 2 + 1) * 3
+    assert len(calls) == ((rings * angles) // 2 + 1) * 3
 
 
 # wide exponents, |a| <= 8, pairwise distinct values
@@ -316,8 +320,8 @@ def wide_exponent_mp(e):
 @given(st.data())
 @settings(max_examples=20, deadline=None)
 def test_grid_sup_encloses_phi_over_forty_rings_at_radius_one(data):
-    # the ball radii grow with every ring power: 40 rings of exponents up to
-    # |a| = 8 on the unit disc must still bound |phi| at every grid point
+    # up to 40 * 12 points of the unit circle and exponents up to |a| = 8:
+    # every ball bounds |phi| at its point, and the max stays sharp
     exps = data.draw(st.lists(WIDE_EXPONENTS, min_size=1, max_size=4, unique=True))
     coeffs = data.draw(
         st.lists(st.integers(-9, 9), min_size=len(exps), max_size=len(exps)).filter(any)
@@ -330,13 +334,10 @@ def test_grid_sup_encloses_phi_over_forty_rings_at_radius_one(data):
     with mpmath.workprec(2 * bits):
         alphas = [wide_exponent_mp(e) for e in exps]
         true_max = mpmath.mpf(0)
-        for g in range(grid.angles):
-            turn = mpmath.expj(2 * mpmath.pi * g / grid.angles)
-            for j in range(grid.rings):
-                w = mpmath.mpf(j + 1) / grid.rings * turn
-                val = abs(mpmath.fsum(c * mpmath.exp(a * w) for c, a in zip(coeffs, alphas)))
-                assert got >= val
-                true_max = max(true_max, val)
+        for w in circle_points(Fraction(1), grid):
+            val = abs(mpmath.fsum(c * mpmath.exp(a * w) for c, a in zip(coeffs, alphas)))
+            assert got >= val
+            true_max = max(true_max, val)
         assert got <= true_max * (1 + mpmath.mpf(1e-12))
 
 
@@ -394,13 +395,9 @@ def test_factored_grid_sup_equals_identity_and_encloses_phi(data):
     with mpmath.workprec(2 * bits):
         theta = [exponent_mp(e) for e in gens]
         exps = [mpmath.fsum(k * t for k, t in zip(d, theta)) for d in mons]
-        rad = mpmath.mpf(radius.numerator) / radius.denominator
-        for g in range(grid.angles):
-            turn = mpmath.expj(2 * mpmath.pi * g / grid.angles)
-            for j in range(grid.rings):
-                w = rad * (j + 1) / grid.rings * turn
-                val = abs(mpmath.fsum(c * mpmath.exp(a * w) for c, a in zip(coeffs, exps)))
-                assert got >= val
+        for w in circle_points(radius, grid):
+            val = abs(mpmath.fsum(c * mpmath.exp(a * w) for c, a in zip(coeffs, exps)))
+            assert got >= val
 
 
 @pytest.mark.parametrize("rings,angles", [(1, 8), (3, 9), (10, 100), (4, 13)])
@@ -426,7 +423,7 @@ def test_monomial_grid_sup_takes_one_exp_per_generator_per_half_plane_angle(
 
     monkeypatch.setattr(auxpoly_mod, "complex_exp", counting_exp)
     auxpoly_mod._grid_sup(ctx, gen_encl, coeffs, Fraction(1, 4), GridSpec(rings, angles), rows)
-    assert len(calls) == (angles // 2 + 1) * (3 if unused is None else 2)
+    assert len(calls) == ((rings * angles) // 2 + 1) * (3 if unused is None else 2)
 
 
 def test_siegel_rejects_mismatched_monomials():
@@ -475,6 +472,24 @@ def test_ball_contains_both_endpoints(lo_man, lo_exp, width_man, width_exp, bits
     assert (mid - rad) * unit <= a <= b <= (mid + rad) * unit
 
 
+def series_bounds_mp(alphas, h, radius, terms):
+    # the two series sums of _taylor_bounds in the current mpmath precision
+    rad = mpmath.mpf(radius.numerator) / radius.denominator
+    c = [
+        mpmath.fsum(hd * a**t for hd, a in zip(h, alphas)) / mpmath.factorial(t)
+        for t in range(terms)
+    ]
+    growth = [abs(hd) * mpmath.exp(abs(a) * rad) for hd, a in zip(h, alphas)]
+    sup = mpmath.fsum(abs(c[t]) * rad**t for t in range(terms)) + mpmath.fsum(
+        g * (abs(a) * rad) ** terms / mpmath.factorial(terms) for g, a in zip(growth, alphas)
+    )
+    dsup = mpmath.fsum(t * abs(c[t]) * rad ** (t - 1) for t in range(1, terms)) + mpmath.fsum(
+        g * abs(a) * (abs(a) * rad) ** (terms - 1) / mpmath.factorial(terms - 1)
+        for g, a in zip(growth, alphas)
+    )
+    return sup, dsup
+
+
 @given(st.data())
 @settings(max_examples=40, deadline=None)
 def test_taylor_bounds_from_shared_table_equal_fresh_bounds(data):
@@ -493,12 +508,73 @@ def test_taylor_bounds_from_shared_table_equal_fresh_bounds(data):
             max_size=4,
         )
     )
+    # the shared table's fixed-point upper ends against the interval sums
+    # with every factor recomputed per candidate, and against the series
+    # sums themselves at twice the precision
     ivc = oracle.iv_ctx(bits)
     iv_encl = [oracle.to_iv(ivc, x) for x in encl]
     for h in candidates:
-        got = auxpoly_mod._taylor_bounds(ctx, table, h)
+        got = auxpoly_mod._taylor_bounds(table, h)
         want = oracle.taylor_bounds(ivc, iv_encl, exact, h, radius, terms)
-        assert list(got) == [iv._mpi_ for iv in want]
+        for n, iv in zip(got, want):
+            oracle.check_upper_end(n, table.prec, iv, bits)
+        with mpmath.workprec(2 * bits):
+            series = series_bounds_mp([exponent_mp(e) for e in exps], h, radius, terms)
+            for n, value in zip(got, series):
+                assert n >= value * 2**table.prec * (1 - mpmath.mpf(2) ** (16 - 2 * bits))
+
+
+def test_taylor_bounds_sum_midpoints_and_radii_and_round_up():
+    # a hand-made table at scale 2^0 with h = (1, 2):
+    #   t = 0: A = |10 - 6| + 5 + 4 = 13, sup ceil(13 * 1 / 3) = 5
+    #   t = 1: A = |1 + 2| + 0 = 3, sup ceil(3 * 2 / 5) = 2, dsup ceil(3 * 1 / 3) = 1
+    #   tails: sup 1 * 7 + 2 * 0 = 7, dsup 1 * 11 + 2 * 1 = 13
+    table = auxpoly_mod._TaylorTable(
+        prec=0,
+        powers=(((10, 5), (-3, 2)), ((1, 0), (1, 0))),
+        scales=((1, 3), (2, 5)),
+        tails=((7, 11), (0, 1)),
+        abs_alphas=(),
+    )
+    assert auxpoly_mod._taylor_bounds(table, (1, 2)) == (5 + 2 + 7, 1 + 13)
+
+
+@given(st.data())
+@settings(max_examples=20, deadline=None)
+def test_certified_sup_bounds_phi_on_the_whole_disc(data):
+    # the grid lies on the circle |w| = radius only; by the maximum modulus
+    # principle its bound covers the disc, interior points included, and
+    # the slack is the arc term (pi radius / N) sup|phi'| alone
+    gens = data.draw(st.lists(WIDE_EXPONENTS, min_size=1, max_size=3, unique=True))
+    theta = RealTuple(tuple(wide_exponent_text(e) for e in gens), precision_bits=128)
+    alphas, mons = alphas_from_monomials(theta, range(len(gens)), 1)
+    grid = GridSpec(data.draw(st.integers(1, 4)), data.draw(st.integers(8, 13)))
+    radius = data.draw(st.sampled_from((Fraction(1, 8), Fraction(1, 3), Fraction(1, 2), Fraction(1))))
+    bits = 128
+    res = siegel_construct(alphas, 1.0, 4.0, radius=radius, grid=grid, monomials=mons, precision_bits=bits)
+    ctx, encl, exact, _ = auxpoly_mod._alpha_data(alphas, bits)
+    table = auxpoly_mod._taylor_table(ctx, encl, exact, radius, min(len(alphas), 10))
+    _, dsup = auxpoly_mod._taylor_bounds(table, res.coefficients)
+    points = data.draw(
+        st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), min_size=1, max_size=8)
+    )
+    with mpmath.workprec(2 * bits):
+        if not res.identically_zero:
+            arc = mpmath.pi * radius.numerator / (radius.denominator * grid.rings * grid.angles)
+            slack = arc * dsup / mpmath.mpf(2) ** table.prec
+            # a zero slack is reported as the least positive float
+            assert slack <= res.lipschitz_slack <= max(slack * (1 + mpmath.mpf(1e-12)), math.ulp(0.0))
+        theta_mp = [wide_exponent_mp(e) for e in gens]
+        exps = [mpmath.fsum(k * t for k, t in zip(d, theta_mp)) for d in mons]
+        bound = mpmath.exp(mpmath.mpf(res.achieved_log_sup))
+        grid_bound = mpmath.mpf(res.grid_sup) + mpmath.mpf(res.lipschitz_slack)
+        rad = mpmath.mpf(radius.numerator) / radius.denominator
+        for s, t in points:
+            w = rad * mpmath.mpf(s) * mpmath.expj(2 * mpmath.pi * mpmath.mpf(t))
+            val = abs(mpmath.fsum(c * mpmath.exp(a * w) for c, a in zip(res.coefficients, exps)))
+            assert val <= bound
+            if not res.identically_zero:
+                assert val <= grid_bound
 
 
 # ---------------------------------------------------------------------------

@@ -421,3 +421,28 @@ def test_product_character_codim_matches_rank_difference(case):
     module = CharacterModule(base, ambient_dim=m * n)
     expected = rank_rational(base + chis) - (rank_rational(base) if base else 0)
     assert product_character_codim(l_vec, module) == expected
+
+
+def test_each_job_normalises_its_point_set_once(monkeypatch):
+    # normalize_point_set returns a PointSet, which the product and the
+    # vanishing degree take as it is: one normalisation per point set
+    from genlab import auxpoly, cyclo
+
+    z = CycloNum.root_of_unity(5)
+    points = [(z, z**2), (z**2, z**4), (1, Fraction(1, 2))]
+    calls = []
+    normalise = cyclo.normalize_point_set
+
+    def counted(pts):
+        calls.append(pts)
+        return normalise(pts)
+
+    for module in (cyclo, chars, auxpoly):
+        monkeypatch.setattr(module, "normalize_point_set", counted)
+    zero_estimate_search(points, 2, 3)
+    assert len(calls) == 1
+    calls.clear()
+    auxpoly.omega(points)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert isinstance(product_point_set(points, 2), cyclo.PointSet)

@@ -238,14 +238,30 @@ def test_zero_tuple_entry_exits_2(tup, capsys, argv, entry):
             id="zeroest-zero-denominator",
         ),
         pytest.param(
-            # not an exact coordinate, so the file is read as expressions,
-            # which have no zeta
+            # every line has the exact form, so its grammar error is reported
+            # rather than the file read as expressions, which have no zeta
             ["dist-audit", "--z", "{z}", "--tuple", "{th}", "--kappa", "{ka}",
              "--I", "0,1", "--J", "0,1", "--D", "16"],
             {"z": ["2/0*zeta(5)", "zeta(5)", "zeta(5)", "zeta(5)"], "th": ["1", "1"],
              "ka": ["1", "2"]},
-            "'2/0*zeta(5)'",
+            "zero denominator in '2/0*zeta(5)'",
             id="dist-audit-zero-denominator",
+        ),
+        pytest.param(
+            ["dist-audit", "--z", "{z}", "--tuple", "{th}", "--kappa", "{ka}",
+             "--I", "0,1", "--J", "0,1", "--D", "16"],
+            {"z": ["zeta(5)", "1/0", "zeta(5)", "zeta(5)"], "th": ["1", "1"],
+             "ka": ["1", "2"]},
+            "cannot parse exact coordinate '1/0'",
+            id="dist-audit-rational-zero-denominator",
+        ),
+        pytest.param(
+            ["dist-audit", "--z", "{z}", "--tuple", "{th}", "--kappa", "{ka}",
+             "--I", "0,1", "--J", "0,1", "--D", "16"],
+            {"z": ["zeta(0)", "zeta(5)", "zeta(5)", "zeta(5)"], "th": ["1", "1"],
+             "ka": ["1", "2"]},
+            "root order must be >= 1 in 'zeta(0)'",
+            id="dist-audit-zero-root-order",
         ),
     ],
 )
@@ -616,6 +632,21 @@ def test_dist_audit_inf_sentinel(tup, capsys):
     assert json.loads(out.splitlines()[0])  # strict JSON despite the infinity
 
 
+def test_dist_audit_file_with_one_expression_line_is_read_as_expressions(tup, capsys):
+    # "exp(1)" has no exact form, so the rationals beside it are expressions
+    # too, and the audit runs in numeric mode
+    z = tup("z.tup", ["2", "exp(1)", "1/2", "3"])
+    th = tup("th.tup", ["1", "1"])
+    ka = tup("ka.tup", ["1", "2"])
+    code, out = run_capture(
+        capsys,
+        ["dist-audit", "--z", z, "--tuple", th, "--kappa", ka,
+         "--I", "0,1", "--J", "0,1", "--D", "16"],
+    )
+    assert code == 0
+    assert records_of(out)[0]["payload"]["mode"] == "numeric"
+
+
 def test_dist_audit_numeric_coordinate_on_its_image(tup, capsys):
     # the last coordinate equals its image exactly, so its difference
     # straddles zero at every precision; the first coordinate, 10^-6 away,
@@ -719,10 +750,11 @@ def test_auxpoly_subcommand(tup, capsys):
 
 @pytest.mark.parametrize(
     "grid_args,grid_sup",
-    [([], 0.003097829438903638), (["--rings", "3", "--angles", "9"], 0.0030873796910862203)],
+    [([], 0.003097829438903638), (["--rings", "3", "--angles", "9"], 0.0030946746390792578)],
 )
 def test_auxpoly_pinned_payload(tup, capsys, grid_args, grid_sup):
-    # figures of the pointwise grid loop (one interval exp per term and point)
+    # figures of the pointwise grid loop (one interval exp per term and point,
+    # at the rings * angles points of the circle |w| = radius)
     path = tup("logs.tup", ["log(2)", "log(3)"])
     code, out = run_capture(
         capsys,
@@ -998,19 +1030,19 @@ PINNED_INPUTS = {
         ),
         pytest.param(
             "auxpoly --tuple logs.tup --subset 0,1 --L 2 --delta 8.0 --radius 1/4",
-            "a4b8be32b2d9f8ad8ce3dab7f41fca5522547ab61f594b3748cd4a9eae0fdaba",
+            "29df80d8a96b19b3bb2a3e498414579b7ad12c2c115cbafb4ea372c10a266694",
             id="readme-auxpoly",
         ),
         pytest.param(
             # the heaviest Siegel cell: 15 monomials in (log 2, log 3)
             "auxpoly --tuple logs.tup --subset 0,1 --L 4 --delta 8.0 --prec 256",
-            "247a26478a3cd57a677ea15a8c9d3bf981b29619df0eb04eab9fc7ae58d053f9",
+            "67f7a084478782430c77e7fb9c6dde605e67d2cbbf1c3d7c2dacdf949f093745",
             id="auxpoly-log-pair-L4",
         ),
         pytest.param(
             # three generators (log 2, log 3, log 7) at degree 1
             "auxpoly --tuple logs4.tup --subset 0,1,3 --L 1 --delta 8.0 --prec 128",
-            "04b79d1cd9eb3dd5a5c98c4d8246828fed72aa8b4f3f607f70ac77db46f6bdc3",
+            "259734b75fe183770752f9335bf8bf6e2562557b4872805d78e3c57f3d8c9ec3",
             id="auxpoly-three-logs-L1",
         ),
         pytest.param(
