@@ -13,11 +13,13 @@ Three layers, bottom to top:
     of rings * angles points on the circle |w| = radius (phi is entire, so
     by the maximum modulus principle its sup on the disc is its sup there)
     plus a Lipschitz slack for the arcs between them.  The grid runs in
-    numeric's complex balls with one point exp per generator and point:
-    every exponent is an integer combination a_d = sum d_lambda theta_lambda
-    of generators (a plain family is its own generators), and with real
-    exponents and integer coefficients |phi(conj w)| = |phi(w)| lets the
-    upper half-plane points stand for their conjugates;
+    numeric's complex balls on generator exps: every exponent is an integer
+    combination a_d = sum d_lambda theta_lambda of generators (a plain
+    family is its own generators), and with real generators and integer
+    coefficients the symmetries w -> conj w and w -> -conj w of the grid
+    leave one point exp per generator for each point of a quarter circle
+    (half of it for an odd point count), the other points' generator balls
+    being conjugates and inverses;
   * two audits: the pigeonhole distance audit (count check, zero estimate,
     coset collision, contradiction bound) and the hypothesis checklist for
     the effective-distance proposition, which checks hypotheses only and
@@ -59,6 +61,7 @@ from .numeric import (
     ZERO,
     NeedsBits,
     ball,
+    ball_inv,
     ball_mul,
     complex_exp,
     exact_pair,
@@ -445,7 +448,7 @@ def _grid_sup(ctx, encl, coeffs, radius: Fraction, grid: GridSpec, rows=None) ->
     theta_lambda w_g is the ball product of the real ball of
     theta_lambda * radius with it, and its exp is one more point evaluation
     (complex_exp).  exp(a_d w) = prod_lambda exp(theta_lambda w)^(d_lambda),
-    so one complex_exp per point for each generator that occurs in a term
+    so one generator ball per point for each generator that occurs in a term
     with a nonzero coefficient gives every term as a ball product of
     generator balls, one product per distinct sub-monomial of the rows
     (_product_plan); the zero row is the exact ball 1.
@@ -456,10 +459,21 @@ def _grid_sup(ctx, encl, coeffs, radius: Fraction, grid: GridSpec, rows=None) ->
     monotone, so the integer maximum over the grid is rounded once and gives
     the same float as the maximum of the rounded bounds.
 
-    Conjugate symmetry: every a_d is real and every h_d an integer, so
-    phi(conj w) = conj phi(w), and point N - g carries the same |phi| as
-    point g.  The points g = 0 .. N // 2 therefore cover the grid, and each
-    bound holds at its conjugate point as well.
+    Symmetry: every theta_lambda is real, so the grid's images under the
+    group {1, conj w, -conj w, -w} are grid points or carry known balls.
+    w -> conj w maps point g to N - g, and phi(conj w) = conj phi(w) for
+    integer h_d, so the points g = 0 .. N // 2 cover the grid.  For even N,
+    w -> -conj w maps point g to N/2 - g, where exp(theta w) becomes
+    conj(1 / exp(theta w_g)): generator balls are exponentiated only at
+    g = 0 .. N // 4 and those at N/2 - g are their conjugated inverses
+    (ball_inv).  Where ball_inv refuses, or leaves a ball relatively wider
+    than 2^-(p/2) (a generator ball near 0 at w_g), that generator is
+    exponentiated at N/2 - g itself, from the exact turn (-tx, ty, r) of
+    the ball (tx, ty, r) of point g's unit, so the bound there stays as
+    sharp as a direct evaluation.  When 4 | N, point N/4 - g's unit is
+    i conj e^(2 pi i g/N), the exact swap (ty, tx, r), so expj runs only on
+    the first octant g = 0 .. N // 8, and the loop walks the orbits
+    (g, N/4 - g, N/2 - g, N/4 + g).
     """
     p = ctx.prec
     if rows is None:
@@ -472,12 +486,8 @@ def _grid_sup(ctx, encl, coeffs, radius: Fraction, grid: GridSpec, rows=None) ->
     for _, _, lam in plan:
         mid, r = ball(libmp.mpi_mul(encl[lam], rad, p), p)
         steps[lam] = (mid, 0, r)
-    two_pi = libmp.mpi_mul(exact_pair(2, p), pi_pair(p), p)
-    count = exact_pair(points, p)
-    top = 0
-    for g in range(points // 2 + 1):
-        turn = expj(ctx, libmp.mpi_div(libmp.mpi_mul(two_pi, exact_pair(g, p), p), count, p))
-        gens = {lam: complex_exp(ctx, ball_mul(x, turn, p)) for lam, x in steps.items()}
+
+    def bound(gens) -> int:
         balls = {}
         for row, prev, lam in plan:
             balls[row] = gens[lam] if prev is None else ball_mul(balls[prev], gens[lam], p)
@@ -487,7 +497,35 @@ def _grid_sup(ctx, encl, coeffs, radius: Fraction, grid: GridSpec, rows=None) ->
             sx += c * mx
             sy += c * my
             sr += c_abs * r
-        top = max(top, (abs(sx) + sr) ** 2 + (abs(sy) + sr) ** 2)
+        return (abs(sx) + sr) ** 2 + (abs(sy) + sr) ** 2
+
+    def orbit_top(turn, mirror: bool) -> int:
+        # the bound at the point of the unit ball turn and, with mirror,
+        # at its image under w -> -conj w
+        gens = {lam: complex_exp(ctx, ball_mul(x, turn, p)) for lam, x in steps.items()}
+        top = bound(gens)
+        if mirror:
+            flip = (-turn[0], turn[1], turn[2])
+            images = {}
+            for lam, z in gens.items():
+                inv = ball_inv(z, p)
+                if inv is None or inv[2] << (p // 2) > abs(inv[0]) + abs(inv[1]):
+                    images[lam] = complex_exp(ctx, ball_mul(steps[lam], flip, p))
+                else:
+                    images[lam] = (inv[0], -inv[1], inv[2])
+            top = max(top, bound(images))
+        return top
+
+    two_pi = libmp.mpi_mul(exact_pair(2, p), pi_pair(p), p)
+    count = exact_pair(points, p)
+    even, quarter = points % 2 == 0, points % 4 == 0
+    last = points // 8 if quarter else points // 4 if even else points // 2
+    top = 0
+    for g in range(last + 1):
+        turn = expj(ctx, libmp.mpi_div(libmp.mpi_mul(two_pi, exact_pair(g, p), p), count, p))
+        top = max(top, orbit_top(turn, even))
+        if quarter and 8 * g != points:  # point N/4 - g is not g itself
+            top = max(top, orbit_top((turn[1], turn[0], turn[2]), g > 0))
     abs2 = libmp.from_man_exp(top, -2 * p, p, libmp.round_ceiling)
     abs2_hi = to_float_pair((abs2, abs2))[1]
     return math.nextafter(math.sqrt(abs2_hi), math.inf)
@@ -1199,10 +1237,10 @@ def _zero_distance_search(
             return 1e300
         return float(np.max(np.abs(pt - target)))
 
-    rng = np.random.default_rng(seed)
     best_val = objective(np.zeros(dim))
     best_s = np.zeros(dim)
-    if dim:
+    if dim and starts:
+        rng = np.random.default_rng(seed)  # made at the first draw: it imports numpy.random
         for i in range(starts):
             spread = (0.1, 1.0, 3.0)[i % 3]
             s0 = rng.standard_normal(dim) * spread

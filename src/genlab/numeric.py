@@ -13,13 +13,15 @@ A ball is a midpoint-radius complex disc on Python ints (Johansson 2017,
 IEEE Trans. Comput. 66(8)): the triple (mx, my, r) stands for the disc of
 centre (mx + i my) 2^-p and radius r 2^-p, for p the precision of the
 context it was made at.  ball turns a real interval into a centre and a
-radius, ball_mul multiplies two balls, and complex_exp and expj evaluate
-exp at the centre only, once, and widen the point value into a ball.  The
-point values come from libmp's mpf_exp and mpf_cos_sin at p + 20 bits,
-trusted to a relative error of 2^-(p + 10): the same trust that mpmath's
-own interval cos and sin (libmp.mpi_cos_sin) place in mpf_cos_sin at that
-precision.  Every other error of a ball is bounded in the code that makes
-it, with every radius rounded up.
+radius, ball_mul multiplies two balls, ball_inv inverts one in exact
+integer arithmetic (or refuses when the disc comes within a unit of 0),
+and complex_exp and expj evaluate exp at the centre only, once, and widen
+the point value into a ball.  The point values come from libmp's mpf_exp
+and mpf_cos_sin at p + 20 bits, trusted to a relative error of
+2^-(p + 10): the same trust that mpmath's own interval cos and sin
+(libmp.mpi_cos_sin) place in mpf_cos_sin at that precision.  Every other
+error of a ball is bounded in the code that makes it, with every radius
+rounded up.
 """
 
 from __future__ import annotations
@@ -249,6 +251,26 @@ def ball_mul(a, b, prec: int) -> tuple[int, int, int]:
         (((abs(ax) + abs(ay) + 1) * rb + (abs(bx) + abs(by) + 1) * ra + ra * rb) >> prec)
         + 3,
     )
+
+
+def ball_inv(z, prec: int) -> tuple[int, int, int] | None:
+    """The ball of 1/z over the ball z = (x, y, r) at scale 2^-prec, or None
+    when m <= r + 1 for m = isqrt(x^2 + y^2), where the disc may come within
+    a unit of 0.
+
+    The midpoint is 1/c = (x - i y) 2^(2 prec) / (x^2 + y^2) units for the
+    centre c, each part floored, so within 2 units of it.  Every z' of the
+    disc has |z'| >= |c| - r units, so |1/z' - 1/c| = |z' - c| / (|z'| |c|)
+    is at most r 2^(2 prec) / (s (s - r)) units for s = |c| 2^prec >= m, and
+    m (m - r - 1) is below s (s - r).  The radius is that bound rounded up,
+    plus the 2 units of the midpoint."""
+    x, y, r = z
+    n = x * x + y * y
+    m = math.isqrt(n)
+    if m <= r + 1:
+        return None
+    scale = 1 << (2 * prec)
+    return (x * scale) // n, (-y * scale) // n, -(-r * scale // (m * (m - r - 1))) + 2
 
 
 def _exp_ball(mx: int, my: int, r: int, p: int) -> tuple[int, int, int]:

@@ -13,7 +13,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import genlab.auxpoly as auxpoly_mod
@@ -46,7 +46,7 @@ from genlab.errors import (
     InvalidConfig,
     PrecisionExhausted,
 )
-from genlab.numeric import NEG_PAIR, ball, complex_exp, log_expm1_abs
+from genlab.numeric import NEG_PAIR, ball, ball_inv, complex_exp, expj, log_expm1_abs
 from genlab.tuples import RealTuple
 
 NEG_INF = float("-inf")
@@ -244,16 +244,21 @@ def exponent_mp(e):
     return mpmath.log(v) if kind == "log" else mpmath.sqrt(v)
 
 
-@given(st.data())
-@settings(max_examples=40, deadline=None)
-def test_grid_sup_matches_pointwise_loop_and_encloses_phi(data):
-    exps = data.draw(st.lists(EXPONENTS, min_size=1, max_size=4, unique=True))
-    coeffs = data.draw(
+@st.composite
+def grid_cases(draw):
+    exps = draw(st.lists(EXPONENTS, min_size=1, max_size=4, unique=True))
+    coeffs = draw(
         st.lists(st.integers(-9, 9), min_size=len(exps), max_size=len(exps)).filter(any)
     )
-    grid = GridSpec(data.draw(st.integers(1, 4)), data.draw(st.integers(8, 13)))
-    radius = data.draw(st.sampled_from((Fraction(1, 4), Fraction(1, 2), Fraction(1))))
-    bits = data.draw(st.sampled_from((128, 256)))
+    grid = GridSpec(draw(st.integers(1, 4)), draw(st.integers(8, 13)))
+    radius = draw(st.sampled_from((Fraction(1, 4), Fraction(1, 2), Fraction(1))))
+    bits = draw(st.sampled_from((128, 256)))
+    return exps, coeffs, grid, radius, bits
+
+
+def check_grid_sup_against_oracles(exps, coeffs, grid, radius, bits):
+    # equal to the pointwise interval loop, at least |phi| from mpmath at
+    # twice the bits at every grid point, and sharp to 1e-12
     ctx, encl, _, _ = auxpoly_mod._alpha_data([exponent_text(e) for e in exps], bits)
     got = auxpoly_mod._grid_sup(ctx, encl, coeffs, radius, grid)
     ivc = oracle.iv_ctx(bits)
@@ -268,19 +273,76 @@ def test_grid_sup_matches_pointwise_loop_and_encloses_phi(data):
         assert got <= true_max * (1 + mpmath.mpf(1e-12))
 
 
-@pytest.mark.parametrize("rings,angles", [(1, 8), (3, 9), (10, 100), (4, 13)])
-def test_grid_sup_takes_one_exp_per_term_per_half_plane_angle(monkeypatch, rings, angles):
+# one grid of each kind _grid_sup walks: N odd (conjugation only),
+# N = 2 mod 4 (and w -> -conj w) and N = 0 mod 8 (and the octant swap)
+@given(grid_cases())
+@example(((("log", 3), ("q", Fraction(-1, 2))), [2, -5], GridSpec(3, 9), Fraction(1, 2), 128))
+@example(
+    ((("sqrt", 7), ("log", 2), ("q", Fraction(3))), [1, 4, -1], GridSpec(1, 10), Fraction(1), 256)
+)
+@example(((("q", Fraction(-3)), ("sqrt", 2)), [7, 3], GridSpec(2, 12), Fraction(1), 128))
+@settings(max_examples=40, deadline=None)
+def test_grid_sup_matches_pointwise_loop_and_encloses_phi(case):
+    check_grid_sup_against_oracles(*case)
+
+
+@pytest.mark.parametrize(
+    "theta,grid,refused",
+    [
+        # e^(-90) is below 2^-129: where a generator ball is that small at
+        # w_g, ball_inv refuses it, and that generator is exponentiated at
+        # N/2 - g directly
+        (90, GridSpec(1, 100), True),
+        # e^(-85) is 42 units at 2^-128: ball_inv accepts it, but its
+        # inverse is 24% wide, so the direct evaluation at N/2 - g replaces it
+        (85, GridSpec(1, 8), False),
+    ],
+)
+def test_grid_sup_at_generators_near_zero_stays_sharp(monkeypatch, theta, grid, refused):
+    answers = []
+
+    def watching_inv(z, p):
+        inv = ball_inv(z, p)
+        answers.append(inv is None)
+        return inv
+
+    monkeypatch.setattr(auxpoly_mod, "ball_inv", watching_inv)
+    # phi = e^(theta w) + 2 e^(-theta w) peaks at w = -1, point N/2, where
+    # the generator of -theta is the one evaluated directly
+    exps = (("q", Fraction(theta)), ("q", Fraction(-theta)))
+    check_grid_sup_against_oracles(exps, [1, 2], grid, Fraction(1), 128)
+    assert any(answers) is refused
+
+
+def grid_exp_counts(monkeypatch, *args):
+    # the complex_exp and expj calls of _grid_sup(*args)
+    counts = {"complex_exp": 0, "expj": 0}
+    for name, fn in (("complex_exp", complex_exp), ("expj", expj)):
+
+        def counting(ctx, z, name=name, fn=fn):
+            counts[name] += 1
+            return fn(ctx, z)
+
+        monkeypatch.setattr(auxpoly_mod, name, counting)
+    auxpoly_mod._grid_sup(*args)
+    return counts["complex_exp"], counts["expj"]
+
+
+def quarter_points(n):
+    # (the points of an n-point grid that _grid_sup exponentiates at, the
+    # turns it takes expj at)
+    points = n // 4 + 1 if n % 2 == 0 else n // 2 + 1
+    return points, n // 8 + 1 if n % 4 == 0 else points
+
+
+@pytest.mark.parametrize("rings,angles", [(1, 8), (3, 9), (10, 100), (4, 13), (1, 10)])
+def test_grid_sup_takes_one_exp_per_term_per_quarter_angle(monkeypatch, rings, angles):
     coeffs = (3, 0, -2, 1)
     ctx, encl, _, _ = auxpoly_mod._alpha_data(("0", "log(2)", "log(3)", "1/2"), 128)
-    calls = []
-
-    def counting_exp(ctx, z):
-        calls.append(z)
-        return complex_exp(ctx, z)
-
-    monkeypatch.setattr(auxpoly_mod, "complex_exp", counting_exp)
-    auxpoly_mod._grid_sup(ctx, encl, coeffs, Fraction(1, 4), GridSpec(rings, angles))
-    assert len(calls) == ((rings * angles) // 2 + 1) * 3
+    grid = GridSpec(rings, angles)
+    counts = grid_exp_counts(monkeypatch, ctx, encl, coeffs, Fraction(1, 4), grid)
+    points, turns = quarter_points(rings * angles)
+    assert counts == (points * 3, turns)
 
 
 # wide exponents, |a| <= 8, pairwise distinct values
@@ -400,9 +462,9 @@ def test_factored_grid_sup_equals_identity_and_encloses_phi(data):
             assert got >= val
 
 
-@pytest.mark.parametrize("rings,angles", [(1, 8), (3, 9), (10, 100), (4, 13)])
+@pytest.mark.parametrize("rings,angles", [(1, 8), (3, 9), (10, 100), (4, 13), (1, 10)])
 @pytest.mark.parametrize("unused", [None, 0, 2])
-def test_monomial_grid_sup_takes_one_exp_per_generator_per_half_plane_angle(
+def test_monomial_grid_sup_takes_one_exp_per_generator_per_quarter_angle(
     monkeypatch, rings, angles, unused
 ):
     # (log 2, log 3, sqrt 5) at L = 2; a zero coefficient on every monomial
@@ -415,15 +477,10 @@ def test_monomial_grid_sup_takes_one_exp_per_generator_per_half_plane_angle(
     rows, units = auxpoly_mod._exponent_rows(alphas, mons)
     ctx, encl, _, _ = auxpoly_mod._alpha_data(alphas, 128)
     gen_encl = [encl[i] for i in units]
-    calls = []
-
-    def counting_exp(ctx, z):
-        calls.append(z)
-        return complex_exp(ctx, z)
-
-    monkeypatch.setattr(auxpoly_mod, "complex_exp", counting_exp)
-    auxpoly_mod._grid_sup(ctx, gen_encl, coeffs, Fraction(1, 4), GridSpec(rings, angles), rows)
-    assert len(calls) == ((rings * angles) // 2 + 1) * (3 if unused is None else 2)
+    grid = GridSpec(rings, angles)
+    counts = grid_exp_counts(monkeypatch, ctx, gen_encl, coeffs, Fraction(1, 4), grid, rows)
+    points, turns = quarter_points(rings * angles)
+    assert counts == (points * (3 if unused is None else 2), turns)
 
 
 def test_siegel_rejects_mismatched_monomials():

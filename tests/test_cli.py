@@ -686,6 +686,36 @@ def test_phil_audit_smoke(tup, capsys):
     assert "not asserted" in payload["note"]
 
 
+def test_phil_audit_draws_no_restarts_without_importing_numpy_random(tup):
+    # the restarts' generator is made at the first draw: a 0-dimensional
+    # kernel (x1 = 1, x2 = 1) or --starts 0 draws nothing, so numpy.random
+    # stays unloaded; one restart then loads it
+    both = tup("both.tup", ["1,0:1; 0,0:-1", "0,1:1; 0,0:-1"])
+    one = tup("one.tup", ["1,0:1; 0,0:-1"])
+    point = tup("pt.tup", ["exp(1)", "2"])
+    script = (
+        "import sys\n"
+        "import genlab.cli\n"
+        "loaded = lambda: 'numpy.random' in sys.modules\n"
+        "audit = ['phil-audit', '--tuple', sys.argv[3], '--D', '3', '--family']\n"
+        "assert genlab.cli.run(audit + [sys.argv[1]]) == 0\n"
+        "assert not loaded()\n"
+        "assert genlab.cli.run(audit + [sys.argv[2], '--starts', '0']) == 0\n"
+        "assert not loaded()\n"
+        "assert genlab.cli.run(audit + [sys.argv[2], '--starts', '1']) == 0\n"
+        "assert loaded()\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    fresh = subprocess.run(
+        [sys.executable, "-c", script, both, one, point],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert fresh.returncode == 0, fresh.stderr
+    statuses = [r["payload"]["zero_distance_status"] for r in records_of(fresh.stdout)]
+    assert statuses == ["empirical_pass"] * 3
+
+
 def test_phil_audit_imports_no_scipy(tup):
     # importing scipy costs about half a second and 40 MB on every cold run;
     # neither the CLI, the zero-distance search nor a relation search with

@@ -13,6 +13,7 @@ from genlab.errors import InvalidConfig, PrecisionExhausted
 from genlab.expr import eval_interval, exact_rational, parse_expression, to_string
 from genlab.numeric import (
     ball,
+    ball_inv,
     complex_exp,
     exact_pair,
     expj,
@@ -244,6 +245,52 @@ def test_expj_ball_holds_the_unit_at_double_bits(data):
         points += [mpmath.ldexp(mid + d, -p) for d in (0, rad, -rad, int(rad * Fraction(frac)))]
         for t in points:
             assert_ball_holds(w, p, mpmath.expj(t))
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_ball_inv_holds_the_inverse_of_every_disc_point(data):
+    # centres up to 2^(p+8) units, radii up to the centre's size;
+    # in exact rationals, every drawn point z' of the disc (inside it and on
+    # its boundary) has 1/z' in the inverse ball, and the ball is refused
+    # exactly when m = isqrt(x^2 + y^2) <= r + 1
+    p = data.draw(st.sampled_from((128, 256)))
+    k = data.draw(st.integers(0, p + 8))
+    x = data.draw(st.integers(-(1 << k), 1 << k))
+    y = data.draw(st.integers(-(1 << k), 1 << k))
+    r = data.draw(st.one_of(st.integers(0, 16), st.integers(0, 1 << k)))
+    inv = ball_inv((x, y, r), p)
+    m = math.isqrt(x * x + y * y)
+    if m <= r + 1:
+        assert inv is None
+        return
+    mx, my, rad = inv
+    unit = Fraction(1, 1 << p)
+    # z' = c + s r (1 - t^2, 2 t) / (1 + t^2): s = 1 on the boundary
+    t = data.draw(st.fractions(-8, 8, max_denominator=1 << 16))
+    s = data.draw(st.one_of(st.just(Fraction(1)), st.fractions(0, 1, max_denominator=1 << 16)))
+    ux, uy = (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
+    points = [(x + s * r * ux, y + s * r * uy)]
+    if r:
+        # the two boundary points that step from the centre towards 0 along
+        # an axis
+        points += [(x - r if x > 0 else x + r, y), (x, y - r if y > 0 else y + r)]
+    for zx, zy in points:
+        n = (zx * zx + zy * zy) * unit * unit
+        dx = zx * unit / n - mx * unit
+        dy = -zy * unit / n - my * unit
+        assert dx * dx + dy * dy <= (rad * unit) ** 2
+
+
+def test_ball_inv_refuses_a_disc_within_a_unit_of_zero():
+    for p in (128, 256):
+        assert ball_inv((0, 0, 0), p) is None
+        assert ball_inv((1, 0, 0), p) is None
+        assert ball_inv((9, 0, 8), p) is None
+        assert ball_inv((6, 8, 9), p) is None  # m = 10 = r + 1
+        assert ball_inv((6, 8, 8), p) is not None  # m = r + 2, the least accepted
+        # the inverse of 1 is 1 exactly, up to the 2 units of the midpoint
+        assert ball_inv((1 << p, 0, 0), p) == (1 << p, 0, 2)
 
 
 @settings(max_examples=200, deadline=None)
