@@ -335,8 +335,10 @@ def quarter_points(n):
     return points, n // 8 + 1 if n % 4 == 0 else points
 
 
+# The count tests keep their half-plane names: _grid_sup exponentiates at the
+# angles of a half-plane for odd N and of a quarter of the circle for even N.
 @pytest.mark.parametrize("rings,angles", [(1, 8), (3, 9), (10, 100), (4, 13), (1, 10)])
-def test_grid_sup_takes_one_exp_per_term_per_quarter_angle(monkeypatch, rings, angles):
+def test_grid_sup_takes_one_exp_per_term_per_half_plane_angle(monkeypatch, rings, angles):
     coeffs = (3, 0, -2, 1)
     ctx, encl, _, _ = auxpoly_mod._alpha_data(("0", "log(2)", "log(3)", "1/2"), 128)
     grid = GridSpec(rings, angles)
@@ -464,7 +466,7 @@ def test_factored_grid_sup_equals_identity_and_encloses_phi(data):
 
 @pytest.mark.parametrize("rings,angles", [(1, 8), (3, 9), (10, 100), (4, 13), (1, 10)])
 @pytest.mark.parametrize("unused", [None, 0, 2])
-def test_monomial_grid_sup_takes_one_exp_per_generator_per_quarter_angle(
+def test_monomial_grid_sup_takes_one_exp_per_generator_per_half_plane_angle(
     monkeypatch, rings, angles, unused
 ):
     # (log 2, log 3, sqrt 5) at L = 2; a zero coefficient on every monomial
