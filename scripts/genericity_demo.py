@@ -24,7 +24,7 @@ def show(name: str, theta: RealTuple, eta: float, c: float, heights) -> None:
         flag = {True: "pass", False: "FAIL", None: "undecided"}[v.passed]
         print(
             f"  D={v.D:3d}  l={v.record.l!s:>12}  "
-            f"log(e^|s| - 1) in [{lo:9.4f}, {hi:9.4f}]  vs {v.threshold:9.4f}  {flag}"
+            f"log|e^s - 1| in [{lo:9.4f}, {hi:9.4f}]  vs {v.threshold:9.4f}  {flag}"
         )
     print()
 

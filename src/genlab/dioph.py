@@ -95,7 +95,7 @@ class LinearFormRecord:
     l: tuple[int, ...]
     D: int
     log_value: tuple[float, float]  # enclosure of log|sum l_i theta_i|
-    log_exp_value: tuple[float, float]  # enclosure of log(e^|sum| - 1)
+    log_exp_value: tuple[float, float]  # enclosure of log|e^(sum) - 1|
     exact_value: Optional[Fraction] = None  # set when the value is proven rational
     approximate: bool = False  # lattice mode: upper bound, not certified min
 
@@ -318,16 +318,12 @@ def _signed_sum(entries, l: Sequence[int], prec: int):
 
 
 def _log_parts(ctx, value, bits: int):
-    """(log_value pair, log_exp pair) for a signed enclosure of s, the
-    log_exp pair at |s|; NeedsBits on straddles or over-wide results.
-
-    The box holds l and -l, so a form counts at its positive value: the
-    least |s| in the box then gives the least log(e^|s| - 1), and a record
-    only falls with D."""
+    """(log_value pair, log_exp pair) for a signed enclosure; NeedsBits on
+    straddles or over-wide results."""
     lv = log_abs_interval(ctx, value)
-    if lv is None:
+    le = log_expm1_abs_interval(ctx, value, bits)
+    if lv is None or le is None:
         return NEG_PAIR, NEG_PAIR
-    le = log_expm1_abs_interval(ctx, libmp.mpi_abs(value, ctx.prec), bits)
     return log_pair(ctx, lv), log_pair(ctx, le)
 
 

@@ -335,8 +335,8 @@ def quarter_points(n):
     return points, n // 8 + 1 if n % 4 == 0 else points
 
 
-# The count tests keep their half-plane names: _grid_sup exponentiates at the
-# angles of a half-plane for odd N and of a quarter of the circle for even N.
+# _grid_sup exponentiates at the angles of a half-plane for odd N and of a
+# quarter of the circle for even N.
 @pytest.mark.parametrize("rings,angles", [(1, 8), (3, 9), (10, 100), (4, 13), (1, 10)])
 def test_grid_sup_takes_one_exp_per_term_per_half_plane_angle(monkeypatch, rings, angles):
     coeffs = (3, 0, -2, 1)

@@ -1044,7 +1044,7 @@ PINNED_INPUTS = {
         ),
         pytest.param(
             "gen --tuple golden.tup --D 2..50 --mu 2 --eta 2.0 --c 0.045",
-            "a871589fd137e69337816f04db4cda06cd279f3aea55ea59e702b1dfba763f71",
+            "f2e457e83888e82bbe5a65e9cc3338553cf5e0b2e6ca08c8f7b3a05682680365",
             id="readme-gen",
         ),
         pytest.param(
@@ -1202,22 +1202,22 @@ PINNED_INPUTS = {
         ),
         pytest.param(
             "gen --tuple logs4.tup --mu 2 --eta 2.0 --c 0.045 --D 2..10",
-            "c498a68970bba8316ab2ee5d305e7b0ecccd9d014bc57d476740220003254bb8",
+            "0693586f72d1bb8d06c2ad2d807f1e96b1985fe6a950e1c898337b92af1d7431",
             id="gen-log-primes-mu2",
         ),
         pytest.param(
             "gen --tuple logs4b.tup --mu 3 --eta 2.0 --c 0.045 --D 2..8",
-            "e1490695b1354fb3292382bb8a0c54d113275e8bfc114332cda6ac6d784a911e",
+            "26f517d5020780cf4e3662e50544cb99e3630c57fb452f5827b46d55e73005a0",
             id="gen-log-primes-mu3",
         ),
         pytest.param(
             "gen --tuple mixed5.tup --mu 2 --eta 2.0 --c 0.045 --D 2..12",
-            "d6926c5d130450f6a4b247285ecd1f343badc125568638fbef9304ea37014998",
+            "4a76866e59430f04b4a9727e28ae696aae8dc7507906a5e3fc8c64378c1117f8",
             id="gen-mixed-mu2",
         ),
         pytest.param(
             "gen --tuple rational.tup --mu 3 --eta 2.0 --c 0.045 --D 2..6",
-            "e853422e3b1920cddfe892e1641b060df027b35f8f50dce5e2f82b468845f267",
+            "b5a521bca68f3dd942496e03e40693aebeb8138863974d744984e8cdb956cc12",
             id="gen-rational-exact",
         ),
         pytest.param(

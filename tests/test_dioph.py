@@ -143,25 +143,6 @@ def test_a_failed_height_never_passes_above_it(data):
                 assert high.passed is not True, (low.D, high.D)
 
 
-def test_gen_counts_each_form_at_its_positive_value():
-    # (log 7, pi): the D=1 minimizer (1, -1) has s = -1.196 and the D=2 one
-    # (2, -1) has s = +0.750.  At the signed value D=1 would fail and D=2
-    # pass, although the D=2 box holds (1, -1).  At |s| the record only falls
-    # with D, so no height passes above a failed one.
-    theta = RealTuple(("log(7)", "pi"))
-    rep = genericity_probe(theta, 2, 2.0, 0.0625, range(1, 4))
-    with mpmath.workprec(200):
-        entries = (mpmath.log(7), mpmath.pi)
-        for v in rep.verdicts:
-            s = abs(mpmath.fsum(c * entries[i] for c, i in zip(v.record.l, v.record.subset)))
-            lo, hi = v.record.log_exp_value
-            assert lo <= float(mpmath.log(mpmath.expm1(s))) <= hi
-    assert [v.record.l for v in rep.verdicts[:2]] == [(1, -1), (2, -1)]
-    for low, high in zip(rep.verdicts, rep.verdicts[1:]):
-        assert high.record.log_exp_value[0] <= low.record.log_exp_value[1]
-        assert not (low.passed is False and high.passed is True)
-
-
 def test_scaling_invariance_exact():
     base = RealTuple(("1", "3/7"))
     scaled = RealTuple(("2/3", "(2/3)*(3/7)"))
