@@ -42,7 +42,7 @@ from typing import Mapping, Sequence
 
 from mpmath import libmp
 
-from .chars import ZeroEstimateResult, zero_estimate_search
+from .chars import CharacterModule, ZeroEstimateResult, zero_estimate_search
 from .cyclo import (
     CycloNum,
     char_value,
@@ -1275,13 +1275,10 @@ def _distance_hypothesis(
             (("reason", "needs a supplied bound or a binomial family"),),
         )
 
-    from .intmat import smith_normal_form
-
     n = len(theta_point)
-    e_rows = [list(ch) for ch in chars]
-    _, s, v = smith_normal_form(e_rows)
-    rank = sum(1 for i in range(min(len(s), n)) if s[i][i])
-    kernel = [[v[i][j] for i in range(n)] for j in range(rank, n)]
+    module = CharacterModule(chars)
+    _, _, v = module.snf()
+    kernel = [[v[i][j] for i in range(n)] for j in range(module.rank, n)]
     dim = len(kernel)
     found = _zero_distance_search(
         kernel, theta_point, seed=seed, starts=starts,

@@ -14,11 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, product
-from math import lcm
 from typing import Mapping, Sequence
 
 from .cyclo import (
     insert_row,
+    integer_row,
     min_vanishing_degree,
     normalize_point_set,
     power_tables,
@@ -157,8 +157,8 @@ def wI_family_rank(n: int, nu: int, choices: Mapping[Sequence[int], Sequence]) -
     InvalidConfig.  The span always has dimension at least nu + 1; the
     witnesses are found greedily in lexicographic subset order, each one
     verified to increase the exact rank.  Each vector is cleared to
-    integers by the lcm of its denominators, which keeps the spans, and
-    inserted by cyclo.insert_row.
+    integers by the lcm of its denominators (cyclo.integer_row), which keeps
+    the spans, and inserted by cyclo.insert_row.
     """
     if not (1 <= nu < n):
         raise InvalidConfig("need 1 <= nu < n")
@@ -171,7 +171,8 @@ def wI_family_rank(n: int, nu: int, choices: Mapping[Sequence[int], Sequence]) -
             raise InvalidConfig(f"key {tuple(key)} is not a {n - nu}-subset of 0..{n - 1}")
         if k in rows:
             raise InvalidConfig(f"two keys name the subset {k}")
-        rows[k] = _integer_vector(vec)
+        rationals = (x if type(x) in (int, Fraction) else Fraction(x) for x in vec)
+        rows[k] = integer_row([((q.numerator,), q.denominator) for q in rationals])
     for subset in expected:
         if subset not in rows:
             raise InvalidConfig(f"missing subset {subset}")
@@ -220,17 +221,6 @@ def product_character_codim(l_vec: Sequence[int], relation_lattice: CharacterMod
     for row in relation_lattice.matrix():
         insert_row(basis, row)
     return sum(insert_row(basis, row) for row in chis)
-
-
-def _integer_vector(vec: Sequence) -> list[int]:
-    """A rational vector times the lcm of its denominators: the integer row
-    insert_row takes, with the same span."""
-    pairs = [
-        (q.numerator, q.denominator)
-        for q in (x if type(x) in (int, Fraction) else Fraction(x) for x in vec)
-    ]
-    den = lcm(*(b for _, b in pairs))
-    return [a * (den // b) for a, b in pairs]
 
 
 def hilbert_function(subgroup: SubgroupDescriptor, L: int) -> int:

@@ -9,13 +9,15 @@ exact rationals (n = 1), Gaussian rationals (n = 4), and the root-of-unity
 constructions used throughout the workbench, while keeping every equality
 test exact.
 
-The head-line operation is min_vanishing_degree: the smallest total degree
-of a nonzero polynomial vanishing on a finite set.  The monomials' value
-columns are inserted in graded order into one exact echelon basis, and the
-first column that reduces to zero has that degree.  That insertion,
-insert_row, runs on integer rows over Z[zeta_n] (plain ints over Q): each
-step scales a row by a nonzero field element and divides out its integer
-content, so it makes no Fraction and no CycloNum.
+insert_row is the package's one exact elimination over a field.  It runs on
+integer rows over Z[zeta_n] (plain ints over Q): each step scales a row by
+a nonzero field element and divides out its integer content, so it makes
+no Fraction and no CycloNum.  A row of field elements reaches it through
+integer_row, which clears the row's denominators.  The head-line operation,
+min_vanishing_degree, inserts the monomials' value columns in graded order,
+and the first column that reduces to zero has the smallest total degree of
+a nonzero polynomial vanishing on the set; rank_field, and
+intmat.rank_rational through it, insert every row of a matrix.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import HypothesisNotMet, InvalidConfig
-from .intmat import echelon
 
 IntPoly = list[int]
 
@@ -565,8 +566,21 @@ def monomials_up_to(nvars: int, degree: int) -> list[tuple[int, ...]]:
 
 
 def rank_field(rows: list[list]) -> int:
-    """Rank by Gaussian elimination over any exact field (Fraction, CycloNum)."""
-    return echelon(rows)[0]
+    """Rank of a matrix of CycloNum, Fraction and int entries over
+    Q(zeta_N), N the lcm of the entries' orders (rationals have order 1).
+
+    Every entry is promoted to order N, and each row goes to insert_row
+    cleared of its denominators (integer_row).  A rank does not change
+    under a field extension, so it is also the rank over the field of any
+    order the entries share.
+    """
+    cells = [make_point(row) for row in rows]
+    order = lcm(*(x.order for row in cells for x in row))
+    basis: list = []
+    for row in cells:
+        promoted = [x.promote(order) for x in row]
+        insert_row(basis, integer_row([(x.nums, x.den) for x in promoted]), order)
+    return len(basis)
 
 
 def evaluation_matrix(points: Sequence[Point], degree: int) -> tuple[list[list], list[tuple[int, ...]]]:
@@ -583,7 +597,7 @@ def _graded_columns(pts: Sequence[Point]):
 
     Each value is kept as integer numerators over a denominator, and a
     column goes to insert_row times the lcm of its denominators
-    (_integer_row).  x^a is extended by x_i, pointwise, only for i >= the
+    (integer_row).  x^a is extended by x_i, pointwise, only for i >= the
     index that last extended it, so every monomial comes once; each column
     is made just before it is yielded.
     """
@@ -591,7 +605,7 @@ def _graded_columns(pts: Sequence[Point]):
     # monomials_up_to rejects points without coordinates
     (start,) = monomials_up_to(len(pts[0]), 0)
     ones = [(ONE.promote(order).nums, 1)] * len(pts)
-    yield start, _integer_row(ones)
+    yield start, integer_row(ones)
     factors = [[(p[i].nums, p[i].den) for p in pts] for i in range(len(start))]
     layer = [(start, ones, 0)]
     while True:
@@ -602,7 +616,7 @@ def _graded_columns(pts: Sequence[Point]):
                     (_mul_mod(a, b, order), da * db) for (a, da), (b, db) in zip(col, factors[i])
                 ]
                 mon_i = mon[:i] + (mon[i] + 1,) + mon[i + 1:]
-                yield mon_i, _integer_row(child)
+                yield mon_i, integer_row(child)
                 nxt.append((mon_i, child, i))
         layer = nxt
 
@@ -633,11 +647,12 @@ def min_vanishing_degree(points: Iterable[Sequence], max_degree: int | None = No
             return degree
 
 
-def _integer_row(values: Sequence[tuple[Sequence[int], int]]) -> list:
+def integer_row(values: Sequence[tuple[Sequence[int], int]]) -> list:
     """(numerators, denominator) values times the lcm of their denominators,
     as the integer entries insert_row takes: ints over Q, coefficient lists
-    otherwise.  Scaling a column leaves its dependencies unchanged."""
+    otherwise.  Scaling by a nonzero integer changes no rank and no
+    dependency.  A rational q comes in as ((q.numerator,), q.denominator)."""
     den = lcm(*(d for _, d in values))
-    if len(values[0][0]) == 1:
+    if not values or len(values[0][0]) == 1:
         return [a[0] * (den // d) for a, d in values]
     return [[c * (den // d) for c in a] for a, d in values]

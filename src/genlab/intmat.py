@@ -1,20 +1,17 @@
-"""Exact integer and rational matrix algebra.
+"""Exact integer matrix algebra: determinant and Smith normal form.
 
-Integer routines (det, Smith normal form) run on plain Python ints, so there
-is no overflow and no rounding.  `echelon` is the field-generic reference
-elimination: it runs over any field whose elements are immutable, support
-+ - * and 1 / x exactly, and whose truthiness means "nonzero"
-(fractions.Fraction, or cyclo.CycloNum).  It is the reference behind
-rank_rational and cyclo.rank_field, and no CLI command runs it: ranks and
-first dependencies found row by row use cyclo.insert_row, which runs on
-integer rows, and saturations come from the Smith normal form.
-Matrices are lists of lists in row-major order; no other input is mutated.
+Both run on plain Python ints, so there is no overflow and no rounding.
+rank_rational is cyclo.rank_field on rational entries: the package has one
+elimination over a field, cyclo.insert_row.  Matrices are lists of lists in
+row-major order; no input is mutated.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Sequence
+
+from .cyclo import rank_field
 
 Matrix = list[list[int]]
 
@@ -71,40 +68,9 @@ def det(a: Sequence[Sequence[int]]) -> int:
     return sign * w[m - 1][m - 1]
 
 
-def echelon(rows: Sequence[Sequence]) -> tuple[int, list[int], list[list]]:
-    """Reduced row echelon form by exact Gauss-Jordan elimination.
-
-    Entries must be exact field elements (Fraction, CycloNum; plain ints
-    would divide to floats).  Returns (rank, pivot columns, reduced rows):
-    each pivot is 1 and the only nonzero entry of its column.  Stops once
-    every row holds a pivot.
-    """
-    w = [list(r) for r in rows]
-    m = len(w)
-    n = len(w[0]) if m else 0
-    pivots: list[int] = []
-    rank = 0
-    for col in range(n):
-        if rank == m:
-            break
-        pivot = next((i for i in range(rank, m) if w[i][col]), None)
-        if pivot is None:
-            continue
-        w[rank], w[pivot] = w[pivot], w[rank]
-        inv = 1 / w[rank][col]
-        w[rank] = [x * inv for x in w[rank]]
-        for i in range(m):
-            f = w[i][col]
-            if i != rank and f:
-                w[i] = [x - f * y for x, y in zip(w[i], w[rank])]
-        pivots.append(col)
-        rank += 1
-    return rank, pivots, w
-
-
 def rank_rational(a: Sequence[Sequence[int | Fraction]]) -> int:
-    """Rank over the rationals by exact Gaussian elimination."""
-    return echelon([[Fraction(x) for x in row] for row in a])[0]
+    """Rank over the rationals (cyclo.rank_field)."""
+    return rank_field(a)
 
 
 def _min_abs_pivot(w: Matrix, t: int, m: int, n: int) -> tuple[int, int] | None:

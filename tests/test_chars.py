@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from field_oracle import echelon, rank
 from genlab import chars
 from genlab.chars import (
     Character,
@@ -26,7 +27,6 @@ from genlab.cyclo import (
     product_point_set,
 )
 from genlab.errors import HypothesisNotMet, InvalidConfig
-from genlab.intmat import echelon, rank_rational
 
 
 def test_character_basics():
@@ -117,7 +117,7 @@ def test_wI_family_rank_random_families():
         assert len(res.witnesses) == nu + 1
         # witnesses independent: exact rank of their vectors
         mat = [choices[s] for s in res.witnesses]
-        assert rank_rational(mat) == nu + 1
+        assert rank(mat) == nu + 1
 
 
 def test_wI_family_rank_rejects_bad_input():
@@ -336,10 +336,10 @@ def _greedy_rank_reference(n, nu, choices):
     witnesses, chosen = [], []
     for subset in expected:
         trial = chosen + [choices[subset]]
-        if rank_rational(trial) == len(trial):
+        if rank(trial) == len(trial):
             chosen.append(choices[subset])
             witnesses.append(subset)
-    total = rank_rational([choices[s] for s in expected])
+    total = rank([choices[s] for s in expected])
     if total < nu + 1:
         return total, tuple(witnesses), tuple(expected)
     return total, tuple(witnesses[: nu + 1]), None
@@ -378,7 +378,7 @@ def test_wI_family_rank_matches_greedy_full_ranks(family):
 def test_wI_family_rank_matches_greedy_echelon_on_generated_families():
     # families drawn as the benchmark draws them, entries a/b with
     # |a| <= 5 and 1 <= b <= 3, against the greedy reference, whose ranks
-    # are intmat.echelon's on Fractions
+    # are the Gauss-Jordan oracle's on Fractions
     rng = random.Random(2024)
     for _ in range(200):
         n = rng.randint(2, 6)
@@ -419,7 +419,7 @@ def test_product_character_codim_matches_rank_difference(case):
             row[i * n + j] = l_vec[i]
         chis.append(row)
     module = CharacterModule(base, ambient_dim=m * n)
-    expected = rank_rational(base + chis) - (rank_rational(base) if base else 0)
+    expected = rank(base + chis) - (rank(base) if base else 0)
     assert product_character_codim(l_vec, module) == expected
 
 

