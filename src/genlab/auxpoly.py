@@ -68,7 +68,6 @@ from .numeric import (
     expj,
     height_threshold,
     log_abs_interval,
-    log_expm1_abs,
     log_expm1_abs_interval,
     log_pair,
     make_ctx,
@@ -743,28 +742,13 @@ def _log_expm1_product(
     theta: RealTuple, kappa: RealTuple, u_terms, v_terms, precision_bits: int
 ) -> tuple[float, float]:
     """Float pair of log|exp(u v) - 1| for u = sum l theta_i and
-    v = sum d kappa_j over (coefficient, index) terms: exact when every entry
-    the terms use is rational, else on the tuples' enclosures, escalating."""
-
-    def dot(terms, values):
-        return sum(c * values[i] for c, i in terms)
-
-    theta_q = {i: exact_rational(theta._nodes[i]) for _, i in u_terms}
-    kappa_q = {j: exact_rational(kappa._nodes[j]) for _, j in v_terms}
-    if None not in (*theta_q.values(), *kappa_q.values()):
-        return log_expm1_abs(dot(u_terms, theta_q) * dot(v_terms, kappa_q), precision_bits)
-
-    def dot_iv(terms, values, p):
-        total = ZERO
-        for c, i in terms:
-            total = libmp.mpi_add(total, libmp.mpi_mul(exact_pair(c, p), values[i], p), p)
-        return total
+    v = sum d kappa_j over (coefficient, index) terms, each factor exact
+    when every entry it uses is rational (RealTuple.combination)."""
 
     def attempt(bits: int) -> tuple[float, float]:
-        ctx, theta_iv = theta.real_enclosures(bits)
-        _, kappa_iv = kappa.real_enclosures(bits)
-        x = libmp.mpi_mul(dot_iv(u_terms, theta_iv, bits), dot_iv(v_terms, kappa_iv, bits), bits)
-        return log_pair(ctx, log_expm1_abs_interval(ctx, x, bits))
+        ctx = make_ctx(bits)
+        u, v = theta.combination(u_terms, bits), kappa.combination(v_terms, bits)
+        return log_pair(ctx, log_expm1_abs_interval(ctx, libmp.mpi_mul(u, v, bits), bits))
 
     return run_escalating(attempt, precision_bits)
 
@@ -796,9 +780,9 @@ def distance_audit(
     powers per distinct coordinate value); their vanishing degree <= L; the
     zero-estimate character l of zero_estimate_search; a coset collision by
     pigeonhole, re-checked as an exact relation; and the contradiction bound
-    log|exp((l . theta_I)((r - rbar) . kappa_J)) - 1| < -c D^eta, exact when
-    every entry it uses is rational and from the tuples' enclosures
-    otherwise.  The collision search reads l pulled back to the box
+    log|exp((l . theta_I)((r - rbar) . kappa_J)) - 1| < -c D^eta, each
+    factor exact when every entry it uses is rational and from the tuples'
+    enclosures otherwise.  The collision search reads l pulled back to the box
     exponents: chi_l(P(r)) = prod_rho w_rho^{r_rho} with
     w_rho = prod_lambda z[lambda, rho]^{l_lambda}, so each value is a
     product of nu entries of the w_rho's power tables.
@@ -980,14 +964,21 @@ def _binomial_characters(family) -> list[tuple[int, ...]] | None:
     return chars
 
 
-def _poly_eval_exact(poly, coords) -> Fraction:
+def _poly_eval_exact(poly, point: RealTuple) -> Fraction | None:
+    """poly at the point, exactly, when every coordinate it uses (exponent
+    != 0) is rational; None otherwise."""
     total = Fraction(0)
     for mono, coeff in poly.items():
         term = Fraction(1)
-        for e, q in zip(mono, coords):
+        for i, e in enumerate(mono):
+            if e == 0:
+                continue
+            q = point.exact_combination(((1, i),))
+            if q is None:
+                return None
             if e < 0 and q == 0:
                 raise InvalidConfig("image point has a zero coordinate under a pole")
-            term *= Fraction(q) ** e
+            term *= q**e
         total += coeff * term
     return total
 
@@ -1027,7 +1018,8 @@ def philippon_audit(
 
     H1: every Laurent degree <= c1*D (exact).  H2: every coefficient height
     satisfies log|f| <= c2*D (exact).  H3: log|f(Theta)| <= -C*D^eta for
-    every member (certified intervals, exact when the point is rational).
+    every member (certified intervals, exact when every coordinate the
+    member uses is rational).
     H4: distance from Theta to the common zero set stays above -3*C*D^eta in
     log scale; checked against a supplied bound when given, otherwise
     explored for binomial families by seeded simplex descent over the
@@ -1068,10 +1060,9 @@ def philippon_audit(
 
     small_bound = height_threshold(C, eta, D)[1]
     dist_bound = height_threshold(3.0 * C, eta, D)[1]
-    exact_coords = theta_point.exact_values()
     small_details = []
     for idx, poly in enumerate(polys):
-        exact = None if exact_coords is None else _poly_eval_exact(poly, exact_coords)
+        exact = _poly_eval_exact(poly, theta_point)
 
         def attempt(bits: int, p=poly, q=exact) -> tuple[float, float]:
             if q is None:

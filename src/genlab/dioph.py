@@ -14,11 +14,11 @@ per height sweep (_screen_sweep): the half boxes of the sweep's top height,
 each half vector tagged with the first height whose box holds it, give
 every height's survivors, each set the one a screen of that height's box
 alone would keep.  The enumeration budget still counts the whole box,
-(2D+1)^mu, and the sweep covers the heights within it.  Above it a
-lattice-reduction mode returns a certified upper-bound record flagged
-approximate.  The probes aggregate these records over heights and subsets
-with the existential subset quantifier (max over subsets of the min over
-forms) and compare against thresholds -c*D^eta, all through one
+(2D+1)^mu (_within_budget), and the sweep covers the heights within it.
+Above it a lattice-reduction mode returns a certified upper-bound record
+flagged approximate.  The probes aggregate these records over heights and
+subsets with the existential subset quantifier (max over subsets of the min
+over forms) and compare against thresholds -c*D^eta, all through one
 pass / fail / undecided / escalate rule: an approximate record can fail a
 height but never pass it.
 
@@ -31,11 +31,12 @@ midpoints per precision (RealTuple.midpoints, the screen's input), each
 sweep's screen keyed by the screened floats and the sweep's exhaustive
 heights (an escalated precision whose midpoints round to the same floats
 reuses it), and, keyed by (subset, l, bits), each form's signed enclosure,
-its |.| bounds and its certified log pairs (_Form, read by both the
-interval and the exact-rational branch of _min_record; a tuple always takes
-the same branch).  A record is the same deterministic function of the same
-inputs either way, so outputs are byte-identical to screening and
-certifying afresh.  The memo lives exactly as long as the tuple object,
+its |.| bounds and its certified log pairs (_Form).  Every enclosure is
+RealTuple.combination, exact when the entries the form uses are rational,
+so an exact zero form certifies log 0; a subset of rational entries picks
+its minimizer by exact values.  A record is the same deterministic function
+of the same inputs either way, so outputs are byte-identical to screening
+and certifying afresh.  The memo lives exactly as long as the tuple object,
 which the CLI builds once per run: it is never module-level, so no run
 reuses another's work.
 
@@ -53,7 +54,6 @@ Index subsets are 0-based throughout.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -67,9 +67,7 @@ from mpmath import libmp
 from .errors import InvalidConfig
 from .numeric import (
     NEG_PAIR,
-    ZERO,
     NeedsBits,
-    exact_pair,
     height_threshold,
     log_abs_interval,
     log_expm1_abs_interval,
@@ -306,17 +304,6 @@ def _lattice_candidates(
 # certified selection
 
 
-def _signed_sum(entries, l: Sequence[int], prec: int):
-    """The pair of sum l_i x_i over the nonzero l_i, at prec bits."""
-    total = None
-    for coeff, x in zip(l, entries):
-        if coeff == 0:
-            continue
-        term = libmp.mpi_mul(x, exact_pair(coeff, prec), prec)
-        total = term if total is None else libmp.mpi_add(total, term, prec)
-    return total
-
-
 def _log_parts(ctx, value, bits: int):
     """(log_value pair, log_exp pair) for a signed enclosure; NeedsBits on
     straddles or over-wide results."""
@@ -345,13 +332,12 @@ class _Form:
         return self.logs
 
 
-def _form(theta: RealTuple, subset, l, bits: int, signed_sum) -> _Form:
-    """The memoised form (subset, l) of theta at bits; signed_sum() builds
-    its enclosure on the first call."""
+def _form(theta: RealTuple, subset, l, bits: int) -> _Form:
+    """The memoised form (subset, l) of theta at bits."""
     key = (subset, l, bits)
     form = theta._forms.get(key)
     if form is None:
-        form = theta._forms[key] = _Form(signed_sum(), bits)
+        form = theta._forms[key] = _Form(theta.combination(tuple(zip(l, subset)), bits), bits)
     return form
 
 
@@ -378,9 +364,7 @@ def _min_record(
     """The record of subset at height D.  heights are the exhaustive heights
     of the sweep D belongs to (D alone outside a sweep); an exhaustive D is
     one of them, and its candidates come from the sweep's screen."""
-    mu = len(subset)
-    exact_entries = theta.exact_values()
-    exhaustive = (2 * D + 1) ** mu <= budget
+    exhaustive = _within_budget(D, len(subset), budget)
     screen_bits = max(128, bits_floor)
     if exhaustive:
         mids = theta.midpoints(screen_bits)
@@ -391,36 +375,14 @@ def _min_record(
     else:
         candidates = _lattice_candidates(theta, subset, D, screen_bits)
 
-    if exact_entries is not None:
-        vals = [
-            (abs(sum(c * exact_entries[i] for c, i in zip(l, subset))), l)
-            for l in candidates
-        ]
-        best_val = min(v for v, _ in vals)
-        best_l = min(l for v, l in vals if v == best_val)
-        q = best_val
-
-        def assemble(bits: int) -> LinearFormRecord:
-            if q == 0:
-                return LinearFormRecord(subset, best_l, D, NEG_PAIR, NEG_PAIR, Fraction(0), not exhaustive)
-            terms = [Fraction(c) * exact_entries[i] for c, i in zip(best_l, subset) if c]
-            form = _form(theta, subset, best_l, bits, lambda: functools.reduce(
-                partial(libmp.mpi_add, prec=bits), (exact_pair(t, bits) for t in terms), ZERO
-            ))
-            log_value, log_exp = form.log_parts(make_ctx(bits), bits)
-            return LinearFormRecord(subset, best_l, D, log_value, log_exp, q, not exhaustive)
-
-        return run_escalating(assemble, bits_floor)
-
+    q = None  # the exact least |value|, when every entry of the subset is rational
+    if theta.exact_combination([(1, i) for i in subset]) is not None:
+        q, best_l = min((abs(theta.exact_combination(zip(l, subset))), l) for l in candidates)
+        candidates = [best_l]
     tie_cap = 4 * screen_bits
 
     def compute(bits: int) -> LinearFormRecord:
-        ctx, encl = theta.real_enclosures(bits)
-        entries = [encl[i] for i in subset]
-        forms = [
-            (_form(theta, subset, l, bits, partial(_signed_sum, entries, l, bits)), l)
-            for l in candidates
-        ]
+        forms = [(_form(theta, subset, l, bits), l) for l in candidates]
         contenders = forms  # a lone survivor is the minimizer
         if len(forms) > 1:
             min_upper = forms[0][0].high
@@ -431,8 +393,8 @@ def _min_record(
             if len(contenders) > 1 and bits < tie_cap:
                 raise NeedsBits
         form, best_l = min(contenders, key=lambda t: t[1])
-        log_value, log_exp = form.log_parts(ctx, bits)
-        return LinearFormRecord(subset, best_l, D, log_value, log_exp, None, not exhaustive)
+        log_value, log_exp = form.log_parts(make_ctx(bits), bits)
+        return LinearFormRecord(subset, best_l, D, log_value, log_exp, q, not exhaustive)
 
     return run_escalating(compute, bits_floor)
 
@@ -517,10 +479,16 @@ def _better(a: LinearFormRecord, b: LinearFormRecord) -> bool:
     return a.log_value[0] > b.log_value[1]
 
 
+def _within_budget(D: int, mu: int, budget: int) -> bool:
+    """Whether the height-D box of mu coordinates is within the enumeration
+    budget; every budget test reads it."""
+    return (2 * D + 1) ** mu <= budget
+
+
 def _exhaustive_heights(heights: Sequence[int], mu: int, budget: int) -> tuple[int, ...]:
     """The heights whose box of mu coordinates is within the budget; the
     sweep screen covers them, and the heights above take the lattice path."""
-    return tuple(D for D in heights if (2 * D + 1) ** mu <= budget)
+    return tuple(D for D in heights if _within_budget(D, mu, budget))
 
 
 def _best_subset_record(
@@ -620,10 +588,8 @@ class BitupleReport:
 
 
 def _abs_product_interval(theta, rec_l, kappa, rec_r, bits):
-    _, encl_t = theta.real_enclosures(bits)
-    _, encl_k = kappa.real_enclosures(bits)
-    st = _signed_sum([encl_t[i] for i in rec_l.subset], rec_l.l, bits)
-    sk = _signed_sum([encl_k[i] for i in rec_r.subset], rec_r.l, bits)
+    st = theta.combination(tuple(zip(rec_l.l, rec_l.subset)), bits)
+    sk = kappa.combination(tuple(zip(rec_r.l, rec_r.subset)), bits)
     return libmp.mpi_mul(libmp.mpi_abs(st, bits), libmp.mpi_abs(sk, bits), bits)
 
 
@@ -711,15 +677,6 @@ class RegularityResult:
     minimal: Optional[bool]  # smallest max-norm confirmed by enumeration
 
 
-def _relation_holds(entries, l, exact_entries, prec: int) -> tuple[bool, bool]:
-    """(plausible, exact): enclosure of the combination straddles zero /
-    the combination is exactly zero in rational arithmetic."""
-    if exact_entries is not None:
-        total = sum(Fraction(c) * q for c, q in zip(l, exact_entries))
-        return total == 0, total == 0
-    return straddles_zero(_signed_sum(entries, l, prec)), False
-
-
 def regularity_probe(
     theta: RealTuple,
     include_pi_i: bool = False,
@@ -736,26 +693,25 @@ def regularity_probe(
     appended coordinate still counts toward the minimality budget, and a
     relation found with it is never reported as verified exactly.
 
-    A found relation is verified: its enclosure straddles zero at full
-    precision, and exactly when all entries are rational.  The box screen
-    confirms it minimal when the box is within the budget and every entry
-    is within the screen's float range; otherwise minimal is None.  Absence
-    of a relation is only a no-witness-up-to-budget verdict, never a
-    regularity claim.
+    A found relation is verified: its enclosure (RealTuple.combination)
+    straddles zero at full precision, and it is verified exactly when every
+    entry it uses is rational.  The box screen confirms it minimal when the
+    box is within the budget and every entry is within the screen's float
+    range; otherwise minimal is None.  Absence of a relation is only a
+    no-witness-up-to-budget verdict, never a regularity claim.
     """
     if height_bound < 1:
         raise InvalidConfig("height_bound must be >= 1")
     bits = max(128, precision_bits if precision_bits is not None else theta.precision_bits)
 
     _, entries = theta.real_enclosures(bits)
-    exact_entries = None if include_pi_i else theta.exact_values()
 
     def first_holding(vectors):
         """(l, exact) for the first plausible relation in (max-norm, l) order."""
         for l in sorted(vectors, key=lambda l: (max(abs(x) for x in l), l)):
-            plausible, exact = _relation_holds(entries, l, exact_entries, bits)
-            if plausible:
-                return l, exact
+            terms = tuple(zip(l, range(len(l))))
+            if straddles_zero(theta.combination(terms, bits)):
+                return l, not include_pi_i and theta.exact_combination(terms) == 0
         return None
 
     found = first_holding(_relation_rows(entries, bits, height_bound))
@@ -766,7 +722,7 @@ def regularity_probe(
     h0 = max(abs(x) for x in found[0])
     minimal = None
     n = len(entries) + include_pi_i  # the budget counts the pi*i coordinate
-    if (2 * h0 + 1) ** n <= budget:
+    if _within_budget(h0, n, budget):
         mids = theta.midpoints(bits)
         # an entry beyond the screen's float range leaves the relation
         # unconfirmed, as a box over the budget does

@@ -200,33 +200,6 @@ def log_expm1_abs_interval(ctx, x, precision_bits: int):
     return log(libmp.mpi_abs(y, p), p)
 
 
-def log_expm1_abs(x, precision_bits: int = 128) -> tuple[float, float]:
-    """Certified enclosure of log|e^x - 1| as a float pair.
-
-    x may be an expression string, an int, or a Fraction.  Returns the
-    (-inf, -inf) sentinel for x = 0.
-    """
-    from .expr import eval_interval, exact_rational, parse_expression  # expr imports numeric
-
-    if isinstance(x, str):
-        node = parse_expression(x)
-        exact = exact_rational(node)
-    elif isinstance(x, (int, Fraction)):
-        node, exact = None, Fraction(x)
-    else:
-        raise InvalidConfig(f"unsupported input for log_expm1_abs: {x!r}")
-
-    def attempt(bits: int) -> tuple[float, float]:
-        ctx = make_ctx(bits)
-        if exact is not None:
-            xi = exact_pair(exact, bits)
-        else:
-            xi = eval_interval(ctx, node)
-        return log_pair(ctx, log_expm1_abs_interval(ctx, xi, bits))
-
-    return run_escalating(attempt, precision_bits)
-
-
 def ball(x, prec: int) -> tuple[int, int]:
     """(mid, rad) with [mid - rad, mid + rad] * 2^-prec containing the finite
     interval x = (a, b): its endpoints floored to fixed point and widened by

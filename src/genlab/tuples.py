@@ -6,9 +6,15 @@ Entries are evaluated to interval pairs (a, b) of libmp endpoints at
 whatever precision a computation needs, once per precision, so nothing is
 ever rounded at parse time.
 
-A tuple also carries the memos its consumers fill: the float midpoints of
-its enclosures (once per precision), and the dioph probes' float screens
-and certified linear forms.  Every memo lives exactly as long as the tuple
+Every certified quantity taken from a tuple is an integer combination
+sum c_i theta_i of its entries (combination): exact when every entry with
+c_i != 0 is rational, so an exact zero is ZERO whatever the other entries
+are, and an interval sum of the entries' enclosures otherwise.
+
+A tuple also carries the memos its consumers fill: each entry's exact
+rational value (on first use), the float midpoints of its enclosures (once
+per precision), and the dioph probes' float screens and certified linear
+forms.  Every memo lives exactly as long as the tuple
 object, which the CLI builds once per run, so no run ever reads another
 run's work.
 """
@@ -23,7 +29,7 @@ from mpmath import libmp
 
 from .errors import InvalidConfig
 from .expr import Node, eval_interval, exact_rational, parse_expression
-from .numeric import NeedsBits, is_exact_zero, make_ctx, run_escalating, straddles_zero
+from .numeric import NeedsBits, exact_pair, is_exact_zero, make_ctx, run_escalating, straddles_zero
 
 MIN_PRECISION_BITS = 64
 
@@ -32,7 +38,12 @@ MIN_PRECISION_BITS = 64
 class RealTuple:
     """An ordered tuple of real numbers defined by expressions.
 
-    Four memos ride on the instance, none of them part of its value:
+    Integer combinations of the entries come from exact_combination and
+    combination, exact exactly when the entries used are rational.
+
+    Five memos ride on the instance, none of them part of its value:
+    _rationals (entry index -> its exact rational value or None, filled on
+    first use, so a malformed entry raises only when a computation uses it),
     _enclosures (bits -> ctx and the entries' interval pairs), _midpoints
     (bits -> float midpoints), _screens, which dioph keys by (screened
     floats, exhaustive heights of a sweep) and fills with every height's
@@ -47,6 +58,7 @@ class RealTuple:
     expressions: tuple[str, ...]
     precision_bits: int = 128
     _nodes: tuple[Node, ...] = field(init=False, repr=False, compare=False)
+    _rationals: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _enclosures: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _midpoints: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _forms: dict = field(init=False, repr=False, compare=False, default_factory=dict)
@@ -69,15 +81,54 @@ class RealTuple:
     def __len__(self) -> int:
         return len(self.expressions)
 
+    def _rational(self, i: int) -> Optional[Fraction]:
+        """Entry i as an exact rational, or None if it is irrational."""
+        try:
+            return self._rationals[i]
+        except KeyError:
+            q = self._rationals[i] = exact_rational(self._nodes[i])
+            return q
+
     def exact_values(self) -> Optional[tuple[Fraction, ...]]:
-        """All entries as exact rationals, or None if any entry is irrational."""
+        """All entries as exact rationals, or None if any entry is
+        irrational.  Only the benchmark's tracer reads it (ROADMAP item 5)."""
         values = []
-        for node in self._nodes:
-            v = exact_rational(node)
-            if v is None:
+        for i in range(len(self)):
+            q = self._rational(i)
+            if q is None:
                 return None
-            values.append(v)
+            values.append(q)
         return tuple(values)
+
+    def exact_combination(self, terms) -> Optional[Fraction]:
+        """sum c * entry_i over the (c, i) terms, exactly, when every entry
+        with c != 0 is rational (the int 0 when no c is nonzero); None
+        otherwise."""
+        total = 0
+        for c, i in terms:
+            if c:
+                q = self._rational(i)
+                if q is None:
+                    return None
+                total += c * q
+        return total
+
+    def combination(self, terms, bits: int):
+        """The interval pair of sum c * entry_i over the (c, i) terms (a
+        sequence) at the given precision: exact_pair of exact_combination
+        when that is known, so an exact zero is ZERO, and otherwise the sum
+        of the nonzero terms' products with the entries' enclosures, from
+        the first term on (a term with c = 1 is the enclosure itself)."""
+        q = self.exact_combination(terms)
+        if q is not None:
+            return exact_pair(q, bits)
+        _, encl = self.real_enclosures(bits)
+        total = None
+        for c, i in terms:
+            if c:
+                term = encl[i] if c == 1 else libmp.mpi_mul(encl[i], exact_pair(c, bits), bits)
+                total = term if total is None else libmp.mpi_add(total, term, bits)
+        return total
 
     def real_enclosures(self, bits: int):
         """(ctx, tuple of interval pairs) at the given precision."""
@@ -110,17 +161,12 @@ class RealTuple:
         return mids
 
     def validate_nonzero(self) -> None:
-        """Certify every entry is nonzero, escalating precision as needed."""
-        exact = self.exact_values()
-        if exact is not None:
-            for j, v in enumerate(exact):
-                if v == 0:
-                    raise InvalidConfig(f"tuple entry {j} is zero")
-            return
+        """Certify every entry is nonzero, escalating precision as needed;
+        a rational entry is decided exactly."""
 
         def attempt(bits: int) -> None:
-            _, encl = self.real_enclosures(bits)
-            for j, x in enumerate(encl):
+            for j in range(len(self)):
+                x = self.combination(((1, j),), bits)
                 if is_exact_zero(x):
                     raise InvalidConfig(f"tuple entry {j} is zero")
                 if straddles_zero(x):

@@ -103,6 +103,18 @@ def log_expm1_abs_interval(ctx, x, precision_bits: int):
     return ctx.log(abs(y))
 
 
+def combination(encl, terms):
+    """sum c * encl[i] over the (c, i) terms with c != 0, from the first such
+    term on; a term with c = 1 is the enclosure itself (RealTuple.combination
+    on entries that are not all rational)."""
+    total = None
+    for c, i in terms:
+        if c:
+            term = encl[i] if c == 1 else encl[i] * c
+            total = term if total is None else total + term
+    return total
+
+
 def eval_interval(ctx, node):
     if isinstance(node, Num):
         q = node.value

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import genlab.auxpoly as auxpoly_mod
 import iv_oracle as oracle
+from expr_oracle import log_expm1_abs
 from genlab.auxpoly import (
     AuxSchedule,
     GridSpec,
@@ -46,7 +47,8 @@ from genlab.errors import (
     InvalidConfig,
     PrecisionExhausted,
 )
-from genlab.numeric import NEG_PAIR, ball, ball_inv, complex_exp, expj, log_expm1_abs
+from genlab.expr import exact_rational, parse_expression
+from genlab.numeric import NEG_PAIR, ball, ball_inv, complex_exp, expj
 from genlab.tuples import RealTuple
 
 NEG_INF = float("-inf")
@@ -836,16 +838,22 @@ _BOUND_ENTRIES = ("log(2)", "log(3)", "1/3", "-5/2", "pi", "sqrt(2)", "exp(1/5)"
 def test_contradiction_bound_matches_expression_text(theta_entries, kappa_entries, data):
     # reference: the bound as one expression text, parsed and evaluated whole
     # by log_expm1_abs; the audit sums the same terms on the tuples' own
-    # enclosures (or exactly), so the float pairs agree bit for bit
+    # enclosures, or takes a factor exactly when every entry it uses is
+    # rational, so the float pairs agree bit for bit
     def terms(n):
         coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any))
         return [(c, i) for i, c in enumerate(coeffs) if c]
 
+    def factor(entries, terms):
+        values = [exact_rational(parse_expression(entries[i])) for _, i in terms]
+        if None in values:
+            return " + ".join(f"({c})*({entries[i]})" for c, i in terms)
+        return str(sum(c * q for (c, _), q in zip(terms, values)))
+
     # an entry with coefficient 0 is left out, as the audit leaves it out
     u_terms, v_terms = terms(len(theta_entries)), terms(len(kappa_entries))
     theta, kappa = RealTuple(tuple(theta_entries)), RealTuple(tuple(kappa_entries))
-    u = " + ".join(f"({l})*({theta_entries[i]})" for l, i in u_terms)
-    v = " + ".join(f"({d})*({kappa_entries[j]})" for d, j in v_terms)
+    u, v = factor(theta_entries, u_terms), factor(kappa_entries, v_terms)
     try:
         expected = log_expm1_abs(f"({u})*({v})", 128)
     except PrecisionExhausted:
@@ -855,6 +863,15 @@ def test_contradiction_bound_matches_expression_text(theta_entries, kappa_entrie
     except PrecisionExhausted:
         got = PrecisionExhausted
     assert got == expected
+
+
+def test_contradiction_bound_with_an_exactly_zero_rational_factor_is_certified():
+    # u = 1/3 - 1/3 uses rational entries only, so it is exactly 0 and the
+    # bound is log 0 although v = pi is irrational; an interval sum of u
+    # would straddle 0 at every precision
+    theta, kappa = RealTuple(("1/3", "1/3")), RealTuple(("pi",))
+    got = auxpoly_mod._log_expm1_product(theta, kappa, [(1, 0), (-1, 1)], [(1, 0)], 128)
+    assert got == NEG_PAIR
 
 
 def test_distance_audit_validates_input():

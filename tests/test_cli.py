@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -163,8 +164,12 @@ def test_bad_parameter_exits_2(tup, capsys):
           "--eta", "2", "--c", "0.045", "--L", "2", "--R", "2"], 0),
         (["bigen", "--tuple", "{logs}", "--kappa", "{zero_last}", "--mu", "2",
           "--nu", "2", "--eta", "2", "--c", "0.045", "--L", "2", "--R", "2"], 1),
+        # a rational entry is decided exactly beside an irrational one: its
+        # interval difference would straddle 0 at every precision
+        (["gen", "--tuple", "{zero_sum}", "--mu", "2", "--eta", "2", "--c", "0.045",
+          "--D", "3"], 0),
     ],
-    ids=["gen", "relation", "bigen-theta", "bigen-kappa"],
+    ids=["gen", "relation", "bigen-theta", "bigen-kappa", "gen-rational-difference"],
 )
 def test_zero_tuple_entry_exits_2(tup, capsys, argv, entry):
     # a zero entry makes l = e_j an exact zero form; the linear-form probes
@@ -173,12 +178,56 @@ def test_zero_tuple_entry_exits_2(tup, capsys, argv, entry):
         "zero": tup("zero.tup", ["0", "log(2)"]),
         "zero_last": tup("zero_last.tup", ["log(3)", "0"]),
         "logs": tup("logs.tup", ["log(5)", "log(7)"]),
+        "zero_sum": tup("zero_sum.tup", ["1/3 - 1/3", "pi"]),
     }
     code = run([a.format(**files) for a in argv])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert f"tuple entry {entry} is zero" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# a combination whose entries are rational is exact, whatever the other
+# entries of the tuple are
+
+
+def test_gen_certifies_an_exact_zero_form_beside_an_irrational_entry(tup, capsys):
+    # 1 - 3 * (1/3) = 0 over the rational subset {0, 1} is log 0, a certified
+    # value, so the other subsets decide the height
+    path = tup("mixed.tup", ["1", "1/3", "pi"])
+    code, out = run_capture(
+        capsys,
+        ["gen", "--tuple", path, "--mu", "2", "--eta", "2", "--c", "0.045", "--D", "3"],
+    )
+    assert code == 0
+    (payload,) = [r["payload"] for r in records_of(out)]
+    assert (payload["subset"], payload["l"]) == ([1, 2], [1, 0])
+    lo, hi = payload["log_min"]
+    assert lo <= math.log(1 / 3) <= hi
+    assert (payload["passed"], payload["overall"]) == (False, "special-witnesses")
+
+
+def test_relation_of_rational_entries_is_verified_exactly(tup, capsys):
+    path = tup("mixed.tup", ["1", "2", "pi"])
+    code, out = run_capture(capsys, ["relation", "--tuple", path, "--height", "5"])
+    assert code == 0
+    (payload,) = [r["payload"] for r in records_of(out)]
+    assert payload["relation"] == [2, -1, 0]
+    assert (payload["verified_exact"], payload["minimal"]) == (True, True)
+
+
+def test_phil_audit_evaluates_a_member_of_rational_coordinates_exactly(tup, capsys):
+    # 3 x1 - 1 uses only x1 = 1/3, so it is exactly 0 at the point, pi aside
+    fam = tup("fam.tup", ["1,0:3; 0,0:-1"])
+    point = tup("pt.tup", ["1/3", "pi"])
+    code, out = run_capture(
+        capsys, ["phil-audit", "--family", fam, "--tuple", point, "--D", "2"]
+    )
+    assert code == 0
+    payload = records_of(out)[0]["payload"]
+    assert payload["evaluation_smallness_status"] == "pass"
+    assert payload["evaluation_smallness_details"] == [[0, ["-inf", "-inf"], True]]
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import iv_oracle as oracle
+from expr_oracle import log_expm1_abs
 from genlab import dioph
 from genlab.dioph import (
     GenericityReport,
@@ -23,7 +24,7 @@ from genlab.dioph import (
     regularity_probe,
 )
 from genlab.errors import InvalidConfig
-from genlab.numeric import log_expm1_abs
+from genlab.expr import exact_rational, parse_expression
 from genlab.tuples import RealTuple
 
 GOLDEN = RealTuple(("1", "phi"))
@@ -540,27 +541,32 @@ def test_regularity_minimal_beats_the_lattice_row(entries, pi_i, lattice_row, mi
 
 def _brute_relation(theta, include_pi_i, h):
     """Reference: the smallest (max-norm, l) plausible relation in the
-    height-h box, by walking the whole box.  With include_pi_i the last
-    coordinate l' multiplies pi*i: the real sum and the imaginary part
-    l' pi must both straddle zero."""
+    height-h box, by walking the whole box.  A relation whose nonzero
+    coefficients meet rational entries only is decided in exact rational
+    arithmetic, and then it is verified exactly unless pi*i is appended;
+    otherwise its real sum must straddle zero.  With include_pi_i the last
+    coordinate l' multiplies pi*i, and the imaginary part l' pi must
+    straddle zero too."""
     bits = max(128, theta.precision_bits)
     _, encl = theta.real_enclosures(bits)
     ctx = oracle.iv_ctx(bits)
     encl = [oracle.to_iv(ctx, x) for x in encl]
     n = len(encl)
-    exact_entries = None if include_pi_i else theta.exact_values()
+    rationals = [exact_rational(parse_expression(e)) for e in theta.expressions]
     best = None
     for l in itertools.product(range(-h, h + 1), repeat=n + include_pi_i):
         if not any(l):
             continue
         l = canonical_form(l)
-        if exact_entries is not None:
-            exact = sum(Fraction(c) * q for c, q in zip(l, exact_entries)) == 0
-            plausible = exact
+        im = ctx.pi * l[n] if include_pi_i else ctx.mpf(0)
+        used = [q for c, q in zip(l, rationals) if c]
+        if None not in used:
+            real = sum(Fraction(c) * q for c, q in zip(l, rationals) if c) == 0
+            exact = real and not include_pi_i
         else:
             re = sum((x * c for c, x in zip(l, encl)), ctx.mpf(0))
-            im = ctx.pi * l[n] if include_pi_i else ctx.mpf(0)
-            plausible, exact = re.a <= 0 <= re.b and im.a <= 0 <= im.b, False
+            real, exact = re.a <= 0 <= re.b, False
+        plausible = real and im.a <= 0 <= im.b
         key = (max(abs(x) for x in l), l)
         if plausible and (best is None or key < best[0]):
             best = (key, l, exact)
@@ -589,13 +595,20 @@ def test_regularity_minimal_matches_box_walk(entries, include_pi_i):
     assert res.verified_exact == exact
 
 
+def test_regularity_verifies_a_relation_of_rational_entries_exactly():
+    # the relation uses the rational entries only, so it is exact although
+    # the tuple holds an irrational entry
+    res = regularity_probe(RealTuple(("0", "sqrt(2)")), height_bound=6)
+    assert (res.relation, res.verified_exact, res.minimal) == ((1, 0), True, True)
+
+
 # ---------------------------------------------------------------------------
 # certified forms memoised on the tuple
 
 
 # Real entries whose values are linearly independent over Q (Baker,
 # Besicovitch), plus rationals; a draw holds at most one rational unless
-# every entry is rational, so no zero form arises on the interval branch.
+# every entry is rational, so every zero form is exact.
 # DEEP is about 5e-31, a difference of two numbers near pi: at 128 bits its
 # forms are too wide to certify, so a sweep that meets it escalates.
 DEEP = "pi - 3141592653589793238462643383279/10^30"
@@ -606,7 +619,7 @@ _RATIONAL = ["1/2", "-3/4", "5/3", "2", "-7/5"]
 @st.composite
 def _probe_tuples(draw):
     m = draw(st.integers(2, 4))
-    if draw(st.booleans()):  # every entry rational: the exact branch
+    if draw(st.booleans()):  # every entry rational: exact minimizers
         entries = st.lists(st.sampled_from(_RATIONAL), min_size=m, max_size=m)
     else:
         pool = [DEEP, *_IRRATIONAL, draw(st.sampled_from(_RATIONAL))]

@@ -9,9 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import libmp
 
+import iv_oracle as oracle
+from genlab import tuples as tuples_mod
 from genlab.errors import InvalidConfig, PrecisionExhausted
 from genlab.expr import eval_interval, exact_rational, parse_expression, to_string
 from genlab.numeric import (
+    ZERO,
     ball,
     ball_inv,
     complex_exp,
@@ -330,6 +333,65 @@ def test_real_tuple_validation():
         RealTuple(("0",)).validate_nonzero()
     with pytest.raises(PrecisionExhausted):
         RealTuple(("phi^2 - phi - 1",)).validate_nonzero()
+
+
+def test_rational_entries_decided_exactly_beside_irrational_ones():
+    with pytest.raises(InvalidConfig, match="tuple entry 0 is zero"):
+        RealTuple(("1/3 - 1/3", "pi")).validate_nonzero()
+    # an entry is read only when a combination uses it
+    t = RealTuple(("0^-1", "pi", "1/2"))
+    assert t.exact_combination([(1, 1)]) is None
+    assert t.exact_combination([(0, 0), (4, 2)]) == 2
+    with pytest.raises(InvalidConfig, match="zero raised to a negative power"):
+        t.exact_combination([(1, 0)])
+
+
+def test_exact_rational_runs_once_per_entry(monkeypatch):
+    calls = []
+    exact_rational = tuples_mod.exact_rational
+    monkeypatch.setattr(
+        tuples_mod, "exact_rational", lambda node: calls.append(node) or exact_rational(node)
+    )
+    t = RealTuple(("1/2", "pi", "3"))
+    for _ in range(3):
+        t.combination([(2, 0), (1, 1), (-1, 2)], 128)
+        t.exact_combination([(1, 0), (1, 2)])
+    assert len(calls) == 3
+
+
+_COMBINATION_ENTRIES = [
+    "0", "1/3 - 1/3", "2*(1/2) - 1", "1/2", "-3/4", "7",
+    "log(2)", "log(3)", "sqrt(2)", "-sqrt(2)", "pi", "2*pi",
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from(_COMBINATION_ENTRIES), min_size=1, max_size=4),
+    st.data(),
+    st.sampled_from([128, 192, 320]),
+)
+def test_combination_matches_exact_and_interval_references(entries, data, bits):
+    t = RealTuple(tuple(entries))
+    terms = data.draw(st.lists(
+        st.tuples(st.integers(-4, 4), st.integers(0, len(entries) - 1)), min_size=1, max_size=5
+    ))
+    q = t.exact_combination(terms)
+    x = t.combination(terms, bits)
+    assert (x == ZERO) == (q == 0)
+    if q is not None:
+        assert x == exact_pair(q, bits)
+        value = q
+    else:
+        ctx = oracle.iv_ctx(bits)
+        encl = [oracle.to_iv(ctx, e) for e in t.real_enclosures(bits)[1]]
+        assert oracle.combination(encl, terms)._mpi_ == x
+        # the value at twice the precision: the midpoint of its own enclosure
+        wide = oracle.iv_ctx(2 * bits)
+        fine = [oracle.eval_interval(wide, parse_expression(e)) for e in entries]
+        value = rational_ends(oracle.combination(fine, terms).mid._mpi_)[0]
+    lo, hi = rational_ends(x)
+    assert lo <= value <= hi
 
 
 def test_one_context_per_precision():
