@@ -55,7 +55,6 @@ from .cyclo import (
     table_product,
 )
 from .errors import BudgetExceeded, HypothesisNotMet, InvalidConfig
-from .expr import eval_interval, exact_rational, parse_expression, to_string
 from .numeric import (
     NEG_PAIR,
     ZERO,
@@ -214,7 +213,6 @@ class AuxPolynomial:
     sum_d sup_{|w|<=e*radius} |phi_d(w)| <= exp(u_target).
     """
 
-    alphas: tuple[str, ...]
     coefficients: tuple[int, ...]
     monomials: tuple[tuple[int, ...], ...] | None
     u_target: float
@@ -233,71 +231,37 @@ class AuxPolynomial:
     precision_bits: int
 
 
-def _monomial_alpha(d: Sequence[int], gens: Sequence[str]) -> str:
-    """The exponent text of monomial d: sum_lambda d_lambda * gens[lambda]."""
-    parts = [f"({k})*({g})" for k, g in zip(d, gens) if k]
-    return " + ".join(parts) if parts else "0"
-
-
 def alphas_from_monomials(
     theta: RealTuple, subset: Sequence[int], L: int
-) -> tuple[tuple[str, ...], tuple[tuple[int, ...], ...]]:
-    """Exponent expressions alpha_d = sum_lambda d_lambda * theta[subset[lambda]]
-    for every multidegree of total degree <= L (univariate construction, k = 1)."""
+) -> tuple[RealTuple, tuple[tuple[int, ...], ...]]:
+    """The exponent family of the univariate construction (k = 1) on the
+    entries theta[subset[lambda]]: those entries as a RealTuple, the
+    generators, and every multidegree d of total degree <= L, the row of the
+    exponent alpha_d = sum_lambda d_lambda * theta[subset[lambda]]; the pair
+    is siegel_construct's generators and monomials."""
     mu = len(subset)
     if mu < 1:
         raise InvalidConfig("subset must be nonempty")
     if any(i < 0 or i >= len(theta) for i in subset):
         raise InvalidConfig("index subset out of range")
     mons = monomial_set(mu, 1, L)
-    gens = [theta.expressions[i] for i in subset]
-    return tuple(_monomial_alpha(d, gens) for d in mons), mons
+    gens = RealTuple(tuple(theta.expressions[i] for i in subset), theta.precision_bits)
+    return gens, mons
 
 
-def _exponent_rows(
-    alphas: Sequence[str], monomials: Sequence[Sequence[int]] | None
-) -> tuple[tuple[tuple[int, ...], ...] | None, tuple[int, ...]]:
-    """Exponent rows d with alpha_d = d . theta, and for each generator
-    theta_lambda the index of the alpha that is theta_lambda itself.
-
-    A plain family (no monomials) has rows None, the identity: each alpha
-    is its own generator.  A monomial family's generator lambda is read off
-    the exponent "(1)*(theta_lambda)" of its unit row e_lambda, whose
-    enclosure is theta_lambda's, and every alpha must be exactly the
-    _monomial_alpha text of its row over them, so the rows cannot disagree
-    with the exponents they factor; a mismatch raises InvalidConfig."""
-    if monomials is None:
-        return None, tuple(range(len(alphas)))
-    rows = tuple(tuple(int(k) for k in d) for d in monomials)
-    mu = len(rows[0]) if rows else 0
-    if len(rows) != len(alphas) or any(
-        len(d) != mu or any(k < 0 for k in d) for d in rows
-    ):
-        raise InvalidConfig("monomials do not match the exponent family")
-    gens = ["0"] * mu
-    units: list = [None] * mu
-    for i, (d, a) in enumerate(zip(rows, alphas)):
-        if sum(d) == 1 and a.startswith("(1)*(") and a.endswith(")"):
-            lam = d.index(1)
-            gens[lam], units[lam] = a[5:-1], i
-    for d, a in zip(rows, alphas):
-        if a != _monomial_alpha(d, gens):
-            raise InvalidConfig(
-                f"exponent {a!r} is not the monomial {list(d)} of the family"
-            )
-    if None in units:
-        raise InvalidConfig("every generator of the family needs its unit monomial")
-    return rows, tuple(units)
-
-
-def _alpha_data(alphas: Sequence[str], bits: int):
-    nodes = [parse_expression(a) for a in alphas]
-    ctx = make_ctx(bits)
-    encl = [eval_interval(ctx, n) for n in nodes]
-    exact = [exact_rational(n) for n in nodes]
+def _exponent_data(theta: RealTuple, rows, bits: int):
+    """(ctx, enclosures, exact values, zero-test keys) of the exponents
+    a_d = d . theta, one per row d, at the given precision.  Each comes from
+    RealTuple.combination and exact_combination; its key is its exact value
+    when it has one, and otherwise its nonzero terms (d_lambda, canonical
+    text of theta_lambda), so equal keys are equal exponents."""
+    ctx, _ = theta.real_enclosures(bits)
+    terms = [tuple((k, i) for i, k in enumerate(d) if k) for d in rows]
+    encl = [theta.combination(t, bits) for t in terms]
+    exact = [theta.exact_combination(t) for t in terms]
     keys = [
-        ("q", q) if q is not None else ("s", to_string(n))
-        for q, n in zip(exact, nodes)
+        ("q", q) if q is not None else ("s", tuple((k, theta.canonical_text(i)) for k, i in t))
+        for q, t in zip(exact, terms)
     ]
     return ctx, encl, exact, keys
 
@@ -531,7 +495,7 @@ def _grid_sup(ctx, encl, coeffs, radius: Fraction, grid: GridSpec, rows=None) ->
 
 
 def siegel_construct(
-    alphas: Sequence[str] | RealTuple,
+    generators: Sequence[str] | RealTuple,
     u_target: float,
     delta: float,
     *,
@@ -545,22 +509,32 @@ def siegel_construct(
     """Search for integer coefficients h with log max|h| <= delta making
     phi(w) = sum_d h_d exp(alpha_d w) small on |w| <= radius.
 
+    The exponents are alpha_d = d . theta over the generators theta (a
+    RealTuple or expression texts), one per row d of monomials: rows of
+    non-negative integers, one entry per generator, with the unit row
+    e_lambda of every generator among them; other rows raise InvalidConfig.
+    Without monomials the rows are the identity, so the exponents are the
+    generators themselves (alphas_from_monomials builds both).
+
     Candidates come from lattice reduction on rows [W*e_d | S*taylorcols],
     S = 2^(ceil(u_target/log 2) + 16), with the identity block weighted by
     the Taylor-tail rate so the lattice norm models the sup bound.  The
     reported sup is certified twice: a series bound, and a grid maximum plus
     a Lipschitz slack covering the whole disc.  With strict=True a result
     that misses the height budget or certifies no decay raises instead of
-    being returned with best_effort set.  Given monomials, alphas must be
-    the family alphas_from_monomials builds from them: the grid exponentiates
-    the generators the exponents are read as, and a pair that does not
-    match raises InvalidConfig.
+    being returned with best_effort set.
     """
-    if isinstance(alphas, RealTuple):
-        alphas = alphas.expressions
-    alphas = tuple(str(a) for a in alphas)
-    if not alphas:
-        raise InvalidConfig("empty exponent family")
+    theta = generators if isinstance(generators, RealTuple) else RealTuple(tuple(generators))
+    mu = len(theta)
+    units = tuple(tuple(int(i == lam) for i in range(mu)) for lam in range(mu))
+    if monomials is None:
+        exponent_rows = units
+    else:
+        exponent_rows = tuple(tuple(int(k) for k in d) for d in monomials)
+        if any(len(d) != mu or any(k < 0 for k in d) for d in exponent_rows):
+            raise InvalidConfig("monomials must be non-negative rows of one entry per generator")
+        if not set(units) <= set(exponent_rows):
+            raise InvalidConfig("every generator of the family needs its unit monomial")
     radius = Fraction(radius)
     if radius <= 0:
         raise InvalidConfig("radius must be positive")
@@ -570,12 +544,11 @@ def siegel_construct(
     if not (0 < u_target < math.inf and 0 < delta < math.inf):
         raise InvalidConfig("u_target and delta must be positive and finite")
     bits = max(128, precision_bits)
-    m = len(alphas)
+    m = len(exponent_rows)
     terms = taylor_terms if taylor_terms is not None else min(m, 10)
     if terms < 1:
         raise InvalidConfig("taylor_terms must be >= 1")
-    exponent_rows, units = _exponent_rows(alphas, monomials)
-    ctx, encl, exact, keys = _alpha_data(alphas, bits)
+    ctx, encl, exact, keys = _exponent_data(theta, exponent_rows, bits)
 
     scale = 1 << (math.ceil(u_target / math.log(2)) + 16)
     alpha_mid = [sum(to_float_pair(iv)) / 2 for iv in encl]
@@ -620,7 +593,7 @@ def siegel_construct(
         grid_max, slack_hi, taylor_hi = 0.0, 0.0, 0.0
         achieved = float("-inf")
     else:
-        gen_encl = [encl[i] for i in units]
+        _, gen_encl = theta.real_enclosures(bits)
         grid_max = _grid_sup(ctx, gen_encl, best, radius, grid, exponent_rows)
         # every point of the circle is within arc length pi radius / N of one
         # of the N grid points
@@ -647,7 +620,6 @@ def siegel_construct(
             f"u_achieved={u_achieved:.3f})"
         )
     return AuxPolynomial(
-        alphas=alphas,
         coefficients=best,
         monomials=monomials,
         u_target=u_target,
@@ -825,12 +797,12 @@ def distance_audit(
 
     if not all(isinstance(v, (int, Fraction, CycloNum)) for v in z):
         # numeric mode: certified coordinate distance to the image point only
-        z_nodes = [parse_expression(str(v)) for v in z]
+        point = RealTuple(tuple(z))
 
         def attempt(bits: int) -> tuple[float, float]:
             ctx, theta_iv = theta.real_enclosures(bits)
             _, kappa_iv = kappa.real_enclosures(bits)
-            zs = [eval_interval(ctx, node) for node in z_nodes]
+            _, zs = point.real_enclosures(bits)
             mul, exp = libmp.mpi_mul, libmp.mpi_exp
             images = [exp(mul(theta_iv[i], kappa_iv[j], bits), bits) for i in I for j in J]
             return _log_sup_distance(ctx, zip(zs, images))
@@ -916,6 +888,13 @@ class HypothesisCheck:
     name: str
     status: str
     details: tuple
+
+
+def _checked(name: str, details: list) -> HypothesisCheck:
+    """A check that passes exactly when every detail's last entry does."""
+    return HypothesisCheck(
+        name, "pass" if all(d[-1] for d in details) else "fail", tuple(details)
+    )
 
 
 @dataclass(frozen=True)
@@ -1041,22 +1020,14 @@ def philippon_audit(
     for idx, poly in enumerate(polys):
         deg = max(_laurent_degree(m) for m in poly)
         deg_details.append((idx, deg, deg <= deg_bound))
-    h1 = HypothesisCheck(
-        "degree",
-        "pass" if all(ok for _, _, ok in deg_details) else "fail",
-        tuple(deg_details),
-    )
+    h1 = _checked("degree", deg_details)
 
     ht_bound = c2 * D
     ht_details = []
     for idx, poly in enumerate(polys):
         log_h = math.log(max(abs(c) for c in poly.values()))
         ht_details.append((idx, log_h, log_h <= ht_bound + 1e-12))
-    h2 = HypothesisCheck(
-        "height",
-        "pass" if all(ok for _, _, ok in ht_details) else "fail",
-        tuple(ht_details),
-    )
+    h2 = _checked("height", ht_details)
 
     small_bound = height_threshold(C, eta, D)[1]
     dist_bound = height_threshold(3.0 * C, eta, D)[1]
@@ -1075,11 +1046,7 @@ def philippon_audit(
 
         pair = run_escalating(attempt, precision_bits)
         small_details.append((idx, pair, pair[1] <= small_bound))
-    h3 = HypothesisCheck(
-        "evaluation_smallness",
-        "pass" if all(ok for _, _, ok in small_details) else "fail",
-        tuple(small_details),
-    )
+    h3 = _checked("evaluation_smallness", small_details)
 
     h4 = _distance_hypothesis(
         polys,

@@ -570,7 +570,7 @@ def run_schedule(args, sink: list[dict]) -> None:
 def run_auxpoly(args, sink: list[dict]) -> None:
     theta = _load_tuple(args.tuple_file, args.prec)
     subset = parse_index_list(args.subset)
-    alphas, mons = auxpoly.alphas_from_monomials(theta, subset, args.L)
+    generators, mons = auxpoly.alphas_from_monomials(theta, subset, args.L)
     try:
         radius = Fraction(args.radius)
     except (ValueError, ZeroDivisionError) as exc:
@@ -582,7 +582,7 @@ def run_auxpoly(args, sink: list[dict]) -> None:
         else math.sqrt(len(mons) * delta) / 8.0
     )
     poly = auxpoly.siegel_construct(
-        alphas,
+        generators,
         u_target,
         delta,
         radius=radius,

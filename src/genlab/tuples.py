@@ -7,9 +7,11 @@ whatever precision a computation needs, once per precision, so nothing is
 ever rounded at parse time.
 
 Every certified quantity taken from a tuple is an integer combination
-sum c_i theta_i of its entries (combination): exact when every entry with
-c_i != 0 is rational, so an exact zero is ZERO whatever the other entries
-are, and an interval sum of the entries' enclosures otherwise.
+sum c_i theta_i of its entries (combination): the dioph linear forms, the
+audits' products and the exponents d . theta of a Siegel auxiliary
+function.  It is exact when every entry with c_i != 0 is rational, so an
+exact zero is ZERO whatever the other entries are, and an interval sum of
+the entries' enclosures otherwise.
 
 A tuple also carries the memos its consumers fill: each entry's exact
 rational value (on first use), the float midpoints of its enclosures (once
@@ -28,7 +30,7 @@ from typing import Optional
 from mpmath import libmp
 
 from .errors import InvalidConfig
-from .expr import Node, eval_interval, exact_rational, parse_expression
+from .expr import Node, eval_interval, exact_rational, parse_expression, to_string
 from .numeric import NeedsBits, exact_pair, is_exact_zero, make_ctx, run_escalating, straddles_zero
 
 MIN_PRECISION_BITS = 64
@@ -129,6 +131,11 @@ class RealTuple:
                 term = encl[i] if c == 1 else libmp.mpi_mul(encl[i], exact_pair(c, bits), bits)
                 total = term if total is None else libmp.mpi_add(total, term, bits)
         return total
+
+    def canonical_text(self, i: int) -> str:
+        """Entry i's tree rendered by expr.to_string: entries of equal texts
+        are equal, so combinations over equal texts are equal."""
+        return to_string(self._nodes[i])
 
     def real_enclosures(self, bits: int):
         """(ctx, tuple of interval pairs) at the given precision."""

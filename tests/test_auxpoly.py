@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import genlab.auxpoly as auxpoly_mod
 import iv_oracle as oracle
+import expr_oracle
 from expr_oracle import log_expm1_abs
 from genlab.auxpoly import (
     AuxSchedule,
@@ -48,7 +49,7 @@ from genlab.errors import (
     PrecisionExhausted,
 )
 from genlab.expr import exact_rational, parse_expression
-from genlab.numeric import NEG_PAIR, ball, ball_inv, complex_exp, expj
+from genlab.numeric import NEG_PAIR, ZERO, ball, ball_inv, complex_exp, expj, to_float_pair
 from genlab.tuples import RealTuple
 
 NEG_INF = float("-inf")
@@ -152,11 +153,11 @@ def test_siegel_single_function_is_best_effort():
 def test_siegel_log_pair_cell():
     # rehearsal of the smallest schedule cell: degree 2 in (log 2, log 3)
     theta = RealTuple(("log(2)", "log(3)"), precision_bits=256)
-    alphas, mons = alphas_from_monomials(theta, (0, 1), 2)
-    assert len(alphas) == 6
+    gens, mons = alphas_from_monomials(theta, (0, 1), 2)
+    assert len(mons) == 6
     u_target = math.sqrt(6 * 8) / 8  # (M*Delta)^(1/2) / 8 with M=6, Delta=8
     res = siegel_construct(
-        alphas, u_target, 8.0, monomials=mons, precision_bits=256
+        gens, u_target, 8.0, monomials=mons, precision_bits=256
     )
     assert res.height_ok
     assert not res.identically_zero
@@ -191,6 +192,14 @@ def test_siegel_rejects_bad_input():
         siegel_construct(("1",), 1.0, 1.0, radius=Fraction(0))
     with pytest.raises(InvalidConfig):
         GridSpec(rings=0)
+
+
+def plain_data(texts, bits):
+    # (ctx, enclosures, exact values) of a family whose exponents are its
+    # generators: siegel_construct's RealTuple route with identity rows
+    theta = RealTuple(tuple(texts))
+    rows = [tuple(int(i == lam) for i in range(len(theta))) for lam in range(len(theta))]
+    return auxpoly_mod._exponent_data(theta, rows, bits)[:3]
 
 
 def grid_sup_reference(ctx, encl, coeffs, radius, grid):
@@ -261,7 +270,7 @@ def grid_cases(draw):
 def check_grid_sup_against_oracles(exps, coeffs, grid, radius, bits):
     # equal to the pointwise interval loop, at least |phi| from mpmath at
     # twice the bits at every grid point, and sharp to 1e-12
-    ctx, encl, _, _ = auxpoly_mod._alpha_data([exponent_text(e) for e in exps], bits)
+    ctx, encl, _ = plain_data([exponent_text(e) for e in exps], bits)
     got = auxpoly_mod._grid_sup(ctx, encl, coeffs, radius, grid)
     ivc = oracle.iv_ctx(bits)
     assert got == grid_sup_reference(ivc, [oracle.to_iv(ivc, x) for x in encl], coeffs, radius, grid)
@@ -342,7 +351,7 @@ def quarter_points(n):
 @pytest.mark.parametrize("rings,angles", [(1, 8), (3, 9), (10, 100), (4, 13), (1, 10)])
 def test_grid_sup_takes_one_exp_per_term_per_half_plane_angle(monkeypatch, rings, angles):
     coeffs = (3, 0, -2, 1)
-    ctx, encl, _, _ = auxpoly_mod._alpha_data(("0", "log(2)", "log(3)", "1/2"), 128)
+    ctx, encl, _ = plain_data(("0", "log(2)", "log(3)", "1/2"), 128)
     grid = GridSpec(rings, angles)
     counts = grid_exp_counts(monkeypatch, ctx, encl, coeffs, Fraction(1, 4), grid)
     points, turns = quarter_points(rings * angles)
@@ -395,7 +404,7 @@ def test_grid_sup_encloses_phi_over_forty_rings_at_radius_one(data):
     rings = data.draw(st.one_of(st.just(40), st.integers(1, 40)))
     grid = GridSpec(rings, data.draw(st.integers(8, 12)))
     bits = 128
-    ctx, encl, _, _ = auxpoly_mod._alpha_data([wide_exponent_text(e) for e in exps], bits)
+    ctx, encl, _ = plain_data([wide_exponent_text(e) for e in exps], bits)
     got = auxpoly_mod._grid_sup(ctx, encl, coeffs, Fraction(1), grid)
     with mpmath.workprec(2 * bits):
         alphas = [wide_exponent_mp(e) for e in exps]
@@ -434,29 +443,28 @@ def draw_monomial_family(data):
     L = data.draw(st.integers(1, 4))
     bits = data.draw(st.sampled_from((128, 256)))
     theta = RealTuple(tuple(exponent_text(e) for e in gens), precision_bits=bits)
-    alphas, mons = alphas_from_monomials(theta, range(mu), L)
-    return gens, alphas, mons, bits
+    generators, mons = alphas_from_monomials(theta, range(mu), L)
+    return gens, generators, mons, bits
 
 
 @given(st.data())
 @settings(max_examples=30, deadline=None)
 def test_factored_grid_sup_equals_identity_and_encloses_phi(data):
-    gens, alphas, mons, bits = draw_monomial_family(data)
+    gens, generators, mons, bits = draw_monomial_family(data)
     coeffs = data.draw(
         st.lists(
             st.one_of(st.just(0), st.integers(-9, 9)),
-            min_size=len(alphas),
-            max_size=len(alphas),
+            min_size=len(mons),
+            max_size=len(mons),
         ).filter(any)
     )
     grid = GridSpec(data.draw(st.integers(1, 4)), data.draw(st.integers(8, 13)))
     radius = data.draw(st.sampled_from((Fraction(1, 4), Fraction(1, 2), Fraction(1))))
-    rows, units = auxpoly_mod._exponent_rows(alphas, mons)
-    assert tuple(alphas[i] for i in units) == tuple(f"(1)*({exponent_text(e)})" for e in gens)
-    assert rows == mons
-    ctx, encl, _, _ = auxpoly_mod._alpha_data(alphas, bits)
-    got = auxpoly_mod._grid_sup(ctx, [encl[i] for i in units], coeffs, radius, grid, rows)
-    # the identity-matrix evaluation of the same alpha strings
+    assert generators.expressions == tuple(exponent_text(e) for e in gens)
+    ctx, gen_encl = generators.real_enclosures(bits)
+    got = auxpoly_mod._grid_sup(ctx, gen_encl, coeffs, radius, grid, mons)
+    # the identity-matrix evaluation of the exponents d . theta
+    _, encl, _, _ = auxpoly_mod._exponent_data(generators, mons, bits)
     assert got == auxpoly_mod._grid_sup(ctx, encl, coeffs, radius, grid)
     with mpmath.workprec(2 * bits):
         theta = [exponent_mp(e) for e in gens]
@@ -474,38 +482,82 @@ def test_monomial_grid_sup_takes_one_exp_per_generator_per_half_plane_angle(
     # (log 2, log 3, sqrt 5) at L = 2; a zero coefficient on every monomial
     # that holds the unused generator leaves two generators to exponentiate
     theta = RealTuple(("log(2)", "log(3)", "sqrt(5)"))
-    alphas, mons = alphas_from_monomials(theta, (0, 1, 2), 2)
+    generators, mons = alphas_from_monomials(theta, (0, 1, 2), 2)
     coeffs = [
         0 if unused is not None and d[unused] else 1 + i % 3 for i, d in enumerate(mons)
     ]
-    rows, units = auxpoly_mod._exponent_rows(alphas, mons)
-    ctx, encl, _, _ = auxpoly_mod._alpha_data(alphas, 128)
-    gen_encl = [encl[i] for i in units]
+    ctx, gen_encl = generators.real_enclosures(128)
     grid = GridSpec(rings, angles)
-    counts = grid_exp_counts(monkeypatch, ctx, gen_encl, coeffs, Fraction(1, 4), grid, rows)
+    counts = grid_exp_counts(monkeypatch, ctx, gen_encl, coeffs, Fraction(1, 4), grid, mons)
     points, turns = quarter_points(rings * angles)
     assert counts == (points * (3 if unused is None else 2), turns)
 
 
+# generators as typed: logs and roots, some written two ways with one
+# canonical text, rationals and sums of rationals
+RATIONAL_TEXTS = st.builds(
+    lambda n, d: str(Fraction(n, d)), st.integers(-3, 3), st.integers(1, 4)
+)
+ROUTE_GENERATORS = st.one_of(
+    st.sampled_from(("log(2)", "log( 2 )", "(log(2))", "log(3)", "sqrt(2)", "sqrt(6)")),
+    RATIONAL_TEXTS,
+    st.builds(lambda a, b: f"{a} + {b}", RATIONAL_TEXTS, RATIONAL_TEXTS),
+)
+
+
+def zero_groups(keys):
+    # the partition of the exponents into groups of equal keys
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, set()).add(i)
+    return sorted(sorted(g) for g in groups.values())
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_exponent_rows_agree_with_the_exponent_texts(data):
+    # the exponents d . theta read as integer rows over a RealTuple against
+    # each exponent written out as one text and evaluated whole
+    gens = data.draw(st.lists(ROUTE_GENERATORS, min_size=1, max_size=3))
+    rows = data.draw(
+        st.lists(st.sampled_from(monomial_set(len(gens), 1, 4)), min_size=1, max_size=8)
+    )
+    bits = data.draw(st.sampled_from((128, 256)))
+    _, encl, exact, keys = auxpoly_mod._exponent_data(RealTuple(tuple(gens)), rows, bits)
+    _, t_encl, t_exact, t_keys = expr_oracle.exponent_data(gens, rows, bits)
+    assert exact == t_exact
+    for x, y, q in zip(encl, t_encl, exact):
+        mid, t_mid = (sum(to_float_pair(iv)) / 2 for iv in (x, y))
+        if q is None:
+            assert x == y
+        elif q:
+            # exact_pair(q) is at most as wide as the text's rounded sum,
+            # and the float midpoint the lattice reads is the same
+            assert mid == t_mid
+        else:
+            # an exact zero is the point 0, where a rounded sum that
+            # cancels leaves a midpoint within its rounding error of 0
+            assert x == ZERO and mid == 0.0
+            assert abs(t_mid) <= 2.0 ** (10 - bits)
+    assert zero_groups(keys) == zero_groups(t_keys)
+
+
 def test_siegel_rejects_mismatched_monomials():
     theta = RealTuple(("log(2)", "log(3)"), precision_bits=256)
-    alphas, mons = alphas_from_monomials(theta, (0, 1), 2)
-    other, _ = alphas_from_monomials(RealTuple(("log(2)", "log(5)")), (0, 1), 2)
+    gens, mons = alphas_from_monomials(theta, (0, 1), 2)
     mismatched = [
-        (alphas, tuple(reversed(mons))),  # rows out of order
-        (alphas, mons[:-1]),  # one row short
-        (alphas, tuple(d[::-1] for d in mons)),  # generators swapped
-        (alphas[:-1] + ("(2)*(log(5))",), mons),  # one exponent replaced
-        (alphas[:3] + other[3:], mons),  # two generator readings
-        (("log(2)", "log(3)"), ((1, 0), (0, 1))),  # plain texts as monomials
+        (gens, mons + ((1, 0, 0),)),  # a row of the wrong length
+        (gens, ((1, 0), (0, 1), (1, -1))),  # a negative exponent beside the unit rows
+        (gens, ()),  # no rows at all
         (("0", "(1)*(log(2))"), ((0, 0), (-1, 0))),  # a negative exponent
-        (("0", "(1)*(log(2))"), ((0, 0, 0), (1, 0, 0))),  # generators without unit rows
+        (("0", "(1)*(log(2))"), ((0, 0, 0), (1, 0, 0))),  # rows longer than the generators
+        (("0", "log(2)", "log(3)"), ((0, 0, 0), (1, 0, 0))),  # generators without unit rows
     ]
-    for a, m in mismatched:
+    for g, m in mismatched:
         with pytest.raises(InvalidConfig):
-            siegel_construct(a, 1.0, 8.0, monomials=m)
+            siegel_construct(g, 1.0, 8.0, monomials=m)
     # the matching pair certifies
-    assert siegel_construct(alphas, 1.0, 8.0, monomials=mons).monomials == mons
+    assert siegel_construct(gens, 1.0, 8.0, monomials=mons).monomials == mons
 
 
 def fixed_point_interval(lo_man, lo_exp, width_man, width_exp):
@@ -560,7 +612,7 @@ def test_taylor_bounds_from_shared_table_equal_fresh_bounds(data):
     terms = data.draw(st.integers(1, 10))
     radius = data.draw(st.sampled_from((Fraction(1, 4), Fraction(1, 3), Fraction(1))))
     bits = data.draw(st.sampled_from((128, 256)))
-    ctx, encl, exact, _ = auxpoly_mod._alpha_data([exponent_text(e) for e in exps], bits)
+    ctx, encl, exact = plain_data([exponent_text(e) for e in exps], bits)
     table = auxpoly_mod._taylor_table(ctx, encl, exact, radius, terms)
     candidates = data.draw(
         st.lists(
@@ -608,13 +660,13 @@ def test_certified_sup_bounds_phi_on_the_whole_disc(data):
     # the slack is the arc term (pi radius / N) sup|phi'| alone
     gens = data.draw(st.lists(WIDE_EXPONENTS, min_size=1, max_size=3, unique=True))
     theta = RealTuple(tuple(wide_exponent_text(e) for e in gens), precision_bits=128)
-    alphas, mons = alphas_from_monomials(theta, range(len(gens)), 1)
+    generators, mons = alphas_from_monomials(theta, range(len(gens)), 1)
     grid = GridSpec(data.draw(st.integers(1, 4)), data.draw(st.integers(8, 13)))
     radius = data.draw(st.sampled_from((Fraction(1, 8), Fraction(1, 3), Fraction(1, 2), Fraction(1))))
     bits = 128
-    res = siegel_construct(alphas, 1.0, 4.0, radius=radius, grid=grid, monomials=mons, precision_bits=bits)
-    ctx, encl, exact, _ = auxpoly_mod._alpha_data(alphas, bits)
-    table = auxpoly_mod._taylor_table(ctx, encl, exact, radius, min(len(alphas), 10))
+    res = siegel_construct(generators, 1.0, 4.0, radius=radius, grid=grid, monomials=mons, precision_bits=bits)
+    ctx, encl, exact, _ = auxpoly_mod._exponent_data(generators, mons, bits)
+    table = auxpoly_mod._taylor_table(ctx, encl, exact, radius, min(len(mons), 10))
     _, dsup = auxpoly_mod._taylor_bounds(table, res.coefficients)
     points = data.draw(
         st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), min_size=1, max_size=8)

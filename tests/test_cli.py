@@ -498,6 +498,16 @@ def test_auxpoly_unparsable_radius_exits_2(tup, capsys, radius):
     assert f"error: cannot parse radius '{radius}'" in captured.err
 
 
+def test_auxpoly_degree_zero_exits_2(tup, capsys):
+    # L = 0 leaves only the zero monomial, with no unit row for a generator
+    path = tup("logs.tup", ["log(2)", "log(3)"])
+    code = run(["auxpoly", "--tuple", path, "--subset", "0,1", "--L", "0", "--delta", "8"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error: every generator of the family needs its unit monomial" in captured.err
+
+
 def test_budget_exit_code(tup, capsys):
     pts = tup("pts.tup", ["zeta(5),zeta(5)^2", "zeta(5)^2,zeta(5)^4"])
     code, _ = run_capture(
@@ -1080,6 +1090,8 @@ PINNED_INPUTS = {
     "z5_powers.cyc": ["zeta(5)", "zeta(5)^2", "zeta(5)^3", "zeta(5)^4"],
     "z3_torsion.cyc": ["zeta(3)", "zeta(3)", "2", "3"],
     "third_log2.tup": ["1/3", "log(2)"],
+    "log2_twice.tup": ["log(2)", "log(2)"],
+    "compound.tup": ["1/2+1/3", "sqrt(2)"],
     "half_fifth.tup": ["1/2", "1/5"],
     "generic.cyc": ["2,3", "5,7"],
     "rel.tup": ["5", "-1", "1", "1"],
@@ -1142,6 +1154,26 @@ PINNED_INPUTS = {
             "auxpoly --tuple logs4.tup --subset 0,1,3 --L 1 --delta 8.0 --prec 128",
             "259734b75fe183770752f9335bf8bf6e2562557b4872805d78e3c57f3d8c9ec3",
             id="auxpoly-three-logs-L1",
+        ),
+        pytest.param(
+            # a rational generator beside an irrational one: the exponents
+            # (1/3) d_0 + d_1 log 2 are exact where d_1 = 0
+            "auxpoly --tuple third_log2.tup --subset 0,1 --L 2 --delta 8.0",
+            "d026f2918ff905fb01ce24389660fc12af9d71ab312e11bde57b111ad9a3a2c5",
+            id="auxpoly-rational-and-log",
+        ),
+        pytest.param(
+            # equal generators: coefficients [0, 1, 0, -1, 0, 0] cancel on the
+            # equal exponents log 2, and phi is identically zero
+            "auxpoly --tuple log2_twice.tup --subset 0,1 --L 2 --delta 8.0",
+            "9f6f0ee9a23658792398935da13d7b12850cfa86b9c623deae46a18d801b911f",
+            id="auxpoly-symbolic-zero",
+        ),
+        pytest.param(
+            # a generator that is a sum of rationals, beside sqrt 2
+            "auxpoly --tuple compound.tup --subset 0,1 --L 2 --delta 8.0",
+            "a155ca9804616950fa55f484cbe209183d2d93374bfe5441e4ba1b5a94c31236",
+            id="auxpoly-compound-rational",
         ),
         pytest.param(
             "omega --points pts.cyc --max-degree 4",

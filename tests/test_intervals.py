@@ -130,7 +130,9 @@ def test_taylor_bounds_match_mpmath_iv(data):
     terms = data.draw(st.integers(1, 10))
     radius = data.draw(st.sampled_from((Fraction(1, 4), Fraction(1, 3), Fraction(1))))
     bits = data.draw(PRECISIONS)
-    ctx, encl, exact, _ = auxpoly_mod._alpha_data(exps, bits)
+    theta = RealTuple(tuple(exps))
+    rows = [tuple(int(i == lam) for i in range(len(exps))) for lam in range(len(exps))]
+    ctx, encl, exact, _ = auxpoly_mod._exponent_data(theta, rows, bits)
     table = auxpoly_mod._taylor_table(ctx, encl, exact, radius, terms)
     ivc = oracle.iv_ctx(bits)
     iv_encl = [oracle.to_iv(ivc, x) for x in encl]
