@@ -42,7 +42,7 @@ from typing import Mapping, Sequence
 
 from mpmath import libmp
 
-from .chars import CharacterModule, ZeroEstimateResult, zero_estimate_search
+from .chars import ZeroEstimateResult, zero_estimate_search
 from .cyclo import (
     CycloNum,
     char_value,
@@ -54,7 +54,8 @@ from .cyclo import (
     require_torus,
     table_product,
 )
-from .errors import BudgetExceeded, HypothesisNotMet, InvalidConfig
+from .errors import DEFAULT_BUDGET, BudgetExceeded, HypothesisNotMet, InvalidConfig
+from .intmat import smith_normal_form
 from .numeric import (
     NEG_PAIR,
     ZERO,
@@ -250,20 +251,22 @@ def alphas_from_monomials(
 
 
 def _exponent_data(theta: RealTuple, rows, bits: int):
-    """(ctx, enclosures, exact values, zero-test keys) of the exponents
-    a_d = d . theta, one per row d, at the given precision.  Each comes from
-    RealTuple.combination and exact_combination; its key is its exact value
-    when it has one, and otherwise its nonzero terms (d_lambda, canonical
-    text of theta_lambda), so equal keys are equal exponents."""
+    """(ctx, enclosures, zero-test keys) of the exponents a_d = d . theta,
+    one per row d, at the given precision.  Each enclosure is
+    RealTuple.combination, the exact pair of a rational exponent; its key
+    is its exact value (exact_combination) when it has one, and otherwise
+    its nonzero terms (d_lambda, canonical text of theta_lambda), so equal
+    keys are equal exponents."""
     ctx, _ = theta.real_enclosures(bits)
     terms = [tuple((k, i) for i, k in enumerate(d) if k) for d in rows]
     encl = [theta.combination(t, bits) for t in terms]
-    exact = [theta.exact_combination(t) for t in terms]
-    keys = [
-        ("q", q) if q is not None else ("s", tuple((k, theta.canonical_text(i)) for k, i in t))
-        for q, t in zip(exact, terms)
-    ]
-    return ctx, encl, exact, keys
+    keys = []
+    for t in terms:
+        q = theta.exact_combination(t)
+        keys.append(
+            ("q", q) if q is not None else ("s", tuple((k, theta.canonical_text(i)) for k, i in t))
+        )
+    return ctx, encl, keys
 
 
 def _symbolically_zero(keys, coeffs) -> bool:
@@ -318,13 +321,13 @@ def _upper_float(n: int, prec: int) -> float:
     return to_float_pair((x, x))[1]
 
 
-def _taylor_table(ctx, encl, exact, radius: Fraction, terms: int) -> _TaylorTable:
-    """Build the factors of _taylor_bounds once per siegel_construct call."""
+def _taylor_table(ctx, encl, radius: Fraction, terms: int) -> _TaylorTable:
+    """Build the factors of _taylor_bounds once per siegel_construct call
+    from the exponents' enclosures at ctx.prec bits."""
     p = ctx.prec
     q = p + 64
-    bases = [exact_pair(v, p) if v is not None else iv for v, iv in zip(exact, encl)]
     powers = [
-        tuple(_fixed_ball(libmp.mpi_pow_int(b, t, p), q) for b in bases) for t in range(terms)
+        tuple(_fixed_ball(libmp.mpi_pow_int(a, t, p), q) for a in encl) for t in range(terms)
     ]
     scales = [
         (radius.numerator**t, radius.denominator**t * math.factorial(t)) for t in range(terms)
@@ -333,7 +336,7 @@ def _taylor_table(ctx, encl, exact, radius: Fraction, terms: int) -> _TaylorTabl
     rad = exact_pair(radius, p)
     fact_t = exact_pair(math.factorial(terms), p)
     fact_t1 = exact_pair(math.factorial(terms - 1), p)
-    abs_alphas = [libmp.mpi_abs(base, p) for base in bases]
+    abs_alphas = [libmp.mpi_abs(a, p) for a in encl]
     tails = []
     for a_abs in abs_alphas:
         ar = mul(a_abs, rad, p)
@@ -548,7 +551,7 @@ def siegel_construct(
     terms = taylor_terms if taylor_terms is not None else min(m, 10)
     if terms < 1:
         raise InvalidConfig("taylor_terms must be >= 1")
-    ctx, encl, exact, keys = _exponent_data(theta, exponent_rows, bits)
+    ctx, encl, keys = _exponent_data(theta, exponent_rows, bits)
 
     scale = 1 << (math.ceil(u_target / math.log(2)) + 16)
     alpha_mid = [sum(to_float_pair(iv)) / 2 for iv in encl]
@@ -577,7 +580,7 @@ def siegel_construct(
     if not candidates:
         candidates = [tuple(1 if i == 0 else 0 for i in range(m))]
 
-    table = _taylor_table(ctx, encl, exact, radius, terms)
+    table = _taylor_table(ctx, encl, radius, terms)
     q = table.prec
     scored = []
     for h in candidates:
@@ -720,7 +723,7 @@ def _log_expm1_product(
     def attempt(bits: int) -> tuple[float, float]:
         ctx = make_ctx(bits)
         u, v = theta.combination(u_terms, bits), kappa.combination(v_terms, bits)
-        return log_pair(ctx, log_expm1_abs_interval(ctx, libmp.mpi_mul(u, v, bits), bits))
+        return log_pair(ctx, log_expm1_abs_interval(ctx, libmp.mpi_mul(u, v, bits)))
 
     return run_escalating(attempt, precision_bits)
 
@@ -736,10 +739,10 @@ def distance_audit(
     k: int = 1,
     eta: float = 2.0,
     c: float = 1.0,
-    precision_bits: int = 128,
-    budget: int = 10_000_000,
+    budget: int = DEFAULT_BUDGET,
 ) -> DistanceAuditReport:
-    """Audit the distance lemma at one candidate point z.
+    """Audit the distance lemma at one candidate point z, at the precision
+    of the finer of the two tuples.
 
     z is either the marker string "theta" (the audited point is the image
     point itself, distance exactly zero), a flat sequence of mu*nu exact
@@ -762,6 +765,7 @@ def distance_audit(
     I = tuple(int(i) for i in I)
     J = tuple(int(j) for j in J)
     mu, nu = len(I), len(J)
+    precision_bits = max(theta.precision_bits, kappa.precision_bits)
     if mu < 1 or nu < 1:
         raise InvalidConfig("index subsets must be nonempty")
     if any(i < 0 or i >= len(theta) for i in I) or any(
@@ -990,10 +994,10 @@ def philippon_audit(
     zero_distance_log: float | None = None,
     seed: int = 0,
     starts: int = 100,
-    precision_bits: int = 128,
 ) -> PhilipponReport:
     """Check the four hypotheses of the effective-distance criterion at one
-    height D and report each verdict separately.
+    height D, at the precision of theta_point, and report each verdict
+    separately.
 
     H1: every Laurent degree <= c1*D (exact).  H2: every coefficient height
     satisfies log|f| <= c2*D (exact).  H3: log|f(Theta)| <= -C*D^eta for
@@ -1044,18 +1048,12 @@ def philippon_audit(
                 value = exact_pair(q, bits)
             return log_pair(ctx, log_abs_interval(ctx, value))
 
-        pair = run_escalating(attempt, precision_bits)
+        pair = run_escalating(attempt, theta_point.precision_bits)
         small_details.append((idx, pair, pair[1] <= small_bound))
     h3 = _checked("evaluation_smallness", small_details)
 
     h4 = _distance_hypothesis(
-        polys,
-        theta_point,
-        dist_bound,
-        zero_distance_log,
-        seed=seed,
-        starts=starts,
-        precision_bits=precision_bits,
+        polys, theta_point, dist_bound, zero_distance_log, seed=seed, starts=starts
     )
     return PhilipponReport(h1, h2, h3, h4, case, D)
 
@@ -1160,8 +1158,7 @@ def _nelder_mead(f, x0):
 
 
 def _zero_distance_search(
-    kernel: list[list[int]], theta_point: RealTuple, *, seed: int, starts: int,
-    precision_bits: int,
+    kernel: list[list[int]], theta_point: RealTuple, *, seed: int, starts: int
 ) -> tuple[float, Sequence[float]] | None:
     """Least sup-distance found from Theta to exp(K^T s), s real, and its s.
 
@@ -1177,7 +1174,7 @@ def _zero_distance_search(
 
     n = len(theta_point)
     dim = len(kernel)
-    _, coords = theta_point.real_enclosures(max(128, precision_bits))
+    _, coords = theta_point.real_enclosures(max(128, theta_point.precision_bits))
     target = np.array([sum(to_float_pair(x)) / 2 for x in coords])
     if not np.all(np.isfinite(target)):
         return None
@@ -1216,7 +1213,6 @@ def _distance_hypothesis(
     *,
     seed: int,
     starts: int,
-    precision_bits: int,
 ) -> HypothesisCheck:
     if supplied is not None:
         ok = supplied >= dist_bound
@@ -1233,15 +1229,13 @@ def _distance_hypothesis(
             (("reason", "needs a supplied bound or a binomial family"),),
         )
 
+    # U*A*V = S: the columns of V past the rank of A span its integer kernel
     n = len(theta_point)
-    module = CharacterModule(chars)
-    _, _, v = module.snf()
-    kernel = [[v[i][j] for i in range(n)] for j in range(module.rank, n)]
+    _, s, v = smith_normal_form(chars)
+    rank = sum(1 for i in range(min(len(s), n)) if s[i][i])
+    kernel = [[v[i][j] for i in range(n)] for j in range(rank, n)]
     dim = len(kernel)
-    found = _zero_distance_search(
-        kernel, theta_point, seed=seed, starts=starts,
-        precision_bits=precision_bits,
-    )
+    found = _zero_distance_search(kernel, theta_point, seed=seed, starts=starts)
     if found is None:
         return HypothesisCheck(
             "zero_distance",
@@ -1269,7 +1263,7 @@ def _distance_hypothesis(
             zs = [libmp.mpi_exp(exact_pair(u_j, bits), bits) for u_j in u]
             return _log_sup_distance(ctx, zip(zs, coords))
 
-        pair = run_escalating(attempt, precision_bits)
+        pair = run_escalating(attempt, theta_point.precision_bits)
         if pair[1] < dist_bound:
             return HypothesisCheck(
                 "zero_distance",

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .errors import InvalidConfig
 
@@ -142,5 +143,6 @@ def bound_report(m: int, n: int, *, variant: str = CONSISTENT) -> BoundReport:
 def bound_grid(
     ms: range | list[int], ns: range | list[int], *, variant: str = CONSISTENT
 ) -> list[BoundReport]:
-    """Reports for every (m, n) pair, row-major in (m, n)."""
-    return [bound_report(m, n, variant=variant) for m in ms for n in ns]
+    """Reports for every (m, n) pair, in ascending (m, n) order: a repeated
+    value repeats its reports, and the repeats stay side by side."""
+    return [bound_report(m, n, variant=variant) for m, n in sorted(product(ms, ns))]

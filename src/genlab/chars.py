@@ -3,14 +3,17 @@
 A character of the l-dimensional split torus is the monomial map
 x -> prod x_i^{e_i}, identified with its integer exponent vector.  A
 finitely generated group of characters cuts out the subgroup on which all
-of them equal 1; its dimension, saturation, and torsion all fall out of the
-Smith normal form U*A*V = S of the generator matrix A (the saturation as
-rows of U*A divided by the invariant factors, so no matrix is inverted).
+of them equal 1.  The zero estimate needs that subgroup for one nonzero
+character only, where the Smith normal form of the single row is
+(g, 0, ..., 0) for g = gcd of the exponents: the kernel has codimension 1,
+the saturated annihilator is the row divided by g, and the torsion is Z/g.
+The general Smith-form kernel lives in the tests as their reference.
 Everything in this module is exact integer/rational arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, product
@@ -25,91 +28,31 @@ from .cyclo import (
     product_point_set,
     table_product,
 )
-from .errors import BudgetExceeded, InvalidConfig
-from .intmat import matmul, smith_normal_form
-
-
-@dataclass(frozen=True)
-class Character:
-    """A torus character as its exponent vector."""
-
-    exponents: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.exponents) < 1:
-            raise InvalidConfig("character needs at least one exponent")
-        object.__setattr__(self, "exponents", tuple(int(e) for e in self.exponents))
-
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.exponents)
+from .errors import DEFAULT_BUDGET, BudgetExceeded, InvalidConfig
 
 
 class CharacterModule:
-    """A finitely generated group of characters on a common torus.
+    """A finitely generated group of characters on a common torus, given by
+    the exponent vectors of its generators."""
 
-    Carries its Smith normal form lazily; immutable after construction, so
-    the cached decomposition is safe to share.
-    """
-
-    def __init__(self, generators: Sequence[Character | Sequence[int]], ambient_dim: int | None = None):
-        gens = []
-        for g in generators:
-            if not isinstance(g, Character):
-                g = Character(tuple(g))
-            gens.append(g)
+    def __init__(self, generators: Sequence[Sequence[int]], ambient_dim: int | None = None):
+        gens = tuple(tuple(int(e) for e in g) for g in generators)
+        if not all(gens):
+            raise InvalidConfig("character needs at least one exponent")
         if gens:
-            dim = gens[0].ambient_dim
-            if any(g.ambient_dim != dim for g in gens):
+            dim = len(gens[0])
+            if any(len(g) != dim for g in gens):
                 raise InvalidConfig("generators have mixed ambient dimensions")
             if ambient_dim is not None and ambient_dim != dim:
                 raise InvalidConfig("ambient_dim disagrees with generators")
             ambient_dim = dim
         elif ambient_dim is None:
             raise InvalidConfig("empty module needs an explicit ambient_dim")
-        self.generators: tuple[Character, ...] = tuple(gens)
+        self.generators: tuple[tuple[int, ...], ...] = gens
         self.ambient_dim: int = ambient_dim
-        self._snf = None
 
     def matrix(self) -> list[list[int]]:
-        return [list(g.exponents) for g in self.generators]
-
-    def snf(self):
-        """(U, S, V) with U * A * V = S for the generator matrix A."""
-        if not self.generators:
-            raise InvalidConfig("zero module has no Smith form")
-        if self._snf is None:
-            self._snf = smith_normal_form(self.matrix())
-        return self._snf
-
-    @property
-    def rank(self) -> int:
-        if not self.generators:
-            return 0
-        _, s, _ = self.snf()
-        return sum(1 for i in range(min(len(s), len(s[0]))) if s[i][i] != 0)
-
-    def invariant_factors(self) -> list[int]:
-        if not self.generators:
-            return []
-        _, s, _ = self.snf()
-        return [s[i][i] for i in range(min(len(s), len(s[0]))) if s[i][i] != 0]
-
-    def saturation_basis(self) -> list[list[int]]:
-        """Basis of the saturation {x : k*x in module for some k != 0}.
-
-        With U*A*V = S and W = V^{-1}, the rows of U*A = S*W are d_i * w_i,
-        so the first rank rows of W span the saturation: each is a row of
-        U*A divided exactly by its invariant factor.
-        """
-        if not self.generators:
-            return []
-        u, s, _ = self.snf()
-        ua = matmul(u[: self.rank], self.matrix())
-        return [[x // s[i][i] for x in row] for i, row in enumerate(ua)]
-
-    def __repr__(self):
-        return f"CharacterModule({[g.exponents for g in self.generators]}, ambient_dim={self.ambient_dim})"
+        return [list(g) for g in self.generators]
 
 
 @dataclass(frozen=True)
@@ -124,21 +67,6 @@ class SubgroupDescriptor:
     annihilator: tuple[tuple[int, ...], ...]
     dim: int
     torsion: tuple[int, ...] = ()
-
-
-def kernel_subgroup(module: CharacterModule) -> SubgroupDescriptor:
-    """The subgroup on which every character of the module equals 1."""
-    if not module.generators:
-        return SubgroupDescriptor(module.ambient_dim, (), module.ambient_dim, ())
-    r = module.rank
-    sat = module.saturation_basis()
-    torsion = tuple(d for d in module.invariant_factors() if d > 1)
-    return SubgroupDescriptor(
-        ambient_dim=module.ambient_dim,
-        annihilator=tuple(tuple(row) for row in sat),
-        dim=module.ambient_dim - r,
-        torsion=torsion,
-    )
 
 
 @dataclass(frozen=True)
@@ -223,13 +151,6 @@ def product_character_codim(l_vec: Sequence[int], relation_lattice: CharacterMod
     return sum(insert_row(basis, row) for row in chis)
 
 
-def hilbert_function(subgroup: SubgroupDescriptor, L: int) -> int:
-    """Monomial-count normalization L^dim used by the zero estimate."""
-    if L < 1:
-        raise InvalidConfig("L must be >= 1")
-    return L ** subgroup.dim
-
-
 @dataclass(frozen=True)
 class ZeroEstimateResult:
     found: bool
@@ -243,13 +164,23 @@ class ZeroEstimateResult:
     checked: int
 
 
+def _character_kernel(cand: tuple[int, ...]) -> SubgroupDescriptor:
+    """The kernel of one nonzero character.  The Smith form of its row is
+    (g, 0, ..., 0) for g = gcd(cand), so the kernel has dimension mu - 1,
+    the saturated annihilator cand / g and the torsion Z/g."""
+    g = math.gcd(*cand)
+    return SubgroupDescriptor(
+        len(cand), (tuple(c // g for c in cand),), len(cand) - 1, (g,) if g > 1 else ()
+    )
+
+
 # desk scale of the obstruction-subgroup scan
 DESK_ZERO_ESTIMATE_DIM = 3
 DESK_ZERO_ESTIMATE_POINTS = 8
 
 
 def zero_estimate_search(
-    points: Sequence[Sequence], depth: int, L: int, *, budget: int = 10_000_000
+    points: Sequence[Sequence], depth: int, L: int, *, budget: int = DEFAULT_BUDGET
 ) -> ZeroEstimateResult:
     """Search for an obstruction subgroup behind a low-degree vanishing set.
 
@@ -260,7 +191,8 @@ def zero_estimate_search(
     kernel H satisfies card(Sigma*H/H) * L^{dim H} <= L^{mu}.  The coset
     count card(Sigma*H/H) is the number of distinct character values on the
     set.  The kernel of one nonzero character has dim H = mu - 1, so the
-    scan compares counts only and builds the subgroup of the hit alone.
+    scan compares counts only and builds the subgroup of the hit alone
+    (_character_kernel).
     Character values come from power tables (cyclo.power_tables): each
     distinct coordinate value of the set is raised to each exponent in
     -L..L at most once, with at most one inverse, and a value at a point is
@@ -293,21 +225,21 @@ def zero_estimate_search(
         checked=0,
     )
     point_tables = power_tables(sigma)
+    hilbert_sub = L ** (mu - 1)  # L^{dim H} for the kernel H of any candidate
     checked = 0
     for cand in product(range(-L, L + 1), repeat=mu):
         if not any(cand) or next(c for c in cand if c) < 0:
             continue
         checked += 1
         cosets = len({table_product(cand, tables) for tables in point_tables})
-        if cosets * L ** (mu - 1) <= hilbert_ambient:
-            sub = kernel_subgroup(CharacterModule([cand]))
+        if cosets * hilbert_sub <= hilbert_ambient:
             return replace(
                 miss,
                 found=True,
                 character=cand,
-                subgroup=sub,
+                subgroup=_character_kernel(cand),
                 cosets=cosets,
-                hilbert_sub=hilbert_function(sub, L),
+                hilbert_sub=hilbert_sub,
                 checked=checked,
             )
     return replace(miss, checked=checked)

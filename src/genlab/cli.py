@@ -36,6 +36,7 @@ from .auxpoly import GridSpec
 from .chars import zero_estimate_search
 from .cyclo import CycloNum
 from .errors import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     HypothesisNotMet,
     InvalidConfig,
@@ -44,7 +45,6 @@ from .errors import (
 from .tuples import RealTuple, load_expressions
 
 SCHEMA_VERSION = 1
-DEFAULT_BUDGET = 10_000_000
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -379,34 +379,6 @@ def cache_store(
 # report emission
 
 
-def _field_key(value):
-    """A normal form comparable across records: ints numerically, integer
-    vectors elementwise, everything else by canonical JSON."""
-    if value is None:
-        return (0, 0, "", ())
-    if isinstance(value, bool):
-        return (1, int(value), "", ())
-    if isinstance(value, int):
-        return (1, value, "", ())
-    if isinstance(value, (list, tuple)) and all(
-        isinstance(x, int) and not isinstance(x, bool) for x in value
-    ):
-        return (2, 0, "", tuple(value))
-    return (3, 0, canonical_json(value), ())
-
-
-def _sort_key(record: dict):
-    payload = record.get("payload", {})
-    return tuple(
-        _field_key(payload.get(field))
-        for field in ("D", "m", "n", "L", "R", "subset", "l")
-    )
-
-
-def sort_records(records: Sequence[dict]) -> list[dict]:
-    return sorted(records, key=_sort_key)
-
-
 def emit_jsonl(records: Sequence[dict], stream) -> None:
     for record in records:
         stream.write(json.dumps(record, sort_keys=True, separators=(",", ":")))
@@ -441,11 +413,12 @@ def emit_csv(records: Sequence[dict], stream) -> None:
 
 
 def report(records: Sequence[dict], fmt: str, stream) -> None:
-    ordered = sort_records(records)
+    """Write the records in the order the handler emitted them: each handler
+    emits its records in ascending order of its ranges."""
     if fmt == "jsonl":
-        emit_jsonl(ordered, stream)
+        emit_jsonl(records, stream)
     elif fmt == "csv":
-        emit_csv(ordered, stream)
+        emit_csv(records, stream)
     else:
         raise InvalidConfig(f"unknown format {fmt!r}")
 
@@ -472,7 +445,6 @@ def run_relation(args, sink: list[dict]) -> None:
         theta,
         include_pi_i=args.pi_i,
         height_bound=args.height,
-        precision_bits=args.prec,
         budget=args.budget,
     )
     sink.append(
@@ -547,7 +519,7 @@ def run_bigen(args, sink: list[dict]) -> None:
 
 
 def run_schedule(args, sink: list[dict]) -> None:
-    for D in parse_range(args.D):
+    for D in sorted(parse_range(args.D)):
         s = auxpoly.make_schedule(D, args.k, args.mu, args.nu)
         sink.append(
             {
@@ -642,7 +614,6 @@ def run_dist_audit(args, sink: list[dict]) -> None:
         k=args.k,
         eta=args.eta,
         c=args.c,
-        precision_bits=args.prec,
         budget=args.budget,
     )
     ze = rep.zero_estimate
@@ -703,7 +674,6 @@ def run_phil_audit(args, sink: list[dict]) -> None:
         zero_distance_log=args.zero_distance_log,
         seed=args.seed,
         starts=args.starts,
-        precision_bits=args.prec,
     )
     payload = {"D": rep.D, "case": rep.case, "note": rep.note}
     for check in (

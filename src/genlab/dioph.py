@@ -64,7 +64,7 @@ from typing import Optional, Sequence
 import numpy as np
 from mpmath import libmp
 
-from .errors import InvalidConfig
+from .errors import DEFAULT_BUDGET, InvalidConfig
 from .numeric import (
     NEG_PAIR,
     NeedsBits,
@@ -79,7 +79,6 @@ from .numeric import (
 from .reduction import knapsack_basis, lll_reduce
 from .tuples import RealTuple
 
-ENUM_BUDGET = 10**7
 # a sweep whose window gathers more pairs than this many per tail vector
 # (a half box of ceil(mu/2) coordinates at the top height) is split
 SWEEP_PAIRS_PER_HALF_BOX = 4
@@ -304,11 +303,11 @@ def _lattice_candidates(
 # certified selection
 
 
-def _log_parts(ctx, value, bits: int):
+def _log_parts(ctx, value):
     """(log_value pair, log_exp pair) for a signed enclosure; NeedsBits on
     straddles or over-wide results."""
     lv = log_abs_interval(ctx, value)
-    le = log_expm1_abs_interval(ctx, value, bits)
+    le = log_expm1_abs_interval(ctx, value)
     if lv is None or le is None:
         return NEG_PAIR, NEG_PAIR
     return log_pair(ctx, lv), log_pair(ctx, le)
@@ -326,9 +325,9 @@ class _Form:
         self.low, self.high = libmp.mpi_abs(signed, prec)
         self.logs = None
 
-    def log_parts(self, ctx, bits: int):
+    def log_parts(self, ctx):
         if self.logs is None:
-            self.logs = _log_parts(ctx, self.signed, bits)
+            self.logs = _log_parts(ctx, self.signed)
         return self.logs
 
 
@@ -393,7 +392,7 @@ def _min_record(
             if len(contenders) > 1 and bits < tie_cap:
                 raise NeedsBits
         form, best_l = min(contenders, key=lambda t: t[1])
-        log_value, log_exp = form.log_parts(make_ctx(bits), bits)
+        log_value, log_exp = form.log_parts(make_ctx(bits))
         return LinearFormRecord(subset, best_l, D, log_value, log_exp, q, not exhaustive)
 
     return run_escalating(compute, bits_floor)
@@ -404,10 +403,10 @@ def linear_form_min(
     subset: Sequence[int],
     D: int,
     *,
-    budget: int = ENUM_BUDGET,
-    precision_bits: Optional[int] = None,
+    budget: int = DEFAULT_BUDGET,
 ) -> LinearFormRecord:
-    """Minimize |sum_i l_i theta_{subset[i]}| over nonzero l, max-norm <= D.
+    """Minimize |sum_i l_i theta_{subset[i]}| over nonzero l, max-norm <= D,
+    starting at the tuple's precision.
 
     Ties after sign canonicalization (first nonzero coordinate positive)
     resolve to the lexicographically smallest vector.  Above the
@@ -421,8 +420,9 @@ def linear_form_min(
         raise InvalidConfig("subset index out of range")
     if D < 1:
         raise InvalidConfig("height bound D must be >= 1")
-    bits = precision_bits if precision_bits is not None else theta.precision_bits
-    return _min_record(theta, subset, D, bits_floor=bits, budget=budget, heights=(D,))
+    return _min_record(
+        theta, subset, D, bits_floor=theta.precision_bits, budget=budget, heights=(D,)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +526,7 @@ def genericity_probe(
     c: float,
     D_set: Sequence[int],
     *,
-    budget: int = ENUM_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> GenericityReport:
     """For each height D, find the subset of size mu maximizing the minimal
     form value, and test log|e^(form) - 1| >= -c*D^eta."""
@@ -603,7 +603,7 @@ def bituple_probe(
     L_set: Sequence[int],
     R_set: Sequence[int],
     *,
-    budget: int = ENUM_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> BitupleReport:
     """Product forms (sum l theta)(sum r kappa) against -c(L^eta + R^eta).
 
@@ -654,7 +654,7 @@ def _bituple_pair(theta, kappa, rec_l, rec_r, scale, thr, bits: int) -> BitupleV
         )
         ctx = make_ctx(bits)
         t = _abs_product_interval(theta, rec_l, kappa, rec_r, bits)
-        log_exp = log_pair(ctx, log_expm1_abs_interval(ctx, libmp.mpi_neg(t, bits), bits))
+        log_exp = log_pair(ctx, log_expm1_abs_interval(ctx, libmp.mpi_neg(t, bits)))
     approximate = rec_l.approximate or rec_r.approximate
     return BitupleVerdict(
         rec_l.D, rec_r.D, rec_l.subset, rec_r.subset, rec_l.l, rec_r.l,
@@ -681,9 +681,8 @@ def regularity_probe(
     theta: RealTuple,
     include_pi_i: bool = False,
     height_bound: int = 10**6,
-    precision_bits: Optional[int] = None,
     *,
-    budget: int = ENUM_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> RegularityResult:
     """Hunt for an integer relation among the entries (pi*i appended when
     the flag is set).
@@ -693,8 +692,9 @@ def regularity_probe(
     appended coordinate still counts toward the minimality budget, and a
     relation found with it is never reported as verified exactly.
 
-    A found relation is verified: its enclosure (RealTuple.combination)
-    straddles zero at full precision, and it is verified exactly when every
+    The search runs at the tuple's precision, at least 128 bits.  A found
+    relation is verified: its enclosure (RealTuple.combination) straddles
+    zero at that precision, and it is verified exactly when every
     entry it uses is rational.  The box screen confirms it minimal when the
     box is within the budget and every entry is within the screen's float
     range; otherwise minimal is None.  Absence of a relation is only a
@@ -702,7 +702,7 @@ def regularity_probe(
     """
     if height_bound < 1:
         raise InvalidConfig("height_bound must be >= 1")
-    bits = max(128, precision_bits if precision_bits is not None else theta.precision_bits)
+    bits = max(128, theta.precision_bits)
 
     _, entries = theta.real_enclosures(bits)
 

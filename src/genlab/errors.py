@@ -23,5 +23,10 @@ class BudgetExceeded(GenlabError):
     """An enumeration or scale budget was exceeded (CLI exit code 4)."""
 
 
+# the enumeration budget of every search that takes one, and the default of
+# the CLI's --budget
+DEFAULT_BUDGET = 10_000_000
+
+
 class HypothesisNotMet(GenlabError):
     """An operation's mathematical precondition failed on the given input."""

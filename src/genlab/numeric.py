@@ -163,11 +163,12 @@ def log_abs_interval(ctx, x):
     return libmp.mpi_log(libmp.mpi_abs(x, p), p)
 
 
-def log_expm1_abs_interval(ctx, x, precision_bits: int):
-    """Enclosure of log|e^x - 1| for an interval x; None for exact zero.
+def log_expm1_abs_interval(ctx, x):
+    """Enclosure of log|e^x - 1| for an interval x at ctx.prec bits; None
+    for exact zero.
 
     Near zero the direct formula cancels catastrophically, so for
-    |x| <= 2^(-precision_bits/4) it switches to
+    |x| <= 2^(-ctx.prec/4) it switches to
     log|x| + log(1 + x/2 + x^2/6 + x^3/24 + tail), with the tail bounded
     rigorously: sum_{n>=4} |x|^n/(n+1)! <= 2 |x|^4/120 for |x| <= 1/2, with
     room to spare for the 53-bit rounding of that bound.
@@ -180,7 +181,7 @@ def log_expm1_abs_interval(ctx, x, precision_bits: int):
     p = ctx.prec
     add, mul, div, log = libmp.mpi_add, libmp.mpi_mul, libmp.mpi_div, libmp.mpi_log
     x_abs = libmp.mpi_abs(x, p)
-    if libmp.mpf_le(x_abs[1], libmp.mpf_shift(libmp.fone, -(precision_bits // 4))):
+    if libmp.mpf_le(x_abs[1], libmp.mpf_shift(libmp.fone, -(p // 4))):
         xx = mul(x, x, p)
         series = add(exact_pair(1, p), div(x, exact_pair(2, p), p), p)
         series = add(series, div(xx, exact_pair(6, p), p), p)

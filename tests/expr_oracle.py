@@ -35,7 +35,7 @@ def log_expm1_abs(x, precision_bits: int = 128) -> tuple[float, float]:
             xi = exact_pair(exact, bits)
         else:
             xi = eval_interval(ctx, node)
-        return log_pair(ctx, log_expm1_abs_interval(ctx, xi, bits))
+        return log_pair(ctx, log_expm1_abs_interval(ctx, xi))
 
     return run_escalating(attempt, precision_bits)
 

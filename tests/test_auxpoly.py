@@ -199,7 +199,8 @@ def plain_data(texts, bits):
     # generators: siegel_construct's RealTuple route with identity rows
     theta = RealTuple(tuple(texts))
     rows = [tuple(int(i == lam) for i in range(len(theta))) for lam in range(len(theta))]
-    return auxpoly_mod._exponent_data(theta, rows, bits)[:3]
+    ctx, encl, _ = auxpoly_mod._exponent_data(theta, rows, bits)
+    return ctx, encl, [theta.exact_combination(((1, lam),)) for lam in range(len(theta))]
 
 
 def grid_sup_reference(ctx, encl, coeffs, radius, grid):
@@ -464,7 +465,7 @@ def test_factored_grid_sup_equals_identity_and_encloses_phi(data):
     ctx, gen_encl = generators.real_enclosures(bits)
     got = auxpoly_mod._grid_sup(ctx, gen_encl, coeffs, radius, grid, mons)
     # the identity-matrix evaluation of the exponents d . theta
-    _, encl, _, _ = auxpoly_mod._exponent_data(generators, mons, bits)
+    _, encl, _ = auxpoly_mod._exponent_data(generators, mons, bits)
     assert got == auxpoly_mod._grid_sup(ctx, encl, coeffs, radius, grid)
     with mpmath.workprec(2 * bits):
         theta = [exponent_mp(e) for e in gens]
@@ -523,7 +524,9 @@ def test_exponent_rows_agree_with_the_exponent_texts(data):
         st.lists(st.sampled_from(monomial_set(len(gens), 1, 4)), min_size=1, max_size=8)
     )
     bits = data.draw(st.sampled_from((128, 256)))
-    _, encl, exact, keys = auxpoly_mod._exponent_data(RealTuple(tuple(gens)), rows, bits)
+    theta = RealTuple(tuple(gens))
+    _, encl, keys = auxpoly_mod._exponent_data(theta, rows, bits)
+    exact = [theta.exact_combination(zip(d, range(len(gens)))) for d in rows]
     _, t_encl, t_exact, t_keys = expr_oracle.exponent_data(gens, rows, bits)
     assert exact == t_exact
     for x, y, q in zip(encl, t_encl, exact):
@@ -613,7 +616,7 @@ def test_taylor_bounds_from_shared_table_equal_fresh_bounds(data):
     radius = data.draw(st.sampled_from((Fraction(1, 4), Fraction(1, 3), Fraction(1))))
     bits = data.draw(st.sampled_from((128, 256)))
     ctx, encl, exact = plain_data([exponent_text(e) for e in exps], bits)
-    table = auxpoly_mod._taylor_table(ctx, encl, exact, radius, terms)
+    table = auxpoly_mod._taylor_table(ctx, encl, radius, terms)
     candidates = data.draw(
         st.lists(
             st.lists(st.integers(-40, 40), min_size=len(exps), max_size=len(exps)),
@@ -665,8 +668,8 @@ def test_certified_sup_bounds_phi_on_the_whole_disc(data):
     radius = data.draw(st.sampled_from((Fraction(1, 8), Fraction(1, 3), Fraction(1, 2), Fraction(1))))
     bits = 128
     res = siegel_construct(generators, 1.0, 4.0, radius=radius, grid=grid, monomials=mons, precision_bits=bits)
-    ctx, encl, exact, _ = auxpoly_mod._exponent_data(generators, mons, bits)
-    table = auxpoly_mod._taylor_table(ctx, encl, exact, radius, min(len(mons), 10))
+    ctx, encl, _ = auxpoly_mod._exponent_data(generators, mons, bits)
+    table = auxpoly_mod._taylor_table(ctx, encl, radius, min(len(mons), 10))
     _, dsup = auxpoly_mod._taylor_bounds(table, res.coefficients)
     points = data.draw(
         st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), min_size=1, max_size=8)

@@ -9,12 +9,8 @@ from hypothesis import strategies as st
 from field_oracle import echelon, rank
 from genlab import chars
 from genlab.chars import (
-    Character,
     CharacterModule,
-    SubgroupDescriptor,
     ZeroEstimateResult,
-    hilbert_function,
-    kernel_subgroup,
     product_character_codim,
     wI_family_rank,
     zero_estimate_search,
@@ -27,34 +23,42 @@ from genlab.cyclo import (
     product_point_set,
 )
 from genlab.errors import HypothesisNotMet, InvalidConfig
+from genlab.intmat import smith_normal_form
+from subgroup_oracle import invariant_factors, kernel_subgroup, saturation_basis
 
 
 def test_character_basics():
-    c = Character((1, -2, 0))
-    assert c.exponents == (1, -2, 0) and c.ambient_dim == 3
+    # a character is its exponent vector
+    module = CharacterModule([(1, -2, 0)])
+    assert module.matrix() == [[1, -2, 0]] and module.ambient_dim == 3
     with pytest.raises(InvalidConfig):
-        Character(())
+        CharacterModule([()])
+    with pytest.raises(InvalidConfig):
+        CharacterModule([(1, 0), (1,)])
+    with pytest.raises(InvalidConfig):
+        CharacterModule([(1, 0)], ambient_dim=3)
+    with pytest.raises(InvalidConfig):
+        CharacterModule([])
 
 
 def test_kernel_subgroup_one_character():
-    sub = kernel_subgroup(CharacterModule([(1, 1, 1)]))
+    sub = kernel_subgroup([(1, 1, 1)], 3)
     assert sub.dim == 2
     assert sub.ambient_dim == 3
     assert sub.torsion == ()
 
 
 def test_kernel_subgroup_full_rank():
-    sub = kernel_subgroup(CharacterModule([(1, 0), (0, 1)]))
+    sub = kernel_subgroup([(1, 0), (0, 1)], 2)
     assert sub.dim == 0
 
 
 def test_kernel_subgroup_torsion():
-    sub = kernel_subgroup(CharacterModule([(2, -2)]))
+    sub = kernel_subgroup([(2, -2)], 2)
     assert sub.dim == 1
     assert sub.torsion == (2,)
     # saturated annihilator: the SNF diagonal of it must be all ones
-    ann = CharacterModule(list(sub.annihilator))
-    assert ann.invariant_factors() == [1]
+    assert invariant_factors(sub.annihilator) == [1]
 
 
 @settings(max_examples=200, deadline=None)
@@ -67,8 +71,7 @@ def test_kernel_subgroup_torsion():
 )
 def test_saturation_basis_is_leading_rows_of_inverse_transform(gens):
     # reference: V^{-1} by Gauss-Jordan on [V | I] over Q
-    module = CharacterModule(gens)
-    _, _, v = module.snf()
+    _, _, v = smith_normal_form(gens)
     n = len(v)
     _, pivots, w = echelon(
         [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
@@ -77,7 +80,7 @@ def test_saturation_basis_is_leading_rows_of_inverse_transform(gens):
     assert pivots[:n] == list(range(n))
     inverse = [row[n:] for row in w]
     assert all(x.denominator == 1 for row in inverse for x in row)
-    assert module.saturation_basis() == inverse[: module.rank]
+    assert saturation_basis(gens) == inverse[: rank(gens)]
 
 
 def test_kernel_dim_plus_rank_is_ambient():
@@ -86,9 +89,8 @@ def test_kernel_dim_plus_rank_is_ambient():
         l = rng.randint(1, 5)
         g = rng.randint(1, 4)
         gens = [[rng.randint(-6, 6) for _ in range(l)] for _ in range(g)]
-        mod = CharacterModule(gens)
-        sub = kernel_subgroup(mod)
-        assert sub.dim + mod.rank == l
+        sub = kernel_subgroup(gens, l)
+        assert sub.dim + rank(gens) == l
 
 
 def test_wI_family_rank_disjoint_supports():
@@ -175,12 +177,15 @@ def test_product_character_codim_random_zero_lattice():
 
 
 def test_hilbert_function():
-    sub = SubgroupDescriptor(3, ((1, 1, 1),), 2, ())
-    assert hilbert_function(sub, 3) == 9
-    assert hilbert_function(SubgroupDescriptor(2, (), 0, ()), 7) == 1
-    assert hilbert_function(SubgroupDescriptor(2, (), 1, ()), 5) == 5
+    # the hit's Hilbert normalisation is L^dim H, and L must be >= 1
+    i = CycloNum.root_of_unity(4)
+    one = CycloNum.from_rational(1)
+    for points, depth, L in (([(i, one), (i * i, one)], 2, 1), ([(i, i, one)], 2, 3)):
+        res = zero_estimate_search(points, depth, L)
+        assert res.found and res.hilbert_sub == L**res.subgroup.dim
+        assert res.hilbert_ambient == L ** len(points[0])
     with pytest.raises(InvalidConfig):
-        hilbert_function(sub, 0)
+        zero_estimate_search([(i, one)], 2, 0)
 
 
 def test_zero_estimate_fourth_roots():
@@ -228,8 +233,8 @@ def _zero_estimate_reference(points, depth, L):
             continue
         checked += 1
         cosets = len({char_value(cand, p) for p in sigma})
-        sub = kernel_subgroup(CharacterModule([cand]))
-        h_sub = hilbert_function(sub, L)
+        sub = kernel_subgroup([cand], mu)
+        h_sub = L**sub.dim
         if cosets * h_sub <= L**mu:
             return ZeroEstimateResult(
                 True, cand, sub, cosets, h_sub, L**mu, len(sigma), w, checked
@@ -273,23 +278,34 @@ def test_zero_estimate_matches_subgroup_per_candidate_scan(case):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.integers(-6, 6), min_size=1, max_size=5).filter(any))
 def test_kernel_of_one_nonzero_character_has_codimension_one(exponents):
-    assert kernel_subgroup(CharacterModule([exponents])).dim == len(exponents) - 1
+    sub = chars._character_kernel(tuple(exponents))
+    assert sub.dim == len(exponents) - 1
+    assert sub == kernel_subgroup([exponents], len(exponents))
+
+
+def test_character_kernel_matches_the_smith_form_on_every_small_character():
+    # every nonzero character with exponents in -6..6 on a torus of
+    # dimension at most 3, the desk scale of the zero estimate
+    for mu in (1, 2, 3):
+        for cand in product(range(-6, 7), repeat=mu):
+            if any(cand):
+                assert chars._character_kernel(cand) == kernel_subgroup([cand], mu), cand
 
 
 def test_zero_estimate_builds_the_subgroup_of_the_hit_only(monkeypatch):
     calls = []
-    real = chars.kernel_subgroup
+    real = chars._character_kernel
 
-    def counting(module):
-        calls.append(module)
-        return real(module)
+    def counting(cand):
+        calls.append(cand)
+        return real(cand)
 
-    monkeypatch.setattr(chars, "kernel_subgroup", counting)
+    monkeypatch.setattr(chars, "_character_kernel", counting)
     w = CycloNum.root_of_unity(3)
     two, three, five, seven = (CycloNum.from_rational(q) for q in (2, 3, 5, 7))
     hit = zero_estimate_search([(w, two), (w, three)], 2, 2)
     assert hit.character == (1, 0) and hit.checked == 5
-    assert [m.generators[0].exponents for m in calls] == [hit.character]
+    assert calls == [hit.character]
 
     calls.clear()
     miss = zero_estimate_search([(two, three), (five, seven)], 2, 2)

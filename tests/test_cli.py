@@ -633,6 +633,54 @@ def test_bounds_grid_csv_shape(capsys):
     assert lines[-1].split(",")[1:3] == ["12", "12"]
 
 
+def _keys(out, fmt, fields):
+    """The fields of each record of out, in the order they were written."""
+    if fmt == "jsonl":
+        return [tuple(r["payload"][f] for f in fields) for r in records_of(out)]
+    header, *rows = [line.split(",") for line in out.splitlines()]
+    return [tuple(int(row[header.index(f)]) for f in fields) for row in rows]
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize(
+    "argv, fields, expected",
+    [
+        (
+            ["schedule", "--D", "64,9,33,9,16", "--mu", "3", "--nu", "2"],
+            ("D",),
+            [(9,), (9,), (16,), (33,), (64,)],
+        ),
+        (
+            ["bounds", "--m", "7,2,5", "--n", "9,3"],
+            ("m", "n"),
+            [(2, 3), (2, 9), (5, 3), (5, 9), (7, 3), (7, 9)],
+        ),
+        (
+            # a value repeated in both ranges keeps its repeats side by side
+            ["bounds", "--m", "7,2,7", "--n", "9,3,3"],
+            ("m", "n"),
+            [(2, 3), (2, 3), (2, 9), *[(7, 3)] * 4, (7, 9), (7, 9)],
+        ),
+    ],
+    ids=["schedule", "bounds", "bounds-repeats"],
+)
+def test_unsorted_ranges_emit_ascending_records(capsys, argv, fields, expected, fmt):
+    # the handlers emit their records in ascending order of their ranges;
+    # the report writes them as they come
+    code, out = run_capture(capsys, [*argv, "--format", fmt])
+    assert code == 0
+    assert _keys(out, fmt, fields) == expected
+
+
+def test_schedule_range_failing_part_way_prints_no_record(capsys):
+    # the heights run in ascending order, so the invalid 0 fails before 5
+    code = run(["schedule", "--D", "5,0", "--mu", "3", "--nu", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error: height D must be >= 1" in captured.err
+
+
 def test_omega_and_zeroest(tup, capsys):
     pts = tup("pts.tup", ["zeta(5),zeta(5)^2", "zeta(5)^2,zeta(5)^4"])
     code, out = run_capture(capsys, ["omega", "--points", pts])

@@ -645,21 +645,21 @@ def test_probe_sweep_records_equal_fresh_linear_form_min(theta, data):
     with mock.patch.object(dioph, "_min_record", recording):
         rep = genericity_probe(theta, mu, 2.0, 0.045, range(2, hi + 1))
 
-    def fresh():
-        return RealTuple(theta.expressions)
+    def fresh(bits):
+        return RealTuple(theta.expressions, precision_bits=bits)
 
     assert {v.record for v in rep.verdicts} <= {rec for rec, _ in computed}
     for rec, bits in computed:
-        assert rec == linear_form_min(fresh(), rec.subset, rec.D, precision_bits=bits)
+        assert rec == linear_form_min(fresh(bits), rec.subset, rec.D)
 
 
 def test_sweep_certifies_each_form_once(monkeypatch):
     calls = []
     log_parts = dioph._log_parts
 
-    def counting(ctx, value, bits):
-        calls.append((value, bits))
-        return log_parts(ctx, value, bits)
+    def counting(ctx, value):
+        calls.append((value, ctx.prec))
+        return log_parts(ctx, value)
 
     monkeypatch.setattr(dioph, "_log_parts", counting)
     logs = ("log(2)", "log(3)", "log(5)", "log(7)")

@@ -131,7 +131,7 @@ def log_expm1(text, bits=192):
     def attempt(b):
         ctx = make_ctx(b)
         x = eval_interval(ctx, node)
-        return log_expm1_abs_interval(ctx, x, b)
+        return log_expm1_abs_interval(ctx, x)
 
     return run_escalating(attempt, bits)
 

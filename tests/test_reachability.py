@@ -22,6 +22,10 @@ of those readers.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -37,10 +41,6 @@ ALLOWED = {
     "linear_form_min.budget": (
         "the unit tests force lattice mode through it; the probes pass their "
         "own budget to the shared record builder"
-    ),
-    "linear_form_min.precision_bits": (
-        "the unit tests fix the working precision through it; the default is "
-        "the tuple's own"
     ),
 }
 
@@ -188,3 +188,56 @@ def test_every_definition_is_named_outside_its_definition():
     assert {n: at for n, at in unreached.items() if n not in ALLOWED} == {}
     # an allowed name that something reaches again leaves the list
     assert sorted(unreached) == sorted(ALLOWED)
+
+
+def _traced_names() -> list[tuple[str, str]]:
+    """(module, attribute) of every function perfbench/spans.py wraps: the
+    keys of its SPANS, OUTERMOST and COUNTED tables and the names its
+    Tracer passes to _replace as constants (numeric.run_escalating)."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    names = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Assign)
+            and isinstance(node.targets[0], ast.Name)
+            and node.targets[0].id in ("SPANS", "OUTERMOST", "COUNTED")
+        ):
+            names += [ast.literal_eval(key) for key in node.value.keys]
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "_replace"
+            and all(isinstance(arg, ast.Constant) for arg in node.args[:2])
+        ):
+            names.append((node.args[0].value, node.args[1].value))
+    return names
+
+
+def test_every_name_the_benchmark_tracer_wraps_resolves():
+    # Tracer.install imports genlab.cli, then looks every traced function up
+    # by name in the loaded modules (a "Class.method" on the class itself);
+    # a renamed, moved or no longer loaded function breaks `--trace 1`
+    names = _traced_names()
+    assert ("numeric", "run_escalating") in names and ("cli", "report") in names
+    script = (
+        "import json, sys\n"
+        "import genlab.cli\n"
+        "missing = []\n"
+        "for mod, attr in json.loads(sys.argv[1]):\n"
+        "    module = sys.modules.get('genlab.' + mod)\n"
+        "    if module is None:\n"
+        "        missing.append(mod + ' is not loaded')\n"
+        "        continue\n"
+        "    owner, _, name = attr.rpartition('.')\n"
+        "    scope = vars(getattr(module, owner)) if owner else vars(module)\n"
+        "    if not callable(scope.get(name)):\n"
+        "        missing.append(mod + '.' + attr)\n"
+        "print(json.dumps(missing))\n"
+    )
+    fresh = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(names)],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    assert fresh.returncode == 0, fresh.stderr
+    assert json.loads(fresh.stdout) == []
