@@ -441,17 +441,11 @@ def _load_nonzero_tuple(path: str, prec: int) -> RealTuple:
 
 def run_relation(args, sink: list[dict]) -> None:
     theta = _load_nonzero_tuple(args.tuple_file, args.prec)
-    result = dioph.regularity_probe(
-        theta,
-        include_pi_i=args.pi_i,
-        height_bound=args.height,
-        budget=args.budget,
-    )
+    result = dioph.regularity_probe(theta, height_bound=args.height, budget=args.budget)
     sink.append(
         {
             "status": result.status,
             "relation": list(result.relation) if result.relation else None,
-            "includes_pi": result.includes_pi,
             "height_bound": result.height_bound,
             "verified_exact": result.verified_exact,
             "minimal": result.minimal,
@@ -718,7 +712,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("relation", help="integer relation hunt on a tuple")
     p.add_argument("--tuple", dest="tuple_file", required=True)
     p.add_argument("--height", type=int, default=10**6)
-    p.add_argument("--pi-i", dest="pi_i", action="store_true")
     _add_common(p)
     p.set_defaults(func=run_relation)
 

@@ -44,10 +44,7 @@ Integer relations come from one relation lattice (_relation_rows: scaled
 midpoints, knapsack basis, LLL).  A found relation is confirmed minimal by
 the same box screen at its height: every plausible relation survives the
 screen, so the first survivor in (max-norm, l) order that holds is the
-minimal one.  The pi*i that a relation search may append takes part in no
-relation of a real tuple: the imaginary part of sum l_j theta_j + l' pi*i
-is l' pi, zero only for l' = 0.  So the search runs on the real entries
-alone and reports the coefficient of pi*i as 0.
+minimal one.
 
 Index subsets are 0-based throughout.
 """
@@ -670,7 +667,6 @@ def _bituple_pair(theta, kappa, rec_l, rec_r, scale, thr, bits: int) -> BitupleV
 class RegularityResult:
     status: str  # "relation_found" | "no_relation_found"
     relation: Optional[tuple[int, ...]]
-    includes_pi: bool  # last coordinate multiplies pi*i when set; it is always 0
     height_bound: int
     precision_bits: int
     verified_exact: bool  # relation proven by exact rational arithmetic
@@ -679,23 +675,16 @@ class RegularityResult:
 
 def regularity_probe(
     theta: RealTuple,
-    include_pi_i: bool = False,
     height_bound: int = 10**6,
     *,
     budget: int = DEFAULT_BUDGET,
 ) -> RegularityResult:
-    """Hunt for an integer relation among the entries (pi*i appended when
-    the flag is set).
-
-    A real tuple's relation never involves pi*i, so the search runs on the
-    entries alone and a found relation gets a 0 appended for pi*i.  The
-    appended coordinate still counts toward the minimality budget, and a
-    relation found with it is never reported as verified exactly.
+    """Hunt for an integer relation among the entries.
 
     The search runs at the tuple's precision, at least 128 bits.  A found
     relation is verified: its enclosure (RealTuple.combination) straddles
-    zero at that precision, and it is verified exactly when every
-    entry it uses is rational.  The box screen confirms it minimal when the
+    zero at that precision, and it is verified exactly when every entry it
+    uses is rational.  The box screen confirms it minimal when the
     box is within the budget and every entry is within the screen's float
     range; otherwise minimal is None.  Absence of a relation is only a
     no-witness-up-to-budget verdict, never a regularity claim.
@@ -711,18 +700,15 @@ def regularity_probe(
         for l in sorted(vectors, key=lambda l: (max(abs(x) for x in l), l)):
             terms = tuple(zip(l, range(len(l))))
             if straddles_zero(theta.combination(terms, bits)):
-                return l, not include_pi_i and theta.exact_combination(terms) == 0
+                return l, theta.exact_combination(terms) == 0
         return None
 
     found = first_holding(_relation_rows(entries, bits, height_bound))
     if found is None:
-        return RegularityResult(
-            "no_relation_found", None, include_pi_i, height_bound, bits, False, None
-        )
+        return RegularityResult("no_relation_found", None, height_bound, bits, False, None)
     h0 = max(abs(x) for x in found[0])
     minimal = None
-    n = len(entries) + include_pi_i  # the budget counts the pi*i coordinate
-    if _within_budget(h0, n, budget):
+    if _within_budget(h0, len(entries), budget):
         mids = theta.midpoints(bits)
         # an entry beyond the screen's float range leaves the relation
         # unconfirmed, as a box over the budget does
@@ -733,8 +719,4 @@ def regularity_probe(
             found = first_holding(screened)
             minimal = True
     l0, exact0 = found
-    if include_pi_i:
-        l0 += (0,)
-    return RegularityResult(
-        "relation_found", l0, include_pi_i, height_bound, bits, exact0, minimal
-    )
+    return RegularityResult("relation_found", l0, height_bound, bits, exact0, minimal)

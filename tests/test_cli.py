@@ -451,23 +451,21 @@ def test_entry_beyond_the_float_screen_exits_2(tup, capsys, argv, entries, D):
 
 
 @pytest.mark.parametrize(
-    "flags, relation, exact",
-    [([], [1, 1, 0], True), (["--pi-i"], [1, 1, 0, 0], False)],
-    ids=["plain", "pi-i"],
+    "entries, exact",
+    [(["10^400", "-10^400", "3"], True), (["10^400*sqrt(2)", "-10^400*sqrt(2)", "3"], False)],
+    ids=["plain", "irrational"],
 )
-def test_relation_beyond_the_float_screen_is_reported_unconfirmed(
-    tup, capsys, flags, relation, exact
-):
+def test_relation_beyond_the_float_screen_is_reported_unconfirmed(tup, capsys, entries, exact):
     # the lattice finds the relation; the minimality screen cannot read the
     # entries as floats, so the relation is reported with minimal null, as a
     # box over the budget is
-    code = run(["relation", "--tuple", tup("big.tup", ["10^400", "-10^400", "3"]), *flags])
+    code = run(["relation", "--tuple", tup("big.tup", entries)])
     captured = capsys.readouterr()
     assert code == 0
     assert captured.err == ""
     (rec,) = records_of(captured.out)
     assert rec["payload"]["status"] == "relation_found"
-    assert rec["payload"]["relation"] == relation
+    assert rec["payload"]["relation"] == [1, 1, 0]
     assert rec["payload"]["verified_exact"] is exact
     assert rec["payload"]["minimal"] is None
 
@@ -827,8 +825,8 @@ def test_phil_audit_draws_no_restarts_without_importing_numpy_random(tup):
 
 def test_phil_audit_imports_no_scipy(tup):
     # importing scipy costs about half a second and 40 MB on every cold run;
-    # neither the CLI, the zero-distance search nor a relation search with
-    # the pi*i that --pi-i appends may need it
+    # neither the CLI, the zero-distance search nor a relation search may
+    # need it
     fam = tup("fam.tup", ["1,0:1; 0,0:-1"])
     point = tup("pt.tup", ["exp(1)", "2"])
     rel = tup("rel.tup", ["5", "-1", "1", "1"])
@@ -841,7 +839,7 @@ def test_phil_audit_imports_no_scipy(tup):
         " '--D', '3', '--starts', '4']\n"
         "assert genlab.cli.run(argv) == 0\n"
         "assert scipy() == [], scipy()[:3]\n"
-        "assert genlab.cli.run(['relation', '--tuple', sys.argv[3], '--pi-i']) == 0\n"
+        "assert genlab.cli.run(['relation', '--tuple', sys.argv[3]]) == 0\n"
         "assert scipy() == [], scipy()[:3]\n"
     )
     src = Path(__file__).resolve().parent.parent / "src"
@@ -853,7 +851,7 @@ def test_phil_audit_imports_no_scipy(tup):
     assert fresh.returncode == 0, fresh.stderr
     phil, relation = records_of(fresh.stdout)
     assert phil["payload"]["zero_distance_status"] == "empirical_pass"
-    assert relation["payload"]["relation"] == [0, 0, 1, -1, 0]
+    assert relation["payload"]["relation"] == [0, 0, 1, -1]
     assert relation["payload"]["minimal"] is True
 
 
@@ -1167,7 +1165,7 @@ PINNED_INPUTS = {
     [
         pytest.param(
             "relation --tuple golden.tup --height 50",
-            "9354cb03ef4454f605d5c3fd5d83b49d97c45917c09127bdb203b2d88af4dfc6",
+            "873902571fe9491e2c0fb4a625dacdc0e30cd4cbd409cdaa60a30b03c908d872",
             id="readme-relation",
         ),
         pytest.param(
@@ -1368,15 +1366,16 @@ PINNED_INPUTS = {
             "b5a521bca68f3dd942496e03e40693aebeb8138863974d744984e8cdb956cc12",
             id="gen-rational-exact",
         ),
+        # the two relation cases keep the ids they had while --pi-i existed
         pytest.param(
-            # the one complex entry a command creates: pi*i appended
-            "relation --tuple rel.tup --pi-i",
-            "65baf44323bc65d38a5f2ccb5c584c20ab0a3c1b29e9ab71a775e84ae78a9402",
+            # rational entries: the minimal relation [0, 0, 1, -1], verified exactly
+            "relation --tuple rel.tup",
+            "c302320e458a61edf0cb60fe947909b7cedb11ef0f5cea34510225863cdc8684",
             id="relation-pi-i-found",
         ),
         pytest.param(
-            "relation --tuple logs4.tup --pi-i",
-            "a0c93bab8df8db6ac4f49038ee93b577759a93930d8610ecb320b5fe14f83791",
+            "relation --tuple logs4.tup",
+            "615321ca7e7251e085694c11bcd4147417a68119cb9912a2b4c59b962d7488e2",
             id="relation-pi-i-logs",
         ),
     ],

@@ -281,12 +281,6 @@ def test_regularity_golden_quadratic():
     assert res.minimal
 
 
-def test_regularity_real_with_pi_appended():
-    res = regularity_probe(RealTuple(("1", "pi"), precision_bits=256), include_pi_i=True)
-    assert res.includes_pi
-    assert res.status == "no_relation_found"
-
-
 def test_log_expm1_abs_public():
     lo, hi = log_expm1_abs("10^-10")
     assert abs(lo + 23.025850929890456) < 1e-6
@@ -520,33 +514,31 @@ def test_relation_lattice_scales_the_full_precision_midpoint():
 
 
 @pytest.mark.parametrize(
-    "entries, pi_i, lattice_row, minimal_row",
+    "entries, lattice_row, minimal_row",
     [
         # the reduced lattice's relation has max-norm 5; one of max-norm 4 exists
-        (("-16", "-23", "-11"), False, (2, 1, -5), (3, -4, 4)),
+        pytest.param(("-16", "-23", "-11"), (2, 1, -5), (3, -4, 4), id="max-norm-4-below-5"),
         # equal max-norm: the lexicographically smallest relation wins
-        (("-4", "-4", "-4"), False, (1, -1, 0), (0, 1, -1)),
-        (("5", "-1", "1", "1"), True, (0, 1, 0, 1, 0), (0, 0, 1, -1, 0)),
+        pytest.param(("-4", "-4", "-4"), (1, -1, 0), (0, 1, -1), id="lex-tie"),
+        pytest.param(("5", "-1", "1", "1"), (0, 1, 0, 1), (0, 0, 1, -1), id="lex-tie-four"),
     ],
 )
-def test_regularity_minimal_beats_the_lattice_row(entries, pi_i, lattice_row, minimal_row):
+def test_regularity_minimal_beats_the_lattice_row(entries, lattice_row, minimal_row):
     theta = RealTuple(entries)
-    res = regularity_probe(theta, pi_i)
+    res = regularity_probe(theta)
     assert (res.relation, res.minimal) == (minimal_row, True)
     # over budget the minimality screen is skipped and the lattice row stands
     h = max(abs(x) for x in lattice_row)
-    res = regularity_probe(theta, pi_i, budget=(2 * h + 1) ** len(lattice_row) - 1)
+    res = regularity_probe(theta, budget=(2 * h + 1) ** len(lattice_row) - 1)
     assert (res.relation, res.minimal) == (lattice_row, None)
 
 
-def _brute_relation(theta, include_pi_i, h):
+def _brute_relation(theta, h):
     """Reference: the smallest (max-norm, l) plausible relation in the
     height-h box, by walking the whole box.  A relation whose nonzero
     coefficients meet rational entries only is decided in exact rational
-    arithmetic, and then it is verified exactly unless pi*i is appended;
-    otherwise its real sum must straddle zero.  With include_pi_i the last
-    coordinate l' multiplies pi*i, and the imaginary part l' pi must
-    straddle zero too."""
+    arithmetic, and then it is verified exactly; otherwise its sum must
+    straddle zero."""
     bits = max(128, theta.precision_bits)
     _, encl = theta.real_enclosures(bits)
     ctx = oracle.iv_ctx(bits)
@@ -554,19 +546,16 @@ def _brute_relation(theta, include_pi_i, h):
     n = len(encl)
     rationals = [exact_rational(parse_expression(e)) for e in theta.expressions]
     best = None
-    for l in itertools.product(range(-h, h + 1), repeat=n + include_pi_i):
+    for l in itertools.product(range(-h, h + 1), repeat=n):
         if not any(l):
             continue
         l = canonical_form(l)
-        im = ctx.pi * l[n] if include_pi_i else ctx.mpf(0)
         used = [q for c, q in zip(l, rationals) if c]
         if None not in used:
-            real = sum(Fraction(c) * q for c, q in zip(l, rationals) if c) == 0
-            exact = real and not include_pi_i
+            plausible = exact = sum(Fraction(c) * q for c, q in zip(l, rationals) if c) == 0
         else:
             re = sum((x * c for c, x in zip(l, encl)), ctx.mpf(0))
-            real, exact = re.a <= 0 <= re.b, False
-        plausible = real and im.a <= 0 <= im.b
+            plausible, exact = re.a <= 0 <= re.b, False
         key = (max(abs(x) for x in l), l)
         if plausible and (best is None or key < best[0]):
             best = (key, l, exact)
@@ -580,15 +569,15 @@ _entry = st.one_of(
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(_entry, min_size=1, max_size=3), st.booleans())
-def test_regularity_minimal_matches_box_walk(entries, include_pi_i):
+@given(st.lists(_entry, min_size=1, max_size=3))
+def test_regularity_minimal_matches_box_walk(entries):
     theta = RealTuple(tuple(entries))
-    res = regularity_probe(theta, include_pi_i, height_bound=6)
+    res = regularity_probe(theta, height_bound=6)
     if res.status == "no_relation_found":
         assert res.relation is None and res.minimal is None
         return
     assert res.minimal
-    ref = _brute_relation(theta, include_pi_i, max(abs(x) for x in res.relation))
+    ref = _brute_relation(theta, max(abs(x) for x in res.relation))
     assert ref is not None
     _, l, exact = ref
     assert res.relation == l
