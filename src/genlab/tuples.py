@@ -15,8 +15,8 @@ the entries' enclosures otherwise.
 
 A tuple also carries the memos its consumers fill: each entry's exact
 rational value (on first use), the float midpoints of its enclosures (once
-per precision), and the dioph probes' float screens and certified linear
-forms.  Every memo lives exactly as long as the tuple
+per precision), and the dioph probes' float screens, minimizer choices and
+certified linear forms.  Every memo lives exactly as long as the tuple
 object, which the CLI builds once per run, so no run ever reads another
 run's work.
 """
@@ -43,18 +43,21 @@ class RealTuple:
     Integer combinations of the entries come from exact_combination and
     combination, exact exactly when the entries used are rational.
 
-    Five memos ride on the instance, none of them part of its value:
+    Six memos ride on the instance, none of them part of its value:
     _rationals (entry index -> its exact rational value or None, filled on
     first use, so a malformed entry raises only when a computation uses it),
     _enclosures (bits -> ctx and the entries' interval pairs), _midpoints
-    (bits -> float midpoints), _screens, which dioph keys by (screened
-    floats, exhaustive heights of a sweep) and fills with every height's
-    float-screen survivors, and _forms, which dioph keys by (subset, l,
-    bits) and fills with each linear form's signed enclosure, its |.|
-    bounds and its certified log pairs.  A sweep over heights and subsets
-    screens each subset once and certifies each form once per precision
-    this way.  They live as long as the tuple, one CLI run; a new tuple
-    starts empty.
+    (bits -> float midpoints), _screens, which dioph keys by (every
+    subset's screened floats, exhaustive heights of a sweep) and fills with
+    each subset's float-screen survivors at every height, _choices, which
+    dioph keys by (subset, candidates, precision floor, approximate) and
+    fills with the subset's minimizing form and, once certified, its logs,
+    and _forms, which dioph keys by (subset, l, bits) and fills with each
+    linear form's signed enclosure, its |.| bounds and its certified log
+    pairs.  A sweep over heights and subsets screens once for every subset,
+    picks each subset's minimizer once per candidate set and certifies each
+    form once per precision this way.  They live as long as the tuple, one
+    CLI run; a new tuple starts empty.
     """
 
     expressions: tuple[str, ...]
@@ -65,6 +68,7 @@ class RealTuple:
     _midpoints: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _forms: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _screens: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _choices: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         if not self.expressions:

@@ -1,6 +1,7 @@
 """Linear-form minima, genericity probes, and relation detection."""
 
 import itertools
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -9,6 +10,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
+from mpmath import libmp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +25,7 @@ from genlab.dioph import (
     linear_form_min,
     regularity_probe,
 )
-from genlab.errors import InvalidConfig
+from genlab.errors import InvalidConfig, PrecisionExhausted
 from genlab.expr import exact_rational, parse_expression
 from genlab.tuples import RealTuple
 
@@ -360,22 +362,27 @@ def test_screen_box_matches_two_pass_fixed(theta_float, D):
 _SWEEP_TOP = {1: 40, 2: 15, 3: 5, 4: 3, 5: 2}
 
 
+_sweep_part = st.one_of(
+    _part,
+    st.sampled_from([1e-13, -1e-13, 3e-13, -2.5e-13]),
+    # near-equal large entries: their forms differ by about 1e-10, where
+    # the slack grows with the height
+    st.integers(-4, 4).map(lambda n: 1024.0 + n * 2.0**-33),
+    st.integers(-4, 4).map(lambda n: -1536.0 + n * 2.0**-33),
+)
+
+
+def _sweep_heights(mu):
+    return st.lists(
+        st.integers(1, _SWEEP_TOP[mu]), min_size=1, max_size=6, unique=True
+    ).map(lambda hs: tuple(sorted(hs)))
+
+
 @st.composite
 def _sweeps(draw):
     mu = draw(st.integers(1, 5))
-    part = st.one_of(
-        _part,
-        st.sampled_from([1e-13, -1e-13, 3e-13, -2.5e-13]),
-        # near-equal large entries: their forms differ by about 1e-10, where
-        # the slack grows with the height
-        st.integers(-4, 4).map(lambda n: 1024.0 + n * 2.0**-33),
-        st.integers(-4, 4).map(lambda n: -1536.0 + n * 2.0**-33),
-    )
-    theta = draw(st.lists(part, min_size=mu, max_size=mu))
-    heights = draw(
-        st.lists(st.integers(1, _SWEEP_TOP[mu]), min_size=1, max_size=6, unique=True)
-    )
-    return theta, tuple(sorted(heights))
+    theta = draw(st.lists(_sweep_part, min_size=mu, max_size=mu))
+    return theta, draw(_sweep_heights(mu))
 
 
 @settings(max_examples=100, deadline=None)
@@ -396,11 +403,47 @@ def _sweeps(draw):
 @example(([1.0, 1.618033988749895], (4, 9, 10, 15)))
 def test_screen_sweep_matches_two_pass_at_every_height(sweep):
     theta_float, heights = sweep
-    got = dioph._screen_sweep(theta_float, heights)
+    (got,) = dioph._screen_sweep([theta_float], heights)
     assert list(got) == list(heights)
     for D in heights:
         assert got[D] == _two_pass_screen(theta_float, D)
         assert _exact_minimizers(theta_float, D) <= set(got[D])
+
+
+@st.composite
+def _subset_sweeps(draw):
+    # rows of one length, each drawn from the _sweeps entry parts, so that
+    # one row can split its heights or lose the upper ones to the float
+    # range while the others do not
+    mu = draw(st.integers(1, 5))
+    part = st.one_of(
+        _sweep_part,
+        # beyond the float range of mu * D * entry at every height, or at the
+        # upper ones only (mu * D * 2^1021 overflows from mu * D = 8)
+        st.sampled_from([1.5e308, -(2.0**1021)]),
+    )
+    rows = draw(st.lists(st.lists(part, min_size=mu, max_size=mu), min_size=1, max_size=10))
+    return rows, draw(_sweep_heights(mu))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_subset_sweeps(), st.sampled_from([0.1, 1, dioph.SWEEP_PAIRS_PER_HALF_BOX]))
+# at a split bound of 0.1 both rows split (2, 4, 5) apart, and then only the
+# second splits (4, 5)
+@example(([[1.0, 0.5, -0.25], [math.log(2), math.log(3), math.log(5)]], (1, 2, 4, 5)), 0.1)
+# rows that keep all heights, the lower three, and none
+@example(([[1.0, 0.5], [-(2.0**1021), 1.0], [1.5e308, 2.0]], (1, 2, 3, 4, 5)), 4)
+def test_screen_sweep_of_many_rows_matches_two_pass_for_each(sweep, split_bound):
+    rows, heights = sweep
+    mu = len(rows[0])
+    with mock.patch.object(dioph, "SWEEP_PAIRS_PER_HALF_BOX", split_bound):
+        got = dioph._screen_sweep(rows, heights)
+    assert len(got) == len(rows)
+    for row, screened in zip(rows, got):
+        bound = max(1.0, *map(abs, row))
+        assert list(screened) == [D for D in heights if math.isfinite(mu * D * bound)]
+        for D in screened:
+            assert screened[D] == _two_pass_screen(row, D)
 
 
 def _peak_bytes(f, *args):
@@ -417,8 +460,16 @@ def test_screen_sweep_memory_is_that_of_one_screen():
     # would take about 7 MB, against under 1 MB for one screen
     theta = [math.log(2), math.log(3), math.log(5)]
     single = _peak_bytes(dioph._screen_box, theta, 60)
-    swept = _peak_bytes(dioph._screen_sweep, theta, tuple(range(2, 61)))
+    swept = _peak_bytes(dioph._screen_sweep, [theta], tuple(range(2, 61)))
     assert swept <= 2 * single
+    # k rows screened together peak at k times one row's screen at most, so
+    # no row holds a table of heights times a half box (7 MB a row)
+    logs = [math.log(p) for p in (2, 3, 5, 7, 11, 13)]
+    rows = [list(r) for r in itertools.combinations(logs, 3)][:6]
+    one = _peak_bytes(dioph._screen_sweep, rows[:1], tuple(range(2, 61)))
+    many = _peak_bytes(dioph._screen_sweep, rows, tuple(range(2, 61)))
+    assert one <= 2 * single
+    assert many <= len(rows) * one
 
 
 def test_wide_sweep_memory_is_that_of_one_top_screen():
@@ -426,7 +477,7 @@ def test_wide_sweep_memory_is_that_of_one_top_screen():
     # vector of the top box in one pass, so the sweep splits
     theta = [math.log(2), math.log(3), math.log(5), math.log(7)]
     single = _peak_bytes(dioph._screen_box, theta, 300)
-    swept = _peak_bytes(dioph._screen_sweep, theta, tuple(range(2, 301)))
+    swept = _peak_bytes(dioph._screen_sweep, [theta], tuple(range(2, 301)))
     assert swept <= 2 * single
 
 
@@ -447,7 +498,7 @@ def test_split_sweeps_keep_every_height_of_one_screen(data):
     ) | {top}))
     bound = data.draw(st.sampled_from([0, 0.01, 0.1, dioph.SWEEP_PAIRS_PER_HALF_BOX]))
     with mock.patch.object(dioph, "SWEEP_PAIRS_PER_HALF_BOX", bound):
-        got = dioph._screen_sweep(theta, heights)
+        (got,) = dioph._screen_sweep([theta], heights)
     assert list(got) == list(heights)
     for D in data.draw(st.lists(st.sampled_from(heights), min_size=1, max_size=4)):
         assert got[D] == dioph._screen_box(theta, D)
@@ -619,59 +670,181 @@ def _probe_tuples(draw):
 @settings(max_examples=50, deadline=None)
 @given(_probe_tuples(), st.data())
 def test_probe_sweep_records_equal_fresh_linear_form_min(theta, data):
-    # the sweep reads forms its earlier heights and subsets certified; a
-    # fresh tuple per record computes each one cold, at the same precision
+    # the sweep reads choices and forms its earlier heights and subsets made;
+    # a fresh tuple per subset and height computes each one cold, at the
+    # same precision floor.  Every choice picks the form linear_form_min
+    # picks, and every choice whose logs the sweep certified (the reported
+    # ones, and the near ties compared on their logs) gives the record
+    # linear_form_min returns, logs included
     mu = data.draw(st.integers(1, min(3, len(theta))))
     hi = data.draw(st.integers(2, 8))
-    computed = []
-    min_record = dioph._min_record
+    made = []
+    choices = dioph._choices
 
-    def recording(theta, subset, D, *, bits_floor, budget, heights):
-        rec = min_record(theta, subset, D, bits_floor=bits_floor, budget=budget, heights=heights)
-        computed.append((rec, bits_floor))
-        return rec
+    def recording(theta, subsets, D, **kw):
+        got = choices(theta, subsets, D, **kw)
+        made.extend((choice, D) for choice in got)
+        return got
 
-    with mock.patch.object(dioph, "_min_record", recording):
+    with mock.patch.object(dioph, "_choices", recording):
         rep = genericity_probe(theta, mu, 2.0, 0.045, range(2, hi + 1))
 
     def fresh(bits):
         return RealTuple(theta.expressions, precision_bits=bits)
 
-    assert {v.record for v in rep.verdicts} <= {rec for rec, _ in computed}
-    for rec, bits in computed:
-        assert rec == linear_form_min(fresh(bits), rec.subset, rec.D)
+    certified = set()
+    for choice, D in made:
+        rec = linear_form_min(fresh(choice.floor), choice.subset, D)
+        assert choice.l == rec.l
+        if choice.logs:
+            assert set(choice.logs) == {True}
+            certified.add(choice.record(theta, D))
+            assert choice.record(theta, D) == rec
+    assert {v.record for v in rep.verdicts} <= certified
+
+
+def _counting_logs(monkeypatch):
+    """The (value, bits) of every log|.| and log|e^. - 1| dioph certifies."""
+    calls = {"log_abs_interval": [], "log_expm1_abs_interval": []}
+    for name, seen in calls.items():
+        def counting(ctx, value, f=getattr(dioph, name), seen=seen):
+            seen.append((value, ctx.prec))
+            return f(ctx, value)
+
+        monkeypatch.setattr(dioph, name, counting)
+    return calls
 
 
 def test_sweep_certifies_each_form_once(monkeypatch):
-    calls = []
-    log_parts = dioph._log_parts
-
-    def counting(ctx, value):
-        calls.append((value, ctx.prec))
-        return log_parts(ctx, value)
-
-    monkeypatch.setattr(dioph, "_log_parts", counting)
+    calls = _counting_logs(monkeypatch)
     logs = ("log(2)", "log(3)", "log(5)", "log(7)")
-    genericity_probe(RealTuple(logs), 2, 2.0, 0.045, range(2, 11))
-    swept = list(calls)
-    # every (subset, height) minimum, each on a fresh tuple, at 128 bits
-    forms = {
-        (subset, linear_form_min(RealTuple(logs), subset, D).l)
-        for subset in itertools.combinations(range(4), 2)
-        for D in range(2, 11)
+    rep = genericity_probe(RealTuple(logs), 2, 2.0, 0.045, range(2, 11))
+    # the subsets are compared on their certified |.| bounds, so the logs are
+    # certified once per distinct reported (subset, l, bits): the parent
+    # certified every subset's minimizer, 14 of the 6 * 9 (subset, height)
+    # minima
+    reported = {(v.record.subset, v.record.l) for v in rep.verdicts}
+    for seen in calls.values():
+        assert len(seen) == len(set(seen)) == len(reported) == 5
+        assert {bits for _, bits in seen} == {128}
+
+
+@pytest.mark.parametrize(
+    "theta_entries, mu, near_ties",
+    [
+        (("log(2)", "log(3)", "log(5)"), 2, 0),
+        # subsets (0,) and (1,) tie below a float ulp of their logs, so both
+        # certify log|.| although (2,) is reported, and no log|e^. - 1|
+        (("log(2)", "log(2) + 10^-20", "log(3)"), 1, 2),
+    ],
+    ids=["apart", "near-tie"],
+)
+def test_bituple_certifies_log_expm1_for_its_products_only(
+    monkeypatch, theta_entries, mu, near_ties
+):
+    calls = _counting_logs(monkeypatch)
+    theta = RealTuple(theta_entries)
+    kappa = RealTuple(("sqrt(2)", "sqrt(3)", "sqrt(5)"))
+    rep = bituple_probe(theta, kappa, mu, 2, 2.0, 0.045, range(2, 7), range(2, 7))
+    expm1, logs = list(calls["log_expm1_abs_interval"]), list(calls["log_abs_interval"])
+    # one log|e^s - 1| per (L, R) pair, at s = -|product|; the sides certify
+    # log|.| of their reported records, and of near ties, only
+    products = [
+        libmp.mpi_neg(dioph._abs_product_interval(
+            theta, linear_form_min(theta, v.subset_theta, v.L), kappa,
+            linear_form_min(kappa, v.subset_kappa, v.R), 128), 128)
+        for v in rep.verdicts
+    ]
+    assert expm1 == [(p, 128) for p in products]
+    sides = {("theta", v.subset_theta, v.l) for v in rep.verdicts} | {
+        ("kappa", v.subset_kappa, v.r) for v in rep.verdicts
     }
-    # one call per distinct (subset, l, bits), not one per subset and height
-    assert len(swept) == len(set(swept)) == len(forms) < 6 * 9
+    assert len(logs) == len(set(logs)) == len(sides) + near_ties
+
+
+@pytest.mark.parametrize(
+    "entries, picked",
+    [
+        # the minima differ by about 1e-20, below a float ulp of their logs:
+        # the log enclosures overlap and the earlier subset stays
+        (("log(2)", "log(2) + 10^-20"), (0,)),
+        # a relative 2^-35 apart, inside the 2^-30 the |.| bounds decide,
+        # but far beyond the log floats' width: the later, larger one wins
+        (("log(2)", "log(2)*(1 + 2^-35)"), (1,)),
+        (("log(2)*(1 + 2^-35)", "log(2)"), (0,)),
+    ],
+    ids=["below-an-ulp", "larger-later", "larger-earlier"],
+)
+def test_near_tied_subsets_pick_by_the_log_rule(entries, picked):
+    rep = genericity_probe(RealTuple(entries), 1, 2.0, 0.045, [1, 2])
+    assert [v.record.subset for v in rep.verdicts] == [picked, picked]
+    # the rule on fresh records: the later subset wins only when its lower
+    # log lies above the earlier one's upper log
+    first, second = (linear_form_min(RealTuple(entries), (i,), 1) for i in range(2))
+    assert picked == ((1,) if second.log_value[0] > first.log_value[1] else (0,))
+
+
+def test_only_a_reported_deep_record_escalates():
+    # DEEP's minimum needs 256 bits for its logs.  A subset that holds it and
+    # loses by its |.| bounds is never certified, so it never escalates (the
+    # parent escalated it at every height); when it is the best subset, its
+    # record escalates and the other subset's does not
+    losing = RealTuple((DEEP, "log(2)", "log(3)"))
+    rep = genericity_probe(losing, 1, 2.0, 0.045, range(2, 5))
+    assert {v.record.subset for v in rep.verdicts} == {(2,)}
+    assert {bits for _, _, bits in losing._forms} == {128}
+    winning = RealTuple((DEEP, "sqrt(2)*10^-40"))
+    rep = genericity_probe(winning, 1, 2.0, 0.045, range(2, 5))
+    assert {v.record.subset for v in rep.verdicts} == {(0,)}
+    assert {(subset, bits) for subset, _, bits in winning._forms} == {
+        ((0,), 128), ((0,), 256), ((1,), 128)
+    }
+    fresh = linear_form_min(RealTuple(winning.expressions), (0,), 4)
+    assert rep.verdicts[-1].record == fresh
+
+
+def test_a_losing_subset_with_an_inexact_zero_form_is_not_certified(tmp_path, capsys):
+    # log 2 + log 3 - log 6 is zero, but not exactly: its enclosure straddles 0
+    # at every precision, so certifying its log exhausts the precision.  The
+    # subsets that hold it lose by their |.| bounds and are never certified
+    # (the parent certified every subset and exited 3)
+    from genlab.cli import run
+
+    path = tmp_path / "logs.tup"
+    entries = ("log(2)", "log(3)", "log(6)", "log(5)")
+    path.write_text("\n".join(entries) + "\n")
+    argv = ["gen", "--tuple", str(path), "--mu", "3", "--eta", "2.0", "--c", "0.045",
+            "--D", "2..4"]
+    assert run(argv) == 0
+    records = [json.loads(line)["payload"] for line in capsys.readouterr().out.splitlines()]
+    assert [r["D"] for r in records] == [2, 3, 4]
+    for r in records:
+        assert tuple(r["subset"]) != (0, 1, 2)
+        rec = linear_form_min(RealTuple(entries), tuple(r["subset"]), r["D"])
+        assert (rec.l, rec.log_value, rec.log_exp_value) == (
+            tuple(r["l"]), tuple(r["log_min"]), tuple(r["log_exp_value"])
+        )
+    # the zero form's own subset alone still has no certified minimum
+    with pytest.raises(PrecisionExhausted):
+        linear_form_min(RealTuple(entries), (0, 1, 2), 2)
+
+
+def test_a_subset_whose_survivors_stay_put_reuses_its_choice():
+    theta = RealTuple(("log(2)", "log(3)", "log(5)", "log(7)"))
+    genericity_probe(theta, 2, 2.0, 0.045, range(2, 11))
+    # one choice per distinct (subset, survivors) of the sweep, not one per
+    # subset and height
+    screened = dioph._screened(theta, list(itertools.combinations(range(4), 2)),
+                               tuple(range(2, 11)), 128)
+    distinct = {(s, tuple(by_height[D])) for s, by_height in
+                zip(itertools.combinations(range(4), 2), screened) for D in range(2, 11)}
+    assert len(theta._choices) == len(distinct) < 6 * 9
 
 
 def test_cli_runs_share_no_memo(tmp_path, monkeypatch, capsys):
     from genlab.cli import run
 
-    calls = []
-    log_parts = dioph._log_parts
-    monkeypatch.setattr(
-        dioph, "_log_parts", lambda *args: calls.append(1) or log_parts(*args)
-    )
+    calls = _counting_logs(monkeypatch)["log_abs_interval"]
     path = tmp_path / "logs.tup"
     path.write_text("log(2)\nlog(3)\nlog(5)\nlog(7)\n")
     argv = ["gen", "--tuple", str(path), "--mu", "2", "--eta", "2.0", "--c", "0.045",
