@@ -21,7 +21,10 @@ certified upper-bound record flagged approximate.  The probes aggregate
 these records over heights and subsets with the existential subset
 quantifier (max over subsets of the min over forms) and compare against
 thresholds -c*D^eta, all through one pass / fail / undecided / escalate
-rule: an approximate record can fail a height but never pass it.
+rule: an approximate record can fail a height but never pass it.  Both
+probes read log|e^s - 1| at the least favourable sign, s = -|l.theta| for
+gen and s = -|product| for bigen: the box holds -l beside l, so that is the
+minimum over the box, and a failed height is never passed above it.
 
 Logs are certified only where they are read.  Each subset's minimizer is
 picked on the certified |.| bounds of its candidate forms (_Choice), and
@@ -106,8 +109,8 @@ class LinearFormRecord:
     l: tuple[int, ...]
     D: int
     log_value: tuple[float, float]  # enclosure of log|sum l_i theta_i|
-    # enclosure of log|e^(sum) - 1|; None where it is not certified (the
-    # records of a bituple's sides)
+    # enclosure of log(1 - e^-|sum|), the least of log|e^(+-sum) - 1|; None
+    # where it is not certified (the records of a bituple's sides)
     log_exp_value: Optional[tuple[float, float]]
     exact_value: Optional[Fraction] = None  # set when the value is proven rational
     approximate: bool = False  # lattice mode: upper bound, not certified min
@@ -401,9 +404,15 @@ _LOG_RANGE = 1 << 19
 class _Form:
     """One linear form over one subset at one precision: its signed
     enclosure, the endpoints of its |.| and, once certified, the float pairs
-    of log|.| (log_value) and of log|e^. - 1| (log_exp), each certified on
-    first use; NeedsBits on straddles or over-wide results.  Memoised on the
-    tuple."""
+    of log|.| (log_value) and of log|e^. - 1| at the least favourable sign,
+    log(1 - e^-|.|) (log_exp), each certified on first use; NeedsBits on
+    straddles or over-wide results.  Memoised on the tuple.
+
+    The box holds -l beside l, and 1 - e^-s < e^s - 1 for s > 0, so the
+    least favourable sign gives the minimum of |e^(l.theta) - 1| over the
+    pair, and the record's log_exp is that minimum over the box: it only
+    falls with the height, and a pass covers every signed form (the rule
+    of _bituple_pair)."""
 
     __slots__ = ("signed", "low", "high", "_log_value", "_log_exp")
 
@@ -419,7 +428,8 @@ class _Form:
 
     def log_exp(self, ctx):
         if self._log_exp is None:
-            self._log_exp = log_pair(ctx, log_expm1_abs_interval(ctx, self.signed))
+            least = libmp.mpi_neg((self.low, self.high))
+            self._log_exp = log_pair(ctx, log_expm1_abs_interval(ctx, least))
         return self._log_exp
 
 
@@ -699,7 +709,7 @@ def genericity_probe(
     budget: int = DEFAULT_BUDGET,
 ) -> GenericityReport:
     """For each height D, find the subset of size mu maximizing the minimal
-    form value, and test log|e^(form) - 1| >= -c*D^eta."""
+    form value, and test log|e^(-|form|) - 1| >= -c*D^eta."""
     ds = _validate_probe_args(theta, mu, eta, c, D_set)
     thresholds = [height_threshold(c, eta, D) for D in ds]
     sweep = _exhaustive_heights(ds, mu, budget)

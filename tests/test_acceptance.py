@@ -242,7 +242,8 @@ def test_criterion_06_genericity_numerics():
     lt = RealTuple(("1", liouville), precision_bits=512)
     rep = genericity_probe(lt, 2, 2.0, 0.045, range(7, 13))
     failing = [v.D for v in rep.verdicts if not v.passed]
-    assert failing == [9, 10]
+    # D = 7 fails on l = (0, -1): log(1 - e^-0.110) = -2.262 < -2.205
+    assert failing == [7, 9, 10]
     by_d = {v.D: v for v in rep.verdicts}
     assert by_d[9].record.l == (1, -9)
     assert by_d[9].c_required > by_d[8].c_required

@@ -1170,7 +1170,7 @@ PINNED_INPUTS = {
         ),
         pytest.param(
             "gen --tuple golden.tup --D 2..50 --mu 2 --eta 2.0 --c 0.045",
-            "f2e457e83888e82bbe5a65e9cc3338553cf5e0b2e6ca08c8f7b3a05682680365",
+            "87a199cb1d5f3ac43184dcef1d0a1528fbd901e7e2bdb5157820150aa9c27d4f",
             id="readme-gen",
         ),
         pytest.param(
@@ -1348,22 +1348,22 @@ PINNED_INPUTS = {
         ),
         pytest.param(
             "gen --tuple logs4.tup --mu 2 --eta 2.0 --c 0.045 --D 2..10",
-            "0693586f72d1bb8d06c2ad2d807f1e96b1985fe6a950e1c898337b92af1d7431",
+            "dd01171a84cddd66c9b26e535d314d616aeb573d7767c6537634d12d3dc35955",
             id="gen-log-primes-mu2",
         ),
         pytest.param(
             "gen --tuple logs4b.tup --mu 3 --eta 2.0 --c 0.045 --D 2..8",
-            "26f517d5020780cf4e3662e50544cb99e3630c57fb452f5827b46d55e73005a0",
+            "3d7bfba2723e9a67274198ed0121b93d9ba3a31c7be55e7e60aa8f1c7b0d7bcb",
             id="gen-log-primes-mu3",
         ),
         pytest.param(
             "gen --tuple mixed5.tup --mu 2 --eta 2.0 --c 0.045 --D 2..12",
-            "4a76866e59430f04b4a9727e28ae696aae8dc7507906a5e3fc8c64378c1117f8",
+            "7113796d09292c532e580ce63ce486e8fbff8decac93e7e619b85adb3ab2cd35",
             id="gen-mixed-mu2",
         ),
         pytest.param(
             "gen --tuple rational.tup --mu 3 --eta 2.0 --c 0.045 --D 2..6",
-            "b5a521bca68f3dd942496e03e40693aebeb8138863974d744984e8cdb956cc12",
+            "2339cacc122232bc5f6a873b3bd147f45cbff899ab0b51845c4805eddeaed849",
             id="gen-rational-exact",
         ),
         # the two relation cases keep the ids they had while --pi-i existed

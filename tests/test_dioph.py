@@ -123,27 +123,52 @@ def test_overall_outcome_of_the_three_verdicts():
 _MONOTONE_ENTRIES = ("log(2)", "log(3)", "log(5)", "log(7)", "sqrt(2)", "sqrt(3)", "pi")
 
 
+@st.composite
+def monotone_cases(draw):
+    mu = draw(st.integers(2, 4))
+    entries = draw(
+        st.lists(st.sampled_from(_MONOTONE_ENTRIES), min_size=mu, max_size=mu, unique=True)
+    )
+    top = draw(st.integers(3, 10))
+    budget = (2 * draw(st.integers(1, top - 1)) + 1) ** mu
+    c = draw(st.floats(0.001, 0.5))
+    return mu, tuple(entries), top, budget, c
+
+
+@given(monotone_cases())
+# the canonical l = (2, -1) at D = 2 has s = +0.750; read at that sign,
+# log(e^s - 1) = +0.111 passed -0.25 although D = 1 failed it
+@example((2, ("log(7)", "pi"), 3, 25, 0.0625))
 @settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_a_failed_height_never_passes_above_it(data):
+def test_a_failed_height_never_passes_above_it(case):
     # the height-D box holds the height-D' box for D' <= D, so the max-min
     # over subsets only falls with D: a lower height whose certified value
     # is below the threshold of D rules out a pass at D.  The budget holds
     # the lower heights only, so the upper ones run in lattice mode, whose
     # records bound the minimum from above and so never pass.
-    mu = data.draw(st.integers(2, 4))
-    entries = data.draw(
-        st.lists(st.sampled_from(_MONOTONE_ENTRIES), min_size=mu, max_size=mu, unique=True)
-    )
-    top = data.draw(st.integers(3, 10))
-    budget = (2 * data.draw(st.integers(1, top - 1)) + 1) ** mu
-    c = data.draw(st.floats(0.001, 0.5))
-    rep = genericity_probe(RealTuple(tuple(entries)), mu, 2.0, c, range(1, top + 1), budget=budget)
+    mu, entries, top, budget, c = case
+    rep = genericity_probe(RealTuple(entries), mu, 2.0, c, range(1, top + 1), budget=budget)
     assert any(v.record.approximate for v in rep.verdicts)
     for low in rep.verdicts:
         for high in rep.verdicts:
             if high.D >= low.D and low.record.log_exp_value[1] < high.threshold:
                 assert high.passed is not True, (low.D, high.D)
+
+
+def test_log_exp_is_read_at_the_least_favourable_sign():
+    # (log 7, pi) at D = 2: the record l = (2, -1) has s = 2 log 7 - pi =
+    # +0.750, and the box holds (-2, 1) with |e^-s - 1| = 1 - e^-0.750 <
+    # e^0.750 - 1, so log_exp is log(1 - e^-|s|) and every height fails
+    rep = genericity_probe(RealTuple(("log(7)", "pi")), 2, 2.0, 0.0625, range(1, 4))
+    assert [v.passed for v in rep.verdicts] == [False, False, False]
+    assert rep.overall == "special-witnesses"
+    for v in rep.verdicts:
+        with mpmath.workprec(200):
+            s = v.record.l[0] * mpmath.log(7) + v.record.l[1] * mpmath.pi
+            least = float(mpmath.log(1 - mpmath.exp(-abs(s))))
+        lo, hi = v.record.log_exp_value
+        assert lo - 1e-12 <= least <= hi + 1e-12
+    assert [v.record.l for v in rep.verdicts] == [(1, -1), (2, -1), (3, -2)]
 
 
 def test_scaling_invariance_exact():
@@ -182,10 +207,12 @@ def test_golden_generic_at_small_heights():
 
 def test_liouville_fails_at_factorial_cutoff():
     # pass needs c >= c_required(D); the requirement spikes when the height
-    # box first reaches the decimal convergent 1/9 of the series
+    # box first reaches the decimal convergent 1/9 of the series.  D = 7
+    # fails on the entry itself: l = (0, -1) gives log(1 - e^-0.110) =
+    # -2.262 < -0.045 * 7^2 = -2.205, and D = 8's threshold clears it
     rep = genericity_probe(LIOUVILLE, 2, 2.0, 0.045, range(7, 13))
     failing = [v.D for v in rep.verdicts if not v.passed]
-    assert failing == [9, 10]
+    assert failing == [7, 9, 10]
     assert rep.overall == "special-witnesses"
     v9 = next(v for v in rep.verdicts if v.D == 9)
     assert v9.record.l == (1, -9)
