@@ -25,11 +25,9 @@ Three layers, bottom to top:
     the effective-distance proposition, which checks hypotheses only and
     never asserts the conclusion.
 
-Everything reported as certified here is backed by interval or ball
-arithmetic (under numeric's one trust assumption on libmp's point values)
-or exact integer/rational computation; the single exception is the
-optimizer leg of the hypothesis checklist, which is labelled empirical in
-its output.
+Everything reported here is backed by interval or ball arithmetic (under
+numeric's one trust assumption on libmp's point values) or exact
+integer/rational computation.
 """
 
 from __future__ import annotations
@@ -55,8 +53,9 @@ from .cyclo import (
     table_product,
 )
 from .errors import DEFAULT_BUDGET, BudgetExceeded, HypothesisNotMet, InvalidConfig
-from .intmat import smith_normal_form
+from .intmat import det, matmul, smith_normal_form
 from .numeric import (
+    NEG_INF,
     NEG_PAIR,
     ZERO,
     NeedsBits,
@@ -700,17 +699,22 @@ def _log_sup_distance(ctx, pairs) -> tuple[float, float]:
     zero contributes only its upper end, so one far coordinate settles the
     sup; NeedsBits only while no difference is bounded away from zero.
     NEG_PAIR when every difference is exactly zero."""
-    p = ctx.prec
+    lo, hi = _sup_distance(pairs, ctx.prec)
+    if hi == libmp.fzero:
+        return NEG_PAIR
+    if lo == libmp.fzero:
+        raise NeedsBits
+    return log_pair(ctx, libmp.mpi_log((lo, hi), ctx.prec))
+
+
+def _sup_distance(pairs, p: int) -> tuple:
+    """(lo, hi): libmp bounds on max |z - y| over the interval pairs (z, y)."""
     lo = hi = libmp.fzero
     for z, y in pairs:
         a, b = libmp.mpi_abs(libmp.mpi_sub(z, y, p), p)
         lo = a if libmp.mpf_lt(lo, a) else lo
         hi = b if libmp.mpf_lt(hi, b) else hi
-    if hi == libmp.fzero:
-        return NEG_PAIR
-    if lo == libmp.fzero:
-        raise NeedsBits
-    return log_pair(ctx, libmp.mpi_log((lo, hi), p))
+    return lo, hi
 
 
 def _log_expm1_product(
@@ -992,8 +996,6 @@ def philippon_audit(
     eta: float = 2.0,
     case: str = "all_large_D",
     zero_distance_log: float | None = None,
-    seed: int = 0,
-    starts: int = 100,
 ) -> PhilipponReport:
     """Check the four hypotheses of the effective-distance criterion at one
     height D, at the precision of theta_point, and report each verdict
@@ -1004,11 +1006,12 @@ def philippon_audit(
     every member (certified intervals, exact when every coordinate the
     member uses is rational).
     H4: distance from Theta to the common zero set stays above -3*C*D^eta in
-    log scale; checked against a supplied bound when given, otherwise
-    explored for binomial families by seeded simplex descent over the
-    positive-real component of the zero subgroup.  A violating witness is
-    re-certified with intervals before "fail" is reported; a surviving
-    search is only ever "empirical_pass".  Conclusions are never asserted.
+    log scale; checked against a supplied bound when given, otherwise, for
+    binomial families, between a certified lower bound on the distance to
+    the whole zero set in the torus and the certified distance to one of its
+    points (_log_distance_bounds): "pass" when the lower bound clears the
+    bound, "fail" when the witness is below it, "undecided" in between.
+    Conclusions are never asserted.
     """
     if not family:
         raise InvalidConfig("empty polynomial family")
@@ -1052,167 +1055,14 @@ def philippon_audit(
         small_details.append((idx, pair, pair[1] <= small_bound))
     h3 = _checked("evaluation_smallness", small_details)
 
-    h4 = _distance_hypothesis(
-        polys, theta_point, dist_bound, zero_distance_log, seed=seed, starts=starts
-    )
+    h4 = _distance_hypothesis(polys, theta_point, dist_bound, zero_distance_log)
     return PhilipponReport(h1, h2, h3, h4, case, D)
 
 
-class _OutOfEvaluations(Exception):
-    """The evaluation budget of one `_nelder_mead` run is spent."""
-
-
-def _nelder_mead(f, x0):
-    """Minimise f from x0 by the Nelder-Mead simplex (Nelder & Mead 1965).
-
-    The steps are those of SciPy 1.17's default Nelder-Mead method in
-    ``optimize.minimize``, unbounded and non-adaptive, in the same
-    floating-point operations, so the returned value and point are
-    bit-identical to its ``fun`` and ``x`` (the differential tests compare
-    the two; SciPy is a test dependency only):
-
-      * the initial simplex is x0 plus x0 with coordinate k scaled by 1.05,
-        or set to 0.00025 where it is zero;
-      * reflection, expansion, contraction and shrink use rho=1, chi=2,
-        psi=sigma=1/2, written as SciPy evaluates them, with the centroid
-        ``np.add.reduce(sim[:-1], 0) / N``;
-      * the vertices are re-sorted by default-kind ``np.argsort`` after
-        every step (twice after the first evaluations);
-      * it stops when the simplex spans at most 1e-4 in x and in f, after
-        200*N iterations, or when 200*N evaluations are spent; the last cuts
-        a step off part-way, a shrink after the vertices already moved.
-
-    x0 is a float array of length N >= 1; f takes such an array, returns a
-    float and must not modify its argument.  Returns (least value, vertex).
-    """
-    import numpy as np
-
-    N = len(x0)
-    budget = 200 * N
-    calls = 0
-
-    def fx(x):
-        nonlocal calls
-        if calls >= budget:
-            raise _OutOfEvaluations
-        calls += 1
-        return f(x)
-
-    sim = np.array([x0] * (N + 1), dtype=float)
-    for k in range(N):
-        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
-    fsim = np.full(N + 1, np.inf)
-    for k in range(N + 1):
-        fsim[k] = fx(sim[k])
-    for _ in range(2):
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
-
-    iterations = 1
-    while calls < budget and iterations < budget:
-        try:
-            if (
-                np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= 1e-4
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-4
-            ):
-                break
-            xbar = np.add.reduce(sim[:-1], 0) / N
-            xr = 2 * xbar - 1 * sim[-1]
-            fxr = fx(xr)
-            shrink = False
-            if fxr < fsim[0]:
-                xe = 3 * xbar - 2 * sim[-1]
-                fxe = fx(xe)
-                if fxe < fxr:
-                    sim[-1], fsim[-1] = xe, fxe
-                else:
-                    sim[-1], fsim[-1] = xr, fxr
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
-            elif fxr < fsim[-1]:
-                xc = 1.5 * xbar - 0.5 * sim[-1]
-                fxc = fx(xc)
-                if fxc <= fxr:
-                    sim[-1], fsim[-1] = xc, fxc
-                else:
-                    shrink = True
-            else:
-                xcc = 0.5 * xbar + 0.5 * sim[-1]
-                fxcc = fx(xcc)
-                if fxcc < fsim[-1]:
-                    sim[-1], fsim[-1] = xcc, fxcc
-                else:
-                    shrink = True
-            if shrink:
-                for j in range(1, N + 1):
-                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                    fsim[j] = fx(sim[j])
-            iterations += 1
-        except _OutOfEvaluations:
-            pass
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
-    return np.min(fsim), sim[0]
-
-
-def _zero_distance_search(
-    kernel: list[list[int]], theta_point: RealTuple, *, seed: int, starts: int
-) -> tuple[float, Sequence[float]] | None:
-    """Least sup-distance found from Theta to exp(K^T s), s real, and its s.
-
-    K's rows span the integer kernel of the characters, so exp(K^T s) runs
-    over the positive-real component of the zero subgroup.  The search is
-    seeded: the origin, then `starts` Nelder-Mead runs from normal points at
-    spreads 0.1, 1 and 3 in turn.  Empirical: nothing certifies that the
-    true minimum is not smaller.  None, before any run, when a coordinate of
-    Theta is beyond float range, and None when no evaluated distance is
-    finite and below the 1e300 that stands for a point beyond float range.
-    """
-    import numpy as np
-
-    n = len(theta_point)
-    dim = len(kernel)
-    _, coords = theta_point.real_enclosures(max(128, theta_point.precision_bits))
-    target = np.array([sum(to_float_pair(x)) / 2 for x in coords])
-    if not np.all(np.isfinite(target)):
-        return None
-    try:
-        kmat = np.array(kernel, dtype=float).T if dim else np.zeros((n, 0))
-    except OverflowError:  # a kernel entry beyond float range
-        return None
-
-    def objective(s: np.ndarray) -> float:
-        try:
-            pt = np.exp(kmat @ s)
-        except (OverflowError, FloatingPointError):
-            return 1e300
-        if not np.all(np.isfinite(pt)):
-            return 1e300
-        return float(np.max(np.abs(pt - target)))
-
-    best_val = objective(np.zeros(dim))
-    best_s = np.zeros(dim)
-    if dim and starts:
-        rng = np.random.default_rng(seed)  # made at the first draw: it imports numpy.random
-        for i in range(starts):
-            spread = (0.1, 1.0, 3.0)[i % 3]
-            s0 = rng.standard_normal(dim) * spread
-            fun, x = _nelder_mead(objective, s0)
-            if fun < best_val:
-                best_val, best_s = float(fun), x
-    return (best_val, best_s) if best_val < 1e300 else None
 
 
 def _distance_hypothesis(
-    polys,
-    theta_point: RealTuple,
-    dist_bound: float,
-    supplied: float | None,
-    *,
-    seed: int,
-    starts: int,
+    polys, theta_point: RealTuple, dist_bound: float, supplied: float | None
 ) -> HypothesisCheck:
     if supplied is not None:
         ok = supplied >= dist_bound
@@ -1228,48 +1078,180 @@ def _distance_hypothesis(
             "not_checked",
             (("reason", "needs a supplied bound or a binomial family"),),
         )
+    lower, upper = _log_distance_bounds(chars, theta_point)
+    status = "pass" if lower >= dist_bound else "fail" if upper < dist_bound else "undecided"
+    details = (("lower_log_distance", lower), ("witness_log_distance", upper), ("bound", dist_bound))
+    return HypothesisCheck("zero_distance", status, details)
 
-    # U*A*V = S: the columns of V past the rank of A span its integer kernel
+
+def _log_distance_bounds(chars, theta_point: RealTuple) -> tuple[float, float]:
+    """Floats lower <= log dist(Theta, Z) <= upper, for Z the zero set in the
+    torus of the binomials with characters chi = a - b, dist the sup norm.
+
+    A zero x has |x| in exp(V), V = {y : chi . y = 0 for every chi}, and
+    ||x_i| - |Theta_i|| <= |x_i - Theta_i|, so a zero within eps of Theta
+    forces |chi . log|Theta|| <= sum |chi_i| g_i(eps), with
+    g_i(eps) = -log(1 - eps/|Theta_i|): the least such eps, the largest over
+    the rows, bounds the distance to all of Z (_row_lower).  The upper bound
+    is the distance to the point exp(y) of Z, y from _least_squares_point,
+    with Theta's signs where they keep it in Z.  One pass at Theta's
+    precision: a form that straddles 0 gives the lower bound -inf, and when
+    all do and Theta is rational where the characters use it, Theta^chi = 1
+    is decided exactly (on Z both bounds are -inf)."""
     n = len(theta_point)
-    _, s, v = smith_normal_form(chars)
+    used = [i for i in range(n) if any(chi[i] for chi in chars)]
+    # U A = S V^-1: the first rank rows of U A are a row basis of A
+    u, s, _ = smith_normal_form(chars)
     rank = sum(1 for i in range(min(len(s), n)) if s[i][i])
-    kernel = [[v[i][j] for i in range(n)] for j in range(rank, n)]
-    dim = len(kernel)
-    found = _zero_distance_search(kernel, theta_point, seed=seed, starts=starts)
-    if found is None:
-        return HypothesisCheck(
-            "zero_distance",
-            "not_checked",
-            (("reason", "no distance to the zero subgroup is within float range"),),
+    basis = matmul(u[:rank], chars)
+
+    def attempt(bits: int) -> tuple[float, float]:
+        ctx, coords = theta_point.real_enclosures(bits)
+        lams = [log_abs_interval(ctx, x) for x in coords]
+        if None in lams:
+            raise InvalidConfig("the image point has a zero coordinate: it is not in the torus")
+        forms = [_abs_form(ctx, chi, lams) for chi in chars]
+        if all(L is None for L in forms):
+            # H3 has already raised these coordinates to powers as large
+            q = {i: theta_point.exact_combination(((1, i),)) for i in used}
+            if None not in q.values() and all(
+                math.prod(q[i] ** c for i, c in enumerate(chi) if c) == 1 for chi in chars
+            ):
+                return NEG_INF, NEG_INF
+        lower = max(
+            (_row_lower(ctx, chi, lams, L) for chi, L in zip(chars, forms) if L is not None),
+            default=NEG_INF,
         )
-    best_val, best_s = found
+        negative = [libmp.mpf_lt(x[1], libmp.fzero) for x in coords]
+        if any(sum(c for c, neg in zip(chi, negative) if neg) % 2 for chi in chars):
+            negative = [False] * n
+        zs = []
+        for y, neg in zip(_least_squares_point(basis, lams, coords, bits), negative):
+            z = libmp.mpi_exp(exact_pair(y, bits), bits)
+            zs.append(libmp.mpi_neg(z) if neg else z)
+        _, hi = _sup_distance(zip(zs, coords), bits)
+        upper = NEG_INF if hi == libmp.fzero else to_float_pair(libmp.mpi_log((hi, hi), bits))[1]
+        return lower, upper
 
-    found_log = math.log(best_val) if best_val > 0 else float("-inf")
-    details = [
-        ("component", "positive_real_only"),
-        ("min_log_distance_found", found_log),
-        ("bound", dist_bound),
+    return run_escalating(attempt, theta_point.precision_bits)
+
+
+def _abs_form(ctx, chi, lams):
+    """The enclosure of |chi . log|Theta||, or None when it straddles 0."""
+    p = ctx.prec
+    total = ZERO
+    for c, lam in zip(chi, lams):
+        if c:
+            total = libmp.mpi_add(total, libmp.mpi_mul(exact_pair(c, p), lam, p), p)
+    return None if straddles_zero(total) else libmp.mpi_abs(total, p)
+
+
+def _row_lower(ctx, chi, lams, L) -> float:
+    """A float at or below log eps*, eps* the least eps with
+    sum |chi_i| g_i(eps) >= L = |chi . log|Theta||: in closed form when chi
+    has one nonzero coordinate, by a root checked in intervals otherwise."""
+    terms = [(abs(c), lam) for c, lam in zip(chi, lams) if c]
+    if len(terms) == 1:
+        return _closed_lower(ctx, *terms[0], L)
+    return _root_lower(ctx, terms, L)
+
+
+def _closed_lower(ctx, w: int, lam, L) -> float:
+    """w g(eps) = L at eps* = |Theta_i| (1 - e^(-L/w)), for lam the
+    enclosure of log|Theta_i|: the bottom of the enclosure of its log."""
+    p = ctx.prec
+    x = libmp.mpi_neg(libmp.mpi_div(L, exact_pair(w, p), p))
+    return to_float_pair(libmp.mpi_add(lam, log_expm1_abs_interval(ctx, x), p))[0]
+
+
+def _root_lower(ctx, terms, L) -> float:
+    """log eps for an eps just below the root of sum w_i g_i(eps) = L over
+    the (w_i, enclosure of log|Theta_i|) terms, or -inf when the check
+    fails.
+
+    The root is bisected in floats on u = log eps over [u0 - log 2, u0],
+    u0 = min(log L - log sum w_i/|Theta_i|, min log|Theta_i|):
+    g_i(eps) >= eps/|Theta_i| puts it at or below u0, and g_i(eps) <=
+    2 eps/|Theta_i| for eps <= |Theta_i|/2 at or above u0 - log 2.  One
+    interval evaluation then checks sum w_i g_i(e^u) < L at u 2^-20 below
+    the root; the sum increases with eps, so no zero lies within e^u."""
+    p = ctx.prec
+    a = [libmp.to_float(libmp.mpi_mid(lam, p)) for _, lam in terms]
+    log_w = [math.log(w) for w, _ in terms]
+    log_L = libmp.to_float(libmp.mpf_log(libmp.mpi_mid(L, p), 53))
+    if not all(map(math.isfinite, a + [log_L])):
+        return NEG_INF
+
+    def log_sum_exp(xs) -> float:
+        top = max(xs)
+        return top + math.log(sum(math.exp(x - top) for x in xs))
+
+    def excess(u: float) -> float:  # log sum w_i g_i(e^u) - log L
+        logs = []
+        for lw, ai in zip(log_w, a):
+            r = math.exp(u - ai)
+            if r >= 1.0:
+                return math.inf
+            # log g = log r + O(r) for small r
+            logs.append(lw + (u - ai if r < 2.0**-60 else math.log(-math.log1p(-r))))
+        return log_sum_exp(logs) - log_L
+
+    hi = min(log_L - log_sum_exp([lw - ai for lw, ai in zip(log_w, a)]), min(a))
+    lo = hi - math.log(2.0)
+    for _ in range(64):
+        mid = (lo + hi) / 2
+        if excess(mid) <= 0:
+            lo = mid
+        else:
+            hi = mid
+    u = lo - 2.0**-20
+    point = (libmp.from_float(u),) * 2
+    total = ZERO
+    for w, lam in terms:
+        v = libmp.mpi_sub(point, lam, p)
+        if not libmp.mpf_lt(v[1], libmp.fzero):
+            return NEG_INF
+        g = _g_upper(ctx, v)
+        total = libmp.mpi_add(total, libmp.mpi_mul(exact_pair(w, p), (g, g), p), p)
+    return u if libmp.mpf_lt(total[1], L[0]) else NEG_INF
+
+
+def _g_upper(ctx, v):
+    """An upper bound on g = -log(1 - r), r = e^v, for an interval v < 0:
+    the smaller of the tops of the enclosures of -log|e^v - 1| and of
+    r/(1 - r) >= log(1 + r/(1 - r)) = g.  The second keeps its precision
+    where e^v - 1 rounds to -1, and the sum of w_i g_i needs it when a w_i
+    is large."""
+    p = ctx.prec
+    r = libmp.mpi_exp(v, p)
+    ratio = libmp.mpi_div(r, libmp.mpi_sub(exact_pair(1, p), r, p), p)
+    direct = libmp.mpf_neg(log_expm1_abs_interval(ctx, v)[0])
+    return ratio[1] if libmp.mpf_lt(ratio[1], direct) else direct
+
+
+def _least_squares_point(basis, lams, coords, p: int) -> list[Fraction]:
+    """The point y = m - W^2 C^T (C W^2 C^T)^-1 C m of V = {y : C y = 0},
+    exactly: C is an integer row basis of the characters, m_i the midpoint
+    of lams[i], the enclosure of log|Theta_i|, and W^2 = diag(4^-e_i) with
+    2^(e_i - 1) <= |Theta_i| < 2^e_i, so the step is short where |Theta_i|
+    is large.  The system is solved by Cramer's rule on integers: m is
+    scaled by 2^k (undone at the end) and W^2 by 4^top, which cancels."""
+    mids = [libmp.mpi_mid(lam, p) for lam in lams]
+    k = max([0] + [-e for _, man, e, _ in mids if man])
+    m = [(-man if sign else man) << (e + k) for sign, man, e, _ in mids]
+    exps = [mid[2] + mid[3] for mid in (libmp.mpi_mid(x, p) for x in coords)]
+    top = max(exps)
+    weights = [4 ** (top - e) for e in exps]
+    gram = [
+        [sum(wt * a * b for wt, a, b in zip(weights, row, col)) for col in basis]
+        for row in basis
     ]
-    if found_log < dist_bound:
-        # certify the witness: any kernel point is a true common zero
-        s_exact = [Fraction(float(x)).limit_denominator(10**12) for x in best_s]
-        u = [
-            sum((s_exact[i] * kernel[i][j] for i in range(dim)), Fraction(0))
-            for j in range(n)
-        ]
-
-        def attempt(bits: int) -> tuple[float, float]:
-            ctx, coords = theta_point.real_enclosures(bits)
-            zs = [libmp.mpi_exp(exact_pair(u_j, bits), bits) for u_j in u]
-            return _log_sup_distance(ctx, zip(zs, coords))
-
-        pair = run_escalating(attempt, theta_point.precision_bits)
-        if pair[1] < dist_bound:
-            return HypothesisCheck(
-                "zero_distance",
-                "fail",
-                tuple(details + [("certified_witness_log", pair)]),
-            )
-        details.append(("witness_certification", pair))
-        return HypothesisCheck("zero_distance", "empirical_fail", tuple(details))
-    return HypothesisCheck("zero_distance", "empirical_pass", tuple(details))
+    rhs = [sum(c * x for c, x in zip(row, m)) for row in basis]
+    d = det(gram)
+    cramer = [
+        det([r[:j] + [b] + r[j + 1 :] for r, b in zip(gram, rhs)]) for j in range(len(basis))
+    ]
+    return [
+        Fraction(d * m_i - wt * sum(row[i] * c for row, c in zip(basis, cramer)), d << k)
+        for i, (m_i, wt) in enumerate(zip(m, weights))
+    ]

@@ -666,8 +666,6 @@ def run_phil_audit(args, sink: list[dict]) -> None:
         eta=args.eta,
         case=args.case,
         zero_distance_log=args.zero_distance_log,
-        seed=args.seed,
-        starts=args.starts,
     )
     payload = {"D": rep.D, "case": rep.case, "note": rep.note}
     for check in (
@@ -813,7 +811,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--zero-distance-log", dest="zero_distance_log", type=log_distance, default=None
     )
-    p.add_argument("--starts", type=int, default=100)
+    # accepted and ignored (perfbench/gen.py's phil-audit jobs still pass
+    # it); its old default keeps every command line's config hash
+    p.add_argument("--starts", type=int, default=100, help=argparse.SUPPRESS)
     _add_common(p)
     p.set_defaults(func=run_phil_audit)
 

@@ -7,11 +7,9 @@ evaluation logs from closed forms through math.log/math.expm1.
 
 import math
 import warnings
-import zlib
 from fractions import Fraction
 
 import mpmath
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -49,7 +47,17 @@ from genlab.errors import (
     PrecisionExhausted,
 )
 from genlab.expr import exact_rational, parse_expression
-from genlab.numeric import NEG_PAIR, ZERO, ball, ball_inv, complex_exp, expj, to_float_pair
+from genlab.intmat import matmul, smith_normal_form
+from genlab.numeric import (
+    NEG_PAIR,
+    ZERO,
+    ball,
+    ball_inv,
+    complex_exp,
+    expj,
+    log_abs_interval,
+    to_float_pair,
+)
 from genlab.tuples import RealTuple
 
 NEG_INF = float("-inf")
@@ -957,9 +965,9 @@ def test_philippon_single_binomial_near_one():
     expected = math.log(math.expm1(1e-9))
     assert enclosure_contains(pair, expected, slack=1e-6)
     assert ok
-    # the only zero on the positive-real component is x = 1, at distance
-    # ~1e-9, far above the -3*C*D^eta = -48 floor
-    assert rep.distance_check.status == "empirical_pass"
+    # the only zero is x = 1, at distance ~1e-9, far above the
+    # -3*C*D^eta = -48 floor
+    assert rep.distance_check.status == "pass"
     assert "not asserted" in rep.note
 
 
@@ -968,7 +976,7 @@ def test_philippon_near_cancelling_smallness_is_narrow():
     # 100 bits, and the log pair must still come from an enclosure at most
     # 2^-32 wide
     theta = RealTuple(("sqrt(2)", "2 + 10^-30"))
-    rep = philippon_audit([{(2, 0): 1, (0, 1): -1}], theta, 2, starts=4)
+    rep = philippon_audit([{(2, 0): 1, (0, 1): -1}], theta, 2)
     (_, pair, ok) = rep.smallness_check.details[0]
     assert pair[1] - pair[0] <= 2.0**-32
     assert enclosure_contains(pair, -30 * math.log(10), slack=1e-12)
@@ -986,50 +994,6 @@ def test_philippon_product_binomial_distance_fails():
     (_, pair, _) = rep.smallness_check.details[0]
     assert pair == NEG_PAIR
     assert rep.distance_check.status == "fail"
-
-
-@pytest.mark.parametrize(
-    "family, point, D, kwargs, status, found_log, best_s, witness",
-    [
-        # Theta = (2, 1/2) lies on x1 x2 = 1: the witness is certified
-        (
-            [{(1, 1): 1, (0, 0): -1}], ("2", "1/2"), 2,
-            dict(c1=1.0, C=1.0, eta=2.0), "fail",
-            -16.072523757116155, [-0.6931472328912562],
-            (-16.072523758973503, -16.072523758973496),
-        ),
-        (
-            [{(1, 1): 1, (0, 0): -1}], ("exp(1)", "2"), 3,
-            dict(starts=4), "empirical_pass",
-            0.25975439164048647, [-0.35183240543753735], None,
-        ),
-        (
-            [{(1, 1, 0): 1, (0, 0, 0): -1}], ("log(2)", "log(3)", "log(5)"), 3,
-            dict(starts=12), "empirical_pass",
-            -2.0837421013629767, [0.20136889319307802, 0.40461411857209795],
-            None,
-        ),
-    ],
-)
-def test_philippon_distance_search_pinned(
-    monkeypatch, family, point, D, kwargs, status, found_log, best_s, witness
-):
-    # frozen from the scipy.optimize.minimize(method="Nelder-Mead") search
-    # that _nelder_mead replaced; both give these bits
-    found = []
-    search = auxpoly_mod._zero_distance_search
-
-    def recording(*args, **kw):
-        found.append(search(*args, **kw))
-        return found[-1]
-
-    monkeypatch.setattr(auxpoly_mod, "_zero_distance_search", recording)
-    rep = philippon_audit(family, RealTuple(point), D, **kwargs)
-    details = dict(rep.distance_check.details)
-    assert rep.distance_check.status == status
-    assert details["min_log_distance_found"] == found_log
-    assert [float(x) for x in found[0][1]] == best_s
-    assert details.get("certified_witness_log") == witness
 
 
 def test_philippon_supplied_distance_bound():
@@ -1050,28 +1014,118 @@ def test_philippon_non_binomial_not_checked():
 
 
 @pytest.mark.parametrize(
-    "family, point",
+    "family, point, status",
     [
-        # x1^(2^1100) x2 = 1: a kernel basis entry is beyond float range, so
-        # no point of the zero subgroup is ever evaluated
-        ([{(2**1100, 1): 1, (0, 0): -1}], ("1", "2")),
-        # Theta itself is beyond float range: every distance is infinite
-        ([{(1, 0): 1, (0, 0): -1}], ("10^400", "2")),
+        # x1^(2^1100) x2 = 1 passes within 2^-1100 log 2 of (1, 2): the lower
+        # bound finds it, and the witness certifies it below the bound -12
+        ([{(2**1100, 1): 1, (0, 0): -1}], ("1", "2"), "fail"),
+        # Theta itself is beyond float range; the zero set is x1 = 1, at
+        # distance 10^400 - 1, read in log form through intervals
+        ([{(1, 0): 1, (0, 0): -1}], ("10^400", "2"), "pass"),
     ],
 )
-def test_philippon_distance_beyond_float_range_not_checked(monkeypatch, family, point):
-    # nothing is searched, so no run can warn about inf - inf
-    def no_search(f, x0):
-        raise AssertionError("a Nelder-Mead run started")
-
-    monkeypatch.setattr(auxpoly_mod, "_nelder_mead", no_search)
+def test_philippon_distance_beyond_float_range_is_decided(family, point, status):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rep = philippon_audit(family, RealTuple(point), 2)
-    assert rep.distance_check.status == "not_checked"
-    assert dict(rep.distance_check.details) == {
-        "reason": "no distance to the zero subgroup is within float range"
-    }
+    details = dict(rep.distance_check.details)
+    assert rep.distance_check.status == status
+    lower, upper = details["lower_log_distance"], details["witness_log_distance"]
+    assert lower <= upper
+    with mpmath.workprec(256):
+        if status == "pass":
+            truth = mpmath.log(mpmath.mpf(10) ** 400 - 1)
+            assert upper - lower < 1e-12
+        else:
+            truth = mpmath.log(-mpmath.expm1(-mpmath.log(2) / mpmath.mpf(2) ** 1100))
+            assert upper < -12
+            assert truth - lower < 2.0**-19
+        assert lower <= truth <= upper
+
+
+def test_zero_distance_witness_takes_the_signs_of_theta():
+    # (-sqrt 2, -1/sqrt 2) lies on x1 x2 = 1 but is not rational: no form
+    # decides it, and only a witness with Theta's signs comes near it
+    chars = [(1, 1)]
+    theta = RealTuple(("-sqrt(2)", "-1/sqrt(2)"))
+    lower, upper = auxpoly_mod._log_distance_bounds(chars, theta)
+    assert lower == NEG_INF
+    assert upper < -80
+
+
+_THETA_ENTRY = st.one_of(
+    st.builds("{}/{}".format, st.integers(-9, 9).filter(bool), st.integers(1, 9)),
+    st.builds("log({})".format, st.integers(2, 30)),
+    st.builds("{}sqrt({})".format, st.sampled_from(["", "-"]), st.integers(2, 30)),
+)
+
+
+@st.composite
+def _binomial_points(draw):
+    """Characters of 1-3 binomials in n <= 4 variables, exponents up to 5,
+    and a point Theta of rationals, logs and roots."""
+    n = draw(st.integers(1, 4))
+    row = st.lists(st.integers(-5, 5), min_size=n, max_size=n).filter(any)
+    chars = [tuple(r) for r in draw(st.lists(row, min_size=1, max_size=3))]
+    return chars, draw(st.lists(_THETA_ENTRY, min_size=n, max_size=n))
+
+
+@given(_binomial_points(), st.randoms(use_true_random=False))
+@example(([(1, 1)], ["2", "1/2"]), None)  # on the zero set: both bounds -inf
+@example(([(1, 0)], ["log(7)", "-sqrt(2)"]), None)
+@settings(max_examples=60, deadline=None)
+def test_zero_distance_bounds_hold(audit, rnd):
+    # lower <= the distance of points of Z+ = exp(V) near the witness, and
+    # the witness's distance <= upper, both read at twice the bits
+    chars, entries = audit
+    n = len(entries)
+    theta = RealTuple(tuple(entries))
+    lower, upper = auxpoly_mod._log_distance_bounds(chars, theta)
+    assert lower <= upper
+
+    bits = 128
+    ctx, coords = theta.real_enclosures(bits)
+    lams = [log_abs_interval(ctx, x) for x in coords]
+    u, s, v = smith_normal_form(chars)
+    rank = sum(1 for i in range(min(len(s), n)) if s[i][i])
+    kernel = [[v[i][j] for i in range(n)] for j in range(rank, n)]
+    y = auxpoly_mod._least_squares_point(matmul(u[:rank], chars), lams, coords, bits)
+    assert matmul(chars, [[q] for q in y]) == [[0]] * len(chars)
+
+    iv = oracle.iv_ctx(2 * bits)
+    target = [oracle.eval_interval(iv, parse_expression(e)) for e in entries]
+    signs = [-1 if t.b < 0 else 1 for t in target]
+    if any(sum(c for c, sg in zip(chi, signs) if sg < 0) % 2 for chi in chars):
+        signs = [1] * n
+
+    def log_distance(point):
+        """The enclosure of log max |x_i - Theta_i|, -inf at its ends at 0."""
+        dists = [abs(x - t) for x, t in zip(point, target)]
+        ends = [max(d.a for d in dists), max(d.b for d in dists)]
+        return [NEG_INF if e == 0 else iv.log(e) for e in ends]
+
+    if upper == NEG_INF:  # Theta itself is the witness
+        values = [exact_rational(parse_expression(e)) for e in entries]
+        assert all(math.prod(values[i] ** c for i, c in enumerate(chi) if c) == 1 for chi in chars)
+    else:
+        witness = [sg * iv.exp(oracle.iv_from_fraction(iv, q)) for sg, q in zip(signs, y)]
+        lo, _ = log_distance(witness)
+        assert lo == NEG_INF or lo.a <= upper
+    for _ in range(5):
+        shift = [Fraction(rnd.uniform(-0.05, 0.05)) if rnd else Fraction(0) for _ in kernel]
+        near = [q + sum(t * k[i] for t, k in zip(shift, kernel)) for i, q in enumerate(y)]
+        point = [iv.exp(oracle.iv_from_fraction(iv, q)) for q in near]
+        _, hi = log_distance(point)
+        assert lower == NEG_INF or (hi != NEG_INF and lower <= hi.b)
+
+    # the closed form and the root-then-check route on one-coordinate rows
+    for chi in chars:
+        L = auxpoly_mod._abs_form(ctx, chi, lams)
+        terms = [(abs(c), lam) for c, lam in zip(chi, lams) if c]
+        if L is not None and len(terms) == 1:
+            closed = auxpoly_mod._closed_lower(ctx, *terms[0], L)
+            root = auxpoly_mod._root_lower(ctx, terms, L)
+            assert closed - 2.0**-19 <= root <= closed + 1e-12
 
 
 def test_philippon_degree_and_height_failures():
@@ -1091,71 +1145,3 @@ def test_philippon_rejects_bad_input():
         philippon_audit([{(1, 2): 1}], theta, 2)
 
 
-# ---------------------------------------------------------------------------
-# Nelder-Mead: bit-for-bit against scipy's default method
-
-
-def _nm_objective(kind: str, A, c):
-    def f(x):
-        y = A @ (x - c)
-        if kind == "quadratic":
-            return float(y @ y)
-        if kind == "sup_norm":
-            return float(np.max(np.abs(y)))
-        if kind == "plateau":
-            return float(min(1.0, y @ y))
-        if kind == "ties":
-            return float(np.round(y @ y, 1))
-        if kind == "sentinel":  # the search objective's overflow value
-            return 1e300 if np.max(np.abs(x)) > 2.0 else float(y @ y)
-        if kind == "unbounded":  # keeps expanding: never converges
-            return float(-np.sum(y))
-        if kind == "hashed":  # any change in any bit of x changes the path
-            return zlib.crc32(x.tobytes()) / 2.0**32
-        # "spike": 0 at the origin only, so from the origin every step
-        # shrinks and the simplex never converges
-        return 0.0 if not np.any(x) else 1.0
-
-    return f
-
-
-_NM_KINDS = (
-    "quadratic", "sup_norm", "plateau", "ties", "sentinel", "unbounded", "hashed",
-    "spike",
-)
-
-
-def _assert_nelder_mead_matches_scipy(f, x0):
-    from scipy.optimize import minimize
-
-    res = minimize(f, x0, method="Nelder-Mead")
-    fun, x = auxpoly_mod._nelder_mead(f, x0)
-    assert np.float64(fun).tobytes() == np.float64(res.fun).tobytes()
-    assert x.tobytes() == res.x.tobytes()
-    return res
-
-
-@given(st.data())
-@settings(max_examples=200, deadline=None)
-def test_nelder_mead_matches_scipy(data):
-    N = data.draw(st.integers(1, 4))
-    coord = st.one_of(
-        st.just(0.0), st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
-    )
-    x0 = np.array(data.draw(st.lists(coord, min_size=N, max_size=N)))
-    entry = st.floats(-2.0, 2.0, allow_nan=False)
-    A = np.array(data.draw(st.lists(entry, min_size=N * N, max_size=N * N)))
-    c = np.array(data.draw(st.lists(entry, min_size=N, max_size=N)))
-    kind = data.draw(st.sampled_from(_NM_KINDS))
-    _assert_nelder_mead_matches_scipy(_nm_objective(kind, A.reshape(N, N), c), x0)
-
-
-@pytest.mark.parametrize("N", [1, 2, 3, 4])
-@pytest.mark.parametrize("kind", ["unbounded", "spike"])
-def test_nelder_mead_budget_cutoff_matches_scipy(N, kind):
-    # both spend the whole budget; for N >= 2 the last step is cut off:
-    # "unbounded" in an expansion, "spike" in a contraction (N = 2, 3) or
-    # part-way through a shrink (N = 4)
-    f = _nm_objective(kind, np.eye(N), np.zeros(N))
-    res = _assert_nelder_mead_matches_scipy(f, np.zeros(N))
-    assert res.nfev == 200 * N

@@ -794,33 +794,59 @@ def test_phil_audit_smoke(tup, capsys):
 
 
 def test_phil_audit_draws_no_restarts_without_importing_numpy_random(tup):
-    # the restarts' generator is made at the first draw: a 0-dimensional
-    # kernel (x1 = 1, x2 = 1) or --starts 0 draws nothing, so numpy.random
-    # stays unloaded; one restart then loads it
-    both = tup("both.tup", ["1,0:1; 0,0:-1", "0,1:1; 0,0:-1"])
-    one = tup("one.tup", ["1,0:1; 0,0:-1"])
+    # H4 comes from certified bounds, not from a seeded search: with or
+    # without the ignored --starts, a binomial audit loads neither
+    # numpy.random nor scipy
+    fam = tup("fam.tup", ["1,1:1; 0,0:-1"])
     point = tup("pt.tup", ["exp(1)", "2"])
     script = (
         "import sys\n"
         "import genlab.cli\n"
-        "loaded = lambda: 'numpy.random' in sys.modules\n"
-        "audit = ['phil-audit', '--tuple', sys.argv[3], '--D', '3', '--family']\n"
-        "assert genlab.cli.run(audit + [sys.argv[1]]) == 0\n"
-        "assert not loaded()\n"
-        "assert genlab.cli.run(audit + [sys.argv[2], '--starts', '0']) == 0\n"
-        "assert not loaded()\n"
-        "assert genlab.cli.run(audit + [sys.argv[2], '--starts', '1']) == 0\n"
-        "assert loaded()\n"
+        "audit = ['phil-audit', '--family', sys.argv[1], '--tuple', sys.argv[2], '--D', '3']\n"
+        "for extra in ([], ['--starts', '4']):\n"
+        "    assert genlab.cli.run(audit + extra) == 0\n"
+        "    loaded = [m for m in sys.modules if m == 'numpy.random' or m.split('.')[0] == 'scipy']\n"
+        "    assert not loaded, loaded[:3]\n"
     )
     src = Path(__file__).resolve().parent.parent / "src"
     fresh = subprocess.run(
-        [sys.executable, "-c", script, both, one, point],
+        [sys.executable, "-c", script, fam, point],
         capture_output=True, text=True, timeout=120,
         env=dict(os.environ, PYTHONPATH=str(src)),
     )
     assert fresh.returncode == 0, fresh.stderr
     statuses = [r["payload"]["zero_distance_status"] for r in records_of(fresh.stdout)]
-    assert statuses == ["empirical_pass"] * 3
+    assert statuses == ["pass"] * 2
+
+
+@pytest.mark.parametrize(
+    "family, point, argv, status",
+    [
+        *[
+            # Theta is on x1 x2 = 1: distance exactly 0, below any bound
+            pytest.param(
+                ["1,1:1; 0,0:-1"], ["2", "1/2"], ["--D", "2", "--C", C], "fail",
+                id=f"on-the-zero-set-C{C}",
+            )
+            for C in ("3", "3.5", "4", "4.5", "5")
+        ],
+        # Theta beyond float range, at distance 10^400 - 1 from x1 = 1
+        pytest.param(
+            ["1,0:1; 0,0:-1"], ["10^400", "2"], ["--D", "2"], "pass", id="beyond-float-range"
+        ),
+    ],
+)
+def test_phil_audit_zero_distance_is_certified(tup, capsys, family, point, argv, status):
+    fam, pt = tup("fam.poly", family), tup("pt.tup", point)
+    code, out = run_capture(capsys, ["phil-audit", "--family", fam, "--tuple", pt, *argv])
+    assert code == 0
+    payload = records_of(out)[0]["payload"]
+    assert payload["zero_distance_status"] == status
+    details = dict(payload["zero_distance_details"])
+    if status == "fail":
+        assert details["lower_log_distance"] == details["witness_log_distance"] == "-inf"
+    else:
+        assert details["lower_log_distance"] == pytest.approx(400 * math.log(10), abs=1e-9)
 
 
 def test_phil_audit_imports_no_scipy(tup):
@@ -850,7 +876,7 @@ def test_phil_audit_imports_no_scipy(tup):
     )
     assert fresh.returncode == 0, fresh.stderr
     phil, relation = records_of(fresh.stdout)
-    assert phil["payload"]["zero_distance_status"] == "empirical_pass"
+    assert phil["payload"]["zero_distance_status"] == "pass"
     assert relation["payload"]["relation"] == [0, 0, 1, -1]
     assert relation["payload"]["minimal"] is True
 
@@ -1244,7 +1270,7 @@ PINNED_INPUTS = {
         ),
         pytest.param(
             "phil-audit --family fam.poly --tuple logs.tup --D 8",
-            "03a080e1e81f210dfce2470014a86ef17d46a632147ab9021047b0eb2962dd52",
+            "cb1ac6f8b9e21c73d5eee5b72cdf8a19a44df06bb63090b216aceeb32eba6f46",
             id="readme-phil-audit",
         ),
         pytest.param(
@@ -1270,12 +1296,12 @@ PINNED_INPUTS = {
         ),
         pytest.param(
             "phil-audit --family fam.poly --tuple half.tup --D 2",
-            "0a403fcfc316ed74a33c9da53697586e951a3676852c906e123e26cedcc9775e",
+            "73be14ca08c1c1becec1bb5e65eb6264d6dece3744763d0c0a37f20dfa4419c4",
             id="phil-audit-certified-witness",
         ),
         pytest.param(
             "phil-audit --family shift.poly --tuple huge.tup --D 2",
-            "dca359b52a740d6d9846409dbe10ea2d6803310069bb70111d256c8b78d8af9c",
+            "2b35644dcf18095169b66bc39a8fb9c96c767981419a41d51f0811d987f9858f",
             id="phil-audit-beyond-float-range",
         ),
         pytest.param(
