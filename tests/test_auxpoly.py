@@ -1014,6 +1014,28 @@ def test_philippon_non_binomial_not_checked():
 
 
 @pytest.mark.parametrize(
+    "family, point",
+    [
+        # a trinomial at a Theta beyond float range
+        ([{(2, 0): 1, (1, 1): 1, (0, 0): -3}], ("10^400", "2")),
+        # a trinomial at a Theta below float range
+        ([{(1, 1): 1, (0, 1): 1, (0, 0): -1}], ("1", "2^-1100")),
+    ],
+)
+def test_philippon_distance_beyond_float_range_not_checked(family, point):
+    # a non-binomial family has no certified H4: the audit reports that
+    # without reading Theta in floats, so nothing warns about inf or 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = philippon_audit(family, RealTuple(point), 2)
+    assert rep.degree_check.status == "pass"
+    assert rep.distance_check.status == "not_checked"
+    assert dict(rep.distance_check.details) == {
+        "reason": "needs a supplied bound or a binomial family"
+    }
+
+
+@pytest.mark.parametrize(
     "family, point, status",
     [
         # x1^(2^1100) x2 = 1 passes within 2^-1100 log 2 of (1, 2): the lower
